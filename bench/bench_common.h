@@ -70,7 +70,7 @@ struct PhysicalStack {
   /// when enabled) in one call.
   void register_metrics(obs::MetricsRegistry& registry) const {
     // Default-prefix link registration: the analyzer's energy invariant
-    // (check_energy) looks the ledger up under "link.energy" exactly.
+    // looks the ledger up under "link.energy" exactly.
     link->register_metrics(registry);
     overlay->register_metrics(registry);
     emulation::register_metrics(registry, emulation_result);

@@ -8,8 +8,8 @@
 // per cell of the sweep, the worst corruption-to-quiet latency, the same
 // expressed in audit rounds, the elections corruption forced, and the
 // total trace events (the message-cost proxy). Every campaign runs the
-// full chaos oracle including check_stabilization; `failed` must be 0 in
-// every row for the other columns to mean anything.
+// full chaos oracle including the self-stabilization invariant; `failed`
+// must be 0 in every row for the other columns to mean anything.
 #include <cstdio>
 
 #include "analysis/table.h"
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.str().c_str());
   std::printf(
       "Check: failed is 0 in every row (each campaign passed the full chaos\n"
-      "oracle including check_stabilization and end-state agreement); every\n"
+      "oracle including self-stabilization and end-state agreement); every\n"
       "reconverge latency sits under the bound; higher severity costs more\n"
       "audit rounds and elections but never convergence itself.\n");
   return 0;

@@ -8,9 +8,9 @@
 // and reports, per cell of the sweep, adoptions committed, proxy
 // re-binds, the worst vacancy-to-adoption latency, the worst
 // corruption-to-quiet latency, and trace-event cost. Every campaign runs
-// the full chaos oracle including check_membership (zero dark cells,
-// inverse-consistent beliefs and rosters at settle); `failed` must be 0
-// in every row for the other columns to mean anything.
+// the full chaos oracle including the membership invariants (zero dark
+// cells, inverse-consistent beliefs and rosters at settle); `failed` must
+// be 0 in every row for the other columns to mean anything.
 #include <cstdio>
 
 #include "analysis/table.h"
@@ -110,9 +110,9 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.str().c_str());
   std::printf(
       "Check: failed is 0 in every row (each campaign passed the full chaos\n"
-      "oracle including check_membership: zero dark cells, beliefs and\n"
-      "rosters inverse-consistent at settle); every adoption and reconverge\n"
-      "latency sits under the extended bound; higher severity costs more\n"
-      "events but never coverage or convergence.\n");
+      "oracle including the membership invariants: zero dark cells, beliefs\n"
+      "and rosters inverse-consistent at settle); every adoption and\n"
+      "reconverge latency sits under the extended bound; higher severity\n"
+      "costs more events but never coverage or convergence.\n");
   return 0;
 }

@@ -235,7 +235,7 @@ class FailureDetector {
   /// the exact corrupted state. Returns false (and does nothing) when the
   /// detector is stopped or the node is down. Emits an "fd.corrupt" trace
   /// event carrying the target name and the analytic stabilization bound,
-  /// which the check_stabilization invariant keys off.
+  /// which the trace oracle's self-stabilization invariant keys off.
   bool inject_corruption(net::NodeId node, sim::CorruptionTarget target);
 
   /// Analytic re-convergence bound after one inject_corruption: worst case

@@ -1,467 +1,16 @@
 #include "obs/analyze/check.h"
 
-#include <cmath>
-#include <unordered_map>
-#include <unordered_set>
-
-#include "obs/analyze/energy.h"
-#include "obs/analyze/flows.h"
+#include "obs/analyze/incremental.h"
 
 namespace wsn::obs::analyze {
 
-namespace {
-
-std::string flow_tag(const Flow& f) {
-  return "flow " + std::to_string(f.id);
-}
-
-bool close_rel(double a, double b, double rel) {
-  const double scale = std::max(std::abs(a), std::abs(b));
-  return std::abs(a - b) <= rel * std::max(scale, 1.0);
-}
-
-double attr_num(const TraceEvent& ev, const char* key, double fallback = 0.0) {
-  for (const Attr& a : ev.attrs) {
-    if (a.key != key) continue;
-    if (const auto* d = std::get_if<double>(&a.value)) return *d;
-    if (const auto* u = std::get_if<std::uint64_t>(&a.value)) {
-      return static_cast<double>(*u);
-    }
-    if (const auto* i = std::get_if<std::int64_t>(&a.value)) {
-      return static_cast<double>(*i);
-    }
-  }
-  return fallback;
-}
-
-}  // namespace
-
-void append_flow_issues(const Flow& f, std::vector<std::string>& issues) {
-  if (f.delivered && !f.has_send) {
-    issues.push_back(flow_tag(f) + ": delivery without a send");
-    return;
-  }
-  if (f.has_send && !f.delivered && !f.gave_up && !f.dropped &&
-      !(f.layer == Category::kVirtual && f.self_send)) {
-    // A give-up or recorded drop explains the missing delivery; anything
-    // else is a black hole.
-    issues.push_back(flow_tag(f) + ": sent but never delivered");
-    return;
-  }
-  if (!f.has_send) {
-    // Hop/tx records with neither send nor deliver: truncated capture.
-    issues.push_back(flow_tag(f) + ": fragments without send");
-    return;
-  }
-  if (f.delivered && f.deliver_time < f.send_time) {
-    issues.push_back(flow_tag(f) + ": delivered before sent");
-  }
-  for (const Hop& h : f.hops) {
-    if (h.wait < 0.0 || h.transmit() < 0.0 || h.depart < h.start) {
-      issues.push_back(flow_tag(f) + ": acausal hop at node " +
-                       std::to_string(h.node));
-      break;
-    }
-  }
-  if (f.layer == Category::kVirtual && !f.self_send) {
-    if (f.hops.size() != f.expected_hops) {
-      issues.push_back(flow_tag(f) + ": announced " +
-                       std::to_string(f.expected_hops) + " hops, traced " +
-                       std::to_string(f.hops.size()));
-    } else if (f.delivered) {
-      // Exact decomposition: end-to-end latency == sum of hop spans, in
-      // both congestion modes (serialized hops chain depart -> start).
-      double span_sum = 0.0;
-      for (const Hop& h : f.hops) span_sum += h.depart - h.start;
-      if (!close_rel(f.latency(), span_sum, 1e-9)) {
-        issues.push_back(flow_tag(f) +
-                         ": latency does not decompose into hops");
-      }
-    }
-  }
-}
-
-CheckReport check_trace(const std::vector<TraceEvent>& events) {
-  CheckReport report;
-  report.events_seen = events.size();
-
-  const std::vector<Flow> flows = reconstruct_flows(events);
-  for (const Flow& f : flows) {
-    ++report.flows_checked;
-    append_flow_issues(f, report.issues);
-  }
-
-  // Physical-layer receive/transmit pairing for correlated flows. (Flow 0
-  // is uncorrelated background traffic and cannot be paired.)
-  std::unordered_map<std::uint64_t, std::size_t> link_tx;
-  std::unordered_map<std::uint64_t, std::size_t> link_rx;
-  for (const TraceEvent& ev : events) {
-    if (ev.category != Category::kLink || ev.flow == 0) continue;
-    if (ev.name == "broadcast" || ev.name == "unicast") ++link_tx[ev.flow];
-    if (ev.name == "deliver") ++link_rx[ev.flow];
-  }
-  for (const auto& [flow, receives] : link_rx) {
-    if (link_tx.find(flow) == link_tx.end()) {
-      report.issues.push_back("flow " + std::to_string(flow) +
-                              ": link receive without any transmission");
-    }
-  }
-
-  for (const CollectiveSpan& c : reconstruct_collectives(events)) {
-    ++report.collectives_checked;
-    if (!c.closed) {
-      report.issues.push_back("collective " + std::to_string(c.id) + " (" +
-                              c.name + "): never completed");
-    } else if (c.end < c.begin) {
-      report.issues.push_back("collective " + std::to_string(c.id) + " (" +
-                              c.name + "): ends before it begins");
-    }
-  }
-  // Orphan 'E' events (end without begin) slip past reconstruction; count
-  // them directly.
-  std::unordered_map<std::uint64_t, bool> began;
-  for (const TraceEvent& ev : events) {
-    if (ev.category != Category::kCollective || ev.flow == 0) continue;
-    if (ev.phase == 'B') began[ev.flow] = true;
-    if (ev.phase == 'E' && !began[ev.flow]) {
-      report.issues.push_back("collective " + std::to_string(ev.flow) +
-                              ": completion without a start");
-    }
-  }
-  return report;
-}
-
-CheckReport check_energy(const std::vector<TraceEvent>& events,
-                         const JsonValue& metrics_snapshot,
-                         double rel_tolerance) {
-  CheckReport report;
-  report.events_seen = events.size();
-  const EnergyMap derived = attribute_energy(events);
-
-  auto compare = [&](const char* section, const LayerEnergy& layer) {
-    const JsonValue* sec = metrics_snapshot.find(section);
-    if (sec == nullptr) return;  // layer not registered in this run
-    for (const char* field : {"tx", "rx"}) {
-      const JsonValue* v = sec->find(field);
-      if (v == nullptr) continue;
-      const double live = v->number();
-      const double traced =
-          std::string(field) == "tx" ? layer.tx : layer.rx;
-      if (!close_rel(live, traced, rel_tolerance)) {
-        report.issues.push_back(std::string(section) + "." + field +
-                                ": ledger " + std::to_string(live) +
-                                " != trace-derived " + std::to_string(traced));
-      }
-    }
-  };
-  compare("vnet.energy", derived.vnet);
-  compare("link.energy", derived.link);
-  return report;
-}
-
-CheckReport check_reliability(const std::vector<TraceEvent>& events,
-                              const JsonValue* metrics_snapshot) {
-  CheckReport report;
-  report.events_seen = events.size();
-
-  auto rel_key = [](const TraceEvent& ev) {
-    return std::to_string(static_cast<std::uint64_t>(attr_num(ev, "src"))) +
-           ">" +
-           std::to_string(static_cast<std::uint64_t>(attr_num(ev, "dst"))) +
-           "#" + std::to_string(static_cast<std::uint64_t>(attr_num(ev, "seq")));
-  };
-
-  // Single in-order pass: ARQ pairing state and live crash windows evolve
-  // together, exactly as they did in the simulation.
-  std::unordered_set<std::string> sent;
-  std::unordered_set<std::int64_t> crashed;
-  std::uint64_t give_ups = 0;
-  for (const TraceEvent& ev : events) {
-    if (ev.category == Category::kReliability) {
-      if (ev.name == "rel.send") {
-        sent.insert(rel_key(ev));
-      } else if (ev.name == "rel.retransmit" || ev.name == "rel.give_up" ||
-                 ev.name == "rel.ack" || ev.name == "rel.dup") {
-        if (sent.find(rel_key(ev)) == sent.end()) {
-          report.issues.push_back(std::string(ev.name) + " " + rel_key(ev) +
-                                  ": no matching rel.send");
-        }
-        if (ev.name == "rel.give_up") ++give_ups;
-      } else if (ev.name == "fault.crash" && ev.node >= 0) {
-        crashed.insert(ev.node);
-      } else if (ev.name == "fault.recover" && ev.node >= 0) {
-        crashed.erase(ev.node);
-      }
-      continue;
-    }
-    // Deliveries (either layer) must not land inside a crash window.
-    if ((ev.category == Category::kLink || ev.category == Category::kVirtual) &&
-        ev.name == "deliver" && crashed.count(ev.node) != 0) {
-      report.issues.push_back("node " + std::to_string(ev.node) +
-                              ": delivery at t=" + std::to_string(ev.time) +
-                              " inside its crash window");
-    }
-  }
-
-  if (metrics_snapshot != nullptr) {
-    if (const JsonValue* sec = metrics_snapshot->find("arq.counters")) {
-      const JsonValue* v = sec->find("arq.give_up");
-      const auto counted =
-          static_cast<std::uint64_t>(v != nullptr ? v->number() : 0.0);
-      if (counted != give_ups) {
-        report.issues.push_back(
-            "arq.give_up counter " + std::to_string(counted) +
-            " != " + std::to_string(give_ups) + " rel.give_up trace events");
-      }
-    }
-  }
-  return report;
-}
-
-CheckReport check_failure_detection(const std::vector<TraceEvent>& events) {
-  CheckReport report;
-  report.events_seen = events.size();
-
-  auto cell_epoch = [](const TraceEvent& ev) {
-    const auto row = static_cast<std::int64_t>(attr_num(ev, "row", -1.0));
-    const auto col = static_cast<std::int64_t>(attr_num(ev, "col", -1.0));
-    const auto epoch = static_cast<std::uint64_t>(attr_num(ev, "epoch"));
-    return std::to_string(row) + "," + std::to_string(col) + "@" +
-           std::to_string(epoch);
-  };
-  auto cell_key = [](const TraceEvent& ev) {
-    const auto row = static_cast<std::int64_t>(attr_num(ev, "row", -1.0));
-    const auto col = static_cast<std::int64_t>(attr_num(ev, "col", -1.0));
-    return std::to_string(row) + "," + std::to_string(col);
-  };
-
-  std::unordered_set<std::string> elections;    // (cell, epoch) with fd.elect
-  std::unordered_set<std::string> claimed;      // (cell, epoch) with fd.claim
-  std::unordered_map<std::string, std::uint64_t> last_claim_epoch;
-  for (const TraceEvent& ev : events) {
-    if (ev.category != Category::kReliability) continue;
-    if (ev.name == "fd.elect" || ev.name == "fd.handoff") {
-      elections.insert(cell_epoch(ev));
-    } else if (ev.name == "fd.claim") {
-      ++report.collectives_checked;  // claims checked
-      const std::string key = cell_epoch(ev);
-      if (!claimed.insert(key).second) {
-        report.issues.push_back("fd.claim " + key +
-                                ": duplicate claim for this cell and epoch "
-                                "(split-brain)");
-      }
-      if (elections.find(key) == elections.end()) {
-        report.issues.push_back("fd.claim " + key +
-                                ": no preceding fd.elect for this epoch");
-      }
-      const std::string cell = cell_key(ev);
-      const auto epoch = static_cast<std::uint64_t>(attr_num(ev, "epoch"));
-      const auto it = last_claim_epoch.find(cell);
-      if (it != last_claim_epoch.end() && epoch <= it->second) {
-        report.issues.push_back(
-            "fd.claim " + key + ": epoch not above the cell's last claim (" +
-            std::to_string(it->second) + ")");
-      }
-      last_claim_epoch[cell] = epoch;
-    }
-  }
-  return report;
-}
-
-CheckReport check_depletion(const std::vector<TraceEvent>& events) {
-  CheckReport report;
-  report.events_seen = events.size();
-
-  // node -> time of its (first) energy.depleted event. A single in-order
-  // pass mirrors the simulation: once a node is in the map, later-stamped
-  // link activity at it is a dead node talking.
-  std::unordered_map<std::int64_t, double> depleted_at;
-  for (const TraceEvent& ev : events) {
-    if (ev.category == Category::kReliability &&
-        ev.name == "energy.depleted") {
-      const double budget = attr_num(ev, "budget", -1.0);
-      const double spent = attr_num(ev, "spent", -1.0);
-      if (!depleted_at.emplace(ev.node, ev.time).second) {
-        report.issues.push_back("node " + std::to_string(ev.node) +
-                                ": duplicate energy.depleted at t=" +
-                                std::to_string(ev.time));
-      } else {
-        ++report.flows_checked;  // depletions checked
-      }
-      if (spent + 1e-9 < budget) {
-        report.issues.push_back(
-            "node " + std::to_string(ev.node) + ": energy.depleted with spent " +
-            std::to_string(spent) + " below budget " + std::to_string(budget));
-      }
-      continue;
-    }
-    if (ev.category != Category::kLink) continue;
-    const auto it = depleted_at.find(ev.node);
-    if (it == depleted_at.end() || ev.time <= it->second) continue;
-    if (ev.name == "broadcast" || ev.name == "unicast") {
-      report.issues.push_back(
-          "node " + std::to_string(ev.node) + ": link transmission at t=" +
-          std::to_string(ev.time) + " after depletion at t=" +
-          std::to_string(it->second));
-    } else if (ev.name == "deliver") {
-      report.issues.push_back(
-          "node " + std::to_string(ev.node) + ": delivery at t=" +
-          std::to_string(ev.time) + " after depletion at t=" +
-          std::to_string(it->second));
-    }
-  }
-  return report;
-}
-
-CheckReport check_stabilization(const std::vector<TraceEvent>& events) {
-  CheckReport report;
-  report.events_seen = events.size();
-
-  // Pass 1: the corruption strikes set the bound; the latest disturbance of
-  // any kind (each can legitimately cause churn of its own) anchors the
-  // quiescence deadline.
-  double bound = 0.0;
-  std::size_t corruptions = 0;
-  for (const TraceEvent& ev : events) {
-    if (ev.category == Category::kReliability && ev.name == "fd.corrupt") {
-      bound = std::max(bound, attr_num(ev, "bound"));
-      ++corruptions;
-    }
-  }
-  if (corruptions == 0) return report;  // vacuous without corruption faults
-  report.flows_checked = corruptions;
-  double deadline = 0.0;
-  for (const TraceEvent& ev : events) {
-    if (ev.category != Category::kReliability) continue;
-    if (ev.name == "fd.corrupt" || ev.name == "fault.crash" ||
-        ev.name == "fault.recover" || ev.name == "fault.outage_end" ||
-        ev.name == "fault.burst_end" || ev.name == "energy.depleted") {
-      deadline = std::max(deadline, ev.time + bound);
-    }
-  }
-
-  // Pass 2: any leadership churn after the deadline is a failure to
-  // self-stabilize. Planned handoff claims are energy-driven succession,
-  // not instability.
-  for (const TraceEvent& ev : events) {
-    if (ev.category != Category::kReliability || ev.time <= deadline) continue;
-    const bool churn =
-        ev.name == "fd.elect" || ev.name == "fd.lease_expire" ||
-        ev.name == "fd.audit_conflict" || ev.name == "fd.epoch_regress" ||
-        (ev.name == "fd.claim" && attr_num(ev, "planned") == 0.0);
-    if (churn) {
-      report.issues.push_back(
-          std::string(ev.name) + " at t=" + std::to_string(ev.time) +
-          " (node " + std::to_string(ev.node) +
-          "): leadership churn after the stabilization deadline t=" +
-          std::to_string(deadline));
-    }
-  }
-  return report;
-}
-
-void MembershipLedger::feed(const TraceEvent& ev) {
-  if (ev.category != Category::kReliability) return;
-  if (ev.name == "fd.defect" || ev.name == "fd.roster_corrupt") {
-    bound = std::max(bound, attr_num(ev, "bound"));
-    last_disturbance = std::max(last_disturbance, ev.time);
-    ++strikes;
-  } else if (ev.name == "fd.adopt") {
-    // An adoption is itself a reconfiguration: the join, accept, bind and
-    // roster repair it provokes are legitimate within one more bound.
-    bound = std::max(bound, attr_num(ev, "bound"));
-    last_disturbance = std::max(last_disturbance, ev.time);
-    adoptions.push_back(
-        {ev.node, static_cast<std::int64_t>(attr_num(ev, "row", -1.0)),
-         static_cast<std::int64_t>(attr_num(ev, "col", -1.0)),
-         static_cast<std::int64_t>(attr_num(ev, "from_row", -1.0)),
-         static_cast<std::int64_t>(attr_num(ev, "from_col", -1.0)),
-         attr_num(ev, "last") != 0.0, ev.time});
-  } else if (ev.name == "fd.adopt_accept") {
-    accepts.push_back(
-        {static_cast<std::int64_t>(attr_num(ev, "node", -1.0)),
-         static_cast<std::int64_t>(attr_num(ev, "row", -1.0)),
-         static_cast<std::int64_t>(attr_num(ev, "col", -1.0)), ev.time});
-    churn.push_back({ev.name, ev.node, ev.time});
-  } else if (ev.name == "fd.adopt_bind") {
-    binds.push_back({static_cast<std::int64_t>(attr_num(ev, "row", -1.0)),
-                     static_cast<std::int64_t>(attr_num(ev, "col", -1.0)),
-                     ev.time});
-    churn.push_back({ev.name, ev.node, ev.time});
-  } else if (ev.name == "fd.member_heal" || ev.name == "fd.roster_heal" ||
-             ev.name == "fd.roster_conflict" || ev.name == "fd.stranded") {
-    churn.push_back({ev.name, ev.node, ev.time});
-  } else if (ev.name == "fault.crash" || ev.name == "fault.recover" ||
-             ev.name == "fault.outage_end" || ev.name == "fault.burst_end" ||
-             ev.name == "energy.depleted") {
-    last_disturbance = std::max(last_disturbance, ev.time);
-  }
-}
-
-std::size_t MembershipLedger::resolve(std::vector<std::string>& issues) const {
-  if (strikes == 0 && adoptions.empty()) return 0;  // vacuous
-
-  const double deadline = last_disturbance + bound;
-  for (const Churn& c : churn) {
-    if (c.time <= deadline) continue;
-    issues.push_back(c.name + " at t=" + std::to_string(c.time) + " (node " +
-                     std::to_string(c.node) +
-                     "): membership churn after the reconciliation deadline "
-                     "t=" + std::to_string(deadline));
-  }
-
-  // Adoption pairing: each accept consumes the earliest unmatched adoption
-  // of the same orphan into the same cell inside its window.
-  std::vector<bool> accepted(adoptions.size(), false);
-  for (const Accept& ac : accepts) {
-    for (std::size_t i = 0; i < adoptions.size(); ++i) {
-      const Adoption& a = adoptions[i];
-      if (accepted[i] || a.node != ac.node || a.row != ac.row ||
-          a.col != ac.col) {
-        continue;
-      }
-      if (ac.time + 1e-9 < a.time || ac.time > a.time + bound) continue;
-      accepted[i] = true;
-      break;
-    }
-  }
-  for (std::size_t i = 0; i < adoptions.size(); ++i) {
-    const Adoption& a = adoptions[i];
-    const std::string tag =
-        "fd.adopt node " + std::to_string(a.node) + " into cell (" +
-        std::to_string(a.row) + "," + std::to_string(a.col) + ") at t=" +
-        std::to_string(a.time);
-    if (!accepted[i]) {
-      issues.push_back(tag + ": no fd.adopt_accept from the adopter cell "
-                             "within bound " + std::to_string(bound));
-    }
-    if (!a.last) continue;
-    bool rebound = false;
-    for (const Bind& b : binds) {
-      if (b.row == a.from_row && b.col == a.from_col &&
-          b.time <= a.time + bound) {
-        rebound = true;
-        break;
-      }
-    }
-    if (!rebound) {
-      issues.push_back(tag + ": vacated cell (" + std::to_string(a.from_row) +
-                       "," + std::to_string(a.from_col) +
-                       ") never re-bound to a proxy leader (dark cell)");
-    }
-  }
-  return strikes + adoptions.size();
-}
-
-CheckReport check_membership(const std::vector<TraceEvent>& events) {
-  CheckReport report;
-  report.events_seen = events.size();
-  MembershipLedger ledger;
-  for (const TraceEvent& ev : events) ledger.feed(ev);
-  ledger.resolve(report.issues);
-  report.flows_checked = ledger.strikes;
-  report.collectives_checked = ledger.adoptions.size();
-  return report;
+CheckReport check_trace(const std::vector<TraceEvent>& events,
+                        const JsonValue* metrics_snapshot) {
+  StreamCheckOptions options;
+  options.retire_lag = -1.0;  // the whole capture is in memory anyway
+  StreamingChecker checker(options);
+  for (const TraceEvent& ev : events) checker.feed(ev);
+  return checker.finish(metrics_snapshot);
 }
 
 CheckReport check_capture(const JsonValue& metrics_snapshot) {

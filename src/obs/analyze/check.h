@@ -2,21 +2,40 @@
 //
 // A structurally sound trace satisfies, independent of workload:
 //   * every delivery belongs to a flow that was sent (no orphan receives);
-//   * every non-self send terminates in a delivery (flows terminate; the
-//     virtual layer is lossless, and overlay sends resolve to a leader);
+//   * every non-self send terminates in a delivery, an ARQ give-up or a
+//     recorded drop (flows terminate);
 //   * a virtual flow crosses exactly the hop count its send announced, and
 //     each hop's timeline is causal (non-negative wait and transmit time);
 //   * the end-to-end latency decomposes exactly into the per-hop spans;
 //   * every physical-layer receive in a correlated flow follows a
 //     transmission of that flow;
 //   * collective 'B'/'E' spans pair up and close forward in time.
+// The fault-model layers add, each passing vacuously when its events are
+// absent:
+//   * reliability — every rel.retransmit / give_up / ack / dup pairs with a
+//     preceding rel.send of the same (src, dst, seq), and no delivery lands
+//     on a node between its fault.crash and fault.recover;
+//   * failure detection — at most one fd.claim per (cell, epoch), each
+//     preceded by an fd.elect (or fd.handoff) of that epoch, with claim
+//     epochs strictly increasing per cell;
+//   * depletion — energy.depleted fires once per node with spent >= budget,
+//     and no link frame at that node carries a strictly later timestamp
+//     (the dying frame itself shares the crossing tick);
+//   * self-stabilization — no leadership churn (fd.elect, lease expiry,
+//     audit conflict, epoch regression, unplanned claim) after the last
+//     disturbance plus the largest analytic bound an fd.corrupt carries;
+//   * membership — no repair churn after the last membership disturbance
+//     plus its bound, every fd.adopt answered by an fd.adopt_accept in
+//     bound, and every cell an adoption vacated re-bound by fd.adopt_bind
+//     (zero dark cells).
+// Given the run's metrics snapshot (the JSON `--metrics` writes), trace-
+// derived radio energy must also equal the ledger's "vnet.energy" /
+// "link.energy" tx and rx totals (compute energy is not traced), and the
+// traced give-up count must equal the "arq.counters" section's
+// "arq.give_up", and the capture must be whole (check_capture below).
 //
-// check_energy() additionally replays the charging rules (energy.h) and
-// compares the result against a live MetricsRegistry snapshot: trace-derived
-// radio energy must equal the ledger's tx/rx totals exactly (compute energy
-// is not traced and is excluded). Together the two checks make any captured
-// run a self-validating artifact, usable as a ctest oracle and as the CI
-// gate over the quickstart capture.
+// StreamingChecker (incremental.h) is the one implementation of all of it;
+// check_trace() runs it over an in-memory vector.
 #pragma once
 
 #include <string>
@@ -29,140 +48,18 @@ namespace wsn::obs::analyze {
 
 struct CheckReport {
   std::vector<std::string> issues;
-  std::size_t flows_checked = 0;
-  std::size_t collectives_checked = 0;
+  std::size_t flows_checked = 0;        // flows reconstructed and checked
+  std::size_t collectives_checked = 0;  // collective spans begun
   std::size_t events_seen = 0;
 
   bool ok() const { return issues.empty(); }
 };
 
-/// Structural invariants over a captured event stream.
-CheckReport check_trace(const std::vector<TraceEvent>& events);
-
-/// The per-flow slice of check_trace: appends every invariant violation of
-/// one reconstructed flow to `issues`, exact same wording. Shared by the
-/// batch checker and the streaming checker (incremental.h) so the two can
-/// never drift apart.
-void append_flow_issues(const struct Flow& flow,
-                        std::vector<std::string>& issues);
-
-/// Conservation check: trace-derived radio energy vs. a MetricsRegistry
-/// snapshot (the JSON written by `--metrics`). Only sections present in the
-/// snapshot are compared ("vnet.energy", "link.energy"); `rel_tolerance`
-/// absorbs decimal round-tripping.
-CheckReport check_energy(const std::vector<TraceEvent>& events,
-                         const JsonValue& metrics_snapshot,
-                         double rel_tolerance = 1e-9);
-
-/// Reliability invariants over the kReliability event stream:
-///   * every "rel.retransmit" / "rel.give_up" / "rel.ack" pairs with a
-///     preceding "rel.send" of the same (src, dst, seq);
-///   * no link-layer delivery lands on a node inside a crash window
-///     (between its "fault.crash" and "fault.recover" events);
-///   * with a metrics snapshot, the traced give-up count equals the
-///     "arq.counters" section's "arq.give_up" (the on_give_up invocations).
-/// Pass nullptr for `metrics_snapshot` when no snapshot was captured.
-CheckReport check_reliability(const std::vector<TraceEvent>& events,
-                              const JsonValue* metrics_snapshot = nullptr);
-
-/// Failure-detection invariants over the kReliability "fd.*" event stream
-/// (emitted by emulation::FailureDetector):
-///   * leadership claims are unique per (cell, epoch) — two "fd.claim"
-///     events with the same cell and epoch mean split-brain;
-///   * per cell, claim epochs are strictly increasing in trace order;
-///   * every "fd.claim" is preceded by an "fd.elect" of the same cell and
-///     epoch (nobody claims leadership without an election round).
-/// A trace with no fd events passes vacuously.
-CheckReport check_failure_detection(const std::vector<TraceEvent>& events);
-
-/// Depletion invariants over the trace (emitted by sim::DepletionMonitor):
-///   * "energy.depleted" fires exactly once per node — a duplicate means the
-///     exactly-once crossing latch broke;
-///   * each depletion records spent >= budget (the crossing really crossed);
-///   * after a node's depletion no link-layer transmission or delivery at
-///     that node carries a strictly later timestamp. Equal timestamps are
-///     legal: the LinkLayer charges the dying frame *before* emitting its tx
-///     event, so the budget-crossing frame's own trace lands at the same
-///     tick as (and after, in stream order) the depletion event.
-/// A trace with no depletion events passes vacuously.
-CheckReport check_depletion(const std::vector<TraceEvent>& events);
-
-/// Self-stabilization invariant over the kReliability stream: after every
-/// disturbance has had its stabilization window, the detector must be
-/// quiescent. Each "fd.corrupt" event (emitted by
-/// FailureDetector::inject_corruption) carries the analytic `bound`
-/// attribute; the quiescence deadline is the latest disturbance in the
-/// trace (fd.corrupt, fault.crash/recover, fault.outage_end,
-/// fault.burst_end, energy.depleted) plus the largest such bound. Any
-/// leadership churn after that deadline — fd.elect, fd.lease_expire,
-/// fd.audit_conflict, fd.epoch_regress, or an unplanned fd.claim — means
-/// the network failed to re-converge from the corrupted state. Planned
-/// handoff claims are exempt (energy-driven succession is progress, not
-/// instability). Passes vacuously when the trace has no fd.corrupt events.
-/// `flows_checked` reports the number of corruption strikes covered.
-CheckReport check_stabilization(const std::vector<TraceEvent>& events);
-
-/// Bounded membership-state bookkeeping shared by check_membership and the
-/// StreamingChecker (incremental.h), so the batch and streaming paths emit
-/// byte-identical findings. feed() every kReliability event in order;
-/// resolve() appends the violations once the stream is complete (the
-/// quiescence deadline and adoption bound are only final then). State is
-/// bounded by membership activity in the trace, never by trace length.
-struct MembershipLedger {
-  struct Adoption {
-    std::int64_t node = -1;
-    std::int64_t row = -1, col = -1;            // the adopter cell joined
-    std::int64_t from_row = -1, from_col = -1;  // the cell abandoned
-    bool last = false;  // orphan was the cell's last reachable member
-    double time = 0.0;
-  };
-  struct Accept {
-    std::int64_t node = -1;  // the orphan accepted
-    std::int64_t row = -1, col = -1;
-    double time = 0.0;
-  };
-  struct Bind {
-    std::int64_t row = -1, col = -1;  // the vacated cell re-bound
-    double time = 0.0;
-  };
-  struct Churn {
-    std::string name;
-    std::int64_t node = 0;
-    double time = 0.0;
-  };
-
-  double bound = 0.0;             // largest analytic bound attr seen
-  double last_disturbance = 0.0;  // anchors the quiescence deadline
-  std::size_t strikes = 0;        // fd.defect + fd.roster_corrupt events
-  std::vector<Adoption> adoptions;
-  std::vector<Accept> accepts;
-  std::vector<Bind> binds;
-  std::vector<Churn> churn;
-
-  void feed(const TraceEvent& ev);
-  /// Appends every membership invariant violation to `issues`. Returns the
-  /// number of disturbances covered (0 == the check was vacuous).
-  std::size_t resolve(std::vector<std::string>& issues) const;
-};
-
-/// Self-healing membership invariants over the kReliability "fd.*" stream
-/// (emulation::FailureDetector with membership mode on):
-///   * quiescence — after the last membership disturbance (fd.defect /
-///     fd.roster_corrupt strike, crash/recover/outage/depletion, or an
-///     adoption, each of which may legitimately provoke repair) plus the
-///     largest analytic `bound` attribute in the trace, no membership
-///     repair churn remains (fd.member_heal, fd.roster_heal,
-///     fd.roster_conflict, fd.adopt_accept, fd.adopt_bind, fd.stranded);
-///   * adoption closes — every fd.adopt (orphan N joining cell C) is
-///     answered by C's leader with an fd.adopt_accept for N within the
-///     bound (the kJoin reached a live adopter);
-///   * zero dark cells — every adoption that vacated its origin cell
-///     (fd.adopt with last=1) sees an fd.adopt_bind re-binding that cell
-///     to a proxy leader by adoption time + bound.
-/// Passes vacuously when the trace carries no membership activity.
-/// `flows_checked` reports corruption strikes, `collectives_checked` the
-/// adoptions covered.
-CheckReport check_membership(const std::vector<TraceEvent>& events);
+/// Every invariant above over an in-memory capture: a StreamingChecker fed
+/// with retirement disabled, then finished with `metrics_snapshot` (nullptr
+/// skips the snapshot comparisons).
+CheckReport check_trace(const std::vector<TraceEvent>& events,
+                        const JsonValue* metrics_snapshot = nullptr);
 
 /// Capture-health check over a metrics snapshot: a nonzero "trace.dropped"
 /// gauge (RingBufferSink::register_metrics) means the companion trace file

@@ -7,25 +7,6 @@
 
 namespace wsn::obs::analyze {
 
-namespace {
-
-double num_attr(const TraceEvent& ev, const char* key, double fallback) {
-  for (const Attr& a : ev.attrs) {
-    if (a.key != key) continue;
-    if (const auto* d = std::get_if<double>(&a.value)) return *d;
-    if (const auto* u = std::get_if<std::uint64_t>(&a.value)) {
-      return static_cast<double>(*u);
-    }
-    if (const auto* i = std::get_if<std::int64_t>(&a.value)) {
-      return static_cast<double>(*i);
-    }
-    return fallback;
-  }
-  return fallback;
-}
-
-}  // namespace
-
 NodeEnergy& LayerEnergy::at(std::int64_t node) {
   const std::size_t slot = node < 0 ? 0 : static_cast<std::size_t>(node);
   if (slot >= nodes.size()) nodes.resize(slot + 1);
@@ -34,7 +15,7 @@ NodeEnergy& LayerEnergy::at(std::int64_t node) {
 
 void accumulate_energy(EnergyMap& map, const TraceEvent& ev,
                        const EnergyRates& rates) {
-  const double size = num_attr(ev, "size", 1.0);
+  const double size = attr_num(ev, "size", 1.0);
   switch (ev.category) {
     case Category::kVirtual:
       if (ev.name == "send") {
@@ -44,7 +25,7 @@ void accumulate_energy(EnergyMap& map, const TraceEvent& ev,
       } else if (ev.name == "hop") {
         // Hop 0 is the sender (already charged at the send); every later
         // hop is a relay paying both sides of the crossing.
-        if (num_attr(ev, "hop", 0.0) >= 1.0) {
+        if (attr_num(ev, "hop") >= 1.0) {
           const double rx = rates.vnet_rx * size;
           const double tx = rates.vnet_tx * size;
           NodeEnergy& n = map.vnet.at(ev.node);

@@ -23,6 +23,26 @@
 
 namespace wsn::obs::analyze {
 
+/// The one numeric attribute reader every analyzer shares: the value of the
+/// first attr named `key`, integer kinds widened to double; `fallback` when
+/// the attr is absent or holds a string. Inline because the streaming
+/// checker calls it on every event.
+inline double attr_num(const TraceEvent& ev, const char* key,
+                       double fallback = 0.0) {
+  for (const Attr& a : ev.attrs) {
+    if (a.key != key) continue;
+    if (const auto* d = std::get_if<double>(&a.value)) return *d;
+    if (const auto* u = std::get_if<std::uint64_t>(&a.value)) {
+      return static_cast<double>(*u);
+    }
+    if (const auto* i = std::get_if<std::int64_t>(&a.value)) {
+      return static_cast<double>(*i);
+    }
+    return fallback;
+  }
+  return fallback;
+}
+
 /// Per-unit radio energy rates, mirroring CostModel (virtual layer) and
 /// RadioModel (link layer). Defaults are the paper's uniform cost model.
 struct EnergyRates {

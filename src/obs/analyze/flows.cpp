@@ -1,34 +1,8 @@
 #include "obs/analyze/flows.h"
 
-#include <unordered_map>
-
 #include "obs/analyze/incremental.h"
 
 namespace wsn::obs::analyze {
-
-namespace {
-
-const AttrValue* find_attr(const TraceEvent& ev, const char* key) {
-  for (const Attr& a : ev.attrs) {
-    if (a.key == key) return &a.value;
-  }
-  return nullptr;
-}
-
-double attr_num(const TraceEvent& ev, const char* key, double fallback = 0.0) {
-  const AttrValue* v = find_attr(ev, key);
-  if (v == nullptr) return fallback;
-  if (const auto* d = std::get_if<double>(v)) return *d;
-  if (const auto* u = std::get_if<std::uint64_t>(v)) {
-    return static_cast<double>(*u);
-  }
-  if (const auto* i = std::get_if<std::int64_t>(v)) {
-    return static_cast<double>(*i);
-  }
-  return fallback;
-}
-
-}  // namespace
 
 double Flow::total_wait() const {
   double w = 0.0;
@@ -51,33 +25,6 @@ std::vector<Flow> reconstruct_flows(const std::vector<TraceEvent>& events) {
   for (const TraceEvent& ev : events) collector.feed(ev);
   collector.finish();
   return flows;
-}
-
-std::vector<CollectiveSpan> reconstruct_collectives(
-    const std::vector<TraceEvent>& events) {
-  std::vector<CollectiveSpan> spans;
-  std::unordered_map<std::uint64_t, std::size_t> index;
-  for (const TraceEvent& ev : events) {
-    if (ev.category != Category::kCollective || ev.flow == 0) continue;
-    if (ev.phase == 'B') {
-      index[ev.flow] = spans.size();
-      CollectiveSpan s;
-      s.id = ev.flow;
-      s.name = ev.name;
-      s.leader = ev.node;
-      s.begin = ev.time;
-      s.members = static_cast<std::uint64_t>(attr_num(ev, "members"));
-      spans.push_back(std::move(s));
-    } else if (ev.phase == 'E') {
-      auto it = index.find(ev.flow);
-      if (it == index.end()) continue;  // orphan end (truncated capture)
-      CollectiveSpan& s = spans[it->second];
-      s.end = ev.time;
-      s.closed = true;
-      s.messages = static_cast<std::uint64_t>(attr_num(ev, "messages"));
-    }
-  }
-  return spans;
 }
 
 namespace {

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "obs/trace.h"
@@ -70,26 +69,9 @@ struct Flow {
 };
 
 /// Groups events by flow id and folds each group into a Flow. Collective
-/// 'B'/'E' spans and flowless (id 0) events are ignored here; see
-/// reconstruct_collectives. Events must be in emission order (as captured).
+/// 'B'/'E' spans and flowless (id 0) events are ignored here (the checker
+/// pairs collective spans itself). Events must be in emission order.
 std::vector<Flow> reconstruct_flows(const std::vector<TraceEvent>& events);
-
-/// One collective operation ('B'/'E' span pair, category kCollective).
-struct CollectiveSpan {
-  std::uint64_t id = 0;
-  std::string name;        // "reduce", "broadcast", "barrier", ...
-  std::int64_t leader = -1;
-  double begin = 0.0;
-  double end = 0.0;
-  bool closed = false;     // matching 'E' seen
-  std::uint64_t members = 0;
-  std::uint64_t messages = 0;
-
-  double duration() const { return end - begin; }
-};
-
-std::vector<CollectiveSpan> reconstruct_collectives(
-    const std::vector<TraceEvent>& events);
 
 /// One link of a reconstructed dependency chain: `gap_before` is the time
 /// the chain sat at a node between the previous delivery and this send
@@ -118,7 +100,7 @@ struct CriticalPathReport {
 CriticalPathReport critical_path(const std::vector<Flow>& flows);
 
 /// Restricts the walk to flows sent at/after `t0` and delivered at/before
-/// `t1` — e.g. a CollectiveSpan's [begin, end] window.
+/// `t1` — e.g. the window between a collective's 'B' and 'E' events.
 CriticalPathReport critical_path_in(const std::vector<Flow>& flows, double t0,
                                     double t1);
 

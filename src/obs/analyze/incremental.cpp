@@ -8,29 +8,59 @@ namespace wsn::obs::analyze {
 
 namespace {
 
-const AttrValue* find_attr(const TraceEvent& ev, const char* key) {
-  for (const Attr& a : ev.attrs) {
-    if (a.key == key) return &a.value;
-  }
-  return nullptr;
-}
-
-double attr_num(const TraceEvent& ev, const char* key, double fallback = 0.0) {
-  const AttrValue* v = find_attr(ev, key);
-  if (v == nullptr) return fallback;
-  if (const auto* d = std::get_if<double>(v)) return *d;
-  if (const auto* u = std::get_if<std::uint64_t>(v)) {
-    return static_cast<double>(*u);
-  }
-  if (const auto* i = std::get_if<std::int64_t>(v)) {
-    return static_cast<double>(*i);
-  }
-  return fallback;
-}
-
 bool close_rel(double a, double b, double rel) {
   const double scale = std::max(std::abs(a), std::abs(b));
   return std::abs(a - b) <= rel * std::max(scale, 1.0);
+}
+
+std::string flow_tag(const Flow& f) {
+  return "flow " + std::to_string(f.id);
+}
+
+/// Appends every structural violation of one retired flow to `issues`.
+void append_flow_issues(const Flow& f, std::vector<std::string>& issues) {
+  if (f.delivered && !f.has_send) {
+    issues.push_back(flow_tag(f) + ": delivery without a send");
+    return;
+  }
+  if (f.has_send && !f.delivered && !f.gave_up && !f.dropped &&
+      !(f.layer == Category::kVirtual && f.self_send)) {
+    // A give-up or recorded drop explains the missing delivery; anything
+    // else is a black hole.
+    issues.push_back(flow_tag(f) + ": sent but never delivered");
+    return;
+  }
+  if (!f.has_send) {
+    // Hop/tx records with neither send nor deliver: truncated capture.
+    issues.push_back(flow_tag(f) + ": fragments without send");
+    return;
+  }
+  if (f.delivered && f.deliver_time < f.send_time) {
+    issues.push_back(flow_tag(f) + ": delivered before sent");
+  }
+  for (const Hop& h : f.hops) {
+    if (h.wait < 0.0 || h.transmit() < 0.0 || h.depart < h.start) {
+      issues.push_back(flow_tag(f) + ": acausal hop at node " +
+                       std::to_string(h.node));
+      break;
+    }
+  }
+  if (f.layer == Category::kVirtual && !f.self_send) {
+    if (f.hops.size() != f.expected_hops) {
+      issues.push_back(flow_tag(f) + ": announced " +
+                       std::to_string(f.expected_hops) + " hops, traced " +
+                       std::to_string(f.hops.size()));
+    } else if (f.delivered) {
+      // Exact decomposition: end-to-end latency == sum of hop spans, in
+      // both congestion modes (serialized hops chain depart -> start).
+      double span_sum = 0.0;
+      for (const Hop& h : f.hops) span_sum += h.depart - h.start;
+      if (!close_rel(f.latency(), span_sum, 1e-9)) {
+        issues.push_back(flow_tag(f) +
+                         ": latency does not decompose into hops");
+      }
+    }
+  }
 }
 
 /// The event-into-flow fold — the one place that knows how raw events map
@@ -119,7 +149,7 @@ void FlowCollector::feed(const TraceEvent& ev) {
   // Only the front of the creation queue retires, so retirement order ==
   // creation order regardless of how flows interleave. A long-lived front
   // flow delays those behind it — that trades a little memory for output
-  // that is byte-identical to the batch path.
+  // whose order does not depend on the lag.
   if (options_.retire_lag >= 0.0) {
     while (!queue_.empty() &&
            queue_.front().last_touch + options_.retire_lag < ev.time) {
@@ -149,7 +179,7 @@ void StreamingChecker::retire(Flow& f) {
   ++report_.flows_checked;
   append_flow_issues(f, report_.issues);
   if (f.link_rx > 0 && f.link_tx == 0) {
-    report_.issues.push_back("flow " + std::to_string(f.id) +
+    report_.issues.push_back(flow_tag(f) +
                              ": link receive without any transmission");
   }
 }
@@ -183,8 +213,7 @@ void StreamingChecker::feed_collective(const TraceEvent& ev) {
     began_.insert(ev.flow);
     const auto [it, fresh] = open_collectives_.try_emplace(ev.flow);
     if (!fresh) {
-      // A reused id buries the earlier span unclosed, exactly as the batch
-      // reconstruction reports it.
+      // A reused id buries the earlier span unclosed.
       report_.issues.push_back("collective " + std::to_string(ev.flow) +
                                " (" + it->second.name + "): never completed");
     }
@@ -222,11 +251,10 @@ void StreamingChecker::feed_reliability(const TraceEvent& ev) {
            std::to_string(epoch);
   };
 
-  // Self-stabilization bookkeeping (check_stabilization): disturbances
-  // extend the quiescence deadline; churn candidates must be buffered —
-  // only the deadline known at finish() separates legitimate reaction
-  // from failure to re-converge. fd.corrupt itself is folded in the main
-  // chain below.
+  // Self-stabilization bookkeeping: disturbances extend the quiescence
+  // deadline; churn candidates must be buffered — only the deadline known
+  // at finish() separates legitimate reaction from failure to re-converge.
+  // fd.corrupt itself is folded in the main chain below.
   if (ev.name == "fault.crash" || ev.name == "fault.recover" ||
       ev.name == "fault.outage_end" || ev.name == "fault.burst_end" ||
       ev.name == "energy.depleted") {
@@ -238,9 +266,9 @@ void StreamingChecker::feed_reliability(const TraceEvent& ev) {
     stab_churn_.push_back({ev.name, ev.node, ev.time});
   }
 
-  // Self-healing membership bookkeeping (check_membership): the shared
-  // ledger buffers strikes/adoptions/repair churn until finish(), when the
-  // reconciliation deadline is final.
+  // Self-healing membership bookkeeping: the ledger buffers strikes,
+  // adoptions and repair churn until finish(), when the reconciliation
+  // deadline is final.
   membership_.feed(ev);
 
   if (ev.name == "rel.send") {
@@ -331,6 +359,7 @@ void StreamingChecker::feed_depletion_link(const TraceEvent& ev) {
 }
 
 void StreamingChecker::expire_rel_state(double watermark) {
+  if (options_.retire_lag < 0.0) return;  // never retire
   while (!sent_queue_.empty() &&
          sent_queue_.front().second + options_.retire_lag < watermark) {
     const auto& [key, touch] = sent_queue_.front();
@@ -338,6 +367,98 @@ void StreamingChecker::expire_rel_state(double watermark) {
     // Erase only if no later touch re-enqueued the key.
     if (it != sent_.end() && it->second <= touch) sent_.erase(it);
     sent_queue_.pop_front();
+  }
+}
+
+void StreamingChecker::MembershipLedger::feed(const TraceEvent& ev) {
+  if (ev.name == "fd.defect" || ev.name == "fd.roster_corrupt") {
+    bound = std::max(bound, attr_num(ev, "bound"));
+    last_disturbance = std::max(last_disturbance, ev.time);
+    ++strikes;
+  } else if (ev.name == "fd.adopt") {
+    // An adoption is itself a reconfiguration: the join, accept, bind and
+    // roster repair it provokes are legitimate within one more bound.
+    bound = std::max(bound, attr_num(ev, "bound"));
+    last_disturbance = std::max(last_disturbance, ev.time);
+    adoptions.push_back(
+        {ev.node, static_cast<std::int64_t>(attr_num(ev, "row", -1.0)),
+         static_cast<std::int64_t>(attr_num(ev, "col", -1.0)),
+         static_cast<std::int64_t>(attr_num(ev, "from_row", -1.0)),
+         static_cast<std::int64_t>(attr_num(ev, "from_col", -1.0)),
+         attr_num(ev, "last") != 0.0, ev.time});
+  } else if (ev.name == "fd.adopt_accept") {
+    accepts.push_back(
+        {static_cast<std::int64_t>(attr_num(ev, "node", -1.0)),
+         static_cast<std::int64_t>(attr_num(ev, "row", -1.0)),
+         static_cast<std::int64_t>(attr_num(ev, "col", -1.0)), ev.time});
+    churn.push_back({ev.name, ev.node, ev.time});
+  } else if (ev.name == "fd.adopt_bind") {
+    binds.push_back({static_cast<std::int64_t>(attr_num(ev, "row", -1.0)),
+                     static_cast<std::int64_t>(attr_num(ev, "col", -1.0)),
+                     ev.time});
+    churn.push_back({ev.name, ev.node, ev.time});
+  } else if (ev.name == "fd.member_heal" || ev.name == "fd.roster_heal" ||
+             ev.name == "fd.roster_conflict" || ev.name == "fd.stranded") {
+    churn.push_back({ev.name, ev.node, ev.time});
+  } else if (ev.name == "fault.crash" || ev.name == "fault.recover" ||
+             ev.name == "fault.outage_end" || ev.name == "fault.burst_end" ||
+             ev.name == "energy.depleted") {
+    last_disturbance = std::max(last_disturbance, ev.time);
+  }
+}
+
+void StreamingChecker::MembershipLedger::resolve(
+    std::vector<std::string>& issues) const {
+  if (strikes == 0 && adoptions.empty()) return;  // vacuous
+
+  const double deadline = last_disturbance + bound;
+  for (const ChurnEvent& c : churn) {
+    if (c.time <= deadline) continue;
+    issues.push_back(c.name + " at t=" + std::to_string(c.time) + " (node " +
+                     std::to_string(c.node) +
+                     "): membership churn after the reconciliation deadline "
+                     "t=" + std::to_string(deadline));
+  }
+
+  // Adoption pairing: each accept consumes the earliest unmatched adoption
+  // of the same orphan into the same cell inside its window.
+  std::vector<bool> accepted(adoptions.size(), false);
+  for (const Accept& ac : accepts) {
+    for (std::size_t i = 0; i < adoptions.size(); ++i) {
+      const Adoption& a = adoptions[i];
+      if (accepted[i] || a.node != ac.node || a.row != ac.row ||
+          a.col != ac.col) {
+        continue;
+      }
+      if (ac.time + 1e-9 < a.time || ac.time > a.time + bound) continue;
+      accepted[i] = true;
+      break;
+    }
+  }
+  for (std::size_t i = 0; i < adoptions.size(); ++i) {
+    const Adoption& a = adoptions[i];
+    const std::string tag =
+        "fd.adopt node " + std::to_string(a.node) + " into cell (" +
+        std::to_string(a.row) + "," + std::to_string(a.col) + ") at t=" +
+        std::to_string(a.time);
+    if (!accepted[i]) {
+      issues.push_back(tag + ": no fd.adopt_accept from the adopter cell "
+                             "within bound " + std::to_string(bound));
+    }
+    if (!a.last) continue;
+    bool rebound = false;
+    for (const Bind& b : binds) {
+      if (b.row == a.from_row && b.col == a.from_col &&
+          b.time <= a.time + bound) {
+        rebound = true;
+        break;
+      }
+    }
+    if (!rebound) {
+      issues.push_back(tag + ": vacated cell (" + std::to_string(a.from_row) +
+                       "," + std::to_string(a.from_col) +
+                       ") never re-bound to a proxy leader (dark cell)");
+    }
   }
 }
 
@@ -359,7 +480,7 @@ CheckReport StreamingChecker::finish(const JsonValue* metrics_snapshot) {
   }
 
   // Self-stabilization: with the final quiescence deadline known, re-filter
-  // the buffered churn. Wording matches check_stabilization exactly.
+  // the buffered churn. Vacuous without an fd.corrupt strike.
   if (stab_corruptions_ > 0) {
     const double deadline = stab_disturb_ + stab_bound_;
     for (const ChurnEvent& ce : stab_churn_) {
@@ -373,12 +494,12 @@ CheckReport StreamingChecker::finish(const JsonValue* metrics_snapshot) {
   }
 
   // Self-healing membership: the ledger resolves with its final deadline
-  // and bound, emitting findings byte-identical to check_membership's.
+  // and bound.
   membership_.resolve(report_.issues);
 
   if (metrics_snapshot != nullptr) {
-    // Energy conservation against the ledger snapshot (check_energy's
-    // comparison over the incrementally accumulated map).
+    // Energy conservation: the incrementally accumulated map against the
+    // ledger snapshot.
     auto compare = [&](const char* section, const LayerEnergy& layer) {
       const JsonValue* sec = metrics_snapshot->find(section);
       if (sec == nullptr) return;

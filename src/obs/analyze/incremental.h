@@ -1,18 +1,19 @@
 // Incremental (single-pass, bounded-memory) trace analysis.
 //
-// The batch analyzers (flows.h, check.h) materialize the whole trace and
-// every reconstructed flow at once — fine for ring-buffer captures, fatal
-// for the multi-GB streamed captures the StreamingFileSink produces.
 // FlowCollector folds events into live Flow records and *retires* each
 // flow to a callback once it has been idle for `retire_lag` time units, so
 // peak memory tracks the number of concurrently-live flows instead of the
 // trace length. StreamingChecker runs every check.h invariant on top of
-// that collector the same way. Both assume events arrive in emission order
-// with nondecreasing timestamps — which is how every sink writes them.
+// that collector — it is their one implementation: wsn-inspect check
+// streams a capture from disk into it, sim::ChaosSoak feeds it live from
+// the tracer with no capture at all, and check_trace() feeds it an
+// in-memory vector with retirement disabled. All assume events arrive in
+// emission order with nondecreasing timestamps — which is how every sink
+// writes them.
 //
 // Retirement is strictly in flow-creation order (only the front of the
 // creation queue retires), so downstream output — wsn-inspect flows rows,
-// issue lists — is byte-identical to the batch path's.
+// per-flow findings — comes out in the same order whatever the lag.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +78,9 @@ class FlowCollector {
 struct StreamCheckOptions {
   /// Flow/ARQ state older than this (in trace time units) is retired; a
   /// larger lag tolerates more interleaving between long-lived flows at
-  /// the cost of more live state.
+  /// the cost of more live state. Negative: never retire — every flow and
+  /// every ARQ exchange stays live until finish(), which is how
+  /// check_trace() checks an in-memory vector.
   double retire_lag = 1024.0;
   EnergyRates rates;
 };
@@ -86,7 +89,7 @@ struct StreamCheckOptions {
 /// in order, then finish() — with the run's metrics snapshot, if captured,
 /// for the energy-conservation / ARQ-counter / capture-health checks —
 /// to obtain the combined CheckReport. Peak memory is bounded by live
-/// flows + nodes + collectives, never by trace length.
+/// flows + nodes + collectives + fault activity, never by trace length.
 class StreamingChecker {
  public:
   explicit StreamingChecker(StreamCheckOptions options = {});
@@ -98,6 +101,49 @@ class StreamingChecker {
   const EnergyMap& energy() const { return energy_; }
 
  private:
+  /// A churn event buffered until finish(): a later disturbance can extend
+  /// the quiescence deadline and legitimize churn that looked late when it
+  /// streamed past.
+  struct ChurnEvent {
+    std::string name;
+    std::int64_t node = 0;
+    double time = 0.0;
+  };
+
+  /// Self-healing membership bookkeeping. feed() every kReliability event
+  /// in order; resolve() appends the violations once the stream is
+  /// complete (the reconciliation deadline and adoption bound are only
+  /// final then). Bounded by membership activity, never by trace length.
+  struct MembershipLedger {
+    struct Adoption {
+      std::int64_t node = -1;
+      std::int64_t row = -1, col = -1;            // the adopter cell joined
+      std::int64_t from_row = -1, from_col = -1;  // the cell abandoned
+      bool last = false;  // orphan was the cell's last reachable member
+      double time = 0.0;
+    };
+    struct Accept {
+      std::int64_t node = -1;  // the orphan accepted
+      std::int64_t row = -1, col = -1;
+      double time = 0.0;
+    };
+    struct Bind {
+      std::int64_t row = -1, col = -1;  // the vacated cell re-bound
+      double time = 0.0;
+    };
+
+    double bound = 0.0;             // largest analytic bound attr seen
+    double last_disturbance = 0.0;  // anchors the quiescence deadline
+    std::size_t strikes = 0;        // fd.defect + fd.roster_corrupt events
+    std::vector<Adoption> adoptions;
+    std::vector<Accept> accepts;
+    std::vector<Bind> binds;
+    std::vector<ChurnEvent> churn;
+
+    void feed(const TraceEvent& ev);
+    void resolve(std::vector<std::string>& issues) const;
+  };
+
   void retire(Flow& f);
   void feed_collective(const TraceEvent& ev);
   void feed_reliability(const TraceEvent& ev);
@@ -109,9 +155,9 @@ class StreamingChecker {
   FlowCollector flows_;
   EnergyMap energy_;
 
-  // Collectives. Open spans are keyed by id; `began_` mirrors the batch
-  // checker's orphan-'E' detection (collective ids are handed out per
-  // operation, not per event, so this stays small).
+  // Collectives. Open spans are keyed by id; `began_` remembers every id
+  // that ever began so an 'E' without any 'B' is an orphan (collective ids
+  // are handed out per operation, not per event, so this stays small).
   struct OpenCollective {
     std::string name;
     double begin = 0.0;
@@ -135,24 +181,13 @@ class StreamingChecker {
   // Depletion (bounded by node count).
   std::unordered_map<std::int64_t, double> depleted_at_;
 
-  // Self-stabilization (check_stabilization). Churn candidates must be
-  // buffered until finish(): a later disturbance can extend the quiescence
-  // deadline and legitimize churn that looked late when it streamed past.
+  // Self-stabilization: churn candidates wait for the final deadline.
   // Bounded by elections/claims in the trace, not by trace length.
-  struct ChurnEvent {
-    std::string name;
-    std::int64_t node = 0;
-    double time = 0.0;
-  };
   std::vector<ChurnEvent> stab_churn_;
   double stab_bound_ = 0.0;
   double stab_disturb_ = 0.0;
   std::size_t stab_corruptions_ = 0;
 
-  // Self-healing membership (check_membership). Same buffer-until-finish
-  // reasoning; the fold and the findings live in MembershipLedger, shared
-  // with the batch path so wording cannot drift. Bounded by membership
-  // activity in the trace.
   MembershipLedger membership_;
 };
 

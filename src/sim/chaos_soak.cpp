@@ -19,11 +19,10 @@
 #include "net/network_graph.h"
 #include "net/topology_factory.h"
 #include "net/reliable_link.h"
-#include "obs/analyze/check.h"
+#include "obs/analyze/incremental.h"
 #include "obs/analyze/json_reader.h"
-#include "obs/export.h"
 #include "obs/metrics_registry.h"
-#include "obs/sinks.h"
+#include "obs/profiler.h"
 #include "obs/stream_sink.h"
 #include "obs/trace.h"
 #include "sim/depletion_monitor.h"
@@ -133,6 +132,83 @@ struct GeneratedPlan {
   std::vector<TrackedCrash> vacancies;
 };
 
+/// A campaign's whole trace path. Every event is fed live to the streaming
+/// oracle and counted, fd.corrupt strikes are timed against the churn they
+/// provoke, and — with a stream directory — the event is written there as
+/// wtr segments. Nothing is retained, so memory is bounded by live protocol
+/// state at any grid size.
+class OracleSink final : public obs::TraceSink {
+ public:
+  explicit OracleSink(const std::string& stream_dir) {
+    if (stream_dir.empty()) return;
+    std::error_code ec;
+    std::filesystem::remove_all(stream_dir, ec);
+    obs::StreamSinkConfig scfg;
+    scfg.directory = stream_dir;
+    scfg.format = obs::TraceFormat::kWtr;
+    stream_ = std::make_unique<obs::StreamingFileSink>(scfg);
+  }
+
+  void accept(obs::TraceEvent ev) override {
+    {
+      obs::ProfSpan span(obs::ProfCat::kSink);
+      ++events_;
+      checker_.feed(ev);
+      if (ev.category == obs::Category::kReliability) time_strikes(ev);
+    }
+    if (stream_ != nullptr) stream_->accept(std::move(ev));
+  }
+
+  std::size_t events() const { return events_; }
+  obs::StreamingFileSink* stream() { return stream_.get(); }
+  obs::analyze::CheckReport finish(const obs::analyze::JsonValue& snapshot) {
+    return checker_.finish(&snapshot);
+  }
+
+  /// Worst strike-to-quiet latency: for each fd.corrupt at t, the last
+  /// churn event in (t, t + bound]; 0 when no strike provoked churn.
+  double max_reconverge_latency() const {
+    double worst = 0.0;
+    for (const Strike& s : strikes_) worst = std::max(worst, s.quiet - s.at);
+    return worst;
+  }
+
+ private:
+  struct Strike {
+    double at = 0.0;
+    double bound = 0.0;  // the analytic stabilization bound it carries
+    double quiet = 0.0;  // last churn inside (at, at + bound]
+  };
+
+  void time_strikes(const obs::TraceEvent& ev) {
+    if (ev.name == "fd.corrupt") {
+      strikes_.push_back(
+          {ev.time, obs::analyze::attr_num(ev, "bound"), ev.time});
+      return;
+    }
+    // Belief/roster repair and adoption (membership mode only) count too:
+    // a strike is only quiet once the views stop moving.
+    const bool churn =
+        ev.name == "fd.elect" || ev.name == "fd.claim" ||
+        ev.name == "fd.audit_conflict" || ev.name == "fd.audit_heal" ||
+        ev.name == "fd.epoch_regress" || ev.name == "fd.lease_expire" ||
+        ev.name == "fd.member_heal" || ev.name == "fd.roster_heal" ||
+        ev.name == "fd.roster_conflict" || ev.name == "fd.adopt" ||
+        ev.name == "fd.adopt_bind";
+    if (!churn) return;
+    for (Strike& s : strikes_) {
+      if (ev.time > s.at && ev.time <= s.at + s.bound) {
+        s.quiet = std::max(s.quiet, ev.time);
+      }
+    }
+  }
+
+  obs::analyze::StreamingChecker checker_;
+  std::unique_ptr<obs::StreamingFileSink> stream_;
+  std::size_t events_ = 0;
+  std::vector<Strike> strikes_;
+};
+
 }  // namespace
 
 Time ChaosSoak::detection_bound() const {
@@ -150,53 +226,40 @@ ChaosSoakSummary ChaosSoak::run() const {
   ChaosSoakSummary summary;
   summary.campaigns = cfg_.campaigns;
   for (std::size_t k = 0; k < cfg_.campaigns; ++k) {
-    ChaosCampaignResult res = run_campaign(k, /*keep_trace=*/false);
+    ChaosCampaignResult res = run_campaign(k);
     if (!res.ok()) ++summary.failed;
     summary.results.push_back(std::move(res));
   }
   return summary;
 }
 
-ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index,
-                                            bool keep_trace) const {
+ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
   ChaosCampaignResult res;
   res.index = index;
   res.seed = cfg_.seed + index;
   res.topology = net::to_string(cfg_.topology);
 
-  obs::RingBufferSink sink(cfg_.trace_capacity);
-  std::unique_ptr<obs::StreamingFileSink> stream;
-  std::unique_ptr<obs::TeeSink> tee;
-  // Destructor order matters: `capture` restores the outer tracer before
-  // the tee/stream it may point at are torn down.
-  obs::ScopedTrace capture(sink, obs::kAllCategories);
-  // A streaming sink cannot clear() like the ring, so the seed-retry loop
-  // recreates it (wiping the directory) whenever a stack draw is discarded.
   const std::string campaign_dir =
       cfg_.trace_out_dir.empty()
           ? std::string()
           : cfg_.trace_out_dir + "/campaign_" + std::to_string(index);
-  const auto install_capture = [&] {
-    if (campaign_dir.empty()) return;
-    std::error_code ec;
-    std::filesystem::remove_all(campaign_dir, ec);
-    obs::StreamSinkConfig scfg;
-    scfg.directory = campaign_dir;
-    scfg.format = obs::TraceFormat::kWtr;
-    tee.reset();
-    stream = std::make_unique<obs::StreamingFileSink>(scfg);
-    tee = std::make_unique<obs::TeeSink>(sink, *stream);
-    obs::tracer().set_sink(tee.get());
-  };
+  auto oracle = std::make_unique<OracleSink>(campaign_dir);
+  // Destructor order matters: `capture` restores the outer tracer before
+  // the oracle it points at is torn down.
+  obs::ScopedTrace capture(*oracle, obs::kAllCategories);
 
   // Deterministic seed-retry: kOnePerCellPlus deployments are almost always
   // healthy, but a pathological draw (an unconnected cell) would void the
-  // paper's preconditions — bump the stack seed until healthy, wiping the
-  // partial capture so the surviving trace covers exactly one stack.
+  // paper's preconditions — bump the stack seed until healthy. Each draw
+  // gets a fresh oracle (and a wiped stream directory): a rejected draw's
+  // events would break the accepted stack's energy balance.
   std::unique_ptr<Stack> stack;
   for (std::uint64_t retry = 0;; ++retry) {
-    sink.clear();
-    install_capture();
+    if (retry > 0) {
+      oracle.reset();  // closes the rejected draw's stream before the wipe
+      oracle = std::make_unique<OracleSink>(campaign_dir);
+      obs::tracer().set_sink(oracle.get());
+    }
     obs::tracer().reset_flows(0);
     stack = std::make_unique<Stack>(cfg_.topology, cfg_.grid_side,
                                     cfg_.node_count, cfg_.range,
@@ -554,87 +617,33 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index,
   auto finding = [&res](std::string msg) {
     res.findings.push_back(std::move(msg));
   };
-  if (sink.dropped() != 0) {
-    finding("trace capture overflow: " + std::to_string(sink.dropped()) +
-            " events lost");
+  if (obs::StreamingFileSink* stream = oracle->stream();
+      stream != nullptr && !stream->close()) {
+    finding("streaming trace capture failed: " + stream->error());
   }
-  if (stream) {
-    if (!stream->close()) {
-      finding("streaming trace capture failed: " + stream->error());
-    } else if (stream->events() != sink.size() + sink.dropped()) {
-      finding("streaming capture saw " + std::to_string(stream->events()) +
-              " events, ring saw " +
-              std::to_string(sink.size() + sink.dropped()));
-    }
-  }
-  const std::vector<obs::TraceEvent> events = sink.events();
-  res.events = events.size();
+  res.events = oracle->events();
 
+  // The trace oracle: structure, energy and ARQ counters against the
+  // snapshot, failure detection, depletion, and — vacuous unless the plan
+  // carried strikes or vacancies — self-stabilization and membership.
   std::ostringstream snap;
   registry.write_json(snap);
-  const obs::analyze::JsonValue snapshot =
-      obs::analyze::parse_json(snap.str());
-  const auto merge = [&](const char* what,
-                         const obs::analyze::CheckReport& report) {
-    for (const std::string& issue : report.issues) {
-      finding(std::string(what) + ": " + issue);
-    }
-  };
-  merge("check_trace", obs::analyze::check_trace(events));
-  merge("check_energy", obs::analyze::check_energy(events, snapshot));
-  merge("check_reliability",
-        obs::analyze::check_reliability(events, &snapshot));
-  merge("check_failure_detection",
-        obs::analyze::check_failure_detection(events));
-  merge("check_depletion", obs::analyze::check_depletion(events));
+  const obs::analyze::CheckReport report =
+      oracle->finish(obs::analyze::parse_json(snap.str()));
+  for (const std::string& issue : report.issues) {
+    finding("trace oracle: " + issue);
+  }
   if (cfg_.corruption || cfg_.membership) {
-    // Re-convergence within the analytic bound: no leadership churn after
-    // the last disturbance plus the stabilization window. Strictly
-    // increasing claim epochs per cell are already check_failure_detection
-    // territory; split-brain and end-state agreement are asserted below.
-    merge("check_stabilization", obs::analyze::check_stabilization(events));
+    // Split-brain is asserted below; here, end-state agreement and the
+    // worst corruption-to-quiet latency for reporting and the benches.
     for (const core::GridCoord& c : unconverged) {
       finding("cell (" + std::to_string(c.row) + "," + std::to_string(c.col) +
               ") never re-converged: live members disagree on (leader, "
               "epoch) or the agreed leader is not serving");
     }
-    // Worst corruption-to-quiet latency, for reporting and the convergence
-    // bench: the last churn event each strike provoked within its window.
-    // Membership mode counts belief/roster repair and adoption traffic as
-    // churn too — a strike is only "quiet" once the views stop moving.
-    std::vector<double> corrupt_times;
-    std::vector<double> churn_times;
-    for (const obs::TraceEvent& ev : events) {
-      if (ev.category != obs::Category::kReliability) continue;
-      if (ev.name == "fd.corrupt") {
-        corrupt_times.push_back(ev.time);
-      } else if (ev.name == "fd.elect" || ev.name == "fd.claim" ||
-                 ev.name == "fd.audit_conflict" ||
-                 ev.name == "fd.audit_heal" ||
-                 ev.name == "fd.epoch_regress" ||
-                 ev.name == "fd.lease_expire" ||
-                 (cfg_.membership &&
-                  (ev.name == "fd.member_heal" ||
-                   ev.name == "fd.roster_heal" ||
-                   ev.name == "fd.roster_conflict" ||
-                   ev.name == "fd.adopt" || ev.name == "fd.adopt_bind"))) {
-        churn_times.push_back(ev.time);
-      }
-    }
-    const Time stab = detector.stabilization_bound();
-    for (const double t : corrupt_times) {
-      double last = t;
-      for (const double c : churn_times) {
-        if (c > t && c <= t + stab) last = std::max(last, c);
-      }
-      res.max_reconverge_latency =
-          std::max(res.max_reconverge_latency, last - t);
-    }
+    res.max_reconverge_latency = oracle->max_reconverge_latency();
   }
   if (cfg_.membership) {
-    // Trace-level membership oracle: quiescence after the reconciliation
-    // deadline, every adoption accepted, every vacated cell re-bound.
-    merge("check_membership", obs::analyze::check_membership(events));
     res.adoptions = detector.adoptions().size();
     res.adopt_binds = static_cast<std::size_t>(detector.adopt_binds());
     // Zero dark cells, beliefs and rosters inverse-consistent: the
@@ -758,12 +767,6 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index,
   }
   for (const core::PartialResult& p : *partials) {
     res.stale_rejected += p.stale_rejected;
-  }
-
-  if (keep_trace || !res.findings.empty()) {
-    std::ostringstream out;
-    obs::write_jsonl(events, out);
-    res.trace_jsonl = out.str();
   }
   return res;
 }

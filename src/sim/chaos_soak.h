@@ -7,16 +7,15 @@
 // generates a FaultPlan from the campaign's own seeded RNG under a severity
 // budget, runs deadline-bounded reduce rounds through the faults, lets the
 // detector settle, and then asserts:
-//   * every analyzer check over the captured trace (check_trace,
-//     check_energy vs. a metrics snapshot, check_reliability,
-//     check_failure_detection) is clean;
+//   * every trace invariant (obs/analyze/check.h) holds, energy and ARQ
+//     counters checked against a metrics snapshot. The events stream live
+//     into an obs::analyze::StreamingChecker as the campaign runs; nothing
+//     is captured, so the oracle is whole at every grid size;
 //   * no split-brain: at campaign end no two live nodes of one cell both
 //     believe they lead it at the same epoch;
 //   * every unrecovered leader crash with surviving members produced
 //     exactly one leadership claim for that cell, within the detection
-//     bound (lease + election + slack);
-//   * the trace capture did not overflow (a truncated capture would make
-//     the other checks vacuous).
+//     bound (lease + election + slack).
 //
 // The plan generator is constrained to keep the paper's preconditions
 // intact — it never removes a node whose loss would disconnect or empty its
@@ -25,9 +24,9 @@
 // elects nobody; its parent suspects it and resumes it on recovery).
 //
 // Determinism: campaign k is fully determined by (config, base seed, k) —
-// running it twice yields byte-identical JSONL traces (the replay test
-// asserts this), and a failing campaign's plan JSON is enough to reproduce
-// it offline with wsn-chaos / wsn-inspect.
+// running it twice with `trace_out_dir` set yields byte-identical wtr
+// segments (the replay tests assert this), and a failing campaign's plan
+// JSON is enough to reproduce it offline with wsn-chaos / wsn-inspect.
 #pragma once
 
 #include <cstdint>
@@ -55,12 +54,9 @@ struct ChaosSoakConfig {
   /// loss burst ~ loss*duration/5, region outage 0.75/cell.
   double severity_budget = 4.0;
   std::size_t max_plan_events = 10;
-  /// Ring capacity for the per-campaign capture; overflow is a finding.
-  std::size_t trace_capacity = 1u << 19;
-  /// When non-empty, each campaign additionally streams its capture to
-  /// `<trace_out_dir>/campaign_<index>` as wtr segments (obs/stream_sink.h)
-  /// through a TeeSink — the scale-capture path exercised under chaos. A
-  /// sink failure is a campaign finding.
+  /// When non-empty, each campaign streams its trace to
+  /// `<trace_out_dir>/campaign_<index>` as wtr segments (obs/stream_sink.h),
+  /// the only capture a campaign makes. A sink failure is a finding.
   std::string trace_out_dir;
   emulation::FailureDetectorConfig detector;
 
@@ -68,9 +64,10 @@ struct ChaosSoakConfig {
   /// leaders finite batteries (kSetBudget with `depletion_headroom` energy
   /// left), a DepletionMonitor turns the crossings into deaths, and the
   /// detector runs with proactive handoff at 60% of the headroom. The
-  /// invariant pass then also asserts check_depletion, that every budgeted
-  /// leader hands off (planned claim, old_leader == it) strictly before its
-  /// battery dies, and that its cell never split-brains.
+  /// trace oracle's depletion invariants then bite, and the invariant pass
+  /// also asserts that every budgeted leader hands off (planned claim,
+  /// old_leader == it) strictly before its battery dies, and that its cell
+  /// never split-brains.
   bool depletion = false;
   std::size_t depletion_targets = 2;
   /// Energy left at the set_budget tick. A busy leader burns 1.5-2.5
@@ -92,9 +89,9 @@ struct ChaosSoakConfig {
   /// (seeded victim, seeded target profile), the detector runs with
   /// self-stabilization audits on (audit_period below, applied when the
   /// detector config leaves it 0), settle extends by the stabilization
-  /// bound, and the oracle additionally asserts check_stabilization, full
-  /// per-cell end-state agreement (unconverged_cells), and strictly
-  /// increasing claim epochs per cell.
+  /// bound, and the oracle additionally asserts the trace's
+  /// self-stabilization invariant, full per-cell end-state agreement
+  /// (unconverged_cells), and strictly increasing claim epochs per cell.
   bool corruption = false;
   std::size_t corruption_events = 3;
   double corruption_audit_period = 15.0;
@@ -107,7 +104,8 @@ struct ChaosSoakConfig {
   /// instant, so the survivor orphans over a silent cell, must be adopted
   /// by the nearest reachable neighboring cell, and the vacated cell must
   /// be re-bound to a live proxy leader. The oracle then additionally
-  /// asserts check_stabilization, per-cell end-state agreement, zero
+  /// asserts the trace's self-stabilization and membership invariants,
+  /// per-cell end-state agreement, zero
   /// membership violations at settle (no dark cells, beliefs and rosters
   /// inverse-consistent), and one adoption per planned vacancy within the
   /// extended stabilization bound. The healthy-deployment precheck keeps
@@ -125,9 +123,8 @@ struct ChaosCampaignResult {
   std::uint64_t seed = 0;
   std::string plan_json;              // FaultPlan::to_json of the campaign
   std::vector<std::string> findings;  // empty == campaign passed
-  std::string trace_jsonl;  // captured events; filled only when requested
   // Stats for reporting / the detection-latency bench.
-  std::size_t events = 0;
+  std::size_t events = 0;  // trace events the oracle checked
   std::size_t claims = 0;
   std::size_t leader_crashes = 0;
   std::size_t split_brains = 0;
@@ -173,13 +170,10 @@ class ChaosSoak {
   /// election close, plus propagation slack.
   Time detection_bound() const;
 
-  /// Runs campaign `index` from scratch (fresh stack, fresh capture).
-  /// `keep_trace` fills ChaosCampaignResult::trace_jsonl even on success
-  /// (the replay determinism test diffs two runs byte-for-byte).
-  ChaosCampaignResult run_campaign(std::size_t index,
-                                   bool keep_trace = false) const;
+  /// Runs campaign `index` from scratch (fresh stack, fresh oracle).
+  ChaosCampaignResult run_campaign(std::size_t index) const;
 
-  /// Runs every campaign; traces are retained only for failing campaigns.
+  /// Runs every campaign.
   ChaosSoakSummary run() const;
 
  private:

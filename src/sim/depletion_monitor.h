@@ -19,7 +19,7 @@
 // The dying transmission itself still goes out (the link layer charges tx
 // before fanning out deliveries), so the last frame of a depleted sender
 // shares its timestamp with the "energy.depleted" event — the analyzer's
-// check_depletion treats that equal-time frame as legitimate and flags
+// depletion invariant treats that equal-time frame as legitimate and flags
 // anything later.
 //
 // Determinism: crossings are a pure function of the charge sequence, which

@@ -196,11 +196,20 @@ TEST(FlowReconstruction, CollectiveSpansPairUp) {
                        [](const core::CollectiveResult&) {});
     sim.run();
   }
-  const auto spans = reconstruct_collectives(sink.events());
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_TRUE(spans[0].closed);
-  EXPECT_EQ(spans[0].members, 16u);
-  EXPECT_GT(spans[0].duration(), 0.0);
+  // One 'B'/'E' pair with the same collective id: the span closes, carries
+  // the group size, and ends after it begins.
+  std::vector<obs::TraceEvent> begins;
+  std::vector<obs::TraceEvent> ends;
+  for (const obs::TraceEvent& ev : sink.events()) {
+    if (ev.category != obs::Category::kCollective || ev.flow == 0) continue;
+    if (ev.phase == 'B') begins.push_back(ev);
+    if (ev.phase == 'E') ends.push_back(ev);
+  }
+  ASSERT_EQ(begins.size(), 1u);
+  ASSERT_EQ(ends.size(), 1u);
+  EXPECT_EQ(ends[0].flow, begins[0].flow);
+  EXPECT_EQ(attr_num(begins[0], "members"), 16.0);
+  EXPECT_GT(ends[0].time, begins[0].time);
 }
 
 // ---------------------------------------------------------------------------
@@ -413,10 +422,11 @@ TEST(Checker, EnergyAgreesWithMetricsSnapshot) {
   vnet.register_metrics(registry);
   const JsonValue snapshot = parse_json(registry.to_json());
 
-  const CheckReport ok = check_energy(sink.events(), snapshot);
+  const CheckReport ok = check_trace(sink.events(), &snapshot);
   EXPECT_TRUE(ok.ok()) << (ok.issues.empty() ? "" : ok.issues[0]);
 
-  // A capture missing one hop's worth of events must be caught.
+  // A capture missing one hop's worth of events must be caught — by the
+  // energy balance, not only by the flow structure.
   auto truncated = sink.events();
   truncated.pop_back();
   auto it = std::find_if(truncated.begin(), truncated.end(),
@@ -425,9 +435,13 @@ TEST(Checker, EnergyAgreesWithMetricsSnapshot) {
                          });
   ASSERT_NE(it, truncated.end());
   truncated.erase(it);
-  const CheckReport bad = check_energy(truncated, snapshot);
+  const CheckReport bad = check_trace(truncated, &snapshot);
   EXPECT_FALSE(bad.ok());
-  EXPECT_NE(bad.issues[0].find("vnet.energy"), std::string::npos);
+  EXPECT_TRUE(std::any_of(bad.issues.begin(), bad.issues.end(),
+                          [](const std::string& issue) {
+                            return issue.find("vnet.energy") !=
+                                   std::string::npos;
+                          }));
 }
 
 // ---------------------------------------------------------------------------
@@ -451,8 +465,10 @@ obs::TraceEvent depletion_event(double t, std::int64_t node, double budget,
           {{"budget", budget}, {"spent", spent}}};
 }
 
+/// An uncorrelated (flow 0) link frame: the flow checks ignore it, the
+/// depletion and crash-window checks do not.
 obs::TraceEvent link_event(double t, std::int64_t node, const char* name) {
-  return {t, node, obs::Category::kLink, 'i', name, 1, {}};
+  return {t, node, obs::Category::kLink, 'i', name, 0, {}};
 }
 
 TEST(CheckDepletion, CleanLifecyclePasses) {
@@ -464,9 +480,9 @@ TEST(CheckDepletion, CleanLifecyclePasses) {
       link_event(2.0, 7, "unicast"),  // the budget-crossing frame itself
       link_event(3.0, 8, "unicast"),  // other nodes keep talking
   };
-  const CheckReport report = check_depletion(events);
+  const CheckReport report = check_trace(events);
   EXPECT_TRUE(report.ok()) << (report.issues.empty() ? "" : report.issues[0]);
-  EXPECT_EQ(report.flows_checked, 1u);  // one depletion checked
+  EXPECT_EQ(report.events_seen, events.size());
 }
 
 TEST(CheckDepletion, FlagsDuplicateDepletion) {
@@ -474,7 +490,7 @@ TEST(CheckDepletion, FlagsDuplicateDepletion) {
       depletion_event(2.0, 7, 50.0, 50.0),
       depletion_event(5.0, 7, 50.0, 55.0),
   };
-  const CheckReport report = check_depletion(events);
+  const CheckReport report = check_trace(events);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.issues[0].find("duplicate energy.depleted"),
             std::string::npos);
@@ -482,7 +498,7 @@ TEST(CheckDepletion, FlagsDuplicateDepletion) {
 
 TEST(CheckDepletion, FlagsCrossingBelowBudget) {
   const CheckReport report =
-      check_depletion({depletion_event(2.0, 7, 50.0, 30.0)});
+      check_trace({depletion_event(2.0, 7, 50.0, 30.0)});
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.issues[0].find("below budget"), std::string::npos);
 }
@@ -493,7 +509,7 @@ TEST(CheckDepletion, FlagsPostDepletionTransmissionAndDelivery) {
       link_event(3.0, 7, "broadcast"),
       link_event(4.0, 7, "deliver"),
   };
-  const CheckReport report = check_depletion(events);
+  const CheckReport report = check_trace(events);
   ASSERT_EQ(report.issues.size(), 2u);
   EXPECT_NE(report.issues[0].find("transmission at t="), std::string::npos);
   EXPECT_NE(report.issues[0].find("after depletion"), std::string::npos);

@@ -1,17 +1,64 @@
 // Chaos-soak harness (sim/chaos_soak.h): the full fixed-seed soak must come
 // back with zero findings and zero split-brains, a single campaign must
-// replay byte-identically (trace JSONL and plan JSON both), and every
+// replay byte-identically (streamed wtr trace and plan JSON both), every
 // generated FaultPlan must round-trip through the JSON loader it claims to
-// be replayable with.
+// be replayable with, and the live trace oracle must stay sound at 8x8.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "sim/chaos_soak.h"
 #include "sim/fault_plan.h"
 
 namespace wsn {
 namespace {
+
+/// Every segment file in `dir`, concatenated in name order: a streamed
+/// campaign trace as bytes.
+std::string segment_bytes(const std::string& dir) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  std::string bytes;
+  for (const auto& file : files) {
+    std::ifstream in(file, std::ios::binary);
+    bytes.append(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  return bytes;
+}
+
+/// Campaign `k` of `cfg`, run twice, each run streaming its trace to its
+/// own directory (test-unique: ctest runs gtest cases as parallel
+/// processes).
+struct Replay {
+  sim::ChaosCampaignResult first, second;
+  std::string first_trace, second_trace;
+};
+
+Replay run_twice(sim::ChaosSoakConfig cfg, std::size_t k) {
+  const std::string stem =
+      testing::TempDir() +
+      testing::UnitTest::GetInstance()->current_test_info()->name();
+  const std::string campaign = "/campaign_" + std::to_string(k);
+  Replay r;
+  cfg.trace_out_dir = stem + ".first";
+  r.first = sim::ChaosSoak(cfg).run_campaign(k);
+  r.first_trace = segment_bytes(cfg.trace_out_dir + campaign);
+  std::filesystem::remove_all(cfg.trace_out_dir);
+  cfg.trace_out_dir = stem + ".second";
+  r.second = sim::ChaosSoak(cfg).run_campaign(k);
+  r.second_trace = segment_bytes(cfg.trace_out_dir + campaign);
+  std::filesystem::remove_all(cfg.trace_out_dir);
+  return r;
+}
 
 TEST(ChaosSoak, FullSoakZeroFindings) {
   sim::ChaosSoakConfig cfg;  // 25 campaigns, fixed seed 20260805
@@ -32,21 +79,19 @@ TEST(ChaosSoak, FullSoakZeroFindings) {
 }
 
 TEST(ChaosSoak, SingleCampaignReplaysByteIdentically) {
-  const sim::ChaosSoak soak{sim::ChaosSoakConfig{}};
-  const auto first = soak.run_campaign(3, /*keep_trace=*/true);
-  const auto second = soak.run_campaign(3, /*keep_trace=*/true);
-  ASSERT_FALSE(first.trace_jsonl.empty());
-  EXPECT_EQ(first.seed, second.seed);
-  EXPECT_EQ(first.plan_json, second.plan_json);
-  EXPECT_EQ(first.events, second.events);
-  EXPECT_EQ(first.trace_jsonl, second.trace_jsonl)
+  const Replay r = run_twice(sim::ChaosSoakConfig{}, 3);
+  ASSERT_FALSE(r.first_trace.empty());
+  EXPECT_EQ(r.first.seed, r.second.seed);
+  EXPECT_EQ(r.first.plan_json, r.second.plan_json);
+  EXPECT_EQ(r.first.events, r.second.events);
+  EXPECT_EQ(r.first_trace, r.second_trace)
       << "same seed + same plan must produce a byte-identical trace";
 }
 
 TEST(ChaosSoak, GeneratedPlansRoundTripThroughJson) {
   const sim::ChaosSoak soak{sim::ChaosSoakConfig{}};
   for (std::size_t k = 0; k < 5; ++k) {
-    const auto res = soak.run_campaign(k, /*keep_trace=*/false);
+    const auto res = soak.run_campaign(k);
     ASSERT_FALSE(res.plan_json.empty());
     sim::FaultPlan parsed;
     ASSERT_NO_THROW(parsed = sim::FaultPlan::from_json(res.plan_json))
@@ -60,7 +105,7 @@ TEST(ChaosSoak, GeneratedPlansRoundTripThroughJson) {
 TEST(ChaosSoak, DepletionSoakZeroFindings) {
   // Energy-exhaustion mode: each campaign gives a few bound leaders finite
   // batteries on top of the generated fault plan. The oracle additionally
-  // demands a clean check_depletion pass, a planned handoff strictly before
+  // demands clean depletion invariants, a planned handoff strictly before
   // every budgeted leader's battery death, and zero split-brains.
   sim::ChaosSoakConfig cfg;
   cfg.depletion = true;
@@ -90,13 +135,11 @@ TEST(ChaosSoak, DepletionSoakZeroFindings) {
 TEST(ChaosSoak, DepletionCampaignReplaysByteIdentically) {
   sim::ChaosSoakConfig cfg;
   cfg.depletion = true;
-  const sim::ChaosSoak soak(cfg);
-  const auto first = soak.run_campaign(1, /*keep_trace=*/true);
-  const auto second = soak.run_campaign(1, /*keep_trace=*/true);
-  ASSERT_FALSE(first.trace_jsonl.empty());
-  EXPECT_EQ(first.plan_json, second.plan_json);
-  EXPECT_EQ(first.depletions, second.depletions);
-  EXPECT_EQ(first.trace_jsonl, second.trace_jsonl)
+  const Replay r = run_twice(cfg, 1);
+  ASSERT_FALSE(r.first_trace.empty());
+  EXPECT_EQ(r.first.plan_json, r.second.plan_json);
+  EXPECT_EQ(r.first.depletions, r.second.depletions);
+  EXPECT_EQ(r.first_trace, r.second_trace)
       << "battery exhaustion must stay inside the deterministic event loop";
 }
 
@@ -105,7 +148,7 @@ TEST(ChaosSoak, DetectionLatencyWithinBound) {
   const double bound = soak.detection_bound();
   std::size_t crashes = 0;
   for (std::size_t k = 0; k < 8; ++k) {
-    const auto res = soak.run_campaign(k, /*keep_trace=*/false);
+    const auto res = soak.run_campaign(k);
     crashes += res.leader_crashes;
     if (res.leader_crashes > 0) {
       EXPECT_GE(res.max_detection_latency, 0.0);
@@ -122,9 +165,9 @@ TEST(ChaosSoak, DetectionLatencyWithinBound) {
 TEST(ChaosSoak, CorruptionSoakReconvergesAcrossTopologies) {
   // >= 12 corruption campaigns spanning grid, ring, and mesh: every plan
   // carries only state_corruption strikes, the detector runs with audits
-  // on, and the oracle (check_stabilization + end-state agreement + zero
-  // split-brain + the analytic re-convergence bound) must hold on all of
-  // them.
+  // on, and the oracle (the trace's self-stabilization invariant +
+  // end-state agreement + zero split-brain + the analytic re-convergence
+  // bound) must hold on all of them.
   const net::TopologyKind topologies[] = {net::TopologyKind::kGrid,
                                           net::TopologyKind::kRing,
                                           net::TopologyKind::kMesh};
@@ -139,7 +182,7 @@ TEST(ChaosSoak, CorruptionSoakReconvergesAcrossTopologies) {
                          1.5 * cfg.detector.election_timeout +
                          cfg.corruption_audit_period + 10.0;
     for (std::size_t k = 0; k < cfg.campaigns; ++k) {
-      const auto res = soak.run_campaign(k, /*keep_trace=*/false);
+      const auto res = soak.run_campaign(k);
       EXPECT_EQ(res.topology, net::to_string(topo));
       EXPECT_GT(res.corruptions, 0u);
       corruptions += res.corruptions;
@@ -160,14 +203,12 @@ TEST(ChaosSoak, CorruptionCampaignReplaysByteIdentically) {
   sim::ChaosSoakConfig cfg;
   cfg.corruption = true;
   cfg.topology = net::TopologyKind::kRing;
-  const sim::ChaosSoak soak(cfg);
-  const auto first = soak.run_campaign(4, /*keep_trace=*/true);
-  const auto second = soak.run_campaign(4, /*keep_trace=*/true);
-  ASSERT_FALSE(first.trace_jsonl.empty());
-  EXPECT_EQ(first.plan_json, second.plan_json);
-  EXPECT_EQ(first.corruptions, second.corruptions);
-  EXPECT_EQ(first.max_reconverge_latency, second.max_reconverge_latency);
-  EXPECT_EQ(first.trace_jsonl, second.trace_jsonl)
+  const Replay r = run_twice(cfg, 4);
+  ASSERT_FALSE(r.first_trace.empty());
+  EXPECT_EQ(r.first.plan_json, r.second.plan_json);
+  EXPECT_EQ(r.first.corruptions, r.second.corruptions);
+  EXPECT_EQ(r.first.max_reconverge_latency, r.second.max_reconverge_latency);
+  EXPECT_EQ(r.first_trace, r.second_trace)
       << "corruption campaigns must replay byte-for-byte";
 }
 
@@ -177,7 +218,7 @@ TEST(ChaosSoak, CorruptionPlansCarryOnlyCorruptionEvents) {
   cfg.topology = net::TopologyKind::kMesh;
   const sim::ChaosSoak soak(cfg);
   for (std::size_t k = 0; k < 3; ++k) {
-    const auto res = soak.run_campaign(k, /*keep_trace=*/false);
+    const auto res = soak.run_campaign(k);
     const sim::FaultPlan plan = sim::FaultPlan::from_json(res.plan_json);
     ASSERT_FALSE(plan.events.empty());
     for (const sim::FaultEvent& ev : plan.events) {
@@ -194,8 +235,9 @@ TEST(ChaosSoak, MembershipSoakHealsAcrossTopologies) {
   // >= 12 membership campaigns spanning grid, ring, and mesh: each plan
   // mixes membership-target corruption strikes (defected beliefs,
   // scrambled rosters) with whole-cell vacancy scenarios. The oracle
-  // additionally demands check_membership (zero dark cells, beliefs and
-  // rosters inverse-consistent at settle), one adoption per planned
+  // additionally demands the trace's membership invariants, zero dark
+  // cells with beliefs and rosters inverse-consistent at settle, one
+  // adoption per planned
   // vacancy, a proxy re-bind of every vacated cell, and both latencies
   // inside the extended stabilization bound.
   const net::TopologyKind topologies[] = {net::TopologyKind::kGrid,
@@ -213,7 +255,7 @@ TEST(ChaosSoak, MembershipSoakHealsAcrossTopologies) {
                          1.5 * cfg.detector.election_timeout +
                          2.0 * cfg.membership_audit_period + 10.0;
     for (std::size_t k = 0; k < cfg.campaigns; ++k) {
-      const auto res = soak.run_campaign(k, /*keep_trace=*/false);
+      const auto res = soak.run_campaign(k);
       EXPECT_EQ(res.topology, net::to_string(topo));
       EXPECT_GT(res.corruptions, 0u);
       EXPECT_EQ(res.split_brains, 0u);
@@ -241,16 +283,14 @@ TEST(ChaosSoak, MembershipCampaignReplaysByteIdentically) {
   sim::ChaosSoakConfig cfg;
   cfg.membership = true;
   cfg.topology = net::TopologyKind::kMesh;
-  const sim::ChaosSoak soak(cfg);
-  const auto first = soak.run_campaign(2, /*keep_trace=*/true);
-  const auto second = soak.run_campaign(2, /*keep_trace=*/true);
-  ASSERT_FALSE(first.trace_jsonl.empty());
-  EXPECT_EQ(first.plan_json, second.plan_json);
-  EXPECT_EQ(first.corruptions, second.corruptions);
-  EXPECT_EQ(first.adoptions, second.adoptions);
-  EXPECT_EQ(first.adopt_binds, second.adopt_binds);
-  EXPECT_EQ(first.max_adoption_latency, second.max_adoption_latency);
-  EXPECT_EQ(first.trace_jsonl, second.trace_jsonl)
+  const Replay r = run_twice(cfg, 2);
+  ASSERT_FALSE(r.first_trace.empty());
+  EXPECT_EQ(r.first.plan_json, r.second.plan_json);
+  EXPECT_EQ(r.first.corruptions, r.second.corruptions);
+  EXPECT_EQ(r.first.adoptions, r.second.adoptions);
+  EXPECT_EQ(r.first.adopt_binds, r.second.adopt_binds);
+  EXPECT_EQ(r.first.max_adoption_latency, r.second.max_adoption_latency);
+  EXPECT_EQ(r.first_trace, r.second_trace)
       << "membership campaigns must replay byte-for-byte";
 }
 
@@ -259,7 +299,7 @@ TEST(ChaosSoak, MembershipPlansMixStrikesAndVacancies) {
   cfg.membership = true;
   const sim::ChaosSoak soak(cfg);
   for (std::size_t k = 0; k < 3; ++k) {
-    const auto res = soak.run_campaign(k, /*keep_trace=*/false);
+    const auto res = soak.run_campaign(k);
     const sim::FaultPlan plan = sim::FaultPlan::from_json(res.plan_json);
     ASSERT_FALSE(plan.events.empty());
     std::size_t strikes = 0;
@@ -277,6 +317,37 @@ TEST(ChaosSoak, MembershipPlansMixStrikesAndVacancies) {
     EXPECT_EQ(strikes, res.corruptions);
     EXPECT_GT(crashes, 0u) << "campaign " << k
                            << " staged no vacancy: " << res.plan_json;
+  }
+}
+
+// ---- The live oracle above the CI size ----------------------------------
+
+TEST(ChaosSoak, EightByEightCampaignPassesFullOracle) {
+  // 256 nodes: more trace events than a fixed in-memory capture of 2^19
+  // would hold, so only a live oracle checks this campaign whole.
+  sim::ChaosSoakConfig cfg;
+  cfg.grid_side = 8;
+  cfg.node_count = 256;
+  const auto res = sim::ChaosSoak(cfg).run_campaign(0);
+  EXPECT_GT(res.events, std::size_t{1} << 19);
+  EXPECT_EQ(res.split_brains, 0u);
+  for (const std::string& f : res.findings) {
+    ADD_FAILURE() << f << "\nplan: " << res.plan_json;
+  }
+}
+
+TEST(ChaosSoak, EightByEightMembershipCampaignReconverges) {
+  sim::ChaosSoakConfig cfg;
+  cfg.grid_side = 8;
+  cfg.node_count = 256;
+  cfg.membership = true;
+  const auto res = sim::ChaosSoak(cfg).run_campaign(0);
+  EXPECT_GT(res.corruptions, 0u);
+  EXPECT_GT(res.max_reconverge_latency, 0.0)
+      << "the fd.corrupt strikes and their churn reached the oracle";
+  EXPECT_EQ(res.split_brains, 0u);
+  for (const std::string& f : res.findings) {
+    ADD_FAILURE() << f << "\nplan: " << res.plan_json;
   }
 }
 

@@ -64,20 +64,24 @@ TEST(DepletionMonitor, BudgetCrossingBecomesTracedDeath) {
   EXPECT_TRUE(stack.ledger->depleted(leader));
   EXPECT_EQ(monitor.alive_count(), kNodes - 1);
 
-  // Exactly one energy.depleted event, and the full depletion oracle is
-  // clean: no frame from the dead node later than its crossing tick.
+  // Exactly one energy.depleted event, and the full trace oracle is clean
+  // (the capture began before the stack, so energy balances too): no frame
+  // from the dead node later than its crossing tick.
   const auto events = sink.events();
   std::size_t depleted_events = 0;
   for (const obs::TraceEvent& ev : events) {
     if (ev.name == "energy.depleted") ++depleted_events;
   }
   EXPECT_EQ(depleted_events, 1u);
-  const auto report = obs::analyze::check_depletion(events);
+  obs::MetricsRegistry registry;
+  stack.register_metrics(registry);
+  const obs::analyze::JsonValue snapshot =
+      obs::analyze::parse_json(registry.to_json());
+  const auto report = obs::analyze::check_trace(events, &snapshot);
   EXPECT_TRUE(report.ok()) << (report.issues.empty() ? "" : report.issues[0]);
-  EXPECT_EQ(report.flows_checked, 1u);
+  EXPECT_EQ(report.events_seen, events.size());
 
   // Registered instruments agree with the monitor.
-  obs::MetricsRegistry registry;
   monitor.register_metrics(registry);
   EXPECT_DOUBLE_EQ(registry.gauge("energy.depleted_nodes"), 1.0);
   EXPECT_DOUBLE_EQ(registry.gauge("energy.alive_nodes"),
@@ -128,11 +132,13 @@ TEST(ProactiveHandoff, LeaderRetiresBeforeItsBatteryDies) {
 
   detector.stop();
   stack.sim.run();
-  const auto events = sink.events();
-  const auto dep = obs::analyze::check_depletion(events);
-  EXPECT_TRUE(dep.ok()) << (dep.issues.empty() ? "" : dep.issues[0]);
-  const auto fd = obs::analyze::check_failure_detection(events);
-  EXPECT_TRUE(fd.ok()) << (fd.issues.empty() ? "" : fd.issues[0]);
+  // Depletion, failure-detection and every other trace invariant hold.
+  obs::MetricsRegistry registry;
+  stack.register_metrics(registry);
+  const obs::analyze::JsonValue snapshot =
+      obs::analyze::parse_json(registry.to_json());
+  const auto report = obs::analyze::check_trace(sink.events(), &snapshot);
+  EXPECT_TRUE(report.ok()) << (report.issues.empty() ? "" : report.issues[0]);
 }
 
 TEST(ProactiveHandoff, RequestHandoffElectsBestResidualCandidate) {

@@ -779,7 +779,10 @@ TEST(CampaignDeterminism, IdenticalSeedAndPlanYieldByteIdenticalTraces) {
 // round 2 must recover at least as many contributors; the captured trace
 // and metrics must pass the analyzer's invariants.
 TEST(FaultCampaign, CannedCampaignDegradesRecoversAndExplains) {
+  // The capture starts before the stack is built, so the trace replays
+  // every charge the energy ledger saw.
   obs::RingBufferSink sink(1u << 20);
+  obs::ScopedTrace scope(sink);
   // Seed 1: fault-free, this deployment routes every cell to the leader, so
   // any degradation below is attributable to the injected faults.
   bench::PhysicalStack stack(8, 200, 1.3, 1);
@@ -803,7 +806,6 @@ TEST(FaultCampaign, CannedCampaignDegradesRecoversAndExplains) {
     old_leaders.push_back(stack.overlay->bound_node(c));
   }
 
-  obs::ScopedTrace scope(sink);
   injector.arm(sim::FaultPlan::from_json(R"({"events": [
     {"at": 0.0, "kind": "loss_burst", "loss": 0.05, "duration": 2000.0},
     {"at": 0.0, "kind": "crash", "cell": {"row": 0, "col": 4}},
@@ -859,16 +861,15 @@ TEST(FaultCampaign, CannedCampaignDegradesRecoversAndExplains) {
   EXPECT_GE(round2.contributors.size(), round1.contributors.size());
   EXPECT_EQ(round2.value, static_cast<double>(round2.contributors.size()));
 
-  // The captured trace must satisfy both the structural flow/collective
-  // invariants and the reliability invariants (rel.* pairing, no delivery
-  // into a crash window, give-up counter consistency).
-  const std::vector<obs::TraceEvent> events = sink.events();
-  const auto structural = obs::analyze::check_trace(events);
-  EXPECT_TRUE(structural.ok()) << structural.issues.front();
+  // The captured trace must satisfy the whole oracle: the structural
+  // flow/collective invariants, the reliability invariants (rel.* pairing,
+  // no delivery into a crash window, give-up counter consistency) and the
+  // energy balance against the ledger.
+  EXPECT_EQ(sink.dropped(), 0u);
   const obs::analyze::JsonValue snapshot =
       obs::analyze::parse_json(registry.to_json());
-  const auto reliability = obs::analyze::check_reliability(events, &snapshot);
-  EXPECT_TRUE(reliability.ok()) << reliability.issues.front();
+  const auto report = obs::analyze::check_trace(sink.events(), &snapshot);
+  EXPECT_TRUE(report.ok()) << report.issues.front();
   EXPECT_GT(stack.arq->counters().get("arq.give_up"), 0u);
 }
 

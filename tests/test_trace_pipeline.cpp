@@ -446,9 +446,8 @@ TEST(Incremental, StreamingCheckMatchesBatchVerdict) {
 TEST(Incremental, StreamingMembershipMatchesBatchFindings) {
   // A membership stream with one clean adoption, one adoption whose
   // vacated cell is never re-bound (dark cell), and repair churn after the
-  // reconciliation deadline. check_membership (batch) and the
-  // StreamingChecker share MembershipLedger, so the findings must be
-  // byte-identical.
+  // reconciliation deadline. check_trace over the vector and a default
+  // (retiring) StreamingChecker must report byte-identical findings.
   using obs::Category;
   std::vector<obs::TraceEvent> events;
   events.push_back({10.0, 3, Category::kReliability, 'i', "fd.defect", 0,
@@ -477,8 +476,7 @@ TEST(Incremental, StreamingMembershipMatchesBatchFindings) {
   events.push_back({160.0, 5, Category::kReliability, 'i', "fd.roster_heal",
                     0, {}});
 
-  const obs::analyze::CheckReport batch =
-      obs::analyze::check_membership(events);
+  const obs::analyze::CheckReport batch = obs::analyze::check_trace(events);
   ASSERT_EQ(batch.issues.size(), 2u);  // dark cell + late churn
 
   obs::analyze::StreamingChecker checker{obs::analyze::StreamCheckOptions{}};
@@ -490,6 +488,29 @@ TEST(Incremental, StreamingMembershipMatchesBatchFindings) {
   };
   EXPECT_EQ(sorted(streamed.issues), sorted(batch.issues));
   EXPECT_FALSE(streamed.ok());
+}
+
+TEST(Incremental, NegativeRetireLagKeepsArqExchanges) {
+  // A negative lag means "never retire": the ack, far past any finite lag
+  // after its send, must still find it.
+  auto rel = [](double t, const char* name) {
+    return obs::TraceEvent{t,
+                           3,
+                           obs::Category::kReliability,
+                           'i',
+                           name,
+                           0,
+                           {{"src", std::uint64_t{3}},
+                            {"dst", std::uint64_t{4}},
+                            {"seq", std::uint64_t{1}}}};
+  };
+  obs::analyze::StreamCheckOptions options;
+  options.retire_lag = -1.0;
+  obs::analyze::StreamingChecker checker(options);
+  checker.feed(rel(1.0, "rel.send"));
+  checker.feed(rel(5001.0, "rel.ack"));
+  const obs::analyze::CheckReport report = checker.finish();
+  EXPECT_TRUE(report.ok()) << report.issues.front();
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@
 // stack with the distributed failure detector, checking every campaign
 // against the trace oracle and the failure-detection invariants. Exit 0 when
 // every campaign passes, 1 otherwise. With --out DIR, each failing
-// campaign's FaultPlan JSON and JSONL trace are written there so the run is
-// reproducible offline (`wsn-inspect check <trace>`); CI uploads them as
-// artifacts.
+// campaign's FaultPlan JSON is written to DIR/campaign_<k>.plan.json and the
+// campaign is replayed (byte-identically) to stream its trace into
+// DIR/campaign_<k>/ as wtr segments, so the run is reproducible offline
+// (`wsn-inspect check DIR/campaign_<k>`); CI uploads them as artifacts.
 //
 // Usage:
 //   wsn-chaos [--campaigns N] [--seed S] [--grid N] [--nodes N]
@@ -24,7 +25,8 @@
 // mode: plans carry only state_corruption events, the detector runs its
 // self-stabilization audit rounds, and every campaign must re-converge to
 // one correct leader per cell within the analytic stabilization bound
-// (check_stabilization + end-state agreement + zero split-brain).
+// (the trace's self-stabilization invariant + end-state agreement + zero
+// split-brain).
 //
 // --membership switches the generator into self-healing membership mode:
 // plans carry membership-target corruption strikes plus cell-vacancy
@@ -68,8 +70,11 @@ void write_file(const std::string& path, const std::string& content) {
   out << content;
 }
 
-void report(const wsn::sim::ChaosCampaignResult& res, bool corruption,
-            bool membership, bool verbose, const std::string& out_dir) {
+void report(const wsn::sim::ChaosCampaignResult& res,
+            const wsn::sim::ChaosSoakConfig& cfg, bool verbose,
+            const std::string& out_dir) {
+  const bool corruption = cfg.corruption;
+  const bool membership = cfg.membership;
   if (membership) {
     std::printf(
         "campaign %2zu  topo=%s  seed=%llu  events=%zu  corruptions=%zu  "
@@ -105,8 +110,12 @@ void report(const wsn::sim::ChaosCampaignResult& res, bool corruption,
     const std::string stem =
         out_dir + "/campaign_" + std::to_string(res.index);
     write_file(stem + ".plan.json", res.plan_json);
-    write_file(stem + ".trace.jsonl", res.trace_jsonl);
-    std::printf("  artifacts: %s.{plan.json,trace.jsonl}\n", stem.c_str());
+    // The soak keeps no trace; replaying the campaign streams it to disk.
+    wsn::sim::ChaosSoakConfig replay = cfg;
+    replay.trace_out_dir = out_dir;
+    wsn::sim::ChaosSoak(replay).run_campaign(res.index);
+    std::printf("  artifacts: %s.plan.json, %s/ (wtr trace)\n", stem.c_str(),
+                stem.c_str());
   }
 }
 
@@ -141,7 +150,6 @@ int main(int argc, char** argv) {
       cfg.severity_budget = std::strtod(next(), nullptr);
     } else if (arg == "--depletion") {
       cfg.depletion = true;
-      cfg.trace_capacity = 1u << 20;  // longer campaigns, bigger capture
     } else if (arg == "--corruption") {
       cfg.corruption = true;
     } else if (arg == "--membership") {
@@ -203,7 +211,7 @@ int main(int argc, char** argv) {
   std::size_t adopt_binds = 0;
   unsigned long long seeds_rejected = 0;
   const auto take = [&](const wsn::sim::ChaosCampaignResult& res) {
-    report(res, cfg.corruption, cfg.membership, verbose, out_dir);
+    report(res, cfg, verbose, out_dir);
     if (!res.ok()) ++failed;
     adoptions += res.adoptions;
     adopt_binds += res.adopt_binds;
@@ -214,11 +222,10 @@ int main(int argc, char** argv) {
     if (lat > 0.0) latencies.add(lat);
   };
   if (only >= 0) {
-    take(soak.run_campaign(static_cast<std::size_t>(only),
-                           /*keep_trace=*/true));
+    take(soak.run_campaign(static_cast<std::size_t>(only)));
   } else {
     for (std::size_t k = 0; k < cfg.campaigns; ++k) {
-      take(soak.run_campaign(k, /*keep_trace=*/false));
+      take(soak.run_campaign(k));
     }
   }
   if (latencies.count() > 0) {
