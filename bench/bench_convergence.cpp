@@ -45,7 +45,7 @@ RunResult run(net::TopologyKind topo, std::size_t severity) {
   RunResult out{};
   out.bound = 2.5 * cfg.detector.lease_duration +
               1.5 * cfg.detector.election_timeout +
-              cfg.corruption_audit_period + 10.0;
+              sim::kSoakAuditPeriod + 10.0;
   for (std::size_t k = 0; k < cfg.campaigns; ++k) {
     const sim::ChaosCampaignResult res = soak.run_campaign(k);
     if (!res.ok()) ++out.failed;
@@ -55,7 +55,7 @@ RunResult run(net::TopologyKind topo, std::size_t severity) {
     out.max_reconverge =
         std::max(out.max_reconverge, res.max_reconverge_latency);
   }
-  out.rounds = out.max_reconverge / cfg.corruption_audit_period;
+  out.rounds = out.max_reconverge / sim::kSoakAuditPeriod;
   return out;
 }
 

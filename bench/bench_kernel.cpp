@@ -8,8 +8,8 @@
 //                 event schedules one successor, so the heap stays at depth
 //                 D while the sift cost is exercised at several D.
 //   * cancel:     schedule/cancel mix; half the scheduled events are
-//                 cancelled before firing, exercising the tombstone set and
-//                 the lazy-skip path in pop().
+//                 cancelled before firing, exercising tombstones and the
+//                 lazy-skip path in pop().
 //   * quickstart: the full simulation stack (PhysicalStack + overlay
 //                 traffic), so the synthetic rows stay anchored to what a
 //                 real workload sees per event.

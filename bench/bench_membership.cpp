@@ -49,7 +49,7 @@ RunResult run(net::TopologyKind topo, std::size_t severity) {
   // top of the corruption-mode bound (see stabilization_bound()).
   out.bound = 2.5 * cfg.detector.lease_duration +
               1.5 * cfg.detector.election_timeout +
-              2.0 * cfg.membership_audit_period + 10.0;
+              2.0 * sim::kSoakAuditPeriod + 10.0;
   for (std::size_t k = 0; k < cfg.campaigns; ++k) {
     const sim::ChaosCampaignResult res = soak.run_campaign(k);
     if (!res.ok()) ++out.failed;

@@ -1,6 +1,7 @@
 #include "app/boundary.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -64,28 +65,29 @@ void canonicalize(BlockSummary& s,
 enum class Adjacency { kHorizontal, kVertical };
 
 /// Determines how `a` and `b` fit together; normalizes so the returned pair
-/// is (west-or-north piece, east-or-south piece).
-std::pair<Adjacency, bool> classify(const BlockSummary& a,
-                                    const BlockSummary& b) {
+/// is (west-or-north piece, east-or-south piece). Empty when the extents are
+/// not edge-adjacent.
+std::optional<std::pair<Adjacency, bool>> classify(const BlockSummary& a,
+                                                   const BlockSummary& b) {
   const bool same_rows = a.row0 == b.row0 && a.height == b.height;
   const bool same_cols = a.col0 == b.col0 && a.width == b.width;
   if (same_rows &&
       b.col0 == a.col0 + static_cast<std::int32_t>(a.width)) {
-    return {Adjacency::kHorizontal, false};
+    return std::pair{Adjacency::kHorizontal, false};
   }
   if (same_rows &&
       a.col0 == b.col0 + static_cast<std::int32_t>(b.width)) {
-    return {Adjacency::kHorizontal, true};  // b is the western piece
+    return std::pair{Adjacency::kHorizontal, true};  // b is the western piece
   }
   if (same_cols &&
       b.row0 == a.row0 + static_cast<std::int32_t>(a.height)) {
-    return {Adjacency::kVertical, false};
+    return std::pair{Adjacency::kVertical, false};
   }
   if (same_cols &&
       a.row0 == b.row0 + static_cast<std::int32_t>(b.height)) {
-    return {Adjacency::kVertical, true};  // b is the northern piece
+    return std::pair{Adjacency::kVertical, true};  // b is the northern piece
   }
-  throw std::invalid_argument("merge: extents are not edge-adjacent");
+  return std::nullopt;
 }
 
 std::vector<BoundaryLabel> concat(const std::vector<BoundaryLabel>& x,
@@ -238,12 +240,7 @@ void BlockSummary::validate() const {
 }
 
 bool BlockSummary::mergeable_with(const BlockSummary& other) const {
-  try {
-    classify(*this, other);
-    return true;
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
+  return classify(*this, other).has_value();
 }
 
 std::string BlockSummary::describe() const {
@@ -254,7 +251,11 @@ std::string BlockSummary::describe() const {
 }
 
 BlockSummary merge(const BlockSummary& a, const BlockSummary& b) {
-  const auto [orientation, swapped] = classify(a, b);
+  const auto adjacency = classify(a, b);
+  if (!adjacency) {
+    throw std::invalid_argument("merge: extents are not edge-adjacent");
+  }
+  const auto [orientation, swapped] = *adjacency;
   const BlockSummary& first = swapped ? b : a;   // west or north piece
   const BlockSummary& second = swapped ? a : b;  // east or south piece
 

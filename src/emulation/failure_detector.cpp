@@ -181,7 +181,7 @@ void FailureDetector::adopt_bind(net::NodeId proxy,
   cell_leader_[ci] = proxy;
   // Binding a proxy asserts the cell has no live members left: every relay
   // listed in its roster is gone, so traffic must route around the dead
-  // cell *now*. Waiting for the ARQ give-up backoff (tens of time units
+  // cell *now*. Waiting for the ARQ to give up (tens of time units
   // per blackholed gateway) would stall upleases from every cell whose
   // dimension-order path crosses the hole, cascading spurious suspicion
   // far past the stabilization bound. A wrongly-purged survivor is

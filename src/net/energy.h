@@ -66,22 +66,6 @@ class EnergyLedger {
     note_crossing(node);
   }
 
-  /// Uniform battery for every node (clears overrides). Like set_budget,
-  /// nodes already past the new budget deplete immediately, exactly once.
-  void set_budget_all(double budget) {
-    if (budget < 0) {
-      throw std::invalid_argument("EnergyLedger: negative budget");
-    }
-    budget_ = budget;
-    budget_override_.clear();
-    finite_ = budget != std::numeric_limits<double>::infinity();
-    if (finite_) {
-      for (std::size_t i = 0; i < spent_.size(); ++i) {
-        note_crossing(static_cast<NodeId>(i));
-      }
-    }
-  }
-
   /// Installs the depletion hook (one per ledger; replaces any previous).
   /// Nodes that crossed before the hook was installed do NOT re-fire — the
   /// DepletionMonitor sweeps for them at arm() time instead.

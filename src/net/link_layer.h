@@ -6,10 +6,12 @@
 // broadcast is one transmission heard by every one-hop neighbor: the sender
 // pays tx energy once per data unit and every neighbor in range pays rx
 // energy, matching the short-range omnidirectional antenna model.
+// Every transmission lands one airtime (size / bandwidth) after it is sent,
+// even back to back from one radio; net::ReliableChannel's duplicate
+// suppression relies on that fixed delay.
 #pragma once
 
 #include <any>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -47,7 +49,6 @@ class LinkLayer {
   sim::Simulator& simulator() { return sim_; }
   const NetworkGraph& graph() const { return graph_; }
   const RadioModel& radio() const { return radio_; }
-  const CpuModel& cpu() const { return cpu_; }
   EnergyLedger& ledger() { return ledger_; }
   sim::CounterSet& counters() { return counters_; }
 
@@ -60,48 +61,6 @@ class LinkLayer {
   /// Per-packet loss probability applied independently per receiver.
   void set_loss_probability(double p) { loss_probability_ = p; }
   double loss_probability() const { return loss_probability_; }
-
-  /// Distance-dependent loss: `fn(d)` returns the drop probability for a
-  /// receiver at Euclidean distance d from the sender (composed with the
-  /// flat loss probability into one effective loss; see effective_loss()).
-  /// Models path-loss/shadowing-induced fringe unreliability near the edge
-  /// of the nominal disk; pass nullptr to disable.
-  void set_distance_loss(std::function<double(double)> fn) {
-    distance_loss_ = std::move(fn);
-  }
-  bool has_distance_loss() const { return distance_loss_ != nullptr; }
-
-  /// The exact per-packet drop probability for a transmission from `from`
-  /// heard at `to`: the flat and distance-dependent mechanisms compose as
-  /// independent loss processes, p = 1 - (1-p_flat)(1-p_dist(d)). A single
-  /// RNG draw decides the drop (historically the two mechanisms drew two
-  /// independent coins, which made the composed rate opaque to campaign
-  /// planning); attribution to `link.lost` vs `link.lost_fringe` splits the
-  /// one draw at p_flat, preserving both counters' marginal rates.
-  double effective_loss(NodeId from, NodeId to) const {
-    double p = loss_probability_;
-    if (distance_loss_) {
-      const double d = distance(graph_.position(from), graph_.position(to));
-      p = 1.0 - (1.0 - p) * (1.0 - distance_loss_(d));
-    }
-    return p;
-  }
-
-  /// A sigmoid fringe model: reliable up to `reliable_radius`, then the
-  /// drop probability rises smoothly toward 1 at the nominal range.
-  static std::function<double(double)> sigmoid_fringe(double reliable_radius,
-                                                      double range) {
-    const double width = std::max((range - reliable_radius) / 4.0, 1e-9);
-    return [reliable_radius, width](double d) {
-      return 1.0 / (1.0 + std::exp(-(d - reliable_radius) / width)) *
-             (d > reliable_radius ? 1.0 : 0.0);
-    };
-  }
-
-  /// Opt-in transmitter serialization (default off): a node's radio can
-  /// push only one packet at a time, so back-to-back transmissions queue.
-  /// The physical-layer counterpart of core::Congestion::kNodeSerialized.
-  void set_tx_serialization(bool on) { tx_serialized_ = on; }
 
   /// Marks a node as failed (crashed / removed): it neither transmits nor
   /// receives. Section 5.1 motivates periodic protocol re-execution with
@@ -130,8 +89,7 @@ class LinkLayer {
     }
     ledger_.charge(from, EnergyUse::kTx, radio_.tx_energy_per_unit * size_units);
     counters_.add("link.broadcast");
-    const sim::Time arrive = tx_start(from) + radio_.tx_latency(size_units);
-    if (tx_serialized_) tx_busy_until_(from) = arrive;
+    const sim::Time arrive = sim_.now() + radio_.tx_latency(size_units);
     if (obs::tracer().enabled(obs::Category::kLink)) {
       obs::tracer().emit({sim_.now(), static_cast<std::int64_t>(from),
                           obs::Category::kLink, 'i', "broadcast", flow,
@@ -156,8 +114,7 @@ class LinkLayer {
     }
     ledger_.charge(from, EnergyUse::kTx, radio_.tx_energy_per_unit * size_units);
     counters_.add("link.unicast");
-    const sim::Time arrive = tx_start(from) + radio_.tx_latency(size_units);
-    if (tx_serialized_) tx_busy_until_(from) = arrive;
+    const sim::Time arrive = sim_.now() + radio_.tx_latency(size_units);
     if (obs::tracer().enabled(obs::Category::kLink)) {
       obs::tracer().emit({sim_.now(), static_cast<std::int64_t>(from),
                           obs::Category::kLink, 'i', "unicast", flow,
@@ -165,7 +122,7 @@ class LinkLayer {
                            {"size", size_units},
                            {"arrive", arrive}}});
     }
-    deliver_at(arrive, from, to, payload, size_units, flow);
+    deliver_at(arrive, from, to, std::move(payload), size_units, flow);
   }
 
   /// Charges compute energy and returns the latency of `ops` computations;
@@ -187,19 +144,6 @@ class LinkLayer {
   }
 
  private:
-  /// Earliest instant `from` may begin transmitting.
-  sim::Time tx_start(NodeId from) {
-    if (!tx_serialized_) return sim_.now();
-    if (busy_.size() != graph_.node_count()) {
-      busy_.assign(graph_.node_count(), 0.0);
-    }
-    const sim::Time start = std::max(sim_.now(), busy_[from]);
-    if (start > sim_.now()) counters_.add("link.tx_queued");
-    return start;
-  }
-
-  sim::Time& tx_busy_until_(NodeId from) { return busy_[from]; }
-
   /// Emits a flow-correlated kLink "drop" event so the analyzer can explain
   /// transmissions that never produce a "deliver" (lost in the air, or the
   /// receiver was dead on arrival).
@@ -215,23 +159,13 @@ class LinkLayer {
 
   void deliver_at(sim::Time at, NodeId from, NodeId to, std::any payload,
                   double size_units, std::uint64_t flow) {
-    // One draw against the composed loss probability (see effective_loss);
-    // the draw splits at the flat probability so `link.lost` and
-    // `link.lost_fringe` keep their exact marginal rates. When only one
-    // mechanism is active this consumes the same RNG stream as the historic
-    // two-coin implementation.
-    if (loss_probability_ > 0 || distance_loss_) {
-      const double p = effective_loss(from, to);
-      const double u = sim_.rng().uniform();
-      if (u < p) {
-        counters_.add(u < loss_probability_ ? "link.lost"
-                                            : "link.lost_fringe");
-        trace_drop(from, to, flow, "loss");
-        return;
-      }
+    if (loss_probability_ > 0 && sim_.rng().uniform() < loss_probability_) {
+      counters_.add("link.lost");
+      trace_drop(from, to, flow, "loss");
+      return;
     }
     sim_.schedule_at(at, [this, from, to, payload = std::move(payload),
-                          size_units, flow]() {
+                          size_units, flow]() mutable {
       obs::ProfSpan prof(obs::ProfCat::kLinkRx);
       if (down_[to] || ledger_.depleted(to)) {
         counters_.add("link.rx_dead");
@@ -247,7 +181,7 @@ class LinkLayer {
                              {"size", size_units}}});
       }
       if (receivers_[to]) {
-        receivers_[to](Packet{from, size_units, payload});
+        receivers_[to](Packet{from, size_units, std::move(payload)});
       } else {
         counters_.add("link.no_receiver");
       }
@@ -263,9 +197,6 @@ class LinkLayer {
   std::vector<bool> down_;
   sim::CounterSet counters_;
   double loss_probability_ = 0.0;
-  std::function<double(double)> distance_loss_;
-  bool tx_serialized_ = false;
-  std::vector<sim::Time> busy_;
 };
 
 }  // namespace wsn::net

@@ -22,7 +22,6 @@ class NetworkGraph {
   std::size_t node_count() const { return positions_.size(); }
   double range() const { return range_; }
   const Point& position(NodeId id) const { return positions_[id]; }
-  const std::vector<Point>& positions() const { return positions_; }
 
   /// One-hop neighbors of `id` (the paper's NBR_i), sorted by id.
   std::span<const NodeId> neighbors(NodeId id) const {

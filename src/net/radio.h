@@ -23,9 +23,6 @@ struct RadioModel {
   /// Units of data transmittable per unit latency (paper's B).
   double bandwidth = 1.0;
 
-  /// True iff two nodes separated by Euclidean distance `d` have a link.
-  bool in_range(double d) const { return d <= range; }
-
   /// Time to push `units` of data over one hop.
   double tx_latency(double units) const { return units / bandwidth; }
 };

@@ -5,9 +5,17 @@
 // single loss stalls a collective or silently corrupts its result. This
 // layer adds the missing machinery for unicast traffic (the overlay's hop
 // transport): per-directed-pair sequence numbers, ack frames, retransmit
-// timers with exponential backoff + jitter on the simulator's own event
-// queue, a bounded retry budget with an `on_give_up` callback, and duplicate
-// suppression on receive.
+// timers on the simulator's own event queue (doubling per retry, seeded
+// random stretch), a bounded retry budget with an `on_give_up` callback,
+// and duplicate suppression on receive.
+//
+// All bookkeeping is one record per directed link pair: the next sequence
+// number and the frames awaiting an ack. Every timeout is at least 3x the
+// data-plus-ack airtime and the link lands each copy one airtime after it
+// is sent, so every copy of a frame arrives before its sender retires it
+// (by ack or give-up). A `delivered` flag on the pending frame therefore
+// does a receiver window's job for every frame that can still arrive; the
+// channel is one simulated object serving both endpoints, so it can.
 //
 // Give-ups double as a liveness signal: a frame that survives the full
 // retry budget names a suspect endpoint, which emulation::FailoverBinder
@@ -32,7 +40,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "net/link_layer.h"
 #include "obs/metrics_registry.h"
@@ -41,20 +49,8 @@
 namespace wsn::net {
 
 struct ReliableConfig {
-  /// Initial retransmit timeout = rto_factor x (data airtime + ack airtime),
-  /// floored at min_rto. Must exceed one round trip or every frame
-  /// retransmits at least once.
-  double rto_factor = 3.0;
-  double min_rto = 1.0;
-  /// Timeout multiplier per retry (exponential backoff).
-  double backoff = 2.0;
-  /// Each timeout is stretched by uniform[0, jitter) of itself, decorrelating
-  /// retransmit bursts. Drawn from the simulator RNG: deterministic per seed.
-  double jitter = 0.25;
   /// Retransmissions after the initial transmission before giving up.
   std::uint32_t max_retries = 5;
-  /// Airtime/energy size of an ack frame in data units.
-  double ack_size_units = 0.25;
 };
 
 class ReliableChannel {
@@ -81,8 +77,6 @@ class ReliableChannel {
 
   void set_on_give_up(GiveUp fn) { on_give_up_ = std::move(fn); }
 
-  LinkLayer& link() { return link_; }
-  const ReliableConfig& config() const { return cfg_; }
   /// Frames currently awaiting an ack.
   std::size_t in_flight() const { return in_flight_; }
   sim::CounterSet& counters() { return counters_; }
@@ -112,32 +106,33 @@ class ReliableChannel {
   struct Pending {
     sim::EventId timer = 0;
     std::uint32_t attempts = 0;  // transmissions performed so far
-    double rto = 0.0;            // timeout armed for the last transmission
+    bool delivered = false;      // a copy has reached the receiver
     Frame frame;
+  };
+
+  /// Everything the channel keeps about one directed pair.
+  struct PairState {
+    std::uint64_t next_seq = 0;
+    std::vector<Pending> pending;  // awaiting an ack, in sequence order
   };
 
   static std::uint64_t pair_key(NodeId a, NodeId b) {
     return (static_cast<std::uint64_t>(a) << 32) | b;
   }
 
+  /// The frame `seq` of `pair` awaiting an ack, or null once retired.
+  Pending* find_pending(std::uint64_t pair, std::uint64_t seq);
+  void retire(std::uint64_t pair, std::uint64_t seq);
   void handle(NodeId at, const Packet& raw);
-  void transmit(Pending& p);
-  void arm_timer(Pending& p);
+  void transmit(Pending& p);  // sends a copy and arms its timeout
   void on_timeout(std::uint64_t pair, std::uint64_t seq);
-  void give_up(std::uint64_t pair, std::uint64_t seq);
-  double initial_rto(double data_size) const;
   void trace_rel(const char* name, const Frame& fr, std::int64_t node,
                  std::uint32_t attempts);
 
   LinkLayer& link_;
   ReliableConfig cfg_;
   std::vector<LinkLayer::Receiver> receivers_;
-  /// Sender side: next sequence number and unacked frames per directed pair.
-  std::unordered_map<std::uint64_t, std::uint64_t> next_seq_;
-  std::unordered_map<std::uint64_t, std::unordered_map<std::uint64_t, Pending>>
-      pending_;
-  /// Receiver side: sequence numbers already delivered upward, per pair.
-  std::unordered_map<std::uint64_t, std::unordered_set<std::uint64_t>> seen_;
+  std::unordered_map<std::uint64_t, PairState> pairs_;
   std::size_t in_flight_ = 0;
   GiveUp on_give_up_;
   sim::CounterSet counters_;

@@ -26,21 +26,38 @@ namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
 std::atomic<std::uint64_t> g_alloc_bytes{0};
 
-void* counted_alloc(std::size_t n) {
+void* counted_malloc(std::size_t n) noexcept {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* counted_alloc(std::size_t n) {
+  if (void* p = counted_malloc(n)) return p;
   throw std::bad_alloc();
 }
 
 }  // namespace
 
+// The nothrow forms are replaced too (std::stable_sort's buffer comes from
+// them): under ASan the default ones are the sanitizer's, and freeing their
+// memory with std::free below is an alloc-dealloc mismatch.
 void* operator new(std::size_t n) { return counted_alloc(n); }
 void* operator new[](std::size_t n) { return counted_alloc(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace wsn::obs {
 

@@ -33,6 +33,16 @@ namespace wsn::sim {
 
 namespace {
 
+constexpr double kRange = 1.3;     // radio range, in cell sides
+constexpr Time kDeadline = 120.0;  // per reduce round
+constexpr std::size_t kMaxPlanEvents = 10;
+constexpr std::size_t kDepletionTargets = 2;  // leaders given a battery
+// Energy a budgeted leader has left at its set_budget tick; see the
+// low-water derivation in run_campaign for why the reserve must be large.
+constexpr double kDepletionHeadroom = 80.0;
+constexpr Time kDepletionGrace = 400.0;  // settle until batteries drain
+constexpr std::size_t kMembershipVacancies = 1;  // cells vacated per plan
+
 // The full physical stack a campaign runs against. Mirrors the benches'
 // PhysicalStack (bench_common.h is not visible from src/), but owned here
 // so campaigns can rebuild from scratch deterministically.
@@ -262,10 +272,12 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
     }
     obs::tracer().reset_flows(0);
     stack = std::make_unique<Stack>(cfg_.topology, cfg_.grid_side,
-                                    cfg_.node_count, cfg_.range,
+                                    cfg_.node_count, kRange,
                                     res.seed + 1000003 * retry);
     if (stack->healthy(cfg_.membership)) break;
     ++res.seeds_rejected;
+    res.sim_events += stack->sim.events_processed();
+    res.sim_time += stack->sim.now();
     if (retry > 16) {
       res.findings.push_back("no healthy deployment after 16 seed retries");
       return res;
@@ -283,22 +295,16 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
     // heartbeat, and a busy leader burns 1.5-2.5 units/s until the claim
     // commits — so handoff-precedes-death needs most of the headroom left
     // when the probe goes out.
-    dcfg.handoff_low_water = cfg_.depletion_headroom * 0.6;
+    dcfg.handoff_low_water = kDepletionHeadroom * 0.6;
   }
-  if (cfg_.corruption && dcfg.audit_period <= 0.0) {
+  if ((cfg_.corruption || cfg_.membership) && dcfg.audit_period <= 0.0) {
     // Self-stabilization needs the periodic reconciliation rounds: without
     // audits a corrupted self-believed leader never hears a view to defer
-    // to and the soak could not meet its re-convergence bound.
-    dcfg.audit_period = cfg_.corruption_audit_period;
+    // to, and membership's roster repair rides on the audit digests.
+    dcfg.audit_period = kSoakAuditPeriod;
   }
-  if (cfg_.membership) {
-    // Live beliefs/rosters plus adoption; the roster-repair bound needs
-    // audit rounds carrying digests, so the audit default applies here too.
-    dcfg.membership = true;
-    if (dcfg.audit_period <= 0.0) {
-      dcfg.audit_period = cfg_.membership_audit_period;
-    }
-  }
+  // Membership mode: live beliefs/rosters plus adoption.
+  if (cfg_.membership) dcfg.membership = true;
   emulation::FailureDetector detector(*stack->overlay, dcfg);
 
   obs::MetricsRegistry registry;
@@ -316,7 +322,7 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
   Rng rng(res.seed * 0x9e3779b97f4a7c15ULL + 0x1234567);
   const core::GridTopology& grid = stack->overlay->grid();
   const Time horizon =
-      static_cast<double>(cfg_.rounds) * (cfg_.deadline + 10.0);
+      static_cast<double>(cfg_.rounds) * (kDeadline + 10.0);
   GeneratedPlan gen;
   std::vector<bool> hit(grid.node_count(), false);
   hit[grid.index_of({0, 0})] = true;  // never target the collector cell
@@ -358,7 +364,7 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
     // radio edge into an untargeted cell, or adoption has nobody to reach;
     // that refuge cell is marked hit so a later vacancy cannot empty it.
     for (int attempt = 0;
-         attempt < 64 && gen.vacancies.size() < cfg_.membership_vacancies;
+         attempt < 64 && gen.vacancies.size() < kMembershipVacancies;
          ++attempt) {
       const std::size_t ci = rng.below(grid.node_count());
       const core::GridCoord cell = grid.coord_of(ci);
@@ -423,7 +429,7 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
   }
   for (int attempt = 0; !cfg_.corruption && !cfg_.membership &&
                         attempt < 64 && budget > 0.0 &&
-                        gen.plan.events.size() < cfg_.max_plan_events;
+                        gen.plan.events.size() < kMaxPlanEvents;
        ++attempt) {
     const double draw = rng.uniform();
     if (draw < 0.45) {
@@ -530,10 +536,10 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
     // Give a few untouched cells' leaders a finite battery. Resolved to
     // node ids now (like crashes) so the plan replays without a live
     // binding; "headroom" still resolves against fire-time spend, so the
-    // leader has exactly depletion_headroom energy left when the event
+    // leader has exactly kDepletionHeadroom energy left when the event
     // lands regardless of setup traffic.
     for (int attempt = 0;
-         attempt < 64 && gen.depletions.size() < cfg_.depletion_targets;
+         attempt < 64 && gen.depletions.size() < kDepletionTargets;
          ++attempt) {
       const std::size_t ci = rng.below(grid.node_count());
       const core::GridCoord cell = grid.coord_of(ci);
@@ -547,7 +553,7 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
       ev.at = 2.0 + rng.uniform() * 6.0;
       ev.kind = FaultKind::kSetBudget;
       ev.node = leader;
-      ev.headroom = cfg_.depletion_headroom;
+      ev.headroom = kDepletionHeadroom;
       gen.plan.events.push_back(ev);
       gen.depletions.push_back({cell, leader, ev.at});
     }
@@ -585,9 +591,9 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
     const Time round_start = stack->sim.now();
     core::group_reduce_deadline(
         *stack->overlay, all_cells, {0, 0}, values, core::ReduceOp::kSum, 1.0,
-        cfg_.deadline,
+        kDeadline,
         [partials](const core::PartialResult& p) { partials->push_back(p); });
-    stack->sim.run_until(round_start + cfg_.deadline + 5.0);
+    stack->sim.run_until(round_start + kDeadline + 5.0);
   }
 
   // Let the detector settle past the last outage (down_horizon), plus the
@@ -596,7 +602,7 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
   const Time settle =
       std::max(stack->sim.now(), arm_time + gen.plan.down_horizon()) +
       detection_bound() + cfg_.detector.uplease_duration +
-      (cfg_.depletion ? cfg_.depletion_grace : 0.0) +
+      (cfg_.depletion ? kDepletionGrace : 0.0) +
       (cfg_.corruption || cfg_.membership ? detector.stabilization_bound()
                                           : 0.0) +
       // Proxy re-binding of a vacated cell can ride the parent path: two
@@ -612,6 +618,8 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
   const std::vector<emulation::ClaimRecord> claims = detector.claims();
   detector.stop();
   stack->sim.run();
+  res.sim_events += stack->sim.events_processed();
+  res.sim_time += stack->sim.now();
 
   // ---- Invariants --------------------------------------------------------
   auto finding = [&res](std::string msg) {
@@ -740,8 +748,8 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
       if (d.node == td.node) death = &d;
     }
     if (death == nullptr) {
-      finding(tag + ": battery never ran out (campaign proves nothing; "
-                    "raise depletion_grace or cut depletion_headroom)");
+      finding(tag + ": battery never ran out before settle (campaign "
+                    "proves nothing)");
       continue;
     }
     // The tentpole invariant: with half the headroom reserved below the

@@ -39,21 +39,23 @@
 
 namespace wsn::sim {
 
+/// Audit period the corruption and membership soaks give the detector when
+/// its config leaves audit_period at 0. Their stabilization bounds are
+/// multiples of it.
+inline constexpr Time kSoakAuditPeriod = 15.0;
+
 struct ChaosSoakConfig {
   // Stack shape (small enough that 25 campaigns stay cheap under ASan).
   std::size_t grid_side = 4;
   std::size_t node_count = 60;
-  double range = 1.3;
   /// Base seed; campaign k derives everything from `seed + k`.
   std::uint64_t seed = 20260805;
   std::size_t campaigns = 25;
   /// Deadline-bounded reduce rounds run while faults fire.
   std::size_t rounds = 2;
-  Time deadline = 120.0;
   /// Plan-generator spending cap: leader crash 1.5, member crash 0.75,
   /// loss burst ~ loss*duration/5, region outage 0.75/cell.
   double severity_budget = 4.0;
-  std::size_t max_plan_events = 10;
   /// When non-empty, each campaign streams its trace to
   /// `<trace_out_dir>/campaign_<index>` as wtr segments (obs/stream_sink.h),
   /// the only capture a campaign makes. A sink failure is a finding.
@@ -61,7 +63,7 @@ struct ChaosSoakConfig {
   emulation::FailureDetectorConfig detector;
 
   /// Depletion mode: the generator additionally gives a few cells' bound
-  /// leaders finite batteries (kSetBudget with `depletion_headroom` energy
+  /// leaders finite batteries (kSetBudget with a fixed energy headroom
   /// left), a DepletionMonitor turns the crossings into deaths, and the
   /// detector runs with proactive handoff at 60% of the headroom. The
   /// trace oracle's depletion invariants then bite, and the invariant pass
@@ -69,15 +71,6 @@ struct ChaosSoakConfig {
   /// old_leader == it) strictly before its battery dies, and that its cell
   /// never split-brains.
   bool depletion = false;
-  std::size_t depletion_targets = 2;
-  /// Energy left at the set_budget tick. A busy leader burns 1.5-2.5
-  /// units/s (beats, flood forwards, ARQ acks, routed reduce traffic) and
-  /// the handoff's own kElect flood storm costs it ~20 units more, so the
-  /// reserve below the low-water mark must absorb both; see the low-water
-  /// derivation in chaos_soak.cpp.
-  double depletion_headroom = 80.0;
-  /// Extra settle time so budgeted leaders actually drain to zero.
-  Time depletion_grace = 400.0;
 
   /// Node-placement shape (net/topology_factory.h). kGrid reproduces the
   /// classic kOnePerCellPlus deployment byte-for-byte; ring/line/mesh/
@@ -87,14 +80,13 @@ struct ChaosSoakConfig {
 
   /// Corruption mode: the generator emits *only* state_corruption events
   /// (seeded victim, seeded target profile), the detector runs with
-  /// self-stabilization audits on (audit_period below, applied when the
-  /// detector config leaves it 0), settle extends by the stabilization
-  /// bound, and the oracle additionally asserts the trace's
+  /// self-stabilization audits on (kSoakAuditPeriod, applied when the
+  /// detector config leaves audit_period 0), settle extends by the
+  /// stabilization bound, and the oracle additionally asserts the trace's
   /// self-stabilization invariant, full per-cell end-state agreement
   /// (unconverged_cells), and strictly increasing claim epochs per cell.
   bool corruption = false;
   std::size_t corruption_events = 3;
-  double corruption_audit_period = 15.0;
 
   /// Membership mode: cell beliefs and leader rosters become live protocol
   /// state (detector.membership, audits on). The generator emits
@@ -113,9 +105,7 @@ struct ChaosSoakConfig {
   /// but stops rejecting unoccupied cells — adoption is expected to
   /// restore coverage, so vacancy-at-start is a scenario, not a bad draw.
   bool membership = false;
-  std::size_t membership_events = 3;     // membership corruption strikes
-  std::size_t membership_vacancies = 1;  // cells vacated to force adoption
-  double membership_audit_period = 15.0;
+  std::size_t membership_events = 3;  // membership corruption strikes
 };
 
 struct ChaosCampaignResult {
@@ -147,6 +137,10 @@ struct ChaosCampaignResult {
   /// Worst vacancy-to-adoption latency over planned vacancies (membership
   /// mode); 0 when the plan carried none.
   double max_adoption_latency = 0.0;
+  /// Kernel events dispatched and final simulated time, summed over every
+  /// stack the campaign built, rejected deployment draws included.
+  std::uint64_t sim_events = 0;
+  Time sim_time = 0.0;
 
   bool ok() const { return findings.empty(); }
 };
@@ -162,8 +156,6 @@ struct ChaosSoakSummary {
 class ChaosSoak {
  public:
   explicit ChaosSoak(ChaosSoakConfig cfg = {}) : cfg_(cfg) {}
-
-  const ChaosSoakConfig& config() const { return cfg_; }
 
   /// Upper bound on crash -> fd.claim latency asserted per campaign:
   /// worst-case remaining lease, the electing-grace re-arm, the staggered

@@ -53,8 +53,7 @@ class Simulator {
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 
-  bool idle() const { return queue_.empty(); }
-  std::size_t pending() const { return queue_.size(); }
+  std::size_t pending() const { return queue_.live(); }
   std::uint64_t events_processed() const { return processed_; }
 
   /// Read-only kernel introspection (depth, tombstones, peak, skip counts)
@@ -100,8 +99,8 @@ class Simulator {
   }
 
   /// Registers the kernel telemetry gauges — queue depth, tombstones,
-  /// lifetime scheduled count, peak heap size, lazy-skip and fired-clear
-  /// counts, events processed — under `prefix` in the unified registry.
+  /// lifetime scheduled count, peak queue size, lazy-skip count, events
+  /// processed — under `prefix` in the unified registry.
   /// The obs::SimProfiler adds the host-time side (prof.events_per_sec);
   /// these gauges are pure simulated-kernel state and poll at snapshot
   /// time.
@@ -121,9 +120,6 @@ class Simulator {
     });
     registry.add_gauge(prefix + ".cancelled_skips", [this] {
       return static_cast<double>(queue_.cancelled_skips());
-    });
-    registry.add_gauge(prefix + ".fired_clears", [this] {
-      return static_cast<double>(queue_.fired_clears());
     });
     registry.add_gauge(prefix + ".events_processed", [this] {
       return static_cast<double>(processed_);

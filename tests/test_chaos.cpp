@@ -84,6 +84,11 @@ TEST(ChaosSoak, SingleCampaignReplaysByteIdentically) {
   EXPECT_EQ(r.first.seed, r.second.seed);
   EXPECT_EQ(r.first.plan_json, r.second.plan_json);
   EXPECT_EQ(r.first.events, r.second.events);
+  // The kernel totals wsn-chaos --profile sums are reported and replay too.
+  EXPECT_GT(r.first.sim_events, 0u);
+  EXPECT_GT(r.first.sim_time, 0.0);
+  EXPECT_EQ(r.first.sim_events, r.second.sim_events);
+  EXPECT_EQ(r.first.sim_time, r.second.sim_time);
   EXPECT_EQ(r.first_trace, r.second_trace)
       << "same seed + same plan must produce a byte-identical trace";
 }
@@ -180,7 +185,7 @@ TEST(ChaosSoak, CorruptionSoakReconvergesAcrossTopologies) {
     const sim::ChaosSoak soak(cfg);
     const double bound = 2.5 * cfg.detector.lease_duration +
                          1.5 * cfg.detector.election_timeout +
-                         cfg.corruption_audit_period + 10.0;
+                         sim::kSoakAuditPeriod + 10.0;
     for (std::size_t k = 0; k < cfg.campaigns; ++k) {
       const auto res = soak.run_campaign(k);
       EXPECT_EQ(res.topology, net::to_string(topo));
@@ -253,7 +258,7 @@ TEST(ChaosSoak, MembershipSoakHealsAcrossTopologies) {
     const sim::ChaosSoak soak(cfg);
     const double bound = 2.5 * cfg.detector.lease_duration +
                          1.5 * cfg.detector.election_timeout +
-                         2.0 * cfg.membership_audit_period + 10.0;
+                         2.0 * sim::kSoakAuditPeriod + 10.0;
     for (std::size_t k = 0; k < cfg.campaigns; ++k) {
       const auto res = soak.run_campaign(k);
       EXPECT_EQ(res.topology, net::to_string(topo));

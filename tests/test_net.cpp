@@ -426,39 +426,9 @@ TEST_F(LinkLayerTest, LossDropsPackets) {
   EXPECT_EQ(link_.counters().get("link.lost"), 2u);
 }
 
-TEST_F(LinkLayerTest, DistanceLossDropsFringeOnly) {
-  // Nodes at distance 1 (0-1, 1-2): with a fringe starting at 1.05 the
-  // links are fully reliable; with the fringe at 0.5 they drop often.
-  int got = 0;
-  link_.set_receiver(0, [&](const Packet&) { ++got; });
-  link_.set_distance_loss(net::LinkLayer::sigmoid_fringe(1.05, 1.1));
-  for (int i = 0; i < 50; ++i) link_.unicast(1, 0, 0, 1.0);
-  sim_.run();
-  EXPECT_EQ(got, 50);
-  link_.set_distance_loss(net::LinkLayer::sigmoid_fringe(0.2, 1.1));
-  got = 0;
-  for (int i = 0; i < 200; ++i) link_.unicast(1, 0, 0, 1.0);
-  sim_.run();
-  EXPECT_LT(got, 150);  // significant fringe loss
-  EXPECT_GT(link_.counters().get("link.lost_fringe"), 0u);
-}
-
-TEST_F(LinkLayerTest, TxSerializationQueuesBackToBackSends) {
-  link_.set_tx_serialization(true);
-  std::vector<sim::Time> arrivals;
-  link_.set_receiver(0, [&](const Packet&) { arrivals.push_back(sim_.now()); });
-  // Three unit packets fired at t=0 from the same radio: with a serialized
-  // transmitter they arrive at 1, 2, 3 instead of all at 1.
-  for (int i = 0; i < 3; ++i) link_.unicast(1, 0, 0, 1.0);
-  sim_.run();
-  ASSERT_EQ(arrivals.size(), 3u);
-  EXPECT_DOUBLE_EQ(arrivals[0], 1.0);
-  EXPECT_DOUBLE_EQ(arrivals[1], 2.0);
-  EXPECT_DOUBLE_EQ(arrivals[2], 3.0);
-  EXPECT_EQ(link_.counters().get("link.tx_queued"), 2u);
-}
-
-TEST_F(LinkLayerTest, TxSerializationOffByDefault) {
+TEST_F(LinkLayerTest, BackToBackSendsLandOneAirtimeLater) {
+  // A radio never queues: every copy lands one airtime after it is sent,
+  // the fixed delay ReliableChannel's duplicate suppression relies on.
   std::vector<sim::Time> arrivals;
   link_.set_receiver(0, [&](const Packet&) { arrivals.push_back(sim_.now()); });
   for (int i = 0; i < 3; ++i) link_.unicast(1, 0, 0, 1.0);

@@ -247,19 +247,29 @@ TEST(EventQueue, IntrospectionAccessorsTrackLifecycle) {
   EXPECT_EQ(q.peak_size(), 3u);  // high-water mark survives the drain
 }
 
-TEST(EventQueue, FiredClearHeuristicIsObservableAndHasKnownEdge) {
+TEST(EventQueue, CancelStaysExactAcrossSlotReuse) {
+  // 2^20 + 2 events through one slot. A long-fired id must not cancel
+  // anything, however often its slot has been reused since.
   sim::EventQueue q;
   const std::size_t n = (1u << 20) + 2;
-  for (std::size_t i = 0; i < n; ++i) {
+  const sim::EventId first = q.schedule(0.0, [] {});
+  q.pop();
+  for (std::size_t i = 1; i < n; ++i) {
     q.schedule(static_cast<double>(i), [] {});
     q.pop();
   }
-  EXPECT_EQ(q.fired_clears(), 1u);
-  // The documented edge: after a clear, an id that fired *before* the clear
-  // is no longer remembered, so cancelling it "succeeds" (and leaves an
-  // unreachable tombstone). The counter exists precisely so this is
-  // observable rather than mysterious.
-  EXPECT_TRUE(q.cancel(0));
+  EXPECT_FALSE(q.cancel(first));
+  EXPECT_EQ(q.live(), 0u);
+  EXPECT_EQ(q.tombstones(), 0u);
+  EXPECT_EQ(q.total_scheduled(), n);
+  // Slot 0 now holds a live event; id 0 still names nothing.
+  const sim::EventId live = q.schedule(static_cast<double>(n), [] {});
+  EXPECT_FALSE(q.cancel(0));
+  EXPECT_EQ(q.live(), 1u);
+  EXPECT_EQ(q.tombstones(), 0u);
+  EXPECT_TRUE(q.cancel(live));
+  EXPECT_EQ(q.live(), 0u);
+  EXPECT_EQ(q.tombstones(), 1u);
 }
 
 TEST(Simulator, KernelGaugesReflectQueueState) {
@@ -280,7 +290,6 @@ TEST(Simulator, KernelGaugesReflectQueueState) {
   EXPECT_DOUBLE_EQ(registry.gauge("kernel.queue_depth"), 0.0);
   EXPECT_DOUBLE_EQ(registry.gauge("kernel.events_processed"), 2.0);
   EXPECT_DOUBLE_EQ(registry.gauge("kernel.cancelled_skips"), 1.0);
-  EXPECT_DOUBLE_EQ(registry.gauge("kernel.fired_clears"), 0.0);
 }
 
 // ---------------------------------------------------------------------------

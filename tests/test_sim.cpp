@@ -94,13 +94,24 @@ TEST(Rng, SplitStreamsAreIndependent) {
 }
 
 TEST(EventQueue, FifoTieBreaking) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(1.0, [&] { order.push_back(1); });
-  q.schedule(1.0, [&] { order.push_back(2); });
-  q.schedule(0.5, [&] { order.push_back(0); });
-  while (!q.empty()) q.pop().second();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  // Events are numbered in schedule order; ties fire in that order. In the
+  // second case the 1.0 tie is split: the first 1.0 sits in the lane, the
+  // last one, scheduled after 2.0, in the heap.
+  const std::vector<std::pair<std::vector<Time>, std::vector<int>>> cases = {
+      {{1.0, 1.0, 0.5}, {3, 1, 2}},
+      {{1.0, 2.0, 1.0}, {1, 3, 2}},
+  };
+  for (const auto& [times, want] : cases) {
+    EventQueue q;
+    std::vector<int> order;
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      q.schedule(times[i], [&order, i] {
+        order.push_back(static_cast<int>(i) + 1);
+      });
+    }
+    while (!q.empty()) q.pop().second();
+    EXPECT_EQ(order, want);
+  }
 }
 
 TEST(EventQueue, CancelSkipsEvent) {
@@ -110,7 +121,7 @@ TEST(EventQueue, CancelSkipsEvent) {
   const EventId b = q.schedule(2.0, [&] { fired += 10; });
   q.schedule(3.0, [&] { ++fired; });
   EXPECT_TRUE(q.cancel(b));
-  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.live(), 2u);
   while (!q.empty()) q.pop().second();
   EXPECT_EQ(fired, 2);
 }
@@ -135,6 +146,25 @@ TEST(Simulator, ClockAdvancesMonotonically) {
   sim.run();
   EXPECT_EQ(times, (std::vector<Time>{1.0, 1.5, 2.0}));
   EXPECT_EQ(sim.events_processed(), 3u);
+}
+
+TEST(Simulator, CallbackCancellingItsOwnIdIsANoOp) {
+  // deadline_gather's close() cancels its deadline timer from inside that
+  // timer's callback. The id has fired, so cancel() returns false and leaves
+  // the follow-up event, which already reuses the timer's slot, alone.
+  Simulator sim;
+  EventId self = 0;
+  bool cancelled = true;
+  bool follow_up = false;
+  self = sim.schedule_in(1.0, [&] {
+    sim.schedule_in(1.0, [&] { follow_up = true; });
+    cancelled = sim.cancel(self);
+  });
+  sim.run();
+  EXPECT_FALSE(cancelled);
+  EXPECT_TRUE(follow_up);
+  EXPECT_EQ(sim.queue().tombstones(), 0u);
+  EXPECT_EQ(sim.events_processed(), 2u);
 }
 
 TEST(Simulator, PostRunsAtCurrentTime) {

@@ -42,13 +42,16 @@
 // campaign length, readable with `wsn-inspect check DIR/campaign_<k>`.
 //
 // --profile arms the host-side SimProfiler across the whole soak and writes
-// its perf snapshot (wsn-inspect perf) to PATH on exit. Profiling reads only
+// its perf snapshot (wsn-inspect perf) to PATH on exit, with the kernel
+// events and simulated time summed over every stack it ran: campaigns,
+// rejected deployment draws and --out replays. Profiling reads only
 // the host clock, so campaign traces and verdicts are unchanged by it.
 //
 // --depletion switches the generator into energy-exhaustion mode: a few
 // cells' leaders get finite batteries, the detector runs with proactive
 // handoff, and campaigns additionally assert the depletion invariants
 // (exactly-once deaths, no post-mortem frames, handoff before death).
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -71,8 +74,7 @@ void write_file(const std::string& path, const std::string& content) {
 }
 
 void report(const wsn::sim::ChaosCampaignResult& res,
-            const wsn::sim::ChaosSoakConfig& cfg, bool verbose,
-            const std::string& out_dir) {
+            const wsn::sim::ChaosSoakConfig& cfg, bool verbose) {
   const bool corruption = cfg.corruption;
   const bool membership = cfg.membership;
   if (membership) {
@@ -106,17 +108,22 @@ void report(const wsn::sim::ChaosCampaignResult& res,
       std::printf("  FINDING: %s\n", f.c_str());
     }
   }
-  if (!res.ok() && !out_dir.empty()) {
-    const std::string stem =
-        out_dir + "/campaign_" + std::to_string(res.index);
-    write_file(stem + ".plan.json", res.plan_json);
-    // The soak keeps no trace; replaying the campaign streams it to disk.
-    wsn::sim::ChaosSoakConfig replay = cfg;
-    replay.trace_out_dir = out_dir;
-    wsn::sim::ChaosSoak(replay).run_campaign(res.index);
-    std::printf("  artifacts: %s.plan.json, %s/ (wtr trace)\n", stem.c_str(),
-                stem.c_str());
-  }
+}
+
+/// Writes a failing campaign's plan to `out_dir` and replays the campaign
+/// to stream its trace there (the soak keeps none). Returns the replay.
+wsn::sim::ChaosCampaignResult save_artifacts(
+    const wsn::sim::ChaosCampaignResult& res,
+    const wsn::sim::ChaosSoakConfig& cfg, const std::string& out_dir) {
+  const std::string stem = out_dir + "/campaign_" + std::to_string(res.index);
+  write_file(stem + ".plan.json", res.plan_json);
+  wsn::sim::ChaosSoakConfig replay = cfg;
+  replay.trace_out_dir = out_dir;
+  wsn::sim::ChaosCampaignResult replayed =
+      wsn::sim::ChaosSoak(replay).run_campaign(res.index);
+  std::printf("  artifacts: %s.plan.json, %s/ (wtr trace)\n", stem.c_str(),
+              stem.c_str());
+  return replayed;
 }
 
 }  // namespace
@@ -210,12 +217,24 @@ int main(int argc, char** argv) {
   std::size_t adoptions = 0;
   std::size_t adopt_binds = 0;
   unsigned long long seeds_rejected = 0;
+  std::uint64_t sim_events = 0;
+  double sim_time = 0.0;
   const auto take = [&](const wsn::sim::ChaosCampaignResult& res) {
-    report(res, cfg, verbose, out_dir);
-    if (!res.ok()) ++failed;
+    report(res, cfg, verbose);
     adoptions += res.adoptions;
     adopt_binds += res.adopt_binds;
     seeds_rejected += res.seeds_rejected;
+    sim_events += res.sim_events;
+    sim_time += res.sim_time;
+    if (!res.ok()) {
+      ++failed;
+      if (!out_dir.empty()) {
+        const wsn::sim::ChaosCampaignResult replay =
+            save_artifacts(res, cfg, out_dir);
+        sim_events += replay.sim_events;
+        sim_time += replay.sim_time;
+      }
+    }
     const double lat = cfg.corruption || cfg.membership
                            ? res.max_reconverge_latency
                            : res.max_detection_latency;
@@ -243,6 +262,7 @@ int main(int argc, char** argv) {
   }
   if (!profile_path.empty()) {
     wsn::obs::profiler().disarm();
+    wsn::obs::profiler().note_sim(sim_time, sim_events);
     write_file(profile_path, wsn::obs::profiler().to_json() + "\n");
     std::printf("perf profile: %s (read with wsn-inspect perf)\n",
                 profile_path.c_str());
