@@ -17,6 +17,10 @@ constexpr double kMinRto = 1.0;     // floor of the first timeout
 constexpr double kJitter = 0.25;    // seeded stretch, up to 25%, per timeout
 constexpr double kAckSize = 0.25;   // ack airtime/energy, in data units
 
+// The wire tag of a frame (see reliable_link.h).
+std::uint64_t data_tag(std::uint64_t seq) { return seq << 1; }
+std::uint64_t ack_tag(std::uint64_t seq) { return seq << 1 | 1; }
+
 }  // namespace
 
 ReliableChannel::ReliableChannel(LinkLayer& link, ReliableConfig cfg)
@@ -26,15 +30,16 @@ ReliableChannel::ReliableChannel(LinkLayer& link, ReliableConfig cfg)
   }
 }
 
-void ReliableChannel::trace_rel(const char* name, const Frame& fr,
-                                std::int64_t node, std::uint32_t attempts) {
+void ReliableChannel::trace_rel(const char* name, std::uint64_t pair,
+                                std::uint64_t seq, std::uint64_t flow,
+                                NodeId node, std::uint32_t attempts) {
   auto& tr = obs::tracer();
   if (!tr.enabled(obs::Category::kReliability)) return;
-  tr.emit({link_.simulator().now(), node, obs::Category::kReliability, 'i',
-           name, fr.flow,
-           {{"src", static_cast<std::uint64_t>(fr.src)},
-            {"dst", static_cast<std::uint64_t>(fr.dst)},
-            {"seq", fr.seq},
+  tr.emit({link_.simulator().now(), static_cast<std::int64_t>(node),
+           obs::Category::kReliability, 'i', name, flow,
+           {{"src", static_cast<std::uint64_t>(pair_src(pair))},
+            {"dst", static_cast<std::uint64_t>(pair_dst(pair))},
+            {"seq", seq},
             {"attempts", static_cast<std::uint64_t>(attempts)}}});
 }
 
@@ -43,46 +48,47 @@ ReliableChannel::Pending* ReliableChannel::find_pending(std::uint64_t pair,
   const auto it = pairs_.find(pair);
   if (it == pairs_.end()) return nullptr;
   for (Pending& p : it->second.pending) {
-    if (p.frame.seq == seq) return &p;
+    if (p.seq == seq) return &p;
   }
   return nullptr;
 }
 
 void ReliableChannel::retire(std::uint64_t pair, std::uint64_t seq) {
   std::erase_if(pairs_[pair].pending,
-                [seq](const Pending& p) { return p.frame.seq == seq; });
+                [seq](const Pending& p) { return p.seq == seq; });
   --in_flight_;
 }
 
 void ReliableChannel::send(NodeId from, NodeId to, std::any payload,
                            double size_units, std::uint64_t flow) {
   obs::ProfSpan prof(obs::ProfCat::kArq);
-  PairState& pair = pairs_[pair_key(from, to)];
-  Frame fr{false, from, to, ++pair.next_seq, size_units,
-           std::make_shared<std::any>(std::move(payload)), flow};
+  const std::uint64_t pair = pair_key(from, to);
+  PairState& state = pairs_[pair];
+  Pending& p = state.pending.emplace_back();
+  p.seq = ++state.next_seq;
+  p.size = size_units;
+  p.flow = flow;
+  p.payload = std::move(payload);
   counters_.add("arq.send");
-  trace_rel("rel.send", fr, static_cast<std::int64_t>(from), 0);
-  Pending& p = pair.pending.emplace_back();
-  p.frame = std::move(fr);
+  trace_rel("rel.send", pair, p.seq, flow, from, 0);
   ++in_flight_;
-  transmit(p);
+  transmit(pair, p);
 }
 
-void ReliableChannel::transmit(Pending& p) {
+void ReliableChannel::transmit(std::uint64_t pair, Pending& p) {
   ++p.attempts;
   // A down/depleted sender's unicast is a silent no-op at the link; the
   // timer still runs, so the failure surfaces as a give-up (the channel
   // object is middleware bookkeeping that outlives the node).
-  link_.unicast(p.frame.src, p.frame.dst, p.frame, p.frame.data_size,
-                p.frame.flow);
-  const double round_trip = link_.radio().tx_latency(p.frame.data_size) +
-                            link_.radio().tx_latency(kAckSize);
+  link_.unicast(pair_src(pair), pair_dst(pair), data_tag(p.seq), p.size,
+                p.flow);
+  const double round_trip =
+      link_.radio().tx_latency(p.size) + link_.radio().tx_latency(kAckSize);
   const double rto = std::ldexp(std::max(kMinRto, kRtoFactor * round_trip),
                                 static_cast<int>(p.attempts) - 1);
   const double timeout =
       rto * (1.0 + link_.simulator().rng().uniform(0.0, kJitter));
-  const std::uint64_t pair = pair_key(p.frame.src, p.frame.dst);
-  const std::uint64_t seq = p.frame.seq;
+  const std::uint64_t seq = p.seq;
   p.timer = link_.simulator().schedule_in(
       timeout, [this, pair, seq]() { on_timeout(pair, seq); });
 }
@@ -90,60 +96,61 @@ void ReliableChannel::transmit(Pending& p) {
 void ReliableChannel::on_timeout(std::uint64_t pair, std::uint64_t seq) {
   Pending* p = find_pending(pair, seq);
   if (p == nullptr) return;
-  const bool sender_dead =
-      link_.is_down(p->frame.src) || link_.ledger().depleted(p->frame.src);
+  const NodeId src = pair_src(pair);
+  const bool sender_dead = link_.is_down(src) || link_.ledger().depleted(src);
   if (sender_dead || p->attempts > cfg_.max_retries) {
-    const Frame frame = p->frame;
+    // Copy the header the trace and callback need; the payload just goes.
     const std::uint32_t attempts = p->attempts;
+    const std::uint64_t flow = p->flow;
     retire(pair, seq);
     counters_.add("arq.give_up");
-    trace_rel("rel.give_up", frame, static_cast<std::int64_t>(frame.src),
-              attempts);
-    if (on_give_up_) on_give_up_(frame.src, frame.dst, seq, attempts);
+    trace_rel("rel.give_up", pair, seq, flow, src, attempts);
+    if (on_give_up_) on_give_up_(src, pair_dst(pair), seq, attempts);
     return;
   }
   counters_.add("arq.retransmit");
-  trace_rel("rel.retransmit", p->frame,
-            static_cast<std::int64_t>(p->frame.src), p->attempts);
-  transmit(*p);
+  trace_rel("rel.retransmit", pair, seq, p->flow, src, p->attempts);
+  transmit(pair, *p);
 }
 
 void ReliableChannel::handle(NodeId at, const Packet& raw) {
   obs::ProfSpan prof(obs::ProfCat::kArq);
-  const auto& fr = std::any_cast<const Frame&>(raw.payload);
-  const std::uint64_t key = pair_key(fr.src, fr.dst);
-  Pending* p = find_pending(key, fr.seq);
+  const auto tag = std::any_cast<std::uint64_t>(raw.payload);
+  const std::uint64_t seq = tag >> 1;
 
-  if (fr.ack) {
-    // Ack arrived back at the data sender (at == fr.src).
+  if ((tag & 1) != 0) {
+    // Ack arrived back at the data sender (at == src, raw.sender == dst).
+    const std::uint64_t key = pair_key(at, raw.sender);
+    Pending* p = find_pending(key, seq);
     if (p == nullptr) {
       counters_.add("arq.ack_stale");  // duplicate ack or post-give-up ack
       return;
     }
     link_.simulator().cancel(p->timer);
     counters_.add("arq.ack");
-    trace_rel("rel.ack", p->frame, static_cast<std::int64_t>(at), p->attempts);
-    retire(key, fr.seq);
+    trace_rel("rel.ack", key, seq, p->flow, at, p->attempts);
+    retire(key, seq);
     return;
   }
 
-  // Data frame at the receiver (at == fr.dst). Always (re-)ack: the ack of
-  // an already-delivered frame may have been lost.
-  link_.unicast(fr.dst, fr.src,
-                Frame{true, fr.src, fr.dst, fr.seq, fr.data_size, nullptr, 0},
-                kAckSize, 0);
-  // Every copy lands while its frame is pending (see header); the null check
-  // only guards that timing.
+  // Data frame at the receiver (at == dst, raw.sender == src). Always
+  // (re-)ack: the ack of an already-delivered frame may have been lost.
+  const std::uint64_t key = pair_key(raw.sender, at);
+  link_.unicast(at, raw.sender, ack_tag(seq), kAckSize, 0);
+  Pending* p = find_pending(key, seq);
   if (p == nullptr || p->delivered) {
     counters_.add("arq.dup");
-    trace_rel("rel.dup", fr, static_cast<std::int64_t>(at), 0);
+    // A null record is unreachable: every copy lands while its frame is
+    // pending (see header). It is still counted, but with no record there
+    // is no flow to trace it under.
+    if (p != nullptr) trace_rel("rel.dup", key, seq, p->flow, at, 0);
     return;
   }
   p->delivered = true;
   counters_.add("arq.delivered");
   if (receivers_[at]) {
     // Later copies are duplicates, so the payload is handed over, not copied.
-    receivers_[at](Packet{fr.src, fr.data_size, std::move(*fr.payload)});
+    receivers_[at](Packet{raw.sender, p->size, std::move(p->payload)});
   }
 }
 

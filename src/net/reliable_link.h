@@ -17,6 +17,12 @@
 // does a receiver window's job for every frame that can still arrive; the
 // channel is one simulated object serving both endpoints, so it can.
 //
+// The same argument sets the wire format. A data or ack frame travels as one
+// std::uint64_t tag, `seq << 1 | ack`, which std::any holds without a heap
+// block. The receiver takes the endpoints from the link (the delivering node
+// and Packet::sender; acks travel dst -> src) and reads the payload, size
+// and flow from the pending record, which every copy finds in place.
+//
 // Give-ups double as a liveness signal: a frame that survives the full
 // retry budget names a suspect endpoint, which emulation::FailoverBinder
 // turns into automatic leader re-election (Section 5.2 maintenance without
@@ -37,7 +43,6 @@
 #include <any>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -91,23 +96,15 @@ class ReliableChannel {
   }
 
  private:
-  /// Wire format of one channel frame; `src`/`dst` always name the DATA
-  /// transfer's endpoints, also on acks (which travel dst -> src).
-  struct Frame {
-    bool ack = false;
-    NodeId src = kNoNode;
-    NodeId dst = kNoNode;
-    std::uint64_t seq = 0;
-    double data_size = 1.0;
-    std::shared_ptr<std::any> payload;  // null on acks
-    std::uint64_t flow = 0;
-  };
-
+  /// One data frame awaiting its ack: everything but the tag on the wire.
   struct Pending {
+    std::uint64_t seq = 0;
     sim::EventId timer = 0;
     std::uint32_t attempts = 0;  // transmissions performed so far
     bool delivered = false;      // a copy has reached the receiver
-    Frame frame;
+    double size = 1.0;
+    std::uint64_t flow = 0;
+    std::any payload;  // handed to the receiver by the first copy
   };
 
   /// Everything the channel keeps about one directed pair.
@@ -116,18 +113,25 @@ class ReliableChannel {
     std::vector<Pending> pending;  // awaiting an ack, in sequence order
   };
 
-  static std::uint64_t pair_key(NodeId a, NodeId b) {
-    return (static_cast<std::uint64_t>(a) << 32) | b;
+  /// A directed pair (the data frame's src -> dst) as one key.
+  static std::uint64_t pair_key(NodeId src, NodeId dst) {
+    return (static_cast<std::uint64_t>(src) << 32) | dst;
+  }
+  static NodeId pair_src(std::uint64_t pair) {
+    return static_cast<NodeId>(pair >> 32);
+  }
+  static NodeId pair_dst(std::uint64_t pair) {
+    return static_cast<NodeId>(pair);
   }
 
   /// The frame `seq` of `pair` awaiting an ack, or null once retired.
   Pending* find_pending(std::uint64_t pair, std::uint64_t seq);
   void retire(std::uint64_t pair, std::uint64_t seq);
   void handle(NodeId at, const Packet& raw);
-  void transmit(Pending& p);  // sends a copy and arms its timeout
+  void transmit(std::uint64_t pair, Pending& p);  // a copy + its timeout
   void on_timeout(std::uint64_t pair, std::uint64_t seq);
-  void trace_rel(const char* name, const Frame& fr, std::int64_t node,
-                 std::uint32_t attempts);
+  void trace_rel(const char* name, std::uint64_t pair, std::uint64_t seq,
+                 std::uint64_t flow, NodeId node, std::uint32_t attempts);
 
   LinkLayer& link_;
   ReliableConfig cfg_;

@@ -37,19 +37,6 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-/// Materializes a capture (JSONL file, wtr file, or segment directory)
-/// for the analyses that genuinely need all events at once. Truncation
-/// findings land in `findings` when given.
-std::vector<TraceEvent> load_events(const std::string& path,
-                                    std::vector<std::string>* findings) {
-  TraceReader reader(path);
-  std::vector<TraceEvent> events;
-  TraceEvent ev;
-  while (reader.next(ev)) events.push_back(std::move(ev));
-  if (findings != nullptr) *findings = reader.findings();
-  return events;
-}
-
 void print_warnings(const std::vector<std::string>& findings,
                     std::ostream& out) {
   for (const std::string& f : findings) out << "warning: " << f << "\n";

@@ -27,6 +27,7 @@
 #include "obs/analyze/json_reader.h"
 #include "obs/export.h"
 #include "obs/metrics_registry.h"
+#include "obs/profiler.h"
 #include "obs/sinks.h"
 #include "obs/trace.h"
 #include "sim/fault_plan.h"
@@ -71,6 +72,33 @@ TEST_F(ArqTest, DeliversAndAcksOnCleanLink) {
   EXPECT_EQ(chan_.counters().get("arq.retransmit"), 0u);
   EXPECT_EQ(chan_.counters().get("arq.give_up"), 0u);
   EXPECT_EQ(chan_.in_flight(), 0u);
+}
+
+TEST_F(ArqTest, CleanHopAllocatesNothing) {
+  // The wire frame is an 8-byte tag that std::any holds in place, and the
+  // link's delivery and the retransmit timer fit the kernel's in-place
+  // callback storage, so a clean exchange (send, deliver, ack) allocates
+  // nothing once the pair's record and the kernel's slots exist. The few
+  // allowed are queue storage blocks turning over.
+  std::uint64_t sum = 0;
+  chan_.set_receiver(1, [&](const net::Packet& pkt) {
+    sum += std::any_cast<std::uint32_t>(pkt.payload);
+  });
+  chan_.send(0, 1, std::uint32_t{0});  // warm-up
+  sim_.run();
+
+  constexpr std::uint32_t kExchanges = 100;
+  const std::uint64_t before = obs::global_alloc_stats().count;
+  for (std::uint32_t i = 1; i <= kExchanges; ++i) {
+    chan_.send(0, 1, i);
+    sim_.run();
+  }
+  const std::uint64_t allocs = obs::global_alloc_stats().count - before;
+
+  EXPECT_EQ(sum, kExchanges * (kExchanges + 1) / 2);
+  EXPECT_EQ(chan_.counters().get("arq.ack"), kExchanges + 1);
+  EXPECT_EQ(chan_.counters().get("arq.retransmit"), 0u);
+  EXPECT_LT(allocs, 10u);
 }
 
 class ArqLossTest : public ArqTest {

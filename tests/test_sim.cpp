@@ -2,7 +2,9 @@
 // clock semantics, statistics.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -133,6 +135,94 @@ TEST(EventQueue, DoubleCancelReturnsFalse) {
   EXPECT_FALSE(q.cancel(id));
   EXPECT_FALSE(q.cancel(9999));
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, OversizedCallableRunsOnceAndIsDestroyedOnce) {
+  // Larger than the in-place buffer, so the callback boxes it.
+  struct Big {
+    int* runs;
+    int* destroyed;
+    std::array<char, 2 * Callback::kInlineSize> ballast{};
+    bool owner = true;  // false once moved from
+    Big(int* r, int* d) : runs(r), destroyed(d) {}
+    Big(Big&& o) noexcept
+        : runs(o.runs), destroyed(o.destroyed), ballast(o.ballast) {
+      o.owner = false;
+    }
+    ~Big() {
+      if (owner) ++*destroyed;
+    }
+    void operator()() { ++*runs; }
+  };
+  int runs = 0;
+  int destroyed = 0;
+  {
+    EventQueue q;
+    q.schedule(1.0, Big(&runs, &destroyed));
+    q.schedule(2.0, [] {});
+    EXPECT_EQ(destroyed, 0);
+    auto [at, fn] = q.pop();
+    EXPECT_EQ(at, 1.0);
+    fn();
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(destroyed, 0);  // still held by `fn`
+  }
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(EventQueue, CancelledCaptureIsReleasedWhenItsTombstoneIsSkipped) {
+  EventQueue q;
+  auto token = std::make_shared<int>(0);
+  const EventId id = q.schedule(1.0, [token] {});
+  q.schedule(2.0, [] {});
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_TRUE(q.cancel(id));
+  q.pop();  // skips the cancelled 1.0 event, pops the 2.0 one
+  EXPECT_EQ(q.cancelled_skips(), 1u);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, DestroyingANonEmptyQueueReleasesEveryCapture) {
+  using Ballast = std::array<char, 2 * Callback::kInlineSize>;
+  auto token = std::make_shared<int>(0);
+  {
+    EventQueue q;
+    q.schedule(1.0, [token] {});                           // lane, in place
+    const EventId id = q.schedule(2.0, [token] {});        // lane, cancelled
+    q.schedule(0.5, [token, b = Ballast{}] { (void)b; });  // heap, boxed
+    EXPECT_TRUE(q.cancel(id));
+    EXPECT_EQ(token.use_count(), 4);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Simulator, CallbackGrowingTheSlotStorageCompletes) {
+  // One dispatch schedules thousands of events, so the slot storage grows
+  // under the running callback; its own captures must stay intact, and the
+  // new events still fire in (time, schedule order).
+  constexpr int kFanOut = 5000;
+  constexpr int kTimes = 7;
+  Simulator sim;
+  std::vector<int> order;
+  bool captures_intact = false;
+  const auto token = std::make_shared<int>(0);
+  sim.schedule_in(1.0, [&, token, label = std::string("fan-out")] {
+    for (int i = 0; i < kFanOut; ++i) {
+      sim.schedule_in(1.0 + i % kTimes, [&order, i] { order.push_back(i); });
+    }
+    captures_intact = label == "fan-out" && token.use_count() == 2;
+  });
+  sim.run();
+
+  std::vector<int> want;
+  for (int t = 0; t < kTimes; ++t) {
+    for (int i = t; i < kFanOut; i += kTimes) want.push_back(i);
+  }
+  EXPECT_TRUE(captures_intact);
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(sim.events_processed(), static_cast<std::uint64_t>(kFanOut) + 1);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Simulator, ClockAdvancesMonotonically) {
