@@ -1,95 +1,16 @@
-// Shared helpers for the experiment benches: canonical physical-network
-// stack construction, formatting, and the machine-readable --json emitter.
+// Shared helpers for the experiment benches: formatting and the
+// machine-readable --json emitter.
 #pragma once
 
 #include <cstdio>
 #include <initializer_list>
-#include <memory>
 #include <string>
 #include <utility>
 
-#include "emulation/cell_mapper.h"
-#include "emulation/emulation_protocol.h"
-#include "emulation/leader_binding.h"
-#include "emulation/overlay_network.h"
-#include "net/deployment.h"
-#include "net/link_layer.h"
-#include "net/reliable_link.h"
 #include "obs/json.h"
-#include "obs/metrics_registry.h"
 #include "obs/scoped_timer.h"
-#include "sim/simulator.h"
 
 namespace wsn::bench {
-
-/// A fully initialized physical deployment emulating a `grid_side` virtual
-/// grid: one-per-cell-plus-uniform deployment, unit-disk radio, emulation
-/// protocol and leader binding already converged.
-struct PhysicalStack {
-  PhysicalStack(std::size_t grid_side, std::size_t nodes, double range,
-                std::uint64_t seed, double jitter = 0.0)
-      : sim(seed) {
-    const net::Rect terrain =
-        net::square_terrain(static_cast<double>(grid_side));
-    net::DeploymentConfig cfg;
-    cfg.kind = net::DeploymentKind::kOnePerCellPlus;
-    cfg.node_count = nodes;
-    cfg.terrain = terrain;
-    cfg.cells_per_side = grid_side;
-    auto positions = net::deploy(cfg, sim.rng());
-    graph = std::make_unique<net::NetworkGraph>(std::move(positions), range);
-    mapper =
-        std::make_unique<emulation::CellMapper>(*graph, terrain, grid_side);
-    ledger = std::make_unique<net::EnergyLedger>(graph->node_count());
-    link = std::make_unique<net::LinkLayer>(
-        sim, *graph, net::RadioModel{range, 1.0, 1.0, 1.0}, net::CpuModel{},
-        *ledger);
-    emulation_result = emulation::run_topology_emulation(*link, *mapper, jitter);
-    binding_result = emulation::run_leader_binding(*link, *mapper);
-    setup_energy = ledger->total();
-    setup_time = sim.now();
-    overlay = std::make_unique<emulation::OverlayNetwork>(
-        *link, *mapper, emulation_result, binding_result);
-  }
-
-  bool healthy() const {
-    return mapper->all_cells_occupied() && mapper->all_cells_connected() &&
-           binding_result.unique_leaders;
-  }
-
-  /// Routes every overlay hop through a ReliableChannel (ARQ) from now on.
-  /// Call after construction, before running workloads; the channel takes
-  /// over the raw link receivers.
-  void enable_arq(net::ReliableConfig cfg = {}) {
-    arq = std::make_unique<net::ReliableChannel>(*link, cfg);
-    overlay->attach_arq(*arq);
-  }
-
-  /// Registers every instrument of the stack (overlay gauges, link
-  /// counters, physical energy ledger, protocol audit counts, ARQ counters
-  /// when enabled) in one call.
-  void register_metrics(obs::MetricsRegistry& registry) const {
-    // Default-prefix link registration: the analyzer's energy invariant
-    // looks the ledger up under "link.energy" exactly.
-    link->register_metrics(registry);
-    overlay->register_metrics(registry);
-    emulation::register_metrics(registry, emulation_result);
-    emulation::register_metrics(registry, binding_result);
-    if (arq) arq->register_metrics(registry);
-  }
-
-  sim::Simulator sim;
-  std::unique_ptr<net::NetworkGraph> graph;
-  std::unique_ptr<emulation::CellMapper> mapper;
-  std::unique_ptr<net::EnergyLedger> ledger;
-  std::unique_ptr<net::LinkLayer> link;
-  emulation::EmulationResult emulation_result;
-  emulation::BindingResult binding_result;
-  std::unique_ptr<emulation::OverlayNetwork> overlay;
-  std::unique_ptr<net::ReliableChannel> arq;  // set by enable_arq()
-  double setup_energy = 0.0;
-  double setup_time = 0.0;
-};
 
 inline void print_header(const std::string& id, const std::string& title,
                          const std::string& claim) {

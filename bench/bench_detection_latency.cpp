@@ -12,6 +12,7 @@
 #include "analysis/table.h"
 #include "bench/bench_common.h"
 #include "emulation/failure_detector.h"
+#include "emulation/physical_stack.h"
 
 namespace {
 
@@ -39,7 +40,7 @@ struct RunResult {
 };
 
 RunResult run(const Config& c) {
-  bench::PhysicalStack stack(kSide, kNodes, kRange, kSeed);
+  emulation::PhysicalStack stack(kSide, kNodes, kRange, kSeed);
   if (!stack.healthy()) {
     std::fprintf(stderr, "stack unhealthy at seed %llu\n",
                  static_cast<unsigned long long>(kSeed));

@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "analysis/analytical.h"
-#include "analysis/metrics.h"
 #include "analysis/table.h"
 #include "app/centralized.h"
 #include "app/field.h"
@@ -36,7 +35,7 @@ int main(int argc, char** argv) {
       core::VirtualNetwork vnet(sim, core::GridTopology(side),
                                 core::uniform_cost_model());
       const auto outcome = app::run_topographic_query(vnet, grid);
-      const auto e = analysis::energy_report(vnet.ledger());
+      const auto e = vnet.ledger().report();
       table.row({analysis::Table::num(side), analysis::Table::num(side * side),
                  "quad-tree", analysis::Table::num(e.total, 0),
                  analysis::Table::num(outcome.round.finished_at, 1),
@@ -57,7 +56,7 @@ int main(int argc, char** argv) {
       core::VirtualNetwork vnet(sim, core::GridTopology(side),
                                 core::uniform_cost_model());
       const auto outcome = app::run_centralized_query(vnet, grid);
-      const auto e = analysis::energy_report(vnet.ledger());
+      const auto e = vnet.ledger().report();
       table.row({analysis::Table::num(side), analysis::Table::num(side * side),
                  "centralized", analysis::Table::num(e.total, 0),
                  analysis::Table::num(outcome.finished_at, 1),

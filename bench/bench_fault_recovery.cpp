@@ -10,6 +10,7 @@
 #include "analysis/table.h"
 #include "bench/bench_common.h"
 #include "core/primitives.h"
+#include "emulation/physical_stack.h"
 
 namespace {
 
@@ -34,7 +35,7 @@ constexpr double kDeadline = 250.0;
 std::uint64_t pick_routable_seed() {
   const core::GridCoord collector{0, 0};
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 5ULL, 8ULL}) {
-    bench::PhysicalStack stack(kSide, kNodes, kRange, seed);
+    emulation::PhysicalStack stack(kSide, kNodes, kRange, seed);
     bool routable = stack.healthy();
     if (routable) {
       const net::NodeId sink = stack.overlay->bound_node(collector);
@@ -77,7 +78,7 @@ struct RunResult {
 };
 
 RunResult run(double loss, bool arq) {
-  bench::PhysicalStack stack(kSide, kNodes, kRange, routable_seed());
+  emulation::PhysicalStack stack(kSide, kNodes, kRange, routable_seed());
   if (!stack.healthy()) {
     std::fprintf(stderr, "stack unhealthy at seed %llu\n",
                  static_cast<unsigned long long>(routable_seed()));

@@ -26,6 +26,7 @@
 #include "analysis/table.h"
 #include "bench/bench_common.h"
 #include "core/primitives.h"
+#include "emulation/physical_stack.h"
 #include "obs/histogram.h"
 #include "obs/profiler.h"
 #include "sim/simulator.h"
@@ -156,7 +157,7 @@ void quickstart_row(analysis::Table& table, bench::JsonWriter& json) {
   constexpr std::size_t kNodes = 200;
   constexpr double kRange = 1.3;
   constexpr int kRounds = 3;
-  bench::PhysicalStack stack(kSide, kNodes, kRange, 1);
+  emulation::PhysicalStack stack(kSide, kNodes, kRange, 1);
   const std::uint64_t setup_events = stack.sim.events_processed();
 
   obs::SimProfiler& prof = obs::profiler();

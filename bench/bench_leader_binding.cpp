@@ -8,6 +8,7 @@
 
 #include "analysis/table.h"
 #include "bench/bench_common.h"
+#include "emulation/physical_stack.h"
 
 int main(int argc, char** argv) {
   using namespace wsn;
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
 
       // Fresh stack but we re-run the binding on a clean simulator clock by
       // constructing the stack (binding runs inside) and reading results.
-      bench::PhysicalStack stack(grid_side, nodes, 1.4, seed);
+      emulation::PhysicalStack stack(grid_side, nodes, 1.4, seed);
       if (!stack.healthy()) continue;
       const auto& binding = stack.binding_result;
       const auto oracle = emulation::oracle_leaders(

@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "analysis/metrics.h"
 #include "analysis/table.h"
 #include "app/centralized.h"
 #include "app/field.h"
@@ -26,6 +25,7 @@
 #include "core/primitives.h"
 #include "core/virtual_network.h"
 #include "emulation/failure_detector.h"
+#include "emulation/physical_stack.h"
 #include "sim/depletion_monitor.h"
 #include "taskgraph/mapping.h"
 
@@ -45,7 +45,7 @@ RoundCost one_round_quadtree(std::size_t side, const app::FeatureGrid& grid,
   core::VirtualNetwork vnet(sim, core::GridTopology(side),
                             core::uniform_cost_model(), placement);
   app::run_topographic_query(vnet, grid);
-  const auto r = analysis::energy_report(vnet.ledger());
+  const auto r = vnet.ledger().report();
   return {r.max, r.total};
 }
 
@@ -54,7 +54,7 @@ RoundCost one_round_centralized(std::size_t side, const app::FeatureGrid& grid) 
   core::VirtualNetwork vnet(sim, core::GridTopology(side),
                             core::uniform_cost_model());
   app::run_centralized_query(vnet, grid);
-  const auto r = analysis::energy_report(vnet.ledger());
+  const auto r = vnet.ledger().report();
   return {r.max, r.total};
 }
 
@@ -163,7 +163,7 @@ struct E21Result {
 };
 
 E21Result run_physical_lifetime(double handoff_low_water) {
-  bench::PhysicalStack stack(kE21Side, kE21Nodes, kE21Range, kE21Seed);
+  emulation::PhysicalStack stack(kE21Side, kE21Nodes, kE21Range, kE21Seed);
   if (!stack.healthy()) {
     std::fprintf(stderr, "E21 stack unhealthy at seed %llu\n",
                  static_cast<unsigned long long>(kE21Seed));

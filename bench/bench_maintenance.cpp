@@ -12,6 +12,7 @@
 #include "app/labeling.h"
 #include "app/topographic.h"
 #include "bench/bench_common.h"
+#include "emulation/physical_stack.h"
 
 int main(int argc, char** argv) {
   using namespace wsn;
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
                          "re-adoptions", "cold adoptions", "leaders re-elected",
                          "query ok", "failed sends"});
   for (const double fail_fraction : {0.0, 0.05, 0.10, 0.20, 0.30}) {
-    bench::PhysicalStack stack(grid_side, nodes, range, 99);
+    emulation::PhysicalStack stack(grid_side, nodes, range, 99);
     if (!stack.healthy()) continue;
 
     // Fail a random subset (deterministic per fraction).
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
         *stack.link, *stack.mapper, stack.binding_result);
 
     // Cold re-run for comparison (fresh tables, same failures).
-    bench::PhysicalStack cold(grid_side, nodes, range, 99);
+    emulation::PhysicalStack cold(grid_side, nodes, range, 99);
     for (net::NodeId i = 0; i < cold.graph->node_count(); ++i) {
       cold.link->set_down(i, stack.link->is_down(i));
     }

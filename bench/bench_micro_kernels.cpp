@@ -13,6 +13,7 @@
 #include "core/virtual_network.h"
 #include "bench/bench_common.h"
 #include "core/grid_topology.h"
+#include "emulation/physical_stack.h"
 #include "obs/export.h"
 #include "obs/profiler.h"
 #include "obs/sinks.h"
@@ -86,7 +87,8 @@ BENCHMARK(BM_VirtualRoundTopographic)->Arg(8)->Arg(16)->Arg(32);
 void BM_EmulationSetup(benchmark::State& state) {
   const auto grid_side = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    bench::PhysicalStack stack(grid_side, grid_side * grid_side * 10, 1.3, 7);
+    emulation::PhysicalStack stack(grid_side, grid_side * grid_side * 10, 1.3,
+                                   7);
     benchmark::DoNotOptimize(stack.emulation_result.broadcasts);
   }
 }

@@ -11,12 +11,12 @@
 #include <cstdio>
 
 #include "analysis/analytical.h"
-#include "analysis/metrics.h"
 #include "analysis/table.h"
 #include "app/field.h"
 #include "app/topographic.h"
 #include "bench/bench_common.h"
 #include "core/virtual_network.h"
+#include "emulation/physical_stack.h"
 
 int main(int argc, char** argv) {
   using namespace wsn;
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
     for (std::size_t per_cell : {8u, 16u}) {
       double wall_ms = 0.0;
-      bench::PhysicalStack stack(side, side * side * per_cell, 1.3,
+      emulation::PhysicalStack stack(side, side * side * per_cell, 1.3,
                                  42 + side + per_cell);
       if (!stack.healthy()) continue;
       const double e_before = stack.ledger->total();

@@ -11,12 +11,13 @@
 
 #include "analysis/table.h"
 #include "bench/bench_common.h"
+#include "emulation/physical_stack.h"
 
 namespace {
 
 /// Longest shortest-path (in hops) between any two nodes of the same cell,
 /// maximized over cells - the quantity claim (iii) says drives latency.
-double max_intra_cell_path(const wsn::bench::PhysicalStack& stack) {
+double max_intra_cell_path(const wsn::emulation::PhysicalStack& stack) {
   using namespace wsn;
   double worst = 0;
   core::GridTopology grid(stack.mapper->grid_side());
@@ -53,7 +54,7 @@ int main(int argc, char** argv) {
       double wall_ms = 0.0;
       const auto stack_ptr = [&] {
         obs::ScopedTimer timer(&wall_ms);
-        return std::make_unique<bench::PhysicalStack>(
+        return std::make_unique<emulation::PhysicalStack>(
             grid_side, nodes, 1.3, 1000 + grid_side * 10 + per_cell);
       }();
       const auto& stack = *stack_ptr;

@@ -8,7 +8,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "analysis/metrics.h"
 #include "app/field.h"
 #include "app/queries.h"
 #include "app/topographic.h"
@@ -40,7 +39,7 @@ int main() {
     const auto largest = app::largest_region(outcome.regions);
 
     // Lifetime check against the accumulated ledger.
-    const auto report = analysis::energy_report(vnet.ledger());
+    const auto report = vnet.ledger().report();
     dead = report.max >= budget;
 
     std::printf("%5zu  %.2f -> %.2f    %7zu  %12llu  %7llu  %9.0f  %s\n", round,
@@ -51,7 +50,7 @@ int main() {
                 report.max, dead ? "DEAD" : "-");
   }
 
-  const auto report = analysis::energy_report(vnet.ledger());
+  const auto report = vnet.ledger().report();
   std::printf("\nafter %zu rounds: total energy %.0f, hottest node %.0f "
               "(budget %.0f), balance cv %.2f\n",
               round, report.total, report.max, budget, report.cv);

@@ -11,12 +11,11 @@
 #include <cstdio>
 #include <vector>
 
-#include "analysis/metrics.h"
 #include "app/field.h"
 #include "app/topographic.h"
-#include "bench/bench_common.h"
 #include "core/primitives.h"
 #include "core/virtual_network.h"
+#include "emulation/physical_stack.h"
 
 int main() {
   using namespace wsn;
@@ -33,7 +32,7 @@ int main() {
         app::hotspot_field(2 + round % 3, field_rng), side, 0.5);
     app::run_topographic_query(vnet, field);
   }
-  const auto report = analysis::energy_report(vnet.ledger());
+  const auto report = vnet.ledger().report();
   std::printf("after 8 query rounds: total %.0f, hottest %.0f, cv %.2f\n\n",
               report.total, report.max, report.cv);
 
@@ -75,7 +74,7 @@ int main() {
               sorted[sorted.size() / 10]);
 
   // --- Phase 3: residual-energy leader re-election on a real deployment ---
-  bench::PhysicalStack stack(4, 160, 1.3, 17);
+  emulation::PhysicalStack stack(4, 160, 1.3, 17);
   // Drain the current leaders with some overlay work.
   const app::FeatureGrid field = app::ring_grid(4);
   app::run_topographic_query(*stack.overlay, field);

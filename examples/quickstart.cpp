@@ -39,6 +39,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -46,14 +47,13 @@
 #include <vector>
 
 #include "analysis/analytical.h"
-#include "analysis/metrics.h"
 #include "app/field.h"
 #include "app/queries.h"
 #include "app/topographic.h"
-#include "bench/bench_common.h"
 #include "core/primitives.h"
 #include "core/virtual_network.h"
 #include "emulation/failure_detector.h"
+#include "emulation/physical_stack.h"
 #include "obs/export.h"
 #include "obs/metrics_registry.h"
 #include "obs/profiler.h"
@@ -77,7 +77,7 @@ std::string arg_value(int argc, char** argv, const char* flag) {
 /// oracle), kept alive until the metrics dump so its instruments can be
 /// registered.
 struct CampaignPhase {
-  wsn::bench::PhysicalStack stack{8, 200, 1.3, 1};
+  wsn::emulation::PhysicalStack stack{8, 200, 1.3, 1};
   std::unique_ptr<wsn::emulation::FailureDetector> detector;
   std::unique_ptr<wsn::sim::FaultInjector> injector;
   std::unique_ptr<wsn::sim::DepletionMonitor> monitor;
@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
   }
 
   // Costs: measured on the virtual architecture vs the closed form.
-  const auto report = analysis::energy_report(vnet.ledger());
+  const auto report = vnet.ledger().report();
   const auto predicted =
       analysis::predict_quadtree(side, core::uniform_cost_model());
   std::printf("\nround latency       : %.1f (predicted %.1f)\n",
@@ -197,7 +197,13 @@ int main(int argc, char** argv) {
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    const sim::FaultPlan plan = sim::FaultPlan::from_json(buf.str());
+    sim::FaultPlan plan;
+    try {
+      plan = sim::FaultPlan::from_json(buf.str());
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
     bool has_corruption = false;
     bool has_membership = false;
     for (const sim::FaultEvent& ev : plan.events) {

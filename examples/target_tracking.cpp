@@ -5,7 +5,6 @@
 // Build & run:  ./examples/target_tracking
 #include <cstdio>
 
-#include "analysis/metrics.h"
 #include "app/field.h"
 #include "app/topographic.h"
 #include "app/tracking.h"

@@ -10,13 +10,11 @@
 // Build & run:  ./examples/topographic_mapping
 #include <cstdio>
 
-#include "analysis/metrics.h"
 #include "app/field.h"
 #include "app/labeling.h"
 #include "app/topographic.h"
 #include "core/virtual_network.h"
-#include "emulation/overlay_network.h"
-#include "net/deployment.h"
+#include "emulation/physical_stack.h"
 
 int main() {
   using namespace wsn;
@@ -24,43 +22,29 @@ int main() {
   const std::size_t node_count = 1280;
   const double radio_range = 1.3;
 
-  // --- Physical deployment -------------------------------------------------
-  sim::Simulator sim(42);
-  const net::Rect terrain = net::square_terrain(static_cast<double>(grid_side));
-  net::DeploymentConfig cfg;
-  cfg.kind = net::DeploymentKind::kOnePerCellPlus;  // paper precondition
-  cfg.node_count = node_count;
-  cfg.terrain = terrain;
-  cfg.cells_per_side = grid_side;
-  auto positions = net::deploy(cfg, sim.rng());
-  net::NetworkGraph graph(std::move(positions), radio_range);
+  // --- Physical deployment and runtime system (Section 5) -----------------
+  // One-per-cell-plus-uniform placement (the paper's precondition), then the
+  // topology emulation and leader binding protocols, run to quiescence.
+  emulation::PhysicalStack stack(grid_side, node_count, radio_range, 42);
+  const net::NetworkGraph& graph = *stack.graph;
   std::printf("deployment: %zu nodes, %zu radio links, connected=%s\n",
               graph.node_count(), graph.edge_count(),
               graph.connected() ? "yes" : "no");
-
-  emulation::CellMapper mapper(graph, terrain, grid_side);
   std::printf("cells occupied: %s, per-cell subgraphs connected: %s\n",
-              mapper.all_cells_occupied() ? "all" : "MISSING",
-              mapper.all_cells_connected() ? "all" : "NO");
+              stack.mapper->all_cells_occupied() ? "all" : "MISSING",
+              stack.mapper->all_cells_connected() ? "all" : "NO");
 
-  net::EnergyLedger ledger(graph.node_count());
-  net::LinkLayer link(sim, graph, net::RadioModel{radio_range, 1.0, 1.0, 1.0},
-                      net::CpuModel{}, ledger);
-
-  // --- Runtime system (Section 5) ------------------------------------------
-  auto emu = emulation::run_topology_emulation(link, mapper);
+  const emulation::EmulationResult& emu = stack.emulation_result;
   std::printf("\ntopology emulation: %llu broadcasts, %llu suppressed at "
               "boundaries, converged at t=%.1f\n",
               static_cast<unsigned long long>(emu.broadcasts),
               static_cast<unsigned long long>(emu.suppressed),
               emu.converged_at);
-  auto binding = emulation::run_leader_binding(link, mapper);
+  const emulation::BindingResult& binding = stack.binding_result;
   std::printf("leader binding    : %llu broadcasts, unique leaders: %s\n",
               static_cast<unsigned long long>(binding.broadcasts),
               binding.unique_leaders ? "yes" : "NO");
-  const double setup_energy = ledger.total();
-  emulation::OverlayNetwork overlay(link, mapper, std::move(emu),
-                                    std::move(binding));
+  emulation::OverlayNetwork& overlay = *stack.overlay;
 
   // --- The application ------------------------------------------------------
   const app::FeatureGrid field = app::threshold_sample(
@@ -68,7 +52,7 @@ int main() {
   std::printf("\ncontaminant plume, thresholded at the %zux%zu PoC grid:\n%s\n",
               grid_side, grid_side, field.render().c_str());
 
-  const double t0 = sim.now();
+  const double t0 = stack.sim.now();
   const auto physical = app::run_topographic_query(overlay, field);
   std::printf("physical run : %zu regions, latency %.1f, %llu messages, "
               "stretch %.2f, energy %.0f\n",
@@ -76,7 +60,7 @@ int main() {
               static_cast<unsigned long long>(physical.round.messages_sent),
               static_cast<double>(overlay.physical_hops()) /
                   static_cast<double>(overlay.virtual_hops()),
-              ledger.total() - setup_energy);
+              stack.ledger->total() - stack.setup_energy);
 
   // --- The designer's view ---------------------------------------------------
   sim::Simulator vsim(1);

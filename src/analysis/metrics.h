@@ -2,44 +2,13 @@
 // energy, energy balance, total latency of a set of operations, system
 // lifetime, etc., are various performance metrics that can be calculated
 // from the cost model, but which of these to use will depend on the
-// algorithm designer's objective."
+// algorithm designer's objective." The per-network energy snapshot is
+// net::EnergyLedger::report(); this header adds the derived metrics.
 #pragma once
 
-#include <cstdint>
-#include <string>
-
 #include "net/energy.h"
-#include "sim/trace.h"
 
 namespace wsn::analysis {
-
-/// Snapshot of the energy state of a network (virtual or physical).
-struct EnergyReport {
-  double total = 0.0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double cv = 0.0;        // stddev/mean: the energy-balance indicator
-  double max = 0.0;       // hottest node
-  double min = 0.0;
-  double tx = 0.0;
-  double rx = 0.0;
-  double compute = 0.0;
-};
-
-inline EnergyReport energy_report(const net::EnergyLedger& ledger) {
-  EnergyReport r;
-  const sim::Summary s = ledger.distribution();
-  r.total = s.sum();
-  r.mean = s.mean();
-  r.stddev = s.stddev();
-  r.cv = s.cv();
-  r.max = s.max();
-  r.min = s.min();
-  r.tx = ledger.total(net::EnergyUse::kTx);
-  r.rx = ledger.total(net::EnergyUse::kRx);
-  r.compute = ledger.total(net::EnergyUse::kCompute);
-  return r;
-}
 
 /// Rounds until the hottest node exhausts `budget` units of energy, if each
 /// round costs what the ledger currently shows (steady-state workload).

@@ -41,6 +41,9 @@ struct FailureDetector::FdMsg {
 
 namespace {
 
+/// Airtime/energy size of one control frame, in data units.
+constexpr double kBeatSizeUnits = 0.25;
+
 /// Lexicographic election key order: more residual energy wins first (so
 /// recovery rotates leadership toward the best-supplied member; on
 /// unbudgeted stacks every residual is +inf and the term ties out), then
@@ -168,7 +171,7 @@ bool FailureDetector::try_adopt(net::NodeId i) {
   join.src_cell = here;
   join.origin = i;
   join.last = true;  // the silence criterion IS the evidence
-  overlay_.send_control(i, gateway, join, cfg_.beat_size_units);
+  overlay_.send_control(i, gateway, join, kBeatSizeUnits);
   return true;
 }
 
@@ -205,7 +208,10 @@ void FailureDetector::adopt_bind(net::NodeId proxy,
 }
 
 double FailureDetector::score(net::NodeId i) const {
-  return binding_score(i, overlay_.mapper(), cfg_.metric,
+  // The setup election's metric, so a re-election picks the winner the
+  // setup binding (and oracle_leaders) would.
+  return binding_score(i, overlay_.mapper(),
+                       BindingMetric::kDistanceToCenter,
                        overlay_.link().ledger());
 }
 
@@ -332,7 +338,7 @@ void FailureDetector::start() {
     if (parent_of_[ci] >= 0) {
       child_expiry_[ci] = now + cfg_.uplease_duration * 1.5;
       const double stagger =
-          cfg_.uplease_period * (static_cast<double>(ci % 5) + 1.0) / 6.0;
+          kUpleasePeriod * (static_cast<double>(ci % 5) + 1.0) / 6.0;
       const std::uint64_t gen = run_gen_;
       sim().schedule_in(stagger, [this, ci, gen] {
         if (gen != run_gen_ || !running_) return;
@@ -754,7 +760,7 @@ void FailureDetector::uplease_send(std::size_t cell_idx) {
 void FailureDetector::uplease(std::size_t cell_idx) {
   uplease_send(cell_idx);
   const std::uint64_t gen = run_gen_;
-  sim().schedule_in(cfg_.uplease_period, [this, cell_idx, gen] {
+  sim().schedule_in(kUpleasePeriod, [this, cell_idx, gen] {
     if (gen != run_gen_ || !running_) return;
     uplease(cell_idx);
   });
@@ -812,7 +818,7 @@ void FailureDetector::flood(net::NodeId from, const FdMsg& msg) {
     // period costs a bounded ARQ retry budget and IS the failure detector's
     // job; a delivered beat renews the lease regardless of suspicion, and
     // its delivery is the proof of life that clears the suspicion.
-    overlay_.send_control(from, v, msg, cfg_.beat_size_units);
+    overlay_.send_control(from, v, msg, kBeatSizeUnits);
   }
 }
 
@@ -825,7 +831,7 @@ void FailureDetector::route_control(net::NodeId at, const FdMsg& msg,
     counters_.add("fd.unroutable");
     return;
   }
-  overlay_.send_control(at, nh, m, cfg_.beat_size_units);
+  overlay_.send_control(at, nh, m, kBeatSizeUnits);
 }
 
 void FailureDetector::on_control(net::NodeId at, const net::Packet& pkt) {
@@ -1169,7 +1175,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
         counters_.add("fd.unroutable");
         return;
       }
-      overlay_.send_control(at, nh, m, cfg_.beat_size_units);
+      overlay_.send_control(at, nh, m, kBeatSizeUnits);
       return;
     }
   }

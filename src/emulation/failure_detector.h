@@ -1,12 +1,11 @@
 // Distributed failure detection and in-protocol leader re-election.
 //
-// PR 3's FailoverBinder recovers crashed leaders by consulting an oracle
-// (LinkLayer::is_down / the EnergyLedger of other nodes) — global knowledge
-// the paper's Section 5 runtime explicitly denies the nodes. This layer
-// replaces the oracle with a protocol: liveness is only ever inferred from
-// the presence or absence of messages, every one of which crosses the real
-// LinkLayer (through the ReliableChannel when attached), costs energy, and
-// appears in traces.
+// Crashed leaders are recovered without global knowledge (LinkLayer::is_down
+// or the EnergyLedger of other nodes), which the paper's Section 5 runtime
+// denies the nodes: liveness is only ever inferred from the presence or
+// absence of messages, every one of which crosses the real LinkLayer
+// (through the ReliableChannel when attached), costs energy, and appears in
+// traces.
 //
 // The protocol, per cell:
 //
@@ -91,6 +90,9 @@
 
 namespace wsn::emulation {
 
+/// Interval between a cell leader's kUpLease renewals to its parent.
+inline constexpr double kUpleasePeriod = 10.0;
+
 struct FailureDetectorConfig {
   /// Interval between a leader's intra-cell heartbeat floods.
   double heartbeat_period = 5.0;
@@ -100,12 +102,8 @@ struct FailureDetectorConfig {
   /// How long an election candidate collects keys before closing. Must
   /// cover an intra-cell flood round trip including ARQ retries.
   double election_timeout = 8.0;
-  /// Interval between a cell leader's kUpLease renewals to its parent.
-  double uplease_period = 10.0;
   /// Parent-side lease on each expected child cell.
   double uplease_duration = 35.0;
-  /// Airtime/energy size of one control frame, in data units.
-  double beat_size_units = 0.25;
   /// Residual-energy threshold (in energy units) below which a leader
   /// solicits a planned handoff instead of leading until its battery dies.
   /// 0 disables; with infinite budgets residual is +inf and never crosses,
@@ -131,9 +129,6 @@ struct FailureDetectorConfig {
   /// repair bound to hold. Off by default: byte-identical replay of
   /// pre-existing seeded runs requires opting in.
   bool membership = false;
-  /// Election metric; must match the setup binding for the oracle
-  /// cross-check to be meaningful.
-  BindingMetric metric = BindingMetric::kDistanceToCenter;
 };
 
 /// One successful re-election, as recorded at the winner.
@@ -160,8 +155,7 @@ class FailureDetector {
  public:
   /// The overlay must outlive the detector. When the overlay has an ARQ
   /// channel attached, the detector takes over its on_give_up hook (route
-  /// repair on hop give-up); install it instead of a FailoverBinder, not in
-  /// addition to one.
+  /// repair on hop give-up).
   FailureDetector(OverlayNetwork& overlay, FailureDetectorConfig cfg = {});
   /// Detaches the membership view from the overlay (the overlay outlives
   /// the detector and must not dangle into it).

@@ -3,12 +3,23 @@
 #include <memory>
 #include <utility>
 
-#include "emulation/overlay_network.h"
-#include "net/reliable_link.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 
 namespace wsn::emulation {
+
+double binding_score(net::NodeId id, const CellMapper& mapper,
+                     BindingMetric metric, const net::EnergyLedger& ledger) {
+  switch (metric) {
+    case BindingMetric::kDistanceToCenter:
+      return mapper.distance_to_center(id);
+    case BindingMetric::kResidualEnergy:
+      // Minimizing the negated residual elects the most-charged node.
+      return -ledger.remaining(id);
+  }
+  return 0.0;
+}
+
 namespace {
 
 /// Election key: (score, id), minimized lexicographically. Lower score wins;
@@ -29,27 +40,6 @@ struct DeltaMsg {
 };
 
 constexpr double kDeltaMsgUnits = 1.0;
-
-double score_of(net::NodeId id, const CellMapper& mapper, BindingMetric metric,
-                const net::EnergyLedger& ledger) {
-  return binding_score(id, mapper, metric, ledger);
-}
-
-}  // namespace
-
-double binding_score(net::NodeId id, const CellMapper& mapper,
-                     BindingMetric metric, const net::EnergyLedger& ledger) {
-  switch (metric) {
-    case BindingMetric::kDistanceToCenter:
-      return mapper.distance_to_center(id);
-    case BindingMetric::kResidualEnergy:
-      // Minimizing the negated residual elects the most-charged node.
-      return -ledger.remaining(id);
-  }
-  return 0.0;
-}
-
-namespace {
 
 struct ElectionState {
   std::vector<Key> best;           // best key heard so far, per node
@@ -77,7 +67,8 @@ BindingResult run_election(net::LinkLayer& link, const CellMapper& mapper,
   auto state = std::make_shared<ElectionState>();
   state->best.reserve(n);
   for (net::NodeId i = 0; i < n; ++i) {
-    state->best.push_back(Key{score_of(i, mapper, metric, link.ledger()), i});
+    state->best.push_back(
+        Key{binding_score(i, mapper, metric, link.ledger()), i});
   }
   state->ldr.assign(n, true);
   state->pending.assign(n, false);
@@ -93,7 +84,7 @@ BindingResult run_election(net::LinkLayer& link, const CellMapper& mapper,
   };
 
   for (net::NodeId i = 0; i < n; ++i) {
-    const Key own{score_of(i, mapper, metric, link.ledger()), i};
+    const Key own{binding_score(i, mapper, metric, link.ledger()), i};
     link.set_receiver(i, [state, &mapper, schedule_broadcast, own,
                           i](const net::Packet& pkt) {
       const auto msg = std::any_cast<DeltaMsg>(pkt.payload);
@@ -197,74 +188,13 @@ std::vector<net::NodeId> oracle_leaders(const CellMapper& mapper,
     const core::GridCoord cell = mapper.cell_of(i);
     const std::size_t idx = static_cast<std::size_t>(cell.row) * m +
                             static_cast<std::size_t>(cell.col);
-    const Key k{score_of(i, mapper, metric, ledger), i};
+    const Key k{binding_score(i, mapper, metric, ledger), i};
     if (leaders[idx] == net::kNoNode || k < best[idx]) {
       leaders[idx] = i;
       best[idx] = k;
     }
   }
   return leaders;
-}
-
-FailoverBinder::FailoverBinder(net::ReliableChannel& arq,
-                               OverlayNetwork& overlay, BindingMetric metric)
-    : overlay_(overlay), metric_(metric) {
-  arq.set_on_give_up([this](net::NodeId from, net::NodeId to, std::uint64_t,
-                            std::uint32_t) { on_give_up(from, to); });
-}
-
-void FailoverBinder::on_give_up(net::NodeId from, net::NodeId to) {
-  counters_.add("failover.give_up_seen");
-  overlay_.on_hop_give_up(from, to);
-  // Either endpoint may be the casualty: a dead receiver never acks, and a
-  // dead sender's frames go nowhere while its armed timers still fire.
-  maybe_rebind(to);
-  maybe_rebind(from);
-}
-
-void FailoverBinder::maybe_rebind(net::NodeId node) {
-  const CellMapper& mapper = overlay_.mapper();
-  const core::GridCoord cell = mapper.cell_of(node);
-  if (overlay_.bound_node(cell) != node) return;
-  net::LinkLayer& link = overlay_.link();
-  if (!link.is_down(node) && !link.ledger().depleted(node)) {
-    // Suspicion without a confirmed failure (loss burst, congestion): keep
-    // the binding, remember we almost pulled the trigger.
-    counters_.add("failover.false_suspicion");
-    return;
-  }
-  // Local deterministic re-election: the minimum (score, id) key among the
-  // cell's usable members — exactly the winner the distributed election
-  // (and oracle_leaders) would pick among the survivors.
-  net::NodeId winner = net::kNoNode;
-  Key best{0.0, net::kNoNode};
-  for (net::NodeId m : mapper.members(cell)) {
-    if (link.is_down(m) || link.ledger().depleted(m) ||
-        overlay_.is_suspected(m)) {
-      continue;
-    }
-    const Key k{score_of(m, mapper, metric_, link.ledger()), m};
-    if (winner == net::kNoNode || k < best) {
-      winner = m;
-      best = k;
-    }
-  }
-  if (winner == net::kNoNode) {
-    counters_.add("failover.no_candidate");
-    return;
-  }
-  overlay_.rebind(cell, winner);
-  ++failovers_;
-  counters_.add("failover.count");
-  if (obs::tracer().enabled(obs::Category::kProtocol)) {
-    obs::tracer().emit({link.simulator().now(),
-                        static_cast<std::int64_t>(winner),
-                        obs::Category::kProtocol, 'i', "binding.failover", 0,
-                        {{"row", static_cast<std::int64_t>(cell.row)},
-                         {"col", static_cast<std::int64_t>(cell.col)},
-                         {"old", static_cast<std::uint64_t>(node)},
-                         {"new", static_cast<std::uint64_t>(winner)}}});
-  }
 }
 
 }  // namespace wsn::emulation

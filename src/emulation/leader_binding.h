@@ -22,13 +22,7 @@
 #include "obs/metrics_registry.h"
 #include "sim/trace.h"
 
-namespace wsn::net {
-class ReliableChannel;
-}
-
 namespace wsn::emulation {
-
-class OverlayNetwork;
 
 /// Which scalar the election minimizes.
 enum class BindingMetric : std::uint8_t {
@@ -96,58 +90,9 @@ std::vector<net::NodeId> oracle_leaders(const CellMapper& mapper,
 
 /// Election score of node `id` under `metric` (lower wins, exact ties break
 /// toward the lower id). One definition shared by the setup election, the
-/// oracle failover reference, and the distributed FailureDetector election,
-/// so all three deterministically agree on the same winner.
+/// oracle references, and the distributed FailureDetector election, so all
+/// of them deterministically agree on the same winner.
 double binding_score(net::NodeId id, const CellMapper& mapper,
                      BindingMetric metric, const net::EnergyLedger& ledger);
-
-/// ORACLE failover reference: leader re-binding driven by ARQ liveness
-/// suspicion plus global knowledge.
-///
-/// This is the test-only reference implementation the distributed path
-/// (emulation::FailureDetector) is cross-checked against: its decisions
-/// consult state no real node could have — LinkLayer::is_down and the
-/// EnergyLedger of *other* nodes — so it computes the correct answer
-/// instantly and for free. Production-shaped recovery is the
-/// FailureDetector's message-only heartbeat/lease/election protocol, which
-/// converges to the same winner this oracle picks (same (score, id) key).
-///
-/// Installing a FailoverBinder takes over the channel's on_give_up hook.
-/// On each give-up it (1) routes around the unresponsive hop via
-/// OverlayNetwork::on_hop_give_up, then (2) checks both frame endpoints: if
-/// one is a bound leader that is actually down or depleted, the cell is
-/// re-bound immediately to the minimum (score, id) key among its live
-/// members — the same deterministic winner the distributed election and
-/// oracle_leaders produce — and the overlay's intra-cell tree is rebuilt.
-/// A give-up naming a live leader (e.g. during a loss burst) only counts
-/// `failover.false_suspicion`; no rebind happens.
-///
-/// Deliberate cost-model simplification: the failover decision itself is
-/// charged no radio energy. Real suspicion would ride on probe traffic; here
-/// the give-ups already paid for it, and the announcement cost is omitted so
-/// trace-derived energy stays equal to the ledger.
-class FailoverBinder {
- public:
-  FailoverBinder(net::ReliableChannel& arq, OverlayNetwork& overlay,
-                 BindingMetric metric = BindingMetric::kDistanceToCenter);
-
-  /// Successful re-binds performed so far.
-  std::uint64_t failovers() const { return failovers_; }
-  sim::CounterSet& counters() { return counters_; }
-
-  void register_metrics(obs::MetricsRegistry& registry,
-                        const std::string& prefix = "failover") const {
-    registry.add_counters(prefix + ".counters", &counters_);
-  }
-
- private:
-  void on_give_up(net::NodeId from, net::NodeId to);
-  void maybe_rebind(net::NodeId node);
-
-  OverlayNetwork& overlay_;
-  BindingMetric metric_;
-  std::uint64_t failovers_ = 0;
-  sim::CounterSet counters_;
-};
 
 }  // namespace wsn::emulation

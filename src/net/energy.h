@@ -24,6 +24,20 @@ namespace wsn::net {
 enum class EnergyUse : std::uint8_t { kTx = 0, kRx = 1, kCompute = 2 };
 inline constexpr std::size_t kEnergyUseCount = 3;
 
+/// Snapshot of the energy state of a network (virtual or physical): the
+/// paper's total-energy and energy-balance metrics plus the split by use.
+struct EnergyReport {
+  double total = 0.0;
+  double mean = 0.0;
+  double stddev = 0.0;
+  double cv = 0.0;   // stddev/mean: the energy-balance indicator
+  double max = 0.0;  // hottest node
+  double min = 0.0;
+  double tx = 0.0;
+  double rx = 0.0;
+  double compute = 0.0;
+};
+
 /// Tracks energy spent (and optionally a finite initial budget) per node.
 class EnergyLedger {
  public:
@@ -121,6 +135,21 @@ class EnergyLedger {
     sim::Summary s;
     for (double v : spent_) s.add(v);
     return s;
+  }
+
+  /// The ledger's EnergyReport. Metrics snapshots and the benches read
+  /// this one function, so their numbers agree to the last bit.
+  EnergyReport report() const {
+    const sim::Summary d = distribution();
+    return {.total = d.sum(),
+            .mean = d.mean(),
+            .stddev = d.stddev(),
+            .cv = d.cv(),
+            .max = d.max(),
+            .min = d.min(),
+            .tx = total(EnergyUse::kTx),
+            .rx = total(EnergyUse::kRx),
+            .compute = total(EnergyUse::kCompute)};
   }
 
   /// Id of the node that has spent the most energy (the first to die under

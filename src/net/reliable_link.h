@@ -24,9 +24,8 @@
 // and flow from the pending record, which every copy finds in place.
 //
 // Give-ups double as a liveness signal: a frame that survives the full
-// retry budget names a suspect endpoint, which emulation::FailoverBinder
-// turns into automatic leader re-election (Section 5.2 maintenance without
-// an external caller).
+// retry budget names a suspect endpoint, and the on_give_up hook hands it
+// to the layer above (the FailureDetector repairs routes around it).
 //
 // The channel owns the LinkLayer receivers of every node (install it after
 // the setup protocols — topology emulation and leader binding — have run

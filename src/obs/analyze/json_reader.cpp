@@ -40,6 +40,11 @@ const JsonValue* JsonValue::find(const std::string& key) const {
 
 namespace {
 
+/// Deepest array/object nesting accepted. Plans, snapshots and perf files
+/// nest about 5 deep; the cap bounds the parser's recursion (and the
+/// value's recursive destructor) on untrusted input.
+constexpr std::size_t kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : s_(text) {}
@@ -55,8 +60,17 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        ++depth_;
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return {parse_string()};
       case 't': expect_word("true"); return {true};
       case 'f': expect_word("false"); return {false};
@@ -198,6 +212,7 @@ class Parser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays/objects around pos_
 };
 
 }  // namespace

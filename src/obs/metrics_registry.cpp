@@ -56,24 +56,7 @@ Histogram MetricsRegistry::histogram_snapshot(const std::string& name) const {
 
 namespace {
 
-LedgerSnapshot snapshot_of(const net::EnergyLedger& ledger) {
-  // Mirrors analysis::energy_report exactly (same Summary arithmetic) so
-  // the two agree to the last bit; test_obs asserts this.
-  LedgerSnapshot s;
-  const sim::Summary d = ledger.distribution();
-  s.total = d.sum();
-  s.mean = d.mean();
-  s.stddev = d.stddev();
-  s.cv = d.cv();
-  s.max = d.max();
-  s.min = d.min();
-  s.tx = ledger.total(net::EnergyUse::kTx);
-  s.rx = ledger.total(net::EnergyUse::kRx);
-  s.compute = ledger.total(net::EnergyUse::kCompute);
-  return s;
-}
-
-void append_ledger_json(std::string& out, const LedgerSnapshot& s) {
+void append_ledger_json(std::string& out, const net::EnergyReport& s) {
   out += "{\"total\":";
   json_append_double(out, s.total);
   out += ",\"mean\":";
@@ -132,9 +115,10 @@ void append_histogram_json(std::string& out, const Histogram& h) {
 
 }  // namespace
 
-LedgerSnapshot MetricsRegistry::ledger_snapshot(const std::string& name) const {
+net::EnergyReport MetricsRegistry::ledger_snapshot(
+    const std::string& name) const {
   for (const LedgerEntry& e : ledgers_) {
-    if (e.name == name) return snapshot_of(*e.ledger);
+    if (e.name == name) return e.ledger->report();
   }
   throw std::out_of_range("MetricsRegistry: unknown ledger " + name);
 }
@@ -179,7 +163,7 @@ std::string MetricsRegistry::to_json() const {
     sep();
     json_append_string(out, e.name);
     out += ':';
-    append_ledger_json(out, snapshot_of(*e.ledger));
+    append_ledger_json(out, e.ledger->report());
   }
   for (const GaugeEntry& e : gauges_) {
     sep();

@@ -24,27 +24,12 @@
 
 namespace wsn::obs {
 
-/// Materialized view of one registered EnergyLedger. Field-for-field the
-/// same quantities (computed the same way) as analysis::EnergyReport, so
-/// registry snapshots agree exactly with analysis::energy_report.
-struct LedgerSnapshot {
-  double total = 0.0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double cv = 0.0;
-  double max = 0.0;
-  double min = 0.0;
-  double tx = 0.0;
-  double rx = 0.0;
-  double compute = 0.0;
-};
-
 class MetricsRegistry {
  public:
   /// Registers a named counter set; keys appear as "<name>.<counter>".
   void add_counters(std::string name, const sim::CounterSet* counters);
 
-  /// Registers a per-node energy ledger, snapshotted as a LedgerSnapshot.
+  /// Registers a per-node energy ledger, snapshotted as its EnergyReport.
   void add_ledger(std::string name, const net::EnergyLedger* ledger);
 
   /// Registers a live scalar, polled at snapshot time.
@@ -73,7 +58,7 @@ class MetricsRegistry {
   Histogram histogram_snapshot(const std::string& name) const;
 
   /// Polls the named ledger now. Throws std::out_of_range if unknown.
-  LedgerSnapshot ledger_snapshot(const std::string& name) const;
+  net::EnergyReport ledger_snapshot(const std::string& name) const;
 
   /// Polls the named gauge now. Throws std::out_of_range if unknown.
   double gauge(const std::string& name) const;

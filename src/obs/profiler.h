@@ -20,8 +20,6 @@
 //      one call + one predictable branch (the same budget as the tracer's
 //      `enabled()` guard); bench_micro_kernels carries the canary proving a
 //      disarmed profiler records nothing on the dispatch hot path.
-//      Compiling with -DWSN_PROFILER_DISABLED removes even that: ProfSpan
-//      becomes an empty object and every hook is a no-op.
 //   3. Cheap when armed. Categories are a fixed enum indexing a flat array
 //      of buckets — no hashing, no allocation per span. The only per-span
 //      work is two steady_clock reads and a handful of integer ops.
@@ -215,8 +213,6 @@ class SimProfiler {
 /// idiom as obs::tracer()).
 SimProfiler& profiler();
 
-#ifndef WSN_PROFILER_DISABLED
-
 /// RAII span: records into `profiler()` iff armed at construction. The
 /// disarmed cost is the profiler() call plus one branch.
 class ProfSpan {
@@ -237,14 +233,5 @@ class ProfSpan {
  private:
   SimProfiler* prof_ = nullptr;
 };
-
-#else  // WSN_PROFILER_DISABLED: compile instrumentation out entirely.
-
-class ProfSpan {
- public:
-  explicit ProfSpan(ProfCat, const char* = nullptr) {}
-};
-
-#endif  // WSN_PROFILER_DISABLED
 
 }  // namespace wsn::obs

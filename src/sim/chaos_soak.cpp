@@ -10,15 +10,7 @@
 
 #include "core/grid_topology.h"
 #include "core/primitives.h"
-#include "emulation/cell_mapper.h"
-#include "emulation/emulation_protocol.h"
-#include "emulation/leader_binding.h"
-#include "emulation/overlay_network.h"
-#include "net/deployment.h"
-#include "net/link_layer.h"
-#include "net/network_graph.h"
-#include "net/topology_factory.h"
-#include "net/reliable_link.h"
+#include "emulation/physical_stack.h"
 #include "obs/analyze/incremental.h"
 #include "obs/analyze/json_reader.h"
 #include "obs/metrics_registry.h"
@@ -43,53 +35,17 @@ constexpr double kDepletionHeadroom = 80.0;
 constexpr Time kDepletionGrace = 400.0;  // settle until batteries drain
 constexpr std::size_t kMembershipVacancies = 1;  // cells vacated per plan
 
-// The full physical stack a campaign runs against. Mirrors the benches'
-// PhysicalStack (bench_common.h is not visible from src/), but owned here
-// so campaigns can rebuild from scratch deterministically.
-struct Stack {
-  Stack(net::TopologyKind topology, std::size_t grid_side, std::size_t nodes,
-        double range, std::uint64_t seed)
-      : sim(seed) {
-    const net::Rect terrain =
-        net::square_terrain(static_cast<double>(grid_side));
-    auto positions =
-        net::deploy_topology(topology, grid_side, nodes, terrain, sim.rng());
-    graph = std::make_unique<net::NetworkGraph>(std::move(positions), range);
-    mapper =
-        std::make_unique<emulation::CellMapper>(*graph, terrain, grid_side);
-    ledger = std::make_unique<net::EnergyLedger>(graph->node_count());
-    link = std::make_unique<net::LinkLayer>(
-        sim, *graph, net::RadioModel{range, 1.0, 1.0, 1.0}, net::CpuModel{},
-        *ledger);
-    emulation_result = emulation::run_topology_emulation(*link, *mapper, 0.0);
-    binding_result = emulation::run_leader_binding(*link, *mapper);
-    overlay = std::make_unique<emulation::OverlayNetwork>(
-        *link, *mapper, emulation_result, binding_result);
-  }
-
-  /// The paper-precondition precheck for a fresh draw. Membership mode
-  /// relaxes occupancy — adoption restores coverage of vacant cells, so an
-  /// unoccupied cell is a scenario rather than a bad draw — but the
-  /// collector cell (0,0) must stay occupied: it is the aggregation root
-  /// and has no parent to proxy-adopt it.
-  bool healthy(bool relax_occupancy) const {
-    const bool occupancy =
-        relax_occupancy ? !mapper->members(core::GridCoord{0, 0}).empty()
-                        : mapper->all_cells_occupied();
-    return occupancy && mapper->all_cells_connected() &&
-           binding_result.unique_leaders;
-  }
-
-  Simulator sim;
-  std::unique_ptr<net::NetworkGraph> graph;
-  std::unique_ptr<emulation::CellMapper> mapper;
-  std::unique_ptr<net::EnergyLedger> ledger;
-  std::unique_ptr<net::LinkLayer> link;
-  emulation::EmulationResult emulation_result;
-  emulation::BindingResult binding_result;
-  std::unique_ptr<emulation::OverlayNetwork> overlay;
-  std::unique_ptr<net::ReliableChannel> arq;
-};
+/// The paper-precondition precheck for a fresh draw. Membership mode
+/// relaxes occupancy: adoption restores coverage of vacant cells, so an
+/// unoccupied cell is a scenario rather than a bad draw. The collector cell
+/// (0,0) must stay occupied all the same: it is the aggregation root and
+/// has no parent to proxy-adopt it.
+bool healthy_draw(const emulation::PhysicalStack& stack, bool membership) {
+  if (!membership) return stack.healthy();
+  return !stack.mapper->members(core::GridCoord{0, 0}).empty() &&
+         stack.mapper->all_cells_connected() &&
+         stack.binding_result.unique_leaders;
+}
 
 /// A generated leader crash the invariant pass must account for.
 struct TrackedCrash {
@@ -98,35 +54,17 @@ struct TrackedCrash {
   Time at = 0.0;  // plan-relative
 };
 
-/// True iff the cell's member set stays BFS-connected (over physical radio
-/// edges) after `removed` is taken out — the generator's guard for the
-/// paper's all_cells_connected precondition.
-bool connected_without(const net::NetworkGraph& graph,
-                       std::span<const net::NodeId> members,
-                       net::NodeId removed) {
+/// True iff the cell's members stay connected over radio edges once
+/// `removed` is taken out: the generator's guard for the paper's
+/// all_cells_connected precondition.
+bool stays_connected(const net::NetworkGraph& graph,
+                     std::span<const net::NodeId> members,
+                     net::NodeId removed) {
   std::vector<net::NodeId> alive;
   for (const net::NodeId m : members) {
     if (m != removed) alive.push_back(m);
   }
-  if (alive.empty()) return false;
-  std::vector<net::NodeId> frontier{alive.front()};
-  std::vector<bool> seen(graph.node_count(), false);
-  seen[alive.front()] = true;
-  std::size_t reached = 1;
-  auto is_alive = [&](net::NodeId v) {
-    return std::find(alive.begin(), alive.end(), v) != alive.end();
-  };
-  while (!frontier.empty()) {
-    const net::NodeId u = frontier.back();
-    frontier.pop_back();
-    for (const net::NodeId v : graph.neighbors(u)) {
-      if (seen[v] || !is_alive(v)) continue;
-      seen[v] = true;
-      ++reached;
-      frontier.push_back(v);
-    }
-  }
-  return reached == alive.size();
+  return !alive.empty() && graph.induced_connected(alive);
 }
 
 struct GeneratedPlan {
@@ -263,7 +201,7 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
   // paper's preconditions — bump the stack seed until healthy. Each draw
   // gets a fresh oracle (and a wiped stream directory): a rejected draw's
   // events would break the accepted stack's energy balance.
-  std::unique_ptr<Stack> stack;
+  std::unique_ptr<emulation::PhysicalStack> stack;
   for (std::uint64_t retry = 0;; ++retry) {
     if (retry > 0) {
       oracle.reset();  // closes the rejected draw's stream before the wipe
@@ -271,10 +209,10 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
       obs::tracer().set_sink(oracle.get());
     }
     obs::tracer().reset_flows(0);
-    stack = std::make_unique<Stack>(cfg_.topology, cfg_.grid_side,
-                                    cfg_.node_count, kRange,
-                                    res.seed + 1000003 * retry);
-    if (stack->healthy(cfg_.membership)) break;
+    stack = std::make_unique<emulation::PhysicalStack>(
+        cfg_.grid_side, cfg_.node_count, kRange, res.seed + 1000003 * retry,
+        cfg_.topology);
+    if (healthy_draw(*stack, cfg_.membership)) break;
     ++res.seeds_rejected;
     res.sim_events += stack->sim.events_processed();
     res.sim_time += stack->sim.now();
@@ -284,9 +222,7 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
     }
   }
 
-  stack->arq = std::make_unique<net::ReliableChannel>(*stack->link,
-                                                      net::ReliableConfig{});
-  stack->overlay->attach_arq(*stack->arq);
+  stack->enable_arq();
   emulation::FailureDetectorConfig dcfg = cfg_.detector;
   if (cfg_.depletion && dcfg.handoff_low_water <= 0.0) {
     // Retire with 60% of the headroom still in the tank. The reserve must
@@ -308,11 +244,7 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
   emulation::FailureDetector detector(*stack->overlay, dcfg);
 
   obs::MetricsRegistry registry;
-  stack->link->register_metrics(registry);
-  stack->overlay->register_metrics(registry);
-  emulation::register_metrics(registry, stack->emulation_result);
-  emulation::register_metrics(registry, stack->binding_result);
-  stack->arq->register_metrics(registry);
+  stack->register_metrics(registry);
   detector.register_metrics(registry);
   registry.add_gauge("soak.seeds_rejected", [&res] {
     return static_cast<double>(res.seeds_rejected);
@@ -441,7 +373,7 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
       const net::NodeId leader = stack->overlay->bound_node(cell);
       const auto members = stack->mapper->members(cell);
       if (leader == net::kNoNode || members.size() < 2) continue;
-      if (!connected_without(*stack->graph, members, leader)) continue;
+      if (!stays_connected(*stack->graph, members, leader)) continue;
       hit[ci] = true;
       FaultEvent crash;
       crash.at = 5.0 + rng.uniform() * horizon * 0.4;
@@ -470,7 +402,7 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
       const net::NodeId victim =
           members[static_cast<std::size_t>(rng.below(members.size()))];
       if (victim == leader) continue;
-      if (!connected_without(*stack->graph, members, victim)) continue;
+      if (!stays_connected(*stack->graph, members, victim)) continue;
       hit[ci] = true;
       FaultEvent crash;
       crash.at = 5.0 + rng.uniform() * horizon * 0.4;
@@ -547,7 +479,7 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
       const net::NodeId leader = stack->overlay->bound_node(cell);
       const auto members = stack->mapper->members(cell);
       if (leader == net::kNoNode || members.size() < 2) continue;
-      if (!connected_without(*stack->graph, members, leader)) continue;
+      if (!stays_connected(*stack->graph, members, leader)) continue;
       hit[ci] = true;
       FaultEvent ev;
       ev.at = 2.0 + rng.uniform() * 6.0;

@@ -2,11 +2,11 @@
 // full physical stack, each checked against the trace oracle and the
 // failure-detection invariants.
 //
-// Each campaign builds a fresh PhysicalStack-equivalent (seeded deployment,
-// emulation, leader binding, overlay, ARQ, distributed FailureDetector),
-// generates a FaultPlan from the campaign's own seeded RNG under a severity
-// budget, runs deadline-bounded reduce rounds through the faults, lets the
-// detector settle, and then asserts:
+// Each campaign builds its own emulation::PhysicalStack (seeded deployment,
+// emulation, leader binding, overlay) with ARQ and a distributed
+// FailureDetector on top, generates a FaultPlan from the campaign's own
+// seeded RNG under a severity budget, runs deadline-bounded reduce rounds
+// through the faults, lets the detector settle, and then asserts:
 //   * every trace invariant (obs/analyze/check.h) holds, energy and ARQ
 //     counters checked against a metrics snapshot. The events stream live
 //     into an obs::analyze::StreamingChecker as the campaign runs; nothing

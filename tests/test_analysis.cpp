@@ -134,7 +134,7 @@ TEST(Metrics, EnergyReportAggregates) {
   ledger.charge(0, net::EnergyUse::kTx, 4.0);
   ledger.charge(1, net::EnergyUse::kRx, 2.0);
   ledger.charge(2, net::EnergyUse::kCompute, 2.0);
-  const EnergyReport r = energy_report(ledger);
+  const net::EnergyReport r = ledger.report();
   EXPECT_DOUBLE_EQ(r.total, 8.0);
   EXPECT_DOUBLE_EQ(r.mean, 2.0);
   EXPECT_DOUBLE_EQ(r.max, 4.0);

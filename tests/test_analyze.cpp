@@ -18,10 +18,9 @@
 #include <variant>
 #include <vector>
 
-#include "analysis/metrics.h"
-#include "bench/bench_common.h"
 #include "core/primitives.h"
 #include "core/virtual_network.h"
+#include "emulation/physical_stack.h"
 #include "obs/analyze/bench_compare.h"
 #include "obs/analyze/check.h"
 #include "obs/analyze/cli.h"
@@ -135,6 +134,7 @@ TEST(JsonReader, RejectsMalformedInput) {
   EXPECT_THROW(parse_json("{'a': 1}"), std::runtime_error);
   EXPECT_THROW(parse_json(""), std::runtime_error);
   EXPECT_THROW(parse_json("{\"a\": tru}"), std::runtime_error);
+  EXPECT_THROW(parse_json(std::string(200000, '[')), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -305,7 +305,7 @@ TEST(EnergyAttribution, MatchesLedgerExactlyPerNode) {
 }
 
 TEST(EnergyAttribution, LinkLayerMatchesLedger) {
-  bench::PhysicalStack stack(4, 40, 1.6, 7);
+  emulation::PhysicalStack stack(4, 40, 1.6, 7);
   ASSERT_TRUE(stack.healthy());
   stack.ledger->reset();  // drop setup-phase energy: the trace starts here
   obs::RingBufferSink sink(1 << 16);

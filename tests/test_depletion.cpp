@@ -14,9 +14,9 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "core/primitives.h"
 #include "emulation/failure_detector.h"
+#include "emulation/physical_stack.h"
 #include "obs/analyze/check.h"
 #include "obs/export.h"
 #include "obs/metrics_registry.h"
@@ -37,7 +37,7 @@ constexpr std::uint64_t kSeed = 7;
 TEST(DepletionMonitor, BudgetCrossingBecomesTracedDeath) {
   obs::RingBufferSink sink(1u << 20);
   obs::ScopedTrace capture(sink, obs::kAllCategories);
-  bench::PhysicalStack stack(kSide, kNodes, kRange, kSeed);
+  emulation::PhysicalStack stack(kSide, kNodes, kRange, kSeed);
   ASSERT_TRUE(stack.healthy());
   stack.enable_arq();
   sim::DepletionMonitor monitor(stack.sim, *stack.link);
@@ -93,7 +93,7 @@ TEST(DepletionMonitor, BudgetCrossingBecomesTracedDeath) {
 TEST(ProactiveHandoff, LeaderRetiresBeforeItsBatteryDies) {
   obs::RingBufferSink sink(1u << 20);
   obs::ScopedTrace capture(sink, obs::kAllCategories);
-  bench::PhysicalStack stack(kSide, kNodes, kRange, kSeed);
+  emulation::PhysicalStack stack(kSide, kNodes, kRange, kSeed);
   ASSERT_TRUE(stack.healthy());
   stack.enable_arq();
   sim::DepletionMonitor monitor(stack.sim, *stack.link);
@@ -142,7 +142,7 @@ TEST(ProactiveHandoff, LeaderRetiresBeforeItsBatteryDies) {
 }
 
 TEST(ProactiveHandoff, RequestHandoffElectsBestResidualCandidate) {
-  bench::PhysicalStack stack(kSide, kNodes, kRange, kSeed);
+  emulation::PhysicalStack stack(kSide, kNodes, kRange, kSeed);
   ASSERT_TRUE(stack.healthy());
   stack.enable_arq();
 
@@ -187,7 +187,7 @@ TEST(ProactiveHandoff, RequestHandoffElectsBestResidualCandidate) {
 /// collector, so the stale-epoch rejection is exercised end to end.
 std::string run_handoff_race(core::PartialResult* out) {
   obs::RingBufferSink sink(1u << 20);
-  bench::PhysicalStack stack(kSide, kNodes, kRange, kSeed);
+  emulation::PhysicalStack stack(kSide, kNodes, kRange, kSeed);
   EXPECT_TRUE(stack.healthy());
   stack.enable_arq();
 

@@ -4,9 +4,9 @@
 #include "app/field.h"
 #include "app/labeling.h"
 #include "app/topographic.h"
-#include "bench/bench_common.h"
 #include "core/virtual_network.h"
 #include "emulation/overlay_network.h"
+#include "emulation/physical_stack.h"
 #include "net/deployment.h"
 
 namespace wsn {
@@ -80,7 +80,7 @@ TEST(EdgeCases, TopographicQueryOnMismatchedSidesThrows) {
 TEST(EdgeCases, OverlayQueryFailsLoudlyUnderTotalLoss) {
   // With every packet dropped the round cannot complete: the runner throws
   // instead of silently returning a stale or partial result.
-  bench::PhysicalStack stack(2, 40, 1.5, 9);
+  emulation::PhysicalStack stack(2, 40, 1.5, 9);
   ASSERT_TRUE(stack.healthy());
   stack.link->set_loss_probability(1.0);
   sim::Rng rng(9);
@@ -91,7 +91,7 @@ TEST(EdgeCases, OverlayQueryFailsLoudlyUnderTotalLoss) {
 
 TEST(EdgeCases, TwoByTwoFullPipeline) {
   // The smallest nontrivial grid end to end on the physical stack.
-  bench::PhysicalStack stack(2, 24, 1.5, 4);
+  emulation::PhysicalStack stack(2, 24, 1.5, 4);
   ASSERT_TRUE(stack.healthy());
   app::FeatureGrid grid(2);
   grid.set({0, 1}, true);

@@ -8,6 +8,7 @@
 #include "emulation/emulation_protocol.h"
 #include "emulation/leader_binding.h"
 #include "emulation/overlay_network.h"
+#include "emulation/physical_stack.h"
 #include "net/deployment.h"
 #include "sim/simulator.h"
 
@@ -210,18 +211,13 @@ TEST(LeaderBinding, EveryCellGetsExactlyOneLeader) {
 
 class OverlayTest : public ::testing::Test {
  protected:
-  OverlayTest() : d_(4, 160, 1.2, 21) {
-    EXPECT_TRUE(d_.mapper->all_cells_occupied());
-    EXPECT_TRUE(d_.mapper->all_cells_connected());
-    auto emulation = run_topology_emulation(*d_.link, *d_.mapper);
-    auto binding = run_leader_binding(*d_.link, *d_.mapper);
-    overlay_ = std::make_unique<OverlayNetwork>(*d_.link, *d_.mapper,
-                                                std::move(emulation),
-                                                std::move(binding));
+  OverlayTest() {
+    EXPECT_TRUE(stack_.mapper->all_cells_occupied());
+    EXPECT_TRUE(stack_.mapper->all_cells_connected());
   }
 
-  Deployment d_;
-  std::unique_ptr<OverlayNetwork> overlay_;
+  PhysicalStack stack_{4, 160, 1.2, 21};
+  OverlayNetwork* overlay_ = stack_.overlay.get();
 };
 
 TEST_F(OverlayTest, DeliversBetweenBoundLeaders) {
@@ -232,7 +228,7 @@ TEST_F(OverlayTest, DeliversBetweenBoundLeaders) {
     from = m.sender;
   });
   overlay_->send({0, 0}, {3, 3}, 17, 1.0);
-  d_.sim.run();
+  stack_.sim.run();
   EXPECT_EQ(got, 1);
   EXPECT_EQ(from, (core::GridCoord{0, 0}));
   EXPECT_EQ(overlay_->failed_sends(), 0u);
@@ -243,7 +239,7 @@ TEST_F(OverlayTest, SelfSendDeliversLocally) {
   int got = 0;
   overlay_->set_receiver({1, 2}, [&](const core::VirtualMessage&) { ++got; });
   overlay_->send({1, 2}, {1, 2}, 0, 1.0);
-  d_.sim.run();
+  stack_.sim.run();
   EXPECT_EQ(got, 1);
 }
 
@@ -262,7 +258,7 @@ TEST_F(OverlayTest, AllPairsRoutable) {
       ++sent;
     }
   }
-  d_.sim.run();
+  stack_.sim.run();
   EXPECT_EQ(delivered, sent);
   EXPECT_EQ(overlay_->failed_sends(), 0u);
   // Stretch is finite and at least 1.
@@ -294,19 +290,19 @@ TEST_F(OverlayTest, RouteStateIsInertWithoutMembership) {
 
 TEST_F(OverlayTest, EnergyLandsInPhysicalLedger) {
   overlay_->set_receiver({0, 3}, [](const core::VirtualMessage&) {});
-  const double before = d_.ledger->total();
+  const double before = stack_.ledger->total();
   overlay_->send({0, 0}, {0, 3}, 0, 2.0);
-  d_.sim.run();
-  const double after = d_.ledger->total();
+  stack_.sim.run();
+  const double after = stack_.ledger->total();
   // Each physical hop moves 2 units: tx+rx = 4 energy per hop.
   EXPECT_GE(after - before, 4.0 * 3);
 }
 
 TEST_F(OverlayTest, ComputeChargesBoundNode) {
   const net::NodeId bound = overlay_->bound_node({2, 2});
-  const double before = d_.ledger->spent(bound);
+  const double before = stack_.ledger->spent(bound);
   overlay_->compute({2, 2}, 3.0);
-  EXPECT_DOUBLE_EQ(d_.ledger->spent(bound) - before, 3.0);
+  EXPECT_DOUBLE_EQ(stack_.ledger->spent(bound) - before, 3.0);
 }
 
 }  // namespace

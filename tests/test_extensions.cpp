@@ -9,10 +9,10 @@
 #include "app/field.h"
 #include "app/serialize.h"
 #include "app/topographic.h"
-#include "bench/bench_common.h"
 #include "core/virtual_network.h"
 #include "emulation/emulation_protocol.h"
 #include "emulation/leader_binding.h"
+#include "emulation/physical_stack.h"
 
 namespace wsn {
 namespace {
@@ -173,7 +173,7 @@ class MaintenanceTest : public ::testing::Test {
   MaintenanceTest() : stack_(4, 200, 1.3, 77) {
     EXPECT_TRUE(stack_.healthy());
   }
-  bench::PhysicalStack stack_;
+  emulation::PhysicalStack stack_;
 };
 
 TEST_F(MaintenanceTest, RepairRestoresRoutesAfterFailures) {

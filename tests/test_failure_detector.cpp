@@ -13,12 +13,13 @@
 #include <memory>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "core/primitives.h"
 #include "emulation/failure_detector.h"
 #include "emulation/leader_binding.h"
+#include "emulation/physical_stack.h"
 #include "net/reliable_link.h"
 #include "sim/fault_plan.h"
+#include "tests/failover_oracle.h"
 
 namespace wsn {
 namespace {
@@ -51,7 +52,7 @@ class FailureDetectorTest : public ::testing::Test {
     stack_.sim.run();
   }
 
-  bench::PhysicalStack stack_;
+  emulation::PhysicalStack stack_;
   std::unique_ptr<emulation::FailureDetector> detector_;
 };
 
@@ -172,14 +173,14 @@ TEST_F(FailureDetectorTest, CellOutageSuspectedThenResumed) {
   const emulation::FailureDetectorConfig cfg{};
 
   detector_->start();
-  stack_.sim.run_until(stack_.sim.now() + 2.0 * cfg.uplease_period);
+  stack_.sim.run_until(stack_.sim.now() + 2.0 * emulation::kUpleasePeriod);
   for (const net::NodeId m : members) stack_.link->set_down(m, true);
   stack_.sim.run_until(stack_.sim.now() + 2.5 * cfg.uplease_duration);
   EXPECT_GE(detector_->counters().get("fd.cell_suspect"), 1u)
       << "the hierarchy should suspect a fully dark cell";
 
   for (const net::NodeId m : members) stack_.link->set_down(m, false);
-  stack_.sim.run_until(stack_.sim.now() + 3.0 * cfg.uplease_period +
+  stack_.sim.run_until(stack_.sim.now() + 3.0 * emulation::kUpleasePeriod +
                        2.0 * cfg.lease_duration);
   EXPECT_GE(detector_->counters().get("fd.cell_resume"), 1u)
       << "upleases after recovery should clear the suspicion";
@@ -200,8 +201,8 @@ TEST_F(FailureDetectorTest, HeartbeatsCostRealEnergy) {
 TEST(FailureDetectorOracle, SameCampaignSameFinalBindings) {
   // Identical seed => identical deployment, identical initial binding, and
   // the same two leader node-ids to crash in both universes.
-  bench::PhysicalStack oracle_stack(kSide, kNodes, kRange, kSeed);
-  bench::PhysicalStack dist_stack(kSide, kNodes, kRange, kSeed);
+  emulation::PhysicalStack oracle_stack(kSide, kNodes, kRange, kSeed);
+  emulation::PhysicalStack dist_stack(kSide, kNodes, kRange, kSeed);
   ASSERT_TRUE(oracle_stack.healthy());
   ASSERT_TRUE(dist_stack.healthy());
   oracle_stack.enable_arq();
@@ -218,14 +219,14 @@ TEST(FailureDetectorOracle, SameCampaignSameFinalBindings) {
     plan.events.push_back(ev);
   }
 
-  emulation::FailoverBinder binder(*oracle_stack.arq, *oracle_stack.overlay);
+  oracle::FailoverBinder binder(*oracle_stack.arq, *oracle_stack.overlay);
   emulation::FailureDetector detector(*dist_stack.overlay);
   detector.start();
 
   const std::vector<GridCoord> cells =
       oracle_stack.overlay->grid().all_coords();
   const std::vector<double> values(cells.size(), 1.0);
-  auto run_campaign = [&](bench::PhysicalStack& stack) {
+  auto run_campaign = [&](emulation::PhysicalStack& stack) {
     sim::FaultInjector injector(stack.sim, *stack.link, stack.mapper.get());
     injector.arm(plan);
     // Two deadline rounds: the first crosses the crashes (its give-ups are
@@ -284,7 +285,7 @@ class SelfStabilizationTest : public ::testing::Test {
 
   void settle(double dt) { stack_.sim.run_until(stack_.sim.now() + dt); }
 
-  bench::PhysicalStack stack_;
+  emulation::PhysicalStack stack_;
   std::unique_ptr<emulation::FailureDetector> detector_;
 };
 
@@ -407,7 +408,7 @@ class MembershipTest : public ::testing::Test {
     return survivor;
   }
 
-  bench::PhysicalStack stack_;
+  emulation::PhysicalStack stack_;
   std::unique_ptr<emulation::FailureDetector> detector_;
 };
 
@@ -535,7 +536,7 @@ TEST_F(MembershipTest, VacantCellReportedMissingBeforeAdoption) {
 // ---- Epoch-stale contributions rejected by deadline collectives ---------
 
 TEST(BindingEpochs, StaleContributionRejected) {
-  bench::PhysicalStack stack(kSide, kNodes, kRange, kSeed);
+  emulation::PhysicalStack stack(kSide, kNodes, kRange, kSeed);
   ASSERT_TRUE(stack.healthy());
   stack.enable_arq();
 

@@ -18,10 +18,10 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "core/primitives.h"
 #include "core/virtual_network.h"
 #include "emulation/leader_binding.h"
+#include "emulation/physical_stack.h"
 #include "net/reliable_link.h"
 #include "obs/analyze/check.h"
 #include "obs/analyze/json_reader.h"
@@ -31,6 +31,7 @@
 #include "obs/sinks.h"
 #include "obs/trace.h"
 #include "sim/fault_plan.h"
+#include "tests/failover_oracle.h"
 
 namespace wsn {
 namespace {
@@ -376,7 +377,7 @@ TEST(FaultPlanFire, SetBudgetHeadroomResolvesAtFireTime) {
 }
 
 TEST(FaultPlanFire, CellTargetedSetBudgetUsesLeaderLookupAtFireTime) {
-  bench::PhysicalStack stack(4, 60, 1.3, 7);
+  emulation::PhysicalStack stack(4, 60, 1.3, 7);
   ASSERT_TRUE(stack.healthy());
   sim::FaultInjector injector(stack.sim, *stack.link, stack.mapper.get());
   injector.set_leader_lookup(
@@ -518,7 +519,7 @@ TEST(FaultPlanJson, StateCorruptionRejectionsNameLineAndEvent) {
 }
 
 TEST(FaultPlanFire, CellTargetedCorruptionResolvesLeaderAtFireTime) {
-  bench::PhysicalStack stack(4, 60, 1.3, 7);
+  emulation::PhysicalStack stack(4, 60, 1.3, 7);
   ASSERT_TRUE(stack.healthy());
   sim::FaultInjector injector(stack.sim, *stack.link, stack.mapper.get());
   injector.set_leader_lookup(
@@ -543,7 +544,7 @@ TEST(FaultPlanFire, CellTargetedCorruptionResolvesLeaderAtFireTime) {
 }
 
 TEST(FaultPlanFire, CorruptionOfDownNodeIsANoOp) {
-  bench::PhysicalStack stack(4, 60, 1.3, 7);
+  emulation::PhysicalStack stack(4, 60, 1.3, 7);
   ASSERT_TRUE(stack.healthy());
   const net::NodeId victim = stack.overlay->bound_node({2, 2});
   ASSERT_NE(victim, net::kNoNode);
@@ -576,7 +577,7 @@ TEST(FaultPlanFire, CorruptionOfDownNodeIsANoOp) {
 }
 
 TEST(FaultPlanFire, CorruptionWithoutApplierCountsUnwired) {
-  bench::PhysicalStack stack(4, 60, 1.3, 7);
+  emulation::PhysicalStack stack(4, 60, 1.3, 7);
   ASSERT_TRUE(stack.healthy());
   const net::NodeId victim = stack.overlay->bound_node({0, 1});
   ASSERT_NE(victim, net::kNoNode);
@@ -756,12 +757,12 @@ TEST(DeadlineCollectives, PartialResultInvariantsUnderRandomCrashes) {
 
 std::string run_campaign_capture(std::uint64_t seed) {
   obs::RingBufferSink sink(1u << 20);
-  bench::PhysicalStack stack(4, 80, 1.3, seed);
+  emulation::PhysicalStack stack(4, 80, 1.3, seed);
   EXPECT_TRUE(stack.healthy());
   net::ReliableConfig cfg;
   cfg.max_retries = 3;
   stack.enable_arq(cfg);
-  emulation::FailoverBinder binder(*stack.arq, *stack.overlay);
+  oracle::FailoverBinder binder(*stack.arq, *stack.overlay);
   sim::FaultInjector injector(stack.sim, *stack.link, stack.mapper.get());
   injector.set_leader_lookup(
       [&](const GridCoord& c) { return stack.overlay->bound_node(c); });
@@ -813,12 +814,12 @@ TEST(FaultCampaign, CannedCampaignDegradesRecoversAndExplains) {
   obs::ScopedTrace scope(sink);
   // Seed 1: fault-free, this deployment routes every cell to the leader, so
   // any degradation below is attributable to the injected faults.
-  bench::PhysicalStack stack(8, 200, 1.3, 1);
+  emulation::PhysicalStack stack(8, 200, 1.3, 1);
   ASSERT_TRUE(stack.healthy());
   net::ReliableConfig cfg;
   cfg.max_retries = 3;
   stack.enable_arq(cfg);
-  emulation::FailoverBinder binder(*stack.arq, *stack.overlay);
+  oracle::FailoverBinder binder(*stack.arq, *stack.overlay);
   sim::FaultInjector injector(stack.sim, *stack.link, stack.mapper.get());
   injector.set_leader_lookup(
       [&](const GridCoord& c) { return stack.overlay->bound_node(c); });

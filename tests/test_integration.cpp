@@ -4,17 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 
 #include "analysis/analytical.h"
-#include "analysis/metrics.h"
 #include "app/centralized.h"
 #include "app/dnc.h"
 #include "app/field.h"
 #include "app/topographic.h"
 #include "core/virtual_network.h"
-#include "emulation/overlay_network.h"
-#include "net/deployment.h"
+#include "emulation/physical_stack.h"
 
 namespace wsn {
 namespace {
@@ -26,41 +23,6 @@ std::vector<std::uint64_t> sorted_areas(
   std::ranges::sort(areas);
   return areas;
 }
-
-/// Builds a full physical stack (deployment, emulation, binding, overlay)
-/// for a `grid_side` virtual grid.
-struct PhysicalStack {
-  PhysicalStack(std::size_t grid_side, std::size_t nodes, std::uint64_t seed)
-      : sim(seed) {
-    const net::Rect terrain =
-        net::square_terrain(static_cast<double>(grid_side));
-    net::DeploymentConfig cfg;
-    cfg.kind = net::DeploymentKind::kOnePerCellPlus;
-    cfg.node_count = nodes;
-    cfg.terrain = terrain;
-    cfg.cells_per_side = grid_side;
-    auto positions = net::deploy(cfg, sim.rng());
-    graph = std::make_unique<net::NetworkGraph>(std::move(positions), 1.3);
-    mapper = std::make_unique<emulation::CellMapper>(*graph, terrain, grid_side);
-    ledger = std::make_unique<net::EnergyLedger>(graph->node_count());
-    link = std::make_unique<net::LinkLayer>(
-        sim, *graph, net::RadioModel{1.3, 1.0, 1.0, 1.0}, net::CpuModel{},
-        *ledger);
-    auto emu = emulation::run_topology_emulation(*link, *mapper);
-    auto bind = emulation::run_leader_binding(*link, *mapper);
-    setup_energy = ledger->total();
-    overlay = std::make_unique<emulation::OverlayNetwork>(
-        *link, *mapper, std::move(emu), std::move(bind));
-  }
-
-  sim::Simulator sim;
-  std::unique_ptr<net::NetworkGraph> graph;
-  std::unique_ptr<emulation::CellMapper> mapper;
-  std::unique_ptr<net::EnergyLedger> ledger;
-  std::unique_ptr<net::LinkLayer> link;
-  std::unique_ptr<emulation::OverlayNetwork> overlay;
-  double setup_energy = 0.0;
-};
 
 TEST(Integration, VirtualRunMatchesReferenceLabeling) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
@@ -88,7 +50,7 @@ TEST(Integration, PhysicalRunMatchesVirtualResult) {
   const auto virtual_outcome = app::run_topographic_query(vnet, grid);
 
   // Physical layer.
-  PhysicalStack phys(4, 160, 5);
+  emulation::PhysicalStack phys(4, 160, 1.3, 5);
   const auto physical_outcome = app::run_topographic_query(*phys.overlay, grid);
 
   EXPECT_EQ(sorted_areas(virtual_outcome.regions),
@@ -112,7 +74,7 @@ TEST(Integration, AnalyticalPredictionMatchesVirtualMeasurementExactly) {
     EXPECT_EQ(outcome.round.messages_sent, predicted.messages);
     EXPECT_EQ(vnet.total_hops(), predicted.total_hops);
     EXPECT_DOUBLE_EQ(outcome.round.finished_at, predicted.latency);
-    const auto report = analysis::energy_report(vnet.ledger());
+    const auto report = vnet.ledger().report();
     EXPECT_DOUBLE_EQ(report.total, predicted.total_energy);
   }
 }
@@ -129,7 +91,7 @@ TEST(Integration, CentralizedPredictionMatchesVirtualMeasurement) {
     EXPECT_EQ(outcome.messages, predicted.messages);
     EXPECT_EQ(vnet.total_hops(), predicted.total_hops);
     EXPECT_DOUBLE_EQ(outcome.finished_at, predicted.latency);
-    EXPECT_DOUBLE_EQ(analysis::energy_report(vnet.ledger()).total,
+    EXPECT_DOUBLE_EQ(vnet.ledger().report().total,
                      predicted.total_energy);
     // And it labels correctly.
     EXPECT_EQ(outcome.regions.size(), side * side / 2);
@@ -172,7 +134,7 @@ TEST(Integration, QuadtreeBeatsCentralizedOnTotalEnergyAtScale) {
 }
 
 TEST(Integration, StretchIsModestOnDenseDeployments) {
-  PhysicalStack phys(4, 240, 11);
+  emulation::PhysicalStack phys(4, 240, 1.3, 11);
   sim::Rng field_rng(11);
   const app::FeatureGrid grid = app::random_grid(4, 0.5, field_rng);
   app::run_topographic_query(*phys.overlay, grid);
@@ -201,7 +163,7 @@ TEST(Integration, EnergyConservationOnVirtualLayer) {
   core::VirtualNetwork vnet(sim, core::GridTopology(8),
                             core::uniform_cost_model());
   const auto outcome = app::run_topographic_query(vnet, grid);
-  const auto report = analysis::energy_report(vnet.ledger());
+  const auto report = vnet.ledger().report();
   const double comm = static_cast<double>(vnet.total_hops()) * 2.0;
   EXPECT_DOUBLE_EQ(report.tx + report.rx, comm);
   const double sense = 64.0;

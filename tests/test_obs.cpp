@@ -12,9 +12,8 @@
 #include <sstream>
 #include <vector>
 
-#include "analysis/metrics.h"
-#include "bench/bench_common.h"
 #include "core/virtual_network.h"
+#include "emulation/physical_stack.h"
 #include "obs/export.h"
 #include "obs/metrics_registry.h"
 #include "obs/scoped_timer.h"
@@ -273,7 +272,7 @@ TEST(Provenance, ReconstructsQueuedMultiHopSend) {
 
 TEST(Provenance, OverlaySendTracksPhysicalHops) {
   const std::size_t grid_side = 4;
-  bench::PhysicalStack stack(grid_side, grid_side * grid_side * 8, 1.4, 11);
+  emulation::PhysicalStack stack(grid_side, grid_side * grid_side * 8, 1.4, 11);
   ASSERT_TRUE(stack.healthy());
 
   // Arm tracing only after setup so the capture holds exactly one send.
@@ -359,8 +358,8 @@ TEST(MetricsRegistry, SnapshotMatchesEnergyReportExactly) {
   obs::MetricsRegistry registry;
   vnet.register_metrics(registry);
 
-  const analysis::EnergyReport report = analysis::energy_report(vnet.ledger());
-  const obs::LedgerSnapshot snap = registry.ledger_snapshot("vnet.energy");
+  const net::EnergyReport report = vnet.ledger().report();
+  const net::EnergyReport snap = registry.ledger_snapshot("vnet.energy");
   EXPECT_EQ(snap.total, report.total);
   EXPECT_EQ(snap.mean, report.mean);
   EXPECT_EQ(snap.stddev, report.stddev);
@@ -404,12 +403,12 @@ TEST(MetricsRegistry, JsonSnapshotIsCompleteAndStable) {
 }
 
 TEST(MetricsRegistry, PhysicalStackRegistersWholeStack) {
-  bench::PhysicalStack stack(2, 24, 1.4, 5);
+  emulation::PhysicalStack stack(2, 24, 1.4, 5);
   ASSERT_TRUE(stack.healthy());
   obs::MetricsRegistry registry;
   stack.register_metrics(registry);
 
-  const obs::LedgerSnapshot link_energy =
+  const net::EnergyReport link_energy =
       registry.ledger_snapshot("overlay.link.energy");
   EXPECT_EQ(link_energy.total, stack.ledger->total());
   EXPECT_EQ(registry.gauge("emulation.broadcasts"),

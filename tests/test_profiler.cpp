@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "core/grid_topology.h"
+#include "emulation/physical_stack.h"
 #include "obs/analyze/bench_compare.h"
 #include "obs/analyze/check.h"
 #include "obs/analyze/cli.h"
@@ -48,7 +48,7 @@ void spin_at_least_ns(std::uint64_t ns) {
 /// change a byte of this, whatever its state.
 std::string campaign_trace_jsonl() {
   obs::RingBufferSink sink(1 << 18);
-  bench::PhysicalStack stack(4, 60, 1.3, 3);
+  emulation::PhysicalStack stack(4, 60, 1.3, 3);
   stack.enable_arq();
   {
     obs::ScopedTrace trace(sink);

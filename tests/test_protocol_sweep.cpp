@@ -8,7 +8,7 @@
 #include "app/field.h"
 #include "app/labeling.h"
 #include "app/topographic.h"
-#include "bench/bench_common.h"
+#include "emulation/physical_stack.h"
 
 namespace wsn {
 namespace {
@@ -26,7 +26,7 @@ class ProtocolSweep : public ::testing::TestWithParam<SweepParam> {
                static_cast<std::uint64_t>(std::get<2>(GetParam())) * 131 +
                    std::get<0>(GetParam())) {}
 
-  bench::PhysicalStack stack_;
+  emulation::PhysicalStack stack_;
 };
 
 TEST_P(ProtocolSweep, EmulationTablesCompleteAndAcyclic) {

@@ -9,7 +9,6 @@
 #include "core/virtual_network.h"
 #include "emulation/tree_overlay.h"
 #include "net/deployment.h"
-#include "bench/bench_common.h"
 
 namespace wsn {
 namespace {
