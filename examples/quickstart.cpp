@@ -251,7 +251,12 @@ int main(int argc, char** argv) {
         [&c](net::NodeId node, sim::CorruptionTarget target) {
           return c.detector->inject_corruption(node, target);
         });
-    c.injector->arm(plan);
+    try {
+      c.injector->arm(plan);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
     c.detector->start();
     // Apply the campaign's t=0 faults before the first round begins. While
     // the detector runs, the simulator queue never drains, so every phase

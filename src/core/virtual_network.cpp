@@ -10,7 +10,7 @@ void VirtualNetwork::deliver(const GridCoord& from, const GridCoord& to,
     // The destination process crashed while the message was in flight; the
     // radio work already happened (energy stays charged), only the handler
     // is suppressed. The "drop" event keeps the flow explicable offline.
-    counters_.add("vnet.rx_dead");
+    counters_.add(Counter::kRxDead);
     if (obs::tracer().enabled(obs::Category::kVirtual)) {
       obs::tracer().emit(
           {sim_.now(), static_cast<std::int64_t>(idx), obs::Category::kVirtual,
@@ -20,7 +20,7 @@ void VirtualNetwork::deliver(const GridCoord& from, const GridCoord& to,
     }
     return;
   }
-  counters_.add("vnet.delivered");
+  counters_.add(Counter::kDelivered);
   if (obs::tracer().enabled(obs::Category::kVirtual)) {
     obs::tracer().emit(
         {sim_.now(), static_cast<std::int64_t>(idx), obs::Category::kVirtual,
@@ -31,7 +31,7 @@ void VirtualNetwork::deliver(const GridCoord& from, const GridCoord& to,
   if (receivers_[idx]) {
     receivers_[idx](VirtualMessage{from, size_units, payload});
   } else {
-    counters_.add("vnet.no_receiver");
+    counters_.add(Counter::kNoReceiver);
   }
 }
 
@@ -46,7 +46,7 @@ void VirtualNetwork::forward_serialized(
       std::max(now, tx_busy_until_[here_idx]) + cost_.hop_latency(size_units);
   tx_busy_until_[here_idx] = depart;
   if (depart > now + cost_.hop_latency(size_units)) {
-    counters_.add("vnet.queued");
+    counters_.add(Counter::kQueued);
   }
   if (obs::tracer().enabled(obs::Category::kVirtual)) {
     // One relay span: `wait` is pure queueing delay behind the relay's
@@ -77,10 +77,10 @@ void VirtualNetwork::send(const GridCoord& from, const GridCoord& to,
                           std::any payload, double size_units) {
   if (down_[grid_.index_of(from)]) {
     // A crashed process transmits nothing: no energy, no trace, no flow.
-    counters_.add("vnet.tx_dead");
+    counters_.add(Counter::kTxDead);
     return;
   }
-  counters_.add("vnet.send");
+  counters_.add(Counter::kSend);
   const std::uint32_t hops = manhattan(from, to);
   total_hops_ += hops;
 
@@ -98,7 +98,7 @@ void VirtualNetwork::send(const GridCoord& from, const GridCoord& to,
 
   if (hops == 0) {
     // Self-delivery: no radio involved, no energy, no latency.
-    counters_.add("vnet.self_send");
+    counters_.add(Counter::kSelfSend);
     sim_.post([this, from, payload = std::move(payload), size_units]() {
       const std::size_t idx = grid_.index_of(from);
       if (receivers_[idx]) {

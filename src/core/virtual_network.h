@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <functional>
+#include <string_view>
 #include <vector>
 
 #include "core/cost_model.h"
@@ -99,7 +100,7 @@ class VirtualNetwork final : public MessageFabric {
   sim::Time compute(const GridCoord& c, double ops) override {
     ledger_.charge(static_cast<net::NodeId>(grid_.index_of(c)),
                    net::EnergyUse::kCompute, cost_.compute_energy(ops));
-    counters_.add("vnet.compute");
+    counters_.add(Counter::kCompute);
     return cost_.compute_latency(ops);
   }
 
@@ -121,6 +122,15 @@ class VirtualNetwork final : public MessageFabric {
   }
 
  private:
+  enum class Counter : std::uint8_t {
+    kCompute, kDelivered, kNoReceiver, kQueued, kRxDead, kSelfSend, kSend,
+    kTxDead, kCount
+  };
+  static constexpr std::string_view kCounterNames[] = {
+      "vnet.compute", "vnet.delivered", "vnet.no_receiver", "vnet.queued",
+      "vnet.rx_dead", "vnet.self_send", "vnet.send", "vnet.tx_dead"};
+  static_assert(sim::counter_table_ok<Counter>(kCounterNames));
+
   /// One store-and-forward hop under kNodeSerialized: the packet waits for
   /// the relay's transmitter, then occupies it for one hop latency.
   /// `flow` is the trace correlation id of the originating send (0 when
@@ -139,7 +149,7 @@ class VirtualNetwork final : public MessageFabric {
   net::EnergyLedger ledger_;
   std::vector<Handler> receivers_;
   std::vector<bool> down_;
-  sim::CounterSet counters_;
+  sim::CounterSet counters_{kCounterNames};
   std::vector<sim::Time> tx_busy_until_;
   std::uint64_t total_hops_ = 0;
 };

@@ -96,7 +96,7 @@ bool FailureDetector::heal_belief(net::NodeId i) {
   // orphans never reach this: their divergence is deliberate.
   const core::GridCoord was = membership_->cell_of(i);
   move_belief(i, truth);
-  counters_.add("fd.member_heal");
+  counters_.add(Counter::kMemberHeal);
   trace_fd("fd.member_heal", i,
            {{"from_row", static_cast<std::int64_t>(was.row)},
             {"from_col", static_cast<std::int64_t>(was.col)},
@@ -139,7 +139,7 @@ bool FailureDetector::try_adopt(net::NodeId i) {
   if (gateway == net::kNoNode) {
     // Fully isolated: nobody to defect to. Stay put; the next lease cycle
     // retries (a recovery may restore a neighbor).
-    counters_.add("fd.stranded");
+    counters_.add(Counter::kStranded);
     trace_fd("fd.stranded", i,
              {{"row", static_cast<std::int64_t>(here.row)},
               {"col", static_cast<std::int64_t>(here.col)}});
@@ -147,7 +147,7 @@ bool FailureDetector::try_adopt(net::NodeId i) {
   }
   move_belief(i, best);
   adoptions_.push_back({i, here, best, sim().now()});
-  counters_.add("fd.adopt");
+  counters_.add(Counter::kAdopt);
   trace_fd("fd.adopt", i,
            {{"from_row", static_cast<std::int64_t>(here.row)},
             {"from_col", static_cast<std::int64_t>(here.col)},
@@ -200,7 +200,7 @@ void FailureDetector::adopt_bind(net::NodeId proxy,
   const std::uint64_t epoch = overlay_.binding_epoch(cell) + 1;
   overlay_.rebind(cell, proxy, epoch);
   ++adopt_binds_;
-  counters_.add("fd.adopt_bind");
+  counters_.add(Counter::kAdoptBind);
   trace_fd("fd.adopt_bind", proxy,
            {{"row", static_cast<std::int64_t>(cell.row)},
             {"col", static_cast<std::int64_t>(cell.col)},
@@ -360,7 +360,7 @@ void FailureDetector::start() {
     arq->set_on_give_up([this, gen](net::NodeId from, net::NodeId to,
                                     std::uint64_t, std::uint32_t) {
       if (gen != run_gen_ || !running_) return;
-      counters_.add("fd.hop_give_up");
+      counters_.add(Counter::kHopGiveUp);
       overlay_.on_hop_give_up(from, to);
     });
   }
@@ -403,7 +403,7 @@ void FailureDetector::on_watchdog(net::NodeId i) {
     // delivery clears suspicion at every live neighbor, after which the
     // current leader's beats reach us again and resync the epoch.
     was_down_[i] = false;
-    counters_.add("fd.rejoin");
+    counters_.add(Counter::kRejoin);
     trace_fd("fd.rejoin", i,
              {{"leader", static_cast<std::uint64_t>(believed_leader_[i])},
               {"epoch", epoch_[i]}});
@@ -434,7 +434,7 @@ void FailureDetector::on_watchdog(net::NodeId i) {
     arm_watchdog(i);
     return;
   }
-  counters_.add("fd.lease_expire");
+  counters_.add(Counter::kLeaseExpire);
   trace_fd("fd.lease_expire", i,
            {{"leader", static_cast<std::uint64_t>(believed_leader_[i])}});
   start_election(i);
@@ -453,7 +453,7 @@ void FailureDetector::start_election(net::NodeId i) {
   elect_best_residual_[i] = residual(i);
   elect_best_id_[i] = i;
   elect_handoff_[i] = false;
-  counters_.add("fd.elect");
+  counters_.add(Counter::kElect);
   trace_fd("fd.elect", i,
            {{"row", static_cast<std::int64_t>(cell.row)},
             {"col", static_cast<std::int64_t>(cell.col)},
@@ -510,8 +510,8 @@ void FailureDetector::win_election(net::NodeId w, std::uint64_t epoch) {
   epoch_[w] = epoch;
   cell_leader_[ci] = w;
   claims_.push_back({cell, epoch, w, old, sim().now(), planned});
-  counters_.add("fd.claim");
-  if (planned) counters_.add("fd.handoff_claim");
+  counters_.add(Counter::kClaim);
+  if (planned) counters_.add(Counter::kHandoffClaim);
   trace_fd("fd.claim", w,
            {{"row", static_cast<std::int64_t>(cell.row)},
             {"col", static_cast<std::int64_t>(cell.col)},
@@ -589,7 +589,7 @@ void FailureDetector::start_handoff(net::NodeId i) {
   elect_best_score_[i] = std::numeric_limits<double>::infinity();
   elect_best_id_[i] = net::kNoNode;
   const double res = residual(i);
-  counters_.add("fd.handoff");
+  counters_.add(Counter::kHandoff);
   trace_fd("fd.handoff", i,
            {{"row", static_cast<std::int64_t>(cell.row)},
             {"col", static_cast<std::int64_t>(cell.col)},
@@ -635,7 +635,7 @@ void FailureDetector::beat(net::NodeId leader) {
   if (!link().is_down(leader)) {
     ++beat_seq_[leader];
     const core::GridCoord cell = cell_view(leader);
-    counters_.add("fd.beat");
+    counters_.add(Counter::kBeat);
     trace_fd("fd.beat", leader,
              {{"row", static_cast<std::int64_t>(cell.row)},
               {"col", static_cast<std::int64_t>(cell.col)},
@@ -665,7 +665,7 @@ void FailureDetector::audit(net::NodeId leader) {
   if (!link().is_down(leader)) {
     ++audit_seq_[leader];
     const core::GridCoord cell = cell_view(leader);
-    counters_.add("fd.audit");
+    counters_.add(Counter::kAudit);
     trace_fd("fd.audit", leader,
              {{"row", static_cast<std::int64_t>(cell.row)},
               {"col", static_cast<std::int64_t>(cell.col)},
@@ -691,7 +691,7 @@ void FailureDetector::audit(net::NodeId leader) {
       for (net::NodeId r : roster) {
         if (membership_->cell_of(r) == cell) continue;
         membership_->roster_drop(cell, r);
-        counters_.add("fd.roster_heal");
+        counters_.add(Counter::kRosterHeal);
         trace_fd("fd.roster_heal", leader,
                  {{"node", static_cast<std::uint64_t>(r)},
                   {"row", static_cast<std::int64_t>(cell.row)},
@@ -703,7 +703,7 @@ void FailureDetector::audit(net::NodeId leader) {
       // never hears it, so a roster corruption that dropped the *leader*
       // would otherwise survive every round.
       if (membership_->roster_insert(cell, leader)) {
-        counters_.add("fd.roster_heal");
+        counters_.add(Counter::kRosterHeal);
         trace_fd("fd.roster_heal", leader,
                  {{"node", static_cast<std::uint64_t>(leader)},
                   {"row", static_cast<std::int64_t>(cell.row)},
@@ -718,7 +718,7 @@ void FailureDetector::audit(net::NodeId leader) {
     // The auditor scrubs its own tables; members scrub theirs on receipt.
     const std::size_t fixed = overlay_.repair_routes(leader);
     if (fixed > 0) {
-      counters_.add("fd.route_repair", fixed);
+      counters_.add(Counter::kRouteRepair, fixed);
       trace_fd("fd.route_repair", leader,
                {{"entries", static_cast<std::uint64_t>(fixed)}});
     }
@@ -737,7 +737,7 @@ void FailureDetector::uplease_send(std::size_t cell_idx) {
   const core::GridCoord cell = overlay_.grid().coord_of(cell_idx);
   const core::GridCoord parent =
       overlay_.grid().coord_of(static_cast<std::size_t>(parent_of_[cell_idx]));
-  counters_.add("fd.uplease");
+  counters_.add(Counter::kUplease);
   FdMsg m;
   m.kind = FdMsg::kUpLease;
   m.cell = cell;
@@ -783,7 +783,7 @@ void FailureDetector::arm_child_watchdog(std::size_t cell_idx) {
         if (actor != net::kNoNode && !link().is_down(actor) &&
             !child_suspected_[cell_idx]) {
           child_suspected_[cell_idx] = true;
-          counters_.add("fd.cell_suspect");
+          counters_.add(Counter::kCellSuspect);
           const core::GridCoord cell = overlay_.grid().coord_of(cell_idx);
           trace_fd("fd.cell_suspect", actor,
                    {{"row", static_cast<std::int64_t>(cell.row)},
@@ -828,7 +828,7 @@ void FailureDetector::route_control(net::NodeId at, const FdMsg& msg,
   FdMsg m = msg;  // route_next_hop updates the frame's detour state
   const net::NodeId nh = overlay_.route_next_hop(at, m.dst_cell, from, &m.route);
   if (nh == net::kNoNode) {
-    counters_.add("fd.unroutable");
+    counters_.add(Counter::kUnroutable);
     return;
   }
   overlay_.send_control(at, nh, m, kBeatSizeUnits);
@@ -841,7 +841,7 @@ void FailureDetector::on_control(net::NodeId at, const net::Packet& pkt) {
   // Proof of life: any control frame received from a suspected node clears
   // the suspicion (and restores routes through it).
   if (pkt.sender != net::kNoNode && overlay_.is_suspected(pkt.sender)) {
-    counters_.add("fd.unsuspect");
+    counters_.add(Counter::kUnsuspect);
     overlay_.clear_suspected(pkt.sender);
   }
   handle(at, *msg, pkt.sender);
@@ -849,7 +849,7 @@ void FailureDetector::on_control(net::NodeId at, const net::Packet& pkt) {
 
 void FailureDetector::adopt(net::NodeId i, net::NodeId leader,
                             std::uint64_t epoch) {
-  if (believed_leader_[i] == i && leader != i) counters_.add("fd.demote");
+  if (believed_leader_[i] == i && leader != i) counters_.add(Counter::kDemote);
   believed_leader_[i] = leader;
   epoch_[i] = epoch;
   const std::size_t ci = overlay_.grid().index_of(cell_view(i));
@@ -882,7 +882,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
         child_last_leader_[child] = msg.leader;
         if (child_suspected_[child]) {
           child_suspected_[child] = false;
-          counters_.add("fd.cell_resume");
+          counters_.add(Counter::kCellResume);
           trace_fd("fd.cell_resume", at,
                    {{"row", static_cast<std::int64_t>(msg.cell.row)},
                     {"col", static_cast<std::int64_t>(msg.cell.col)}});
@@ -912,12 +912,12 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
           std::find(cell_neighbors_[at].begin(), cell_neighbors_[at].end(),
                     msg.leader) != cell_neighbors_[at].end()) {
         regress_mute_until_[at] = sim().now() + cfg_.heartbeat_period * 0.5;
-        counters_.add("fd.epoch_regress");
+        counters_.add(Counter::kEpochRegress);
         trace_fd("fd.epoch_regress", at,
                  {{"leader", static_cast<std::uint64_t>(msg.leader)},
                   {"beat_epoch", msg.epoch},
                   {"view_epoch", epoch_[at]}});
-        counters_.add("fd.sync");
+        counters_.add(Counter::kSync);
         FdMsg sync;
         sync.kind = FdMsg::kSync;
         sync.cell = msg.cell;
@@ -942,15 +942,15 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
         } else if (msg.leader < believed_leader_[at]) {
           // Same-epoch conflict (should not happen in a connected cell):
           // converge deterministically toward the lower id.
-          counters_.add("fd.conflict");
+          counters_.add(Counter::kConflict);
           adopt(at, msg.leader, msg.epoch);
         }
       } else {
-        counters_.add("fd.stale_beat");
+        counters_.add(Counter::kStaleBeat);
         if (believed_leader_[at] == at && !link().is_down(at)) {
           // A deposed leader came back and is beating its old epoch: the
           // current leader answers with the current binding.
-          counters_.add("fd.sync");
+          counters_.add(Counter::kSync);
           FdMsg sync;
           sync.kind = FdMsg::kSync;
           sync.cell = msg.cell;
@@ -964,10 +964,10 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
     case FdMsg::kElect: {
       if (!(cell_view(at) == msg.cell)) return;
       if (msg.epoch <= epoch_[at]) {
-        counters_.add("fd.stale_elect");
+        counters_.add(Counter::kStaleElect);
         if (believed_leader_[at] == at) {
           // Electorate is out of date (e.g. missed the claim): re-announce.
-          counters_.add("fd.sync");
+          counters_.add(Counter::kSync);
           FdMsg sync;
           sync.kind = FdMsg::kSync;
           sync.cell = msg.cell;
@@ -1001,10 +1001,10 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
           elect_best_score_[at] = msg.score;
           elect_best_residual_[at] = msg.residual;
           elect_best_id_[at] = msg.origin;
-          counters_.add("fd.handoff_decline");
+          counters_.add(Counter::kHandoffDecline);
         }
         elect_handoff_[at] = msg.handoff;
-        counters_.add("fd.elect_join");
+        counters_.add(Counter::kElectJoin);
         trace_fd("fd.elect", at,
                  {{"row", static_cast<std::int64_t>(msg.cell.row)},
                   {"col", static_cast<std::int64_t>(msg.cell.col)},
@@ -1069,7 +1069,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
       // table entries against local knowledge (no-op when uncorrupted).
       const std::size_t fixed = overlay_.repair_routes(at);
       if (fixed > 0) {
-        counters_.add("fd.route_repair", fixed);
+        counters_.add(Counter::kRouteRepair, fixed);
         trace_fd("fd.route_repair", at,
                  {{"entries", static_cast<std::uint64_t>(fixed)}});
       }
@@ -1080,11 +1080,11 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
       // scrubbed leader-side before the digest was taken.
       if (membership_ != nullptr && msg.roster_digest != 0 && at != msg.leader) {
         if (msg.roster_digest != membership_->digest(msg.cell)) {
-          counters_.add("fd.roster_conflict");
+          counters_.add(Counter::kRosterConflict);
         }
         if (!membership_->roster_contains(msg.cell, at)) {
           membership_->roster_insert(msg.cell, at);
-          counters_.add("fd.roster_heal");
+          counters_.add(Counter::kRosterHeal);
           trace_fd("fd.roster_heal", at,
                    {{"node", static_cast<std::uint64_t>(at)},
                     {"row", static_cast<std::int64_t>(msg.cell.row)},
@@ -1094,14 +1094,14 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
       }
       if (msg.epoch > epoch_[at]) {
         // Our view fell behind (missed claim, regressed epoch): heal.
-        counters_.add("fd.audit_heal");
+        counters_.add(Counter::kAuditHeal);
         adopt(at, msg.leader, msg.epoch);
         return;
       }
       if (msg.epoch < epoch_[at]) {
-        counters_.add("fd.audit_stale");
+        counters_.add(Counter::kAuditStale);
         if (believed_leader_[at] == at && !link().is_down(at)) {
-          counters_.add("fd.sync");
+          counters_.add(Counter::kSync);
           FdMsg sync;
           sync.kind = FdMsg::kSync;
           sync.cell = msg.cell;
@@ -1121,7 +1121,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
         // split-brain no beat can break (neither ever expires). Order the
         // contenders by the election key: the better key asserts itself at
         // a strictly higher epoch, the worse one defers to the auditor.
-        counters_.add("fd.audit_conflict");
+        counters_.add(Counter::kAuditConflict);
         trace_fd("fd.audit_conflict", at,
                  {{"peer", static_cast<std::uint64_t>(msg.leader)},
                   {"epoch", msg.epoch}});
@@ -1135,7 +1135,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
       }
       // Follower pointing at a third party: the auditor is live and
       // serving, so its view wins the reconciliation.
-      counters_.add("fd.audit_heal");
+      counters_.add(Counter::kAuditHeal);
       trace_fd("fd.audit_heal", at,
                {{"leader", static_cast<std::uint64_t>(msg.leader)},
                 {"was", static_cast<std::uint64_t>(believed_leader_[at])},
@@ -1152,7 +1152,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
         // cell tree so the newcomer relays, and — when the orphan was its
         // old cell's last reachable member — serve that vacated virtual
         // node by proxy so the grid keeps full coverage.
-        counters_.add("fd.adopt_accept");
+        counters_.add(Counter::kAdoptAccept);
         trace_fd("fd.adopt_accept", at,
                  {{"node", static_cast<std::uint64_t>(msg.origin)},
                   {"from_row", static_cast<std::int64_t>(msg.src_cell.row)},
@@ -1172,7 +1172,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
       FdMsg m = msg;
       const net::NodeId nh = overlay_.route_next_hop(at, m.cell, from, &m.route);
       if (nh == net::kNoNode) {
-        counters_.add("fd.unroutable");
+        counters_.add(Counter::kUnroutable);
         return;
       }
       overlay_.send_control(at, nh, m, kBeatSizeUnits);
@@ -1257,7 +1257,7 @@ bool FailureDetector::inject_corruption(net::NodeId node,
   }
   sim::Rng& rng = sim().rng();
   const core::GridCoord cell = cell_view(node);
-  counters_.add("fd.corrupt");
+  counters_.add(Counter::kCorrupt);
   trace_fd("fd.corrupt", node,
            {{"target", std::string(sim::to_string(target))},
             {"row", static_cast<std::int64_t>(cell.row)},
@@ -1307,7 +1307,7 @@ bool FailureDetector::inject_corruption(net::NodeId node,
       if (!nbrs.empty()) {
         const net::NodeId v = nbrs[rng.below(nbrs.size())];
         if (!overlay_.is_suspected(v)) {
-          counters_.add("fd.false_suspect");
+          counters_.add(Counter::kFalseSuspect);
           overlay_.on_hop_give_up(node, v);
         }
       }
@@ -1329,7 +1329,7 @@ bool FailureDetector::inject_corruption(net::NodeId node,
         const core::GridCoord to = adjacent[rng.below(adjacent.size())];
         move_belief(node, to);
         adopted_[node] = false;  // a scrambled belief, not an adoption
-        counters_.add("fd.defect");
+        counters_.add(Counter::kDefect);
         trace_fd("fd.defect", node,
                  {{"from_row", static_cast<std::int64_t>(cell.row)},
                   {"from_col", static_cast<std::int64_t>(cell.col)},
@@ -1360,7 +1360,7 @@ bool FailureDetector::inject_corruption(net::NodeId node,
           if (victim == net::kNoNode) return true;  // roster lists everyone
           membership_->roster_insert(cell, victim);
         }
-        counters_.add("fd.roster_corrupt");
+        counters_.add(Counter::kRosterCorrupt);
         trace_fd("fd.roster_corrupt", node,
                  {{"node", static_cast<std::uint64_t>(victim)},
                   {"row", static_cast<std::int64_t>(cell.row)},

@@ -79,6 +79,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "emulation/leader_binding.h"
@@ -259,6 +260,29 @@ class FailureDetector {
  private:
   struct FdMsg;  // wire format of all control frames (cpp-local layout use)
 
+  enum class Counter : std::uint8_t {
+    kAdopt, kAdoptAccept, kAdoptBind, kAudit, kAuditConflict, kAuditHeal,
+    kAuditStale, kBeat, kCellResume, kCellSuspect, kClaim, kConflict,
+    kCorrupt, kDefect, kDemote, kElect, kElectJoin, kEpochRegress,
+    kFalseSuspect, kHandoff, kHandoffClaim, kHandoffDecline, kHopGiveUp,
+    kLeaseExpire, kMemberHeal, kRejoin, kRosterConflict, kRosterCorrupt,
+    kRosterHeal, kRouteRepair, kStaleBeat, kStaleElect, kStranded, kSync,
+    kUnroutable, kUnsuspect, kUplease, kCount
+  };
+  static constexpr std::string_view kCounterNames[] = {
+      "fd.adopt", "fd.adopt_accept", "fd.adopt_bind", "fd.audit",
+      "fd.audit_conflict", "fd.audit_heal", "fd.audit_stale", "fd.beat",
+      "fd.cell_resume", "fd.cell_suspect", "fd.claim", "fd.conflict",
+      "fd.corrupt", "fd.defect", "fd.demote", "fd.elect", "fd.elect_join",
+      "fd.epoch_regress", "fd.false_suspect", "fd.handoff",
+      "fd.handoff_claim", "fd.handoff_decline", "fd.hop_give_up",
+      "fd.lease_expire", "fd.member_heal", "fd.rejoin",
+      "fd.roster_conflict", "fd.roster_corrupt", "fd.roster_heal",
+      "fd.route_repair", "fd.stale_beat", "fd.stale_elect", "fd.stranded",
+      "fd.sync", "fd.unroutable", "fd.unsuspect", "fd.uplease"};
+  static_assert(sim::counter_table_ok<Counter>(kCounterNames));
+
+
   sim::Simulator& sim() { return overlay_.simulator(); }
   net::LinkLayer& link() { return overlay_.link(); }
   const CellMapper& mapper() const { return overlay_.mapper(); }
@@ -364,7 +388,7 @@ class FailureDetector {
   std::vector<bool> has_children_;
 
   std::vector<ClaimRecord> claims_;
-  sim::CounterSet counters_;
+  sim::CounterSet counters_{kCounterNames};
 };
 
 }  // namespace wsn::emulation

@@ -14,6 +14,7 @@
 #include <any>
 #include <cstdint>
 #include <functional>
+#include <string_view>
 #include <vector>
 
 #include "net/energy.h"
@@ -84,11 +85,11 @@ class LinkLayer {
                  std::uint64_t flow = 0) {
     obs::ProfSpan prof(obs::ProfCat::kLinkTx);
     if (down_[from] || ledger_.depleted(from)) {
-      counters_.add("link.tx_dead");
+      counters_.add(Counter::kTxDead);
       return;
     }
     ledger_.charge(from, EnergyUse::kTx, radio_.tx_energy_per_unit * size_units);
-    counters_.add("link.broadcast");
+    counters_.add(Counter::kBroadcast);
     const sim::Time arrive = sim_.now() + radio_.tx_latency(size_units);
     if (obs::tracer().enabled(obs::Category::kLink)) {
       obs::tracer().emit({sim_.now(), static_cast<std::int64_t>(from),
@@ -109,11 +110,11 @@ class LinkLayer {
                double size_units = 1.0, std::uint64_t flow = 0) {
     obs::ProfSpan prof(obs::ProfCat::kLinkTx);
     if (down_[from] || ledger_.depleted(from)) {
-      counters_.add("link.tx_dead");
+      counters_.add(Counter::kTxDead);
       return;
     }
     ledger_.charge(from, EnergyUse::kTx, radio_.tx_energy_per_unit * size_units);
-    counters_.add("link.unicast");
+    counters_.add(Counter::kUnicast);
     const sim::Time arrive = sim_.now() + radio_.tx_latency(size_units);
     if (obs::tracer().enabled(obs::Category::kLink)) {
       obs::tracer().emit({sim_.now(), static_cast<std::int64_t>(from),
@@ -129,7 +130,7 @@ class LinkLayer {
   /// callers schedule follow-up work after that latency.
   sim::Time compute(NodeId node, double ops) {
     ledger_.charge(node, EnergyUse::kCompute, cpu_.energy_per_op * ops);
-    counters_.add("link.compute");
+    counters_.add(Counter::kCompute);
     return cpu_.compute_latency(ops);
   }
 
@@ -144,6 +145,15 @@ class LinkLayer {
   }
 
  private:
+  enum class Counter : std::uint8_t {
+    kBroadcast, kCompute, kDelivered, kLost, kNoReceiver, kRxDead, kTxDead,
+    kUnicast, kCount
+  };
+  static constexpr std::string_view kCounterNames[] = {
+      "link.broadcast", "link.compute", "link.delivered", "link.lost",
+      "link.no_receiver", "link.rx_dead", "link.tx_dead", "link.unicast"};
+  static_assert(sim::counter_table_ok<Counter>(kCounterNames));
+
   /// Emits a flow-correlated kLink "drop" event so the analyzer can explain
   /// transmissions that never produce a "deliver" (lost in the air, or the
   /// receiver was dead on arrival).
@@ -160,7 +170,7 @@ class LinkLayer {
   void deliver_at(sim::Time at, NodeId from, NodeId to, std::any payload,
                   double size_units, std::uint64_t flow) {
     if (loss_probability_ > 0 && sim_.rng().uniform() < loss_probability_) {
-      counters_.add("link.lost");
+      counters_.add(Counter::kLost);
       trace_drop(from, to, flow, "loss");
       return;
     }
@@ -168,12 +178,12 @@ class LinkLayer {
                           size_units, flow]() mutable {
       obs::ProfSpan prof(obs::ProfCat::kLinkRx);
       if (down_[to] || ledger_.depleted(to)) {
-        counters_.add("link.rx_dead");
+        counters_.add(Counter::kRxDead);
         trace_drop(from, to, flow, "dead");
         return;
       }
       ledger_.charge(to, EnergyUse::kRx, radio_.rx_energy_per_unit * size_units);
-      counters_.add("link.delivered");
+      counters_.add(Counter::kDelivered);
       if (obs::tracer().enabled(obs::Category::kLink)) {
         obs::tracer().emit({sim_.now(), static_cast<std::int64_t>(to),
                             obs::Category::kLink, 'i', "deliver", flow,
@@ -183,7 +193,7 @@ class LinkLayer {
       if (receivers_[to]) {
         receivers_[to](Packet{from, size_units, std::move(payload)});
       } else {
-        counters_.add("link.no_receiver");
+        counters_.add(Counter::kNoReceiver);
       }
     });
   }
@@ -195,7 +205,7 @@ class LinkLayer {
   EnergyLedger& ledger_;
   std::vector<Receiver> receivers_;
   std::vector<bool> down_;
-  sim::CounterSet counters_;
+  sim::CounterSet counters_{kCounterNames};
   double loss_probability_ = 0.0;
 };
 

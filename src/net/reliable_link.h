@@ -10,12 +10,15 @@
 // and duplicate suppression on receive.
 //
 // All bookkeeping is one record per directed link pair: the next sequence
-// number and the frames awaiting an ack. Every timeout is at least 3x the
-// data-plus-ack airtime and the link lands each copy one airtime after it
-// is sent, so every copy of a frame arrives before its sender retires it
-// (by ack or give-up). A `delivered` flag on the pending frame therefore
-// does a receiver window's job for every frame that can still arrive; the
-// channel is one simulated object serving both endpoints, so it can.
+// number and the frames awaiting an ack. The records are stored per source
+// node and found by a linear scan of that node's few destinations, so no
+// hash lookup sits on a hop, and only pairs that have carried a frame hold
+// one. Every timeout is at least 3x the data-plus-ack airtime and the link
+// lands each copy one airtime after it is sent, so every copy of a frame
+// arrives before its sender retires it (by ack or give-up). A `delivered`
+// flag on the pending frame therefore does a receiver window's job for
+// every frame that can still arrive; the channel is one simulated object
+// serving both endpoints, so it can.
 //
 // The same argument sets the wire format. A data or ack frame travels as one
 // std::uint64_t tag, `seq << 1 | ack`, which std::any holds without a heap
@@ -43,7 +46,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "net/link_layer.h"
@@ -108,37 +111,40 @@ class ReliableChannel {
 
   /// Everything the channel keeps about one directed pair.
   struct PairState {
+    NodeId dst = kNoNode;
     std::uint64_t next_seq = 0;
     std::vector<Pending> pending;  // awaiting an ack, in sequence order
   };
 
-  /// A directed pair (the data frame's src -> dst) as one key.
-  static std::uint64_t pair_key(NodeId src, NodeId dst) {
-    return (static_cast<std::uint64_t>(src) << 32) | dst;
-  }
-  static NodeId pair_src(std::uint64_t pair) {
-    return static_cast<NodeId>(pair >> 32);
-  }
-  static NodeId pair_dst(std::uint64_t pair) {
-    return static_cast<NodeId>(pair);
-  }
+  enum class Counter : std::uint8_t {
+    kAck, kAckStale, kDelivered, kDup, kGiveUp, kRetransmit, kSend, kCount
+  };
+  static constexpr std::string_view kCounterNames[] = {
+      "arq.ack", "arq.ack_stale", "arq.delivered", "arq.dup",
+      "arq.give_up", "arq.retransmit", "arq.send"};
+  static_assert(sim::counter_table_ok<Counter>(kCounterNames));
 
-  /// The frame `seq` of `pair` awaiting an ack, or null once retired.
-  Pending* find_pending(std::uint64_t pair, std::uint64_t seq);
-  void retire(std::uint64_t pair, std::uint64_t seq);
+  /// The record of pair `src` -> `dst`, or null before its first frame.
+  PairState* find_pair(NodeId src, NodeId dst);
+  /// The frame `seq` of `state` awaiting an ack, or null once retired (or
+  /// when `state` is null).
+  static Pending* find_pending(PairState* state, std::uint64_t seq);
+  /// Drops `p`, a frame of `state`'s pending list.
+  void retire(PairState& state, const Pending& p);
   void handle(NodeId at, const Packet& raw);
-  void transmit(std::uint64_t pair, Pending& p);  // a copy + its timeout
-  void on_timeout(std::uint64_t pair, std::uint64_t seq);
-  void trace_rel(const char* name, std::uint64_t pair, std::uint64_t seq,
+  void transmit(NodeId src, NodeId dst, Pending& p);  // a copy + its timeout
+  void on_timeout(NodeId src, NodeId dst, std::uint64_t seq);
+  void trace_rel(const char* name, NodeId src, NodeId dst, std::uint64_t seq,
                  std::uint64_t flow, NodeId node, std::uint32_t attempts);
 
   LinkLayer& link_;
   ReliableConfig cfg_;
   std::vector<LinkLayer::Receiver> receivers_;
-  std::unordered_map<std::uint64_t, PairState> pairs_;
+  /// Indexed by source node: that node's pairs, in order of first send.
+  std::vector<std::vector<PairState>> pairs_;
   std::size_t in_flight_ = 0;
   GiveUp on_give_up_;
-  sim::CounterSet counters_;
+  sim::CounterSet counters_{kCounterNames};
 };
 
 }  // namespace wsn::net

@@ -7,13 +7,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 #include "obs/trace.h"
 
 namespace wsn::obs {
 
 /// Appends `s` as a JSON string literal (quoted, escaped) to `out`.
-inline void json_append_string(std::string& out, const std::string& s) {
+inline void json_append_string(std::string& out, std::string_view s) {
   out += '"';
   for (char c : s) {
     switch (c) {

@@ -150,7 +150,7 @@ std::string MetricsRegistry::to_json() const {
     json_append_string(out, e.name);
     out += ":{";
     bool first_key = true;
-    for (const auto& [key, value] : e.counters->sorted()) {
+    for (const auto& [key, value] : e.counters->all()) {
       if (!first_key) out += ',';
       first_key = false;
       json_append_string(out, key);

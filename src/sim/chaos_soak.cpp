@@ -557,9 +557,11 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
   auto finding = [&res](std::string msg) {
     res.findings.push_back(std::move(msg));
   };
-  if (obs::StreamingFileSink* stream = oracle->stream();
-      stream != nullptr && !stream->close()) {
-    finding("streaming trace capture failed: " + stream->error());
+  if (obs::StreamingFileSink* stream = oracle->stream(); stream != nullptr) {
+    res.trace_written = stream->close();
+    if (!res.trace_written) {
+      finding("streaming trace capture failed: " + stream->error());
+    }
   }
   res.events = oracle->events();
 

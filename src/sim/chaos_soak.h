@@ -141,6 +141,8 @@ struct ChaosCampaignResult {
   /// stack the campaign built, rejected deployment draws included.
   std::uint64_t sim_events = 0;
   Time sim_time = 0.0;
+  /// With trace_out_dir set: the wtr capture was written in full.
+  bool trace_written = false;
 
   bool ok() const { return findings.empty(); }
 };

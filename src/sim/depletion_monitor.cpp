@@ -40,7 +40,7 @@ void DepletionMonitor::on_crossing(net::NodeId node) {
   rec.budget = ledger.budget(node);
   rec.spent = ledger.spent(node);
   deaths_.push_back(rec);
-  counters_.add("energy.depleted");
+  counters_.add(Counter::kDepleted);
   auto& tr = obs::tracer();
   if (tr.enabled(obs::Category::kReliability)) {
     tr.emit({sim_.now(), static_cast<std::int64_t>(node),

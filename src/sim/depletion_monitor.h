@@ -28,7 +28,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/deployment.h"
@@ -87,13 +89,17 @@ class DepletionMonitor {
                         const std::string& prefix = "energy") const;
 
  private:
+  enum class Counter : std::uint8_t { kDepleted, kCount };
+  static constexpr std::string_view kCounterNames[] = {"energy.depleted"};
+  static_assert(counter_table_ok<Counter>(kCounterNames));
+
   void on_crossing(net::NodeId node);
 
   Simulator& sim_;
   net::LinkLayer& link_;
   bool armed_ = false;
   std::vector<DepletionRecord> deaths_;
-  CounterSet counters_;
+  CounterSet counters_{kCounterNames};
 };
 
 }  // namespace wsn::sim

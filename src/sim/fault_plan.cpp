@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -128,6 +129,69 @@ void append_number(std::string& out, double v) {
   out += buf;
 }
 
+std::string number_text(double v) {
+  std::string out;
+  append_number(out, v);
+  return out;
+}
+
+/// An integer field in [lo, hi]; anything else would be cast with undefined
+/// or surprising results.
+std::int32_t int_field(const JsonValue& obj, const char* key, double fallback,
+                       double lo, std::size_t line, std::size_t i) {
+  const double v = num_field(obj, key, fallback);
+  constexpr double hi = std::numeric_limits<std::int32_t>::max();
+  if (!(v >= lo && v <= hi) || v != std::floor(v)) {
+    fail_event(line, i,
+               std::string(key) + " " + number_text(v) +
+                   " is not an integer in [" + number_text(lo) + ", " +
+                   number_text(hi) + "]");
+  }
+  return static_cast<std::int32_t>(v);
+}
+
+/// Reads the "cell" or, failing that, the "node" an event of `kind` targets.
+/// A node id is an integer below kNoNode, a cell's row and col are integers
+/// >= 0; whether they exist is checked when the plan is armed on a network.
+void parse_target(const JsonValue& e, const std::string& kind,
+                  std::size_t line, std::size_t i, FaultEvent& ev) {
+  if (const JsonValue* cell = e.find("cell")) {
+    if (num_field(*cell, "row", -1.0) < 0 ||
+        num_field(*cell, "col", -1.0) < 0) {
+      fail_event(line, i, "cell needs row and col >= 0");
+    }
+    ev.cell = {int_field(*cell, "row", -1.0, 0.0, line, i),
+               int_field(*cell, "col", -1.0, 0.0, line, i)};
+    return;
+  }
+  const double node = num_field(e, "node", -1.0);
+  if (node < 0) fail_event(line, i, kind + " needs \"node\" or \"cell\"");
+  if (!(node < net::kNoNode) || node != std::floor(node)) {
+    fail_event(line, i,
+               "node " + number_text(node) + " is not an integer below " +
+                   std::to_string(net::kNoNode));
+  }
+  ev.node = static_cast<net::NodeId>(node);
+}
+
+const char* kind_name(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kCrash:
+      return "crash";
+    case FaultKind::kRecover:
+      return "recover";
+    case FaultKind::kLossBurst:
+      return "loss_burst";
+    case FaultKind::kRegionOutage:
+      return "region_outage";
+    case FaultKind::kSetBudget:
+      return "set_budget";
+    case FaultKind::kStateCorruption:
+      return "state_corruption";
+  }
+  return "unknown";
+}
+
 void trace_fault(Simulator& sim, const char* name, std::int64_t node,
                  std::vector<obs::Attr> attrs) {
   auto& tr = obs::tracer();
@@ -157,6 +221,7 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
       fail_event(line, i, "event without a \"kind\"");
     }
     FaultEvent ev;
+    ev.line = line;
     ev.at = num_field(e, "at", 0.0);
     if (ev.at < 0.0) {
       fail_event(line, i, "negative time " + std::to_string(ev.at));
@@ -164,19 +229,7 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
     const std::string& k = kind->string();
     if (k == "crash" || k == "recover") {
       ev.kind = k == "crash" ? FaultKind::kCrash : FaultKind::kRecover;
-      if (const JsonValue* cell = e.find("cell")) {
-        ev.cell = {static_cast<std::int32_t>(num_field(*cell, "row", -1.0)),
-                   static_cast<std::int32_t>(num_field(*cell, "col", -1.0))};
-        if (ev.cell.row < 0 || ev.cell.col < 0) {
-          fail_event(line, i, "cell needs row and col >= 0");
-        }
-      } else {
-        const double node = num_field(e, "node", -1.0);
-        if (node < 0) {
-          fail_event(line, i, k + " needs \"node\" or \"cell\"");
-        }
-        ev.node = static_cast<net::NodeId>(node);
-      }
+      parse_target(e, k, line, i, ev);
     } else if (k == "loss_burst") {
       ev.kind = FaultKind::kLossBurst;
       ev.loss = num_field(e, "loss", 0.0);
@@ -191,10 +244,11 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
     } else if (k == "region_outage") {
       ev.kind = FaultKind::kRegionOutage;
       ev.duration = num_field(e, "duration", 0.0);
-      ev.row0 = static_cast<std::int32_t>(num_field(e, "row0", 0.0));
-      ev.col0 = static_cast<std::int32_t>(num_field(e, "col0", 0.0));
-      ev.row1 = static_cast<std::int32_t>(num_field(e, "row1", 0.0));
-      ev.col1 = static_cast<std::int32_t>(num_field(e, "col1", 0.0));
+      constexpr double lo = std::numeric_limits<std::int32_t>::min();
+      ev.row0 = int_field(e, "row0", 0.0, lo, line, i);
+      ev.col0 = int_field(e, "col0", 0.0, lo, line, i);
+      ev.row1 = int_field(e, "row1", 0.0, lo, line, i);
+      ev.col1 = int_field(e, "col1", 0.0, lo, line, i);
       if (ev.row1 < ev.row0 || ev.col1 < ev.col0) {
         fail_event(line, i, "empty region rectangle");
       }
@@ -204,19 +258,7 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
       }
     } else if (k == "set_budget") {
       ev.kind = FaultKind::kSetBudget;
-      if (const JsonValue* cell = e.find("cell")) {
-        ev.cell = {static_cast<std::int32_t>(num_field(*cell, "row", -1.0)),
-                   static_cast<std::int32_t>(num_field(*cell, "col", -1.0))};
-        if (ev.cell.row < 0 || ev.cell.col < 0) {
-          fail_event(line, i, "cell needs row and col >= 0");
-        }
-      } else {
-        const double node = num_field(e, "node", -1.0);
-        if (node < 0) {
-          fail_event(line, i, "set_budget needs \"node\" or \"cell\"");
-        }
-        ev.node = static_cast<net::NodeId>(node);
-      }
+      parse_target(e, k, line, i, ev);
       const bool has_budget = e.find("budget") != nullptr;
       const bool has_headroom = e.find("headroom") != nullptr;
       if (has_budget == has_headroom) {
@@ -239,19 +281,7 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
       }
     } else if (k == "state_corruption") {
       ev.kind = FaultKind::kStateCorruption;
-      if (const JsonValue* cell = e.find("cell")) {
-        ev.cell = {static_cast<std::int32_t>(num_field(*cell, "row", -1.0)),
-                   static_cast<std::int32_t>(num_field(*cell, "col", -1.0))};
-        if (ev.cell.row < 0 || ev.cell.col < 0) {
-          fail_event(line, i, "cell needs row and col >= 0");
-        }
-      } else {
-        const double node = num_field(e, "node", -1.0);
-        if (node < 0) {
-          fail_event(line, i, "state_corruption needs \"node\" or \"cell\"");
-        }
-        ev.node = static_cast<net::NodeId>(node);
-      }
+      parse_target(e, k, line, i, ev);
       const JsonValue* target = e.find("target");
       if (target == nullptr || !target->is_string()) {
         fail_event(line, i, "state_corruption needs a \"target\" string");
@@ -297,32 +327,35 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
 }
 
 std::string FaultPlan::to_json() const {
+  const auto append_target = [](std::string& out, const FaultEvent& ev) {
+    if (ev.node != net::kNoNode) {
+      out += ", \"node\": " + std::to_string(ev.node);
+    } else {
+      out += ", \"cell\": {\"row\": " + std::to_string(ev.cell.row) +
+             ", \"col\": " + std::to_string(ev.cell.col) + "}";
+    }
+  };
   std::string out = "{\"events\": [";
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& ev = events[i];
     out += i == 0 ? "\n" : ",\n";
     out += "  {\"at\": ";
     append_number(out, ev.at);
+    out += ", \"kind\": \"";
+    out += kind_name(ev.kind);
+    out += "\"";
     switch (ev.kind) {
       case FaultKind::kCrash:
       case FaultKind::kRecover:
-        out += ev.kind == FaultKind::kCrash ? ", \"kind\": \"crash\""
-                                            : ", \"kind\": \"recover\"";
-        if (ev.node != net::kNoNode) {
-          out += ", \"node\": " + std::to_string(ev.node);
-        } else {
-          out += ", \"cell\": {\"row\": " + std::to_string(ev.cell.row) +
-                 ", \"col\": " + std::to_string(ev.cell.col) + "}";
-        }
+        append_target(out, ev);
         break;
       case FaultKind::kLossBurst:
-        out += ", \"kind\": \"loss_burst\", \"loss\": ";
+        out += ", \"loss\": ";
         append_number(out, ev.loss);
         out += ", \"duration\": ";
         append_number(out, ev.duration);
         break;
       case FaultKind::kRegionOutage:
-        out += ", \"kind\": \"region_outage\"";
         out += ", \"row0\": " + std::to_string(ev.row0);
         out += ", \"col0\": " + std::to_string(ev.col0);
         out += ", \"row1\": " + std::to_string(ev.row1);
@@ -331,13 +364,7 @@ std::string FaultPlan::to_json() const {
         append_number(out, ev.duration);
         break;
       case FaultKind::kSetBudget:
-        out += ", \"kind\": \"set_budget\"";
-        if (ev.node != net::kNoNode) {
-          out += ", \"node\": " + std::to_string(ev.node);
-        } else {
-          out += ", \"cell\": {\"row\": " + std::to_string(ev.cell.row) +
-                 ", \"col\": " + std::to_string(ev.cell.col) + "}";
-        }
+        append_target(out, ev);
         if (ev.budget >= 0.0) {
           out += ", \"budget\": ";
           append_number(out, ev.budget);
@@ -347,13 +374,7 @@ std::string FaultPlan::to_json() const {
         }
         break;
       case FaultKind::kStateCorruption:
-        out += ", \"kind\": \"state_corruption\"";
-        if (ev.node != net::kNoNode) {
-          out += ", \"node\": " + std::to_string(ev.node);
-        } else {
-          out += ", \"cell\": {\"row\": " + std::to_string(ev.cell.row) +
-                 ", \"col\": " + std::to_string(ev.cell.col) + "}";
-        }
+        append_target(out, ev);
         out += ", \"target\": \"";
         out += to_string(ev.target);
         out += "\"";
@@ -409,7 +430,7 @@ void FaultInjector::apply_down(net::NodeId node, bool down,
   } else {
     vnet_->set_down(vnet_->grid().coord_of(node), down);
   }
-  counters_.add(down ? "fault.crash" : "fault.recover");
+  counters_.add(down ? Counter::kCrash : Counter::kRecover);
   trace_fault(sim_, trace_name, static_cast<std::int64_t>(node), {});
 }
 
@@ -425,7 +446,7 @@ void FaultInjector::fire(const FaultEvent& ev) {
         }
         target = leader_lookup_(ev.cell);
         if (target == net::kNoNode) {
-          counters_.add("fault.unresolved");
+          counters_.add(Counter::kUnresolved);
           return;  // cell has no bound leader right now; nothing to crash
         }
       }
@@ -443,7 +464,7 @@ void FaultInjector::fire(const FaultEvent& ev) {
         }
         target = leader_lookup_(ev.cell);
         if (target == net::kNoNode) {
-          counters_.add("fault.unresolved");
+          counters_.add(Counter::kUnresolved);
           return;  // cell has no bound leader right now; nothing to budget
         }
       }
@@ -455,7 +476,7 @@ void FaultInjector::fire(const FaultEvent& ev) {
       const double budget = ev.budget >= 0.0
                                 ? ev.budget
                                 : ledger.spent(target) + ev.headroom;
-      counters_.add("fault.set_budget");
+      counters_.add(Counter::kSetBudget);
       trace_fault(sim_, "fault.set_budget",
                   static_cast<std::int64_t>(target),
                   {{"budget", budget}, {"spent", ledger.spent(target)}});
@@ -471,7 +492,7 @@ void FaultInjector::fire(const FaultEvent& ev) {
         }
         target = leader_lookup_(ev.cell);
         if (target == net::kNoNode) {
-          counters_.add("fault.unresolved");
+          counters_.add(Counter::kUnresolved);
           return;  // cell has no bound leader right now; nothing to corrupt
         }
       }
@@ -479,14 +500,14 @@ void FaultInjector::fire(const FaultEvent& ev) {
       // no live state to scramble, and its rejoin path resynchronizes from
       // the network anyway.
       if (is_node_down(target)) {
-        counters_.add("fault.corrupt_down");
+        counters_.add(Counter::kCorruptDown);
         return;
       }
       if (!corruption_applier_) {
-        counters_.add("fault.corrupt_unwired");
+        counters_.add(Counter::kCorruptUnwired);
         return;
       }
-      counters_.add("fault.corrupt");
+      counters_.add(Counter::kCorrupt);
       trace_fault(sim_, "fault.corrupt", static_cast<std::int64_t>(target),
                   {{"target", std::string(to_string(ev.target))}});
       corruption_applier_(target, ev.target);
@@ -494,10 +515,10 @@ void FaultInjector::fire(const FaultEvent& ev) {
     }
     case FaultKind::kLossBurst: {
       if (link_ == nullptr) {
-        counters_.add("fault.skipped");  // virtual layer is lossless
+        counters_.add(Counter::kSkipped);  // virtual layer is lossless
         return;
       }
-      counters_.add("fault.burst");
+      counters_.add(Counter::kBurst);
       const double prev = link_->loss_probability();
       link_->set_loss_probability(ev.loss);
       trace_fault(sim_, "fault.burst_begin", -1,
@@ -511,7 +532,7 @@ void FaultInjector::fire(const FaultEvent& ev) {
       return;
     }
     case FaultKind::kRegionOutage: {
-      counters_.add("fault.outage");
+      counters_.add(Counter::kOutage);
       trace_fault(sim_, "fault.outage_begin", -1,
                   {{"row0", static_cast<std::int64_t>(ev.row0)},
                    {"col0", static_cast<std::int64_t>(ev.col0)},
@@ -553,7 +574,45 @@ void FaultInjector::fire(const FaultEvent& ev) {
   }
 }
 
+void FaultInjector::check_target(const FaultEvent& ev,
+                                 std::size_t index) const {
+  if (ev.kind == FaultKind::kLossBurst || ev.kind == FaultKind::kRegionOutage) {
+    return;  // untargeted; an outage tests each node's cell as it fires
+  }
+  const std::string kind = kind_name(ev.kind);
+  if (ev.node != net::kNoNode) {
+    const std::size_t nodes = link_ != nullptr ? link_->graph().node_count()
+                                               : vnet_->grid().node_count();
+    if (ev.node >= nodes) {
+      fail_event(ev.line, index,
+                 kind + " node " + std::to_string(ev.node) +
+                     " is not in the network (" + std::to_string(nodes) +
+                     " nodes)");
+    }
+    return;
+  }
+  if (link_ != nullptr && mapper_ == nullptr) {
+    fail_event(ev.line, index, kind + " of a cell needs a CellMapper");
+  }
+  const std::size_t side =
+      link_ != nullptr ? mapper_->grid_side() : vnet_->grid().side();
+  const auto in_grid = [side](std::int32_t v) {
+    return v >= 0 && static_cast<std::size_t>(v) < side;
+  };
+  if (!in_grid(ev.cell.row) || !in_grid(ev.cell.col)) {
+    const std::string grid = std::to_string(side);
+    fail_event(ev.line, index,
+               kind + " cell (" + std::to_string(ev.cell.row) + ", " +
+                   std::to_string(ev.cell.col) + ") is not in the " + grid +
+                   "x" + grid + " grid");
+  }
+}
+
 void FaultInjector::arm(const FaultPlan& plan) {
+  // Nothing is scheduled unless every target exists.
+  for (std::size_t i = 0; i < plan.events.size(); ++i) {
+    check_target(plan.events[i], i);
+  }
   // `at` is an offset from the campaign start (arm time): plans are written
   // without knowing how much simulated time stack setup consumed.
   for (const FaultEvent& ev : plan.events) {

@@ -57,6 +57,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/grid_topology.h"
@@ -158,6 +159,8 @@ struct FaultEvent {
   double headroom = -1.0;
   /// kStateCorruption: which slice of soft state gets scrambled.
   CorruptionTarget target = CorruptionTarget::kEpoch;
+  /// Source line in plan JSON, for error messages; 0 when built in code.
+  std::size_t line = 0;
 };
 
 struct FaultPlan {
@@ -167,8 +170,10 @@ struct FaultPlan {
   /// input. Error messages name the source line and event index of the
   /// offending entry ("fault plan line 7, event #2: ..."). Rejected beyond
   /// shape errors: unknown kinds, negative times or durations, out-of-range
-  /// loss, empty region rectangles, and a node-targeted crash scheduled
-  /// while the same node is already down (crash-without-recover overlap).
+  /// loss, empty region rectangles, a node that is not an integer below
+  /// kNoNode, a cell or rectangle bound that is not an int32 integer, and a
+  /// node-targeted crash scheduled while the same node is already down
+  /// (crash-without-recover overlap).
   static FaultPlan from_json(const std::string& text);
 
   /// Serializes back to the JSON spec (round-trips through from_json);
@@ -216,7 +221,10 @@ class FaultInjector {
   }
 
   /// Schedules every event of `plan` on the simulator, `at` seconds from
-  /// now. Negative offsets fire immediately.
+  /// now. Negative offsets fire immediately. Throws std::runtime_error,
+  /// naming the event (and its line, for a plan from JSON) and scheduling
+  /// nothing, if a node-targeted event names a node outside the network or
+  /// a cell-targeted one a cell outside the grid.
   void arm(const FaultPlan& plan);
 
   CounterSet& counters() { return counters_; }
@@ -225,6 +233,18 @@ class FaultInjector {
                         const std::string& prefix = "fault") const;
 
  private:
+  enum class Counter : std::uint8_t {
+    kBurst, kCorrupt, kCorruptDown, kCorruptUnwired, kCrash, kOutage,
+    kRecover, kSetBudget, kSkipped, kUnresolved, kCount
+  };
+  static constexpr std::string_view kCounterNames[] = {
+      "fault.burst", "fault.corrupt", "fault.corrupt_down",
+      "fault.corrupt_unwired", "fault.crash", "fault.outage",
+      "fault.recover", "fault.set_budget", "fault.skipped",
+      "fault.unresolved"};
+  static_assert(counter_table_ok<Counter>(kCounterNames));
+
+  void check_target(const FaultEvent& ev, std::size_t index) const;
   void fire(const FaultEvent& ev);
   void apply_down(net::NodeId node, bool down, const char* trace_name);
   bool is_node_down(net::NodeId node) const;
@@ -235,7 +255,7 @@ class FaultInjector {
   const emulation::CellMapper* mapper_ = nullptr;
   std::function<net::NodeId(const core::GridCoord&)> leader_lookup_;
   std::function<bool(net::NodeId, CorruptionTarget)> corruption_applier_;
-  CounterSet counters_;
+  CounterSet counters_{kCounterNames};
 };
 
 }  // namespace wsn::sim

@@ -5,53 +5,65 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <unordered_map>
+#include <span>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace wsn::sim {
 
-/// Named monotonic counters, e.g. "msg.broadcast", "msg.suppressed".
-/// Backed by a hash map — add() on the hot path costs one hash, not a
-/// red-black-tree walk; use sorted() where deterministic order matters.
+/// Named monotonic counters of one layer, e.g. "arq.send", "fd.beat".
+/// The owning layer declares an enum of its counters and a static table of
+/// their names, both in name order, so add() is one array increment with no
+/// string, hash or allocation. Names are resolved only when read: get()
+/// scans the table and all() lists the non-zero counters.
 class CounterSet {
  public:
-  void add(const std::string& name, std::uint64_t delta = 1) {
-    counters_[name] += delta;
+  /// `names` must outlive the set (a static table) and satisfy
+  /// counter_table_ok.
+  explicit CounterSet(std::span<const std::string_view> names)
+      : names_(names), values_(names.size(), 0) {}
+
+  template <typename E>
+    requires std::is_enum_v<E>
+  void add(E counter, std::uint64_t delta = 1) {
+    values_[static_cast<std::size_t>(counter)] += delta;
   }
 
-  std::uint64_t get(const std::string& name) const {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-  }
-
-  void reset() { counters_.clear(); }
-
-  /// Merges another set into this one (e.g. aggregating per-node counter
-  /// sets) without re-hashing keys already present.
-  CounterSet& operator+=(const CounterSet& other) {
-    for (const auto& [name, value] : other.counters_) {
-      counters_[name] += value;
+  /// The counter called `name`; 0 if the table has no such name.
+  std::uint64_t get(std::string_view name) const {
+    for (std::size_t i = 0; i < names_.size(); ++i) {
+      if (names_[i] == name) return values_[i];
     }
-    return *this;
+    return 0;
   }
 
-  const std::unordered_map<std::string, std::uint64_t>& all() const {
-    return counters_;
-  }
-
-  /// Key-sorted copy for deterministic iteration (exports, table output).
-  std::vector<std::pair<std::string, std::uint64_t>> sorted() const {
-    std::vector<std::pair<std::string, std::uint64_t>> out(counters_.begin(),
-                                                           counters_.end());
-    std::sort(out.begin(), out.end());
+  /// The non-zero counters, in name order (exports, table output).
+  std::vector<std::pair<std::string_view, std::uint64_t>> all() const {
+    std::vector<std::pair<std::string_view, std::uint64_t>> out;
+    for (std::size_t i = 0; i < names_.size(); ++i) {
+      if (values_[i] != 0) out.emplace_back(names_[i], values_[i]);
+    }
     return out;
   }
 
  private:
-  std::unordered_map<std::string, std::uint64_t> counters_;
+  std::span<const std::string_view> names_;
+  std::vector<std::uint64_t> values_;
 };
+
+/// True when `names` has one entry per value of `E` below `E::kCount` and
+/// is strictly increasing, i.e. unique and in the order CounterSet::all()
+/// lists it. Each counter table static_asserts this.
+template <typename E, std::size_t N>
+constexpr bool counter_table_ok(const std::string_view (&names)[N]) {
+  if (N != static_cast<std::size_t>(E::kCount)) return false;
+  for (std::size_t i = 1; i < N; ++i) {
+    if (!(names[i - 1] < names[i])) return false;
+  }
+  return true;
+}
 
 /// Streaming summary statistics (Welford) plus min/max.
 class Summary {

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <utility>
 
 #include "emulation/leader_binding.h"
@@ -43,7 +44,7 @@ class FailoverBinder {
       : overlay_(overlay) {
     arq.set_on_give_up([this](net::NodeId from, net::NodeId to,
                               std::uint64_t, std::uint32_t) {
-      counters_.add("failover.give_up_seen");
+      counters_.add(Counter::kGiveUpSeen);
       overlay_.on_hop_give_up(from, to);
       // Either endpoint may be the casualty: a dead receiver never acks,
       // and a dead sender's frames go nowhere while its armed timers fire.
@@ -57,6 +58,14 @@ class FailoverBinder {
   const sim::CounterSet& counters() const { return counters_; }
 
  private:
+  enum class Counter : std::uint8_t {
+    kFailovers, kFalseSuspicion, kGiveUpSeen, kNoCandidate, kCount
+  };
+  static constexpr std::string_view kCounterNames[] = {
+      "failover.count", "failover.false_suspicion", "failover.give_up_seen",
+      "failover.no_candidate"};
+  static_assert(sim::counter_table_ok<Counter>(kCounterNames));
+
   void maybe_rebind(net::NodeId node) {
     const emulation::CellMapper& mapper = overlay_.mapper();
     const core::GridCoord cell = mapper.cell_of(node);
@@ -65,7 +74,7 @@ class FailoverBinder {
     if (!link.is_down(node) && !link.ledger().depleted(node)) {
       // Suspicion without a confirmed failure (loss burst, congestion):
       // keep the binding, remember we almost pulled the trigger.
-      counters_.add("failover.false_suspicion");
+      counters_.add(Counter::kFalseSuspicion);
       return;
     }
     net::NodeId winner = net::kNoNode;
@@ -86,12 +95,12 @@ class FailoverBinder {
       }
     }
     if (winner == net::kNoNode) {
-      counters_.add("failover.no_candidate");
+      counters_.add(Counter::kNoCandidate);
       return;
     }
     overlay_.rebind(cell, winner);
     ++failovers_;
-    counters_.add("failover.count");
+    counters_.add(Counter::kFailovers);
     if (obs::tracer().enabled(obs::Category::kProtocol)) {
       obs::tracer().emit({link.simulator().now(),
                           static_cast<std::int64_t>(winner),
@@ -105,7 +114,7 @@ class FailoverBinder {
 
   emulation::OverlayNetwork& overlay_;
   std::uint64_t failovers_ = 0;
-  sim::CounterSet counters_;
+  sim::CounterSet counters_{kCounterNames};
 };
 
 }  // namespace wsn::oracle

@@ -220,18 +220,6 @@ TEST(FaultPlanJson, ParsesEveryKind) {
   EXPECT_EQ(plan.events[4].duration, 5.0);
 }
 
-TEST(FaultPlanJson, RejectsUnknownKind) {
-  EXPECT_THROW(sim::FaultPlan::from_json(
-                   R"({"events": [{"at": 1.0, "kind": "meteor"}]})"),
-               std::runtime_error);
-}
-
-TEST(FaultPlanJson, RejectsMalformedInput) {
-  EXPECT_THROW(sim::FaultPlan::from_json("not json"), std::runtime_error);
-  EXPECT_THROW(sim::FaultPlan::from_json(R"({"no_events": true})"),
-               std::runtime_error);
-}
-
 // Every rejection names the line and event index of the offender, so a
 // hand-edited campaign file points back at the broken line, not just "bad
 // plan". (No gmock in this repo — match with std::string::find.)
@@ -242,6 +230,38 @@ std::string rejection_message(const std::string& text) {
     return e.what();
   }
   return {};
+}
+
+TEST(FaultPlanJson, RejectsUnknownKind) {
+  EXPECT_THROW(sim::FaultPlan::from_json(
+                   R"({"events": [{"at": 1.0, "kind": "meteor"}]})"),
+               std::runtime_error);
+}
+
+TEST(FaultPlanJson, RejectsMalformedInput) {
+  EXPECT_THROW(sim::FaultPlan::from_json("not json"), std::runtime_error);
+  EXPECT_THROW(sim::FaultPlan::from_json(R"({"no_events": true})"),
+               std::runtime_error);
+  // A node id is an integer below kNoNode, never a double cast to NodeId.
+  for (const std::string node : {"1e300", "4294967295", "3.5"}) {
+    const std::string msg = rejection_message(
+        "{\"events\": [\n"
+        "  {\"at\": 1.0, \"kind\": \"crash\", \"node\": " + node + "}\n"
+        "]}");
+    EXPECT_NE(msg.find("line 2, event #1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("is not an integer below"), std::string::npos) << msg;
+  }
+  // Cell and rectangle bounds are int32 integers.
+  std::string msg = rejection_message(
+      R"({"events": [{"at": 1.0, "kind": "state_corruption",
+                      "cell": {"row": 1e300, "col": 0}, "target": "epoch"}]})");
+  EXPECT_NE(msg.find("row 1.0000000000000001e+300 is not an integer"),
+            std::string::npos)
+      << msg;
+  msg = rejection_message(
+      R"({"events": [{"at": 1.0, "kind": "region_outage", "row0": 0,
+                      "col0": 0, "row1": 0.5, "col1": 1, "duration": 2}]})");
+  EXPECT_NE(msg.find("row1 0.5 is not an integer"), std::string::npos) << msg;
 }
 
 TEST(FaultPlanJson, UnknownKindErrorNamesLineAndEvent) {
@@ -394,6 +414,75 @@ TEST(FaultPlanFire, CellTargetedSetBudgetUsesLeaderLookupAtFireTime) {
   // Other nodes keep infinite batteries.
   const net::NodeId other = stack.overlay->bound_node({0, 0});
   EXPECT_FALSE(std::isfinite(stack.ledger->budget(other)));
+}
+
+// Arming checks every node- or cell-targeted event against the network
+// before it schedules any: an unknown node would index past the link's
+// per-node state when it fires, an unknown cell past the binding's.
+TEST(FaultPlanFire, ArmRejectsTargetsOutsideTheNetwork) {
+  emulation::PhysicalStack stack(4, 60, 1.3, 7);
+  ASSERT_TRUE(stack.healthy());
+  sim::FaultInjector injector(stack.sim, *stack.link, stack.mapper.get());
+  injector.set_leader_lookup(
+      [&](const GridCoord& c) { return stack.overlay->bound_node(c); });
+  const std::size_t pending = stack.sim.pending();
+  const auto arm_error = [&](const std::string& event) {
+    const sim::FaultPlan plan = sim::FaultPlan::from_json(
+        "{\"events\": [\n"
+        "  {\"at\": 1.0, \"kind\": \"loss_burst\", \"loss\": 0.1},\n"
+        "  " + event + "\n"
+        "]}");
+    try {
+      injector.arm(plan);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::pair<std::string, std::string> cases[] = {
+      {R"({"at": 5, "kind": "crash", "node": 99999})",
+       "crash node 99999 is not in the network (60 nodes)"},
+      {R"({"at": 5, "kind": "recover", "node": 60})",
+       "recover node 60 is not in the network"},
+      {R"({"at": 5, "kind": "set_budget", "node": 60, "budget": 1})",
+       "set_budget node 60 is not in the network"},
+      {R"({"at": 5, "kind": "crash", "cell": {"row": 40, "col": 40}})",
+       "crash cell (40, 40) is not in the 4x4 grid"},
+      {R"({"at": 5, "kind": "set_budget", "cell": {"row": 0, "col": 4},
+           "headroom": 1})",
+       "set_budget cell (0, 4) is not in the 4x4 grid"},
+      {R"({"at": 5, "kind": "state_corruption", "cell": {"row": 4, "col": 0},
+           "target": "epoch"})",
+       "state_corruption cell (4, 0) is not in the 4x4 grid"},
+  };
+  for (const auto& [event, want] : cases) {
+    const std::string msg = arm_error(event);
+    EXPECT_NE(msg.find("line 3, event #2: " + want), std::string::npos)
+        << event << " -> " << msg;
+  }
+  EXPECT_EQ(stack.sim.pending(), pending);  // nothing was scheduled
+
+  // Without a CellMapper a link injector cannot place a cell at all.
+  sim::FaultInjector unmapped(stack.sim, *stack.link);
+  EXPECT_THROW(unmapped.arm(sim::FaultPlan::from_json(
+                   R"({"events": [{"at": 1, "kind": "crash",
+                                   "cell": {"row": 0, "col": 0}}]})")),
+               std::runtime_error);
+
+  // A plan built in code has no lines; the virtual fabric has 16 nodes.
+  sim::Simulator sim(1);
+  core::VirtualNetwork vnet(sim, core::GridTopology(4), core::CostModel{});
+  sim::FaultInjector virtual_injector(sim, vnet);
+  sim::FaultPlan plan;
+  plan.events.emplace_back().node = 16;
+  try {
+    virtual_injector.arm(plan);
+    ADD_FAILURE() << "node 16 armed on a 16-node fabric";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "fault plan, event #1: crash node 16 is not in the network "
+                 "(16 nodes)");
+  }
 }
 
 TEST(FaultPlanJson, ToJsonRoundTrips) {

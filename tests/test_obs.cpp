@@ -8,14 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "core/virtual_network.h"
 #include "emulation/physical_stack.h"
 #include "obs/export.h"
 #include "obs/metrics_registry.h"
+#include "obs/profiler.h"
 #include "obs/scoped_timer.h"
 #include "obs/sinks.h"
 #include "obs/trace.h"
@@ -417,24 +420,52 @@ TEST(MetricsRegistry, PhysicalStackRegistersWholeStack) {
             stack.binding_result.converged_at);
 }
 
-// -- Satellites: CounterSet growth, wall-clock timer --
+// -- Satellites: CounterSet, wall-clock timer --
 
-TEST(CounterSet, MergeAccumulatesAndSortedIsOrdered) {
-  sim::CounterSet a;
-  a.add("x", 2);
-  a.add("y");
-  sim::CounterSet b;
-  b.add("y", 4);
-  b.add("z");
-  a += b;
-  EXPECT_EQ(a.get("x"), 2u);
-  EXPECT_EQ(a.get("y"), 5u);
-  EXPECT_EQ(a.get("z"), 1u);
-  const auto sorted = a.sorted();
-  ASSERT_EQ(sorted.size(), 3u);
-  EXPECT_EQ(sorted[0].first, "x");
-  EXPECT_EQ(sorted[1].first, "y");
-  EXPECT_EQ(sorted[2].first, "z");
+// A stand-in for one layer's counter enum and name table.
+enum class Probe : std::uint8_t {
+  kAudit, kBeat, kRosterConflict, kSync, kCount
+};
+constexpr std::string_view kProbeNames[] = {"fd.audit", "fd.beat",
+                                            "fd.roster_conflict", "fd.sync"};
+static_assert(sim::counter_table_ok<Probe>(kProbeNames));
+
+TEST(CounterSet, AllListsNonZeroCountersInNameOrder) {
+  sim::CounterSet counters(kProbeNames);
+  counters.add(Probe::kSync, 2);
+  counters.add(Probe::kAudit);
+  const auto all = counters.all();
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0].first, "fd.audit");
+  EXPECT_EQ(all[0].second, 1u);
+  EXPECT_EQ(all[1].first, "fd.sync");
+  EXPECT_EQ(all[1].second, 2u);
+  EXPECT_EQ(counters.get("fd.sync"), 2u);
+  EXPECT_EQ(counters.get("fd.beat"), 0u);  // in the table, never added
+  EXPECT_EQ(counters.get("fd.no_such_counter"), 0u);
+}
+
+TEST(CounterSet, AddsAllocateNothing) {
+  // "fd.roster_conflict" is longer than std::string's in-place buffer, so a
+  // string-keyed add would build a heap string every time.
+  sim::CounterSet counters(kProbeNames);
+  const std::uint64_t before = obs::global_alloc_stats().count;
+  for (int i = 0; i < 1000; ++i) counters.add(Probe::kRosterConflict);
+  const std::uint64_t allocs = obs::global_alloc_stats().count - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(counters.get("fd.roster_conflict"), 1000u);
+}
+
+TEST(CounterSet, RegistrySectionListsExactlyTheNonZeroCountersInNameOrder) {
+  sim::CounterSet counters(kProbeNames);
+  counters.add(Probe::kSync);
+  counters.add(Probe::kBeat, 3);
+  obs::MetricsRegistry registry;
+  registry.add_counters("fd.counters", &counters);
+  EXPECT_EQ(registry.to_json(),
+            R"({"fd.counters":{"fd.beat":3,"fd.sync":1}})");
+  EXPECT_EQ(registry.counter("fd.counters", "fd.beat"), 3u);
+  EXPECT_EQ(registry.counter("fd.counters", "fd.audit"), 0u);
 }
 
 TEST(ScopedTimer, MeasuresNonNegativeWallClock) {

@@ -5,8 +5,10 @@
 #include <array>
 #include <cmath>
 #include <memory>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/primitives.h"
@@ -295,16 +297,27 @@ TEST(Simulator, EventBudgetGuardsRunaway) {
   EXPECT_THROW(sim.run(1000), std::runtime_error);
 }
 
+enum class TestCounter : std::uint8_t { kA, kB, kC, kCount };
+constexpr std::string_view kTestCounterNames[] = {"a", "b", "c"};
+static_assert(counter_table_ok<TestCounter>(kTestCounterNames));
+
 TEST(Trace, CountersAccumulate) {
-  CounterSet counters;
-  counters.add("a");
-  counters.add("a", 4);
-  counters.add("b");
+  CounterSet counters(kTestCounterNames);
+  counters.add(TestCounter::kA);
+  counters.add(TestCounter::kA, 4);
+  counters.add(TestCounter::kB);
   EXPECT_EQ(counters.get("a"), 5u);
   EXPECT_EQ(counters.get("b"), 1u);
+  EXPECT_EQ(counters.get("c"), 0u);
   EXPECT_EQ(counters.get("missing"), 0u);
-  counters.reset();
-  EXPECT_EQ(counters.get("a"), 0u);
+
+  // A table must name every counter once, in name order.
+  constexpr std::string_view unsorted[] = {"b", "a", "c"};
+  constexpr std::string_view repeated[] = {"a", "a", "c"};
+  constexpr std::string_view short_table[] = {"a", "b"};
+  static_assert(!counter_table_ok<TestCounter>(unsorted));
+  static_assert(!counter_table_ok<TestCounter>(repeated));
+  static_assert(!counter_table_ok<TestCounter>(short_table));
 }
 
 TEST(Trace, SummaryStatistics) {

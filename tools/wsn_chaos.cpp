@@ -4,10 +4,13 @@
 // stack with the distributed failure detector, checking every campaign
 // against the trace oracle and the failure-detection invariants. Exit 0 when
 // every campaign passes, 1 otherwise. With --out DIR, each failing
-// campaign's FaultPlan JSON is written to DIR/campaign_<k>.plan.json and the
-// campaign is replayed (byte-identically) to stream its trace into
-// DIR/campaign_<k>/ as wtr segments, so the run is reproducible offline
-// (`wsn-inspect check DIR/campaign_<k>`); CI uploads them as artifacts.
+// campaign's FaultPlan JSON is written to DIR/campaign_<k>.plan.json (DIR is
+// created if missing) and the campaign is replayed (byte-identically) to
+// stream its trace into DIR/campaign_<k>/ as wtr segments, so the run is
+// reproducible offline (`wsn-inspect check DIR/campaign_<k>`); CI uploads
+// them as artifacts. A file that cannot be written is reported on stderr
+// and left out of the "artifacts:" line; a --profile write failure makes
+// the exit status 1.
 //
 // Usage:
 //   wsn-chaos [--campaigns N] [--seed S] [--grid N] [--nodes N]
@@ -54,6 +57,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -64,13 +68,16 @@
 
 namespace {
 
-void write_file(const std::string& path, const std::string& content) {
+/// Writes `content` to `path`; false (with a message) if that failed.
+bool write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path);
+  out << content;
+  out.close();
   if (!out) {
     std::fprintf(stderr, "wsn-chaos: cannot write %s\n", path.c_str());
-    return;
+    return false;
   }
-  out << content;
+  return true;
 }
 
 void report(const wsn::sim::ChaosCampaignResult& res,
@@ -110,19 +117,29 @@ void report(const wsn::sim::ChaosCampaignResult& res,
   }
 }
 
-/// Writes a failing campaign's plan to `out_dir` and replays the campaign
-/// to stream its trace there (the soak keeps none). Returns the replay.
+/// Writes a failing campaign's plan to `out_dir`, created if missing, and
+/// replays the campaign to stream its trace there (the soak keeps none).
+/// Lists only the artifacts actually written. Returns the replay.
 wsn::sim::ChaosCampaignResult save_artifacts(
     const wsn::sim::ChaosCampaignResult& res,
     const wsn::sim::ChaosSoakConfig& cfg, const std::string& out_dir) {
   const std::string stem = out_dir + "/campaign_" + std::to_string(res.index);
-  write_file(stem + ".plan.json", res.plan_json);
+  std::error_code ec;  // a failure shows as the writes below failing
+  std::filesystem::create_directories(out_dir, ec);
+  std::string written;
+  if (write_file(stem + ".plan.json", res.plan_json)) {
+    written = stem + ".plan.json";
+  }
   wsn::sim::ChaosSoakConfig replay = cfg;
   replay.trace_out_dir = out_dir;
   wsn::sim::ChaosCampaignResult replayed =
       wsn::sim::ChaosSoak(replay).run_campaign(res.index);
-  std::printf("  artifacts: %s.plan.json, %s/ (wtr trace)\n", stem.c_str(),
-              stem.c_str());
+  if (replayed.trace_written) {
+    written += (written.empty() ? "" : ", ") + stem + "/ (wtr trace)";
+  } else {
+    std::fprintf(stderr, "wsn-chaos: cannot write %s/\n", stem.c_str());
+  }
+  std::printf("  artifacts: %s\n", written.empty() ? "none" : written.c_str());
   return replayed;
 }
 
@@ -260,17 +277,22 @@ int main(int argc, char** argv) {
                 "%llu seed(s) rejected\n",
                 adoptions, adopt_binds, seeds_rejected);
   }
+  bool profile_written = true;
   if (!profile_path.empty()) {
     wsn::obs::profiler().disarm();
     wsn::obs::profiler().note_sim(sim_time, sim_events);
-    write_file(profile_path, wsn::obs::profiler().to_json() + "\n");
-    std::printf("perf profile: %s (read with wsn-inspect perf)\n",
-                profile_path.c_str());
+    profile_written =
+        write_file(profile_path, wsn::obs::profiler().to_json() + "\n");
+    if (profile_written) {
+      std::printf("perf profile: %s (read with wsn-inspect perf)\n",
+                  profile_path.c_str());
+    }
   }
+  // A failing campaign's artifacts are written only on the way to exit 1.
   if (failed != 0) {
     std::printf("%zu campaign(s) FAILED\n", failed);
     return 1;
   }
   std::printf("all campaigns passed\n");
-  return 0;
+  return profile_written ? 0 : 1;
 }
