@@ -360,6 +360,10 @@ void FailureDetector::start() {
     arq->set_on_give_up([this, gen](net::NodeId from, net::NodeId to,
                                     std::uint64_t, std::uint32_t) {
       if (gen != run_gen_ || !running_) return;
+      // A dead sender's exchange gives up after one attempt and says
+      // nothing about the next hop: suspecting it would purge routes that
+      // nothing restores once the sender recovers.
+      if (link().is_down(from) || link().ledger().depleted(from)) return;
       counters_.add(Counter::kHopGiveUp);
       overlay_.on_hop_give_up(from, to);
     });

@@ -156,7 +156,8 @@ class FailureDetector {
  public:
   /// The overlay must outlive the detector. When the overlay has an ARQ
   /// channel attached, the detector takes over its on_give_up hook (route
-  /// repair on hop give-up).
+  /// repair on hop give-up; a give-up whose sender is down or depleted
+  /// suspects nobody).
   FailureDetector(OverlayNetwork& overlay, FailureDetectorConfig cfg = {});
   /// Detaches the membership view from the overlay (the overlay outlives
   /// the detector and must not dangle into it).

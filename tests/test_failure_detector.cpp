@@ -196,6 +196,41 @@ TEST_F(FailureDetectorTest, HeartbeatsCostRealEnergy) {
   EXPECT_GT(detector_->counters().get("fd.uplease"), 0u);
 }
 
+TEST_F(FailureDetectorTest, DeadSenderGiveUpKeepsItsNextHop) {
+  // A down sender's ARQ exchange gives up after one attempt. That indicts
+  // the sender, not the hop: the next hop must not be suspected nor the
+  // routes through it purged, or the sender's messages find no route once
+  // it recovers.
+  const GridCoord from{1, 1};
+  const GridCoord to{1, 2};
+  const net::NodeId sender = stack_.overlay->bound_node(from);
+  const net::NodeId next = stack_.overlay->route_next_hop(sender, to);
+  ASSERT_NE(next, net::kNoNode);
+  std::size_t arrived = 0;
+  stack_.overlay->set_receiver(
+      to, [&arrived](const core::VirtualMessage&) { ++arrived; });
+
+  detector_->start();
+  stack_.sim.run_until(stack_.sim.now() + 20.0);
+  const std::uint64_t hop_give_ups =
+      detector_->counters().get("fd.hop_give_up");
+  const std::uint64_t give_ups = stack_.arq->counters().get("arq.give_up");
+  stack_.link->set_down(sender, true);
+  stack_.overlay->send(from, to, 1.0, 1.0);
+  // Long enough for the dead sender's one-attempt give-up, far short of a
+  // live sender's full retry budget.
+  stack_.sim.run_until(stack_.sim.now() + 10.0);
+  EXPECT_GT(stack_.arq->counters().get("arq.give_up"), give_ups);
+  EXPECT_FALSE(stack_.overlay->is_suspected(next));
+  EXPECT_EQ(detector_->counters().get("fd.hop_give_up"), hop_give_ups);
+  EXPECT_EQ(arrived, 0u);
+
+  stack_.link->set_down(sender, false);
+  stack_.overlay->send(from, to, 1.0, 1.0);
+  stack_.sim.run_until(stack_.sim.now() + 10.0);
+  EXPECT_EQ(arrived, 1u);
+}
+
 // ---- Oracle cross-check: distributed detector vs FailoverBinder ---------
 
 TEST(FailureDetectorOracle, SameCampaignSameFinalBindings) {
