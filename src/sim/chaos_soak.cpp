@@ -47,8 +47,9 @@ bool healthy_draw(const emulation::PhysicalStack& stack, bool membership) {
          stack.binding_result.unique_leaders;
 }
 
-/// A generated leader crash the invariant pass must account for.
-struct TrackedCrash {
+/// A planned fault the invariant pass accounts for: a crashed or budgeted
+/// leader, or a vacated cell's survivor.
+struct Tracked {
   core::GridCoord cell{-1, -1};
   net::NodeId node = net::kNoNode;
   Time at = 0.0;  // plan-relative
@@ -67,17 +68,17 @@ bool stays_connected(const net::NetworkGraph& graph,
   return !alive.empty() && graph.induced_connected(alive);
 }
 
-struct GeneratedPlan {
-  FaultPlan plan;
-  std::vector<TrackedCrash> leader_crashes;
-  /// Leaders given a finite battery (depletion mode); `at` is the
-  /// set_budget time, the death lands wherever the drain takes it.
-  std::vector<TrackedCrash> depletions;
-  /// Vacated cells (membership mode): `node` is the planned lone survivor,
-  /// `at` the instant every other member crashes. The oracle demands the
-  /// survivor adopts into a neighboring cell within the stabilization
-  /// bound and the cell ends re-bound to a live proxy.
-  std::vector<TrackedCrash> vacancies;
+/// What the invariant pass tracks, derived from the plan (see track()).
+struct TrackedFaults {
+  std::vector<Tracked> leader_crashes;
+  /// Leaders given a finite battery; `at` is the set_budget time, the death
+  /// lands wherever the drain takes it.
+  std::vector<Tracked> depletions;
+  /// Vacated cells (membership mode): `node` is the lone survivor, `at` the
+  /// instant every other member crashes. The oracle demands the survivor
+  /// adopts into a neighboring cell within the stabilization bound and the
+  /// cell ends re-bound to a live proxy.
+  std::vector<Tracked> vacancies;
 };
 
 /// A campaign's whole trace path. Every event is fed live to the streaming
@@ -157,6 +158,307 @@ class OracleSink final : public obs::TraceSink {
   std::vector<Strike> strikes_;
 };
 
+/// The campaign's generated plan: drawn from its own RNG (independent of
+/// the stack's) against the freshly bound stack. Node and cell targets are
+/// resolved to node ids now, so the plan replays without a live binding.
+FaultPlan generate_plan(const ChaosSoakConfig& cfg, Time detection_bound,
+                        const emulation::PhysicalStack& stack,
+                        std::uint64_t seed) {
+  Rng rng(seed * 0x9e3779b97f4a7c15ULL + 0x1234567);
+  const core::GridTopology& grid = stack.overlay->grid();
+  const Time horizon =
+      static_cast<double>(cfg.rounds) * (kDeadline + 10.0);
+  FaultPlan plan;
+  std::vector<bool> hit(grid.node_count(), false);
+  hit[grid.index_of({0, 0})] = true;  // never target the collector cell
+  double budget = cfg.severity_budget;
+  if (cfg.corruption) {
+    // Corruption-only plans: the soft state of a seeded victim (half the
+    // strikes the cell's bound leader, half a random member) is scrambled
+    // at fire time along a seeded target profile. Victims are resolved to
+    // node ids now so the plan replays without a live binding; the
+    // collector cell stays clear so reduce rounds keep closing.
+    for (int attempt = 0;
+         attempt < 64 && plan.events.size() < cfg.corruption_events;
+         ++attempt) {
+      const std::size_t ci = rng.below(grid.node_count());
+      const core::GridCoord cell = grid.coord_of(ci);
+      if (cell.row == 0 && cell.col == 0) continue;  // the collector cell
+      const auto members = stack.mapper->members(cell);
+      if (members.empty()) continue;
+      const net::NodeId leader = stack.overlay->bound_node(cell);
+      net::NodeId victim =
+          members[static_cast<std::size_t>(rng.below(members.size()))];
+      if (rng.chance(0.5) && leader != net::kNoNode) victim = leader;
+      FaultEvent ev;
+      ev.at = 5.0 + rng.uniform() * horizon * 0.4;
+      ev.kind = FaultKind::kStateCorruption;
+      ev.node = victim;
+      ev.target = static_cast<CorruptionTarget>(rng.below(4));
+      plan.events.push_back(ev);
+    }
+  }
+  if (cfg.membership) {
+    // Vacancy scenarios: every member of a victim cell except one follower
+    // crashes at the same instant. The survivor's lease runs out over a
+    // silent cell, its election finds nobody, and the adoption path must
+    // move it into the nearest reachable neighboring cell and re-bind the
+    // vacated cell to a proxy — tracked so the invariant pass demands
+    // exactly that. The survivor is never the bound leader (a surviving
+    // leader just keeps serving a cell of one) and must hold a cross-cell
+    // radio edge into an untargeted cell, or adoption has nobody to reach;
+    // that refuge cell is marked hit so a later vacancy cannot empty it.
+    std::size_t vacancies = 0;
+    for (int attempt = 0; attempt < 64 && vacancies < kMembershipVacancies;
+         ++attempt) {
+      const std::size_t ci = rng.below(grid.node_count());
+      const core::GridCoord cell = grid.coord_of(ci);
+      if (hit[ci] || (cell.row == 0 && cell.col == 0)) continue;
+      const auto members = stack.mapper->members(cell);
+      const net::NodeId leader = stack.overlay->bound_node(cell);
+      if (leader == net::kNoNode || members.size() < 2) continue;
+      net::NodeId survivor = net::kNoNode;
+      std::size_t refuge = 0;
+      for (const net::NodeId m : members) {
+        if (m == leader) continue;
+        for (const net::NodeId v : stack.graph->neighbors(m)) {
+          const core::GridCoord vc = stack.mapper->cell_of(v);
+          if (vc == cell || hit[grid.index_of(vc)]) continue;
+          survivor = m;
+          refuge = grid.index_of(vc);
+          break;
+        }
+        if (survivor != net::kNoNode) break;
+      }
+      if (survivor == net::kNoNode) continue;
+      hit[ci] = true;
+      hit[refuge] = true;
+      const Time at = 5.0 + rng.uniform() * horizon * 0.3;
+      for (const net::NodeId m : members) {
+        if (m == survivor) continue;
+        FaultEvent crash;
+        crash.at = at;
+        crash.kind = FaultKind::kCrash;
+        crash.node = m;
+        plan.events.push_back(crash);
+      }
+      ++vacancies;
+    }
+    // Membership strikes: a seeded victim's cell belief is defected to an
+    // adjacent cell or its leader's roster is scrambled at fire time
+    // (CorruptionTarget::kMembership). Reconciliation — self-heal from
+    // position knowledge plus the audit digest round — must pull every one
+    // back within the extended stabilization bound. Cells already staged
+    // for a vacancy (or sheltering its survivor) stay clear so the
+    // adoption oracle is not confounded.
+    std::size_t strikes = 0;
+    for (int attempt = 0;
+         attempt < 64 && strikes < cfg.membership_events; ++attempt) {
+      const std::size_t ci = rng.below(grid.node_count());
+      const core::GridCoord cell = grid.coord_of(ci);
+      if (hit[ci] || (cell.row == 0 && cell.col == 0)) continue;
+      const auto members = stack.mapper->members(cell);
+      if (members.empty()) continue;
+      const net::NodeId leader = stack.overlay->bound_node(cell);
+      net::NodeId victim =
+          members[static_cast<std::size_t>(rng.below(members.size()))];
+      if (rng.chance(0.5) && leader != net::kNoNode) victim = leader;
+      FaultEvent ev;
+      ev.at = 5.0 + rng.uniform() * horizon * 0.4;
+      ev.kind = FaultKind::kStateCorruption;
+      ev.node = victim;
+      ev.target = CorruptionTarget::kMembership;
+      plan.events.push_back(ev);
+      ++strikes;
+    }
+  }
+  for (int attempt = 0; !cfg.corruption && !cfg.membership &&
+                        attempt < 64 && budget > 0.0 &&
+                        plan.events.size() < kMaxPlanEvents;
+       ++attempt) {
+    const double draw = rng.uniform();
+    if (draw < 0.45) {
+      // Crash a cell's bound leader (resolved now, so the plan is
+      // node-targeted and replayable without a live binding).
+      const std::size_t ci = rng.below(grid.node_count());
+      const core::GridCoord cell = grid.coord_of(ci);
+      if (hit[ci]) continue;
+      const net::NodeId leader = stack.overlay->bound_node(cell);
+      const auto members = stack.mapper->members(cell);
+      if (leader == net::kNoNode || members.size() < 2) continue;
+      if (!stays_connected(*stack.graph, members, leader)) continue;
+      hit[ci] = true;
+      FaultEvent crash;
+      crash.at = 5.0 + rng.uniform() * horizon * 0.4;
+      crash.kind = FaultKind::kCrash;
+      crash.node = leader;
+      plan.events.push_back(crash);
+      if (rng.chance(0.5)) {
+        // Recover well past the detection bound so the claim invariant is
+        // unconditional, then let the rejoin/demote path run too.
+        FaultEvent rec;
+        rec.at = crash.at + detection_bound + 10.0 + rng.uniform() * 20.0;
+        rec.kind = FaultKind::kRecover;
+        rec.node = leader;
+        plan.events.push_back(rec);
+      }
+      budget -= 1.5;
+    } else if (draw < 0.65) {
+      // Crash a non-leader member: churn that must NOT depose a leader.
+      const std::size_t ci = rng.below(grid.node_count());
+      const core::GridCoord cell = grid.coord_of(ci);
+      if (hit[ci]) continue;
+      const net::NodeId leader = stack.overlay->bound_node(cell);
+      const auto members = stack.mapper->members(cell);
+      if (members.size() < 3) continue;
+      const net::NodeId victim =
+          members[static_cast<std::size_t>(rng.below(members.size()))];
+      if (victim == leader) continue;
+      if (!stays_connected(*stack.graph, members, victim)) continue;
+      hit[ci] = true;
+      FaultEvent crash;
+      crash.at = 5.0 + rng.uniform() * horizon * 0.4;
+      crash.kind = FaultKind::kCrash;
+      crash.node = victim;
+      plan.events.push_back(crash);
+      if (rng.chance(0.6)) {
+        FaultEvent rec;
+        rec.at = crash.at + 20.0 + rng.uniform() * 40.0;
+        rec.kind = FaultKind::kRecover;
+        rec.node = victim;
+        plan.events.push_back(rec);
+      }
+      budget -= 0.75;
+    } else if (draw < 0.85) {
+      FaultEvent burst;
+      burst.at = rng.uniform() * horizon * 0.5;
+      burst.kind = FaultKind::kLossBurst;
+      burst.loss = 0.03 + rng.uniform() * 0.09;
+      burst.duration = 20.0 + rng.uniform() * 40.0;
+      plan.events.push_back(burst);
+      budget -= burst.loss * burst.duration / 5.0;
+    } else {
+      // Region outage: whole cells go dark atomically. An empty cell
+      // elects nobody (no split-brain risk); the hierarchy suspects and
+      // later resumes it. Keep it clear of the collector and of cells
+      // already targeted.
+      if (budget < 2.0 || grid.side() < 3) continue;
+      const auto side = static_cast<std::int32_t>(grid.side());
+      const std::int32_t r0 = 1 + static_cast<std::int32_t>(rng.below(
+                                      static_cast<std::uint64_t>(side - 1)));
+      const std::int32_t c0 = static_cast<std::int32_t>(
+          rng.below(static_cast<std::uint64_t>(side)));
+      const std::int32_t r1 = std::min<std::int32_t>(r0 + 1, side - 1);
+      const std::int32_t c1 = std::min<std::int32_t>(c0 + 1, side - 1);
+      bool clear = true;
+      for (std::int32_t r = r0; r <= r1 && clear; ++r) {
+        for (std::int32_t c = c0; c <= c1 && clear; ++c) {
+          clear = !hit[grid.index_of({r, c})];
+        }
+      }
+      if (!clear) continue;
+      std::size_t cells = 0;
+      for (std::int32_t r = r0; r <= r1; ++r) {
+        for (std::int32_t c = c0; c <= c1; ++c) {
+          hit[grid.index_of({r, c})] = true;
+          ++cells;
+        }
+      }
+      FaultEvent outage;
+      outage.at = rng.uniform() * horizon * 0.3;
+      outage.kind = FaultKind::kRegionOutage;
+      outage.row0 = r0;
+      outage.col0 = c0;
+      outage.row1 = r1;
+      outage.col1 = c1;
+      outage.duration = 30.0 + rng.uniform() * 30.0;
+      plan.events.push_back(outage);
+      budget -= static_cast<double>(cells) * 0.75;
+    }
+  }
+  if (cfg.depletion) {
+    // Give a few untouched cells' leaders a finite battery. Resolved to
+    // node ids now (like crashes) so the plan replays without a live
+    // binding; "headroom" still resolves against fire-time spend, so the
+    // leader has exactly kDepletionHeadroom energy left when the event
+    // lands regardless of setup traffic.
+    std::size_t budgets = 0;
+    for (int attempt = 0; attempt < 64 && budgets < kDepletionTargets;
+         ++attempt) {
+      const std::size_t ci = rng.below(grid.node_count());
+      const core::GridCoord cell = grid.coord_of(ci);
+      if (hit[ci]) continue;
+      const net::NodeId leader = stack.overlay->bound_node(cell);
+      const auto members = stack.mapper->members(cell);
+      if (leader == net::kNoNode || members.size() < 2) continue;
+      if (!stays_connected(*stack.graph, members, leader)) continue;
+      hit[ci] = true;
+      FaultEvent ev;
+      ev.at = 2.0 + rng.uniform() * 6.0;
+      ev.kind = FaultKind::kSetBudget;
+      ev.node = leader;
+      ev.headroom = kDepletionHeadroom;
+      plan.events.push_back(ev);
+      ++budgets;
+    }
+  }
+  return plan;
+}
+
+/// What the invariant pass tracks in `plan` on the bound stack (the rules
+/// are listed at ChaosSoak::replay). Call it once the plan is armed: arming
+/// rejects every target outside the stack.
+TrackedFaults track(const FaultPlan& plan,
+                    const emulation::PhysicalStack& stack, bool membership) {
+  const emulation::OverlayNetwork& overlay = *stack.overlay;
+  // A cell target resolves to the cell's bound leader, as at fire time.
+  const auto target = [&](const FaultEvent& ev) -> Tracked {
+    if (ev.cell.row >= 0) return {ev.cell, overlay.bound_node(ev.cell), ev.at};
+    return {stack.mapper->cell_of(ev.node), ev.node, ev.at};
+  };
+  TrackedFaults tracked;
+  std::vector<Tracked> crashes;
+  for (const FaultEvent& ev : plan.events) {
+    if (ev.kind == FaultKind::kSetBudget) {
+      tracked.depletions.push_back(target(ev));
+    } else if (ev.kind == FaultKind::kCrash) {
+      crashes.push_back(target(ev));
+    }
+  }
+  if (!membership) {
+    for (const Tracked& c : crashes) {
+      if (c.node != net::kNoNode && c.node == overlay.bound_node(c.cell)) {
+        tracked.leader_crashes.push_back(c);
+      }
+    }
+    return tracked;
+  }
+  const auto crashed_at = [&crashes](net::NodeId node, Time at) {
+    return std::any_of(crashes.begin(), crashes.end(), [&](const Tracked& c) {
+      return c.node == node && c.at == at;
+    });
+  };
+  for (std::size_t i = 0; i < crashes.size(); ++i) {
+    const Tracked& c = crashes[i];
+    // Each (instant, cell) once, at its first crash.
+    if (std::any_of(crashes.begin(), crashes.begin() + i,
+                    [&c](const Tracked& o) {
+                      return o.at == c.at && o.cell == c.cell;
+                    })) {
+      continue;
+    }
+    std::size_t left = 0;
+    net::NodeId survivor = net::kNoNode;
+    for (const net::NodeId m : stack.mapper->members(c.cell)) {
+      if (crashed_at(m, c.at)) continue;
+      ++left;
+      survivor = m;
+    }
+    if (left == 1) tracked.vacancies.push_back({c.cell, survivor, c.at});
+  }
+  return tracked;
+}
+
 }  // namespace
 
 Time ChaosSoak::detection_bound() const {
@@ -170,18 +472,17 @@ Time ChaosSoak::detection_bound() const {
          1.5 * d.election_timeout + 10.0;
 }
 
-ChaosSoakSummary ChaosSoak::run() const {
-  ChaosSoakSummary summary;
-  summary.campaigns = cfg_.campaigns;
-  for (std::size_t k = 0; k < cfg_.campaigns; ++k) {
-    ChaosCampaignResult res = run_campaign(k);
-    if (!res.ok()) ++summary.failed;
-    summary.results.push_back(std::move(res));
-  }
-  return summary;
+ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
+  return run(index, nullptr);
 }
 
-ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
+ChaosCampaignResult ChaosSoak::replay(std::size_t index,
+                                      const FaultPlan& plan) const {
+  return run(index, &plan);
+}
+
+ChaosCampaignResult ChaosSoak::run(std::size_t index,
+                                   const FaultPlan* given) const {
   ChaosCampaignResult res;
   res.index = index;
   res.seed = cfg_.seed + index;
@@ -250,249 +551,13 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
     return static_cast<double>(res.seeds_rejected);
   });
 
-  // ---- Plan generation (campaign RNG, independent of the stack's) -------
-  Rng rng(res.seed * 0x9e3779b97f4a7c15ULL + 0x1234567);
-  const core::GridTopology& grid = stack->overlay->grid();
-  const Time horizon =
-      static_cast<double>(cfg_.rounds) * (kDeadline + 10.0);
-  GeneratedPlan gen;
-  std::vector<bool> hit(grid.node_count(), false);
-  hit[grid.index_of({0, 0})] = true;  // never target the collector cell
-  double budget = cfg_.severity_budget;
-  if (cfg_.corruption) {
-    // Corruption-only plans: the soft state of a seeded victim (half the
-    // strikes the cell's bound leader, half a random member) is scrambled
-    // at fire time along a seeded target profile. Victims are resolved to
-    // node ids now so the plan replays without a live binding; the
-    // collector cell stays clear so reduce rounds keep closing.
-    for (int attempt = 0;
-         attempt < 64 && gen.plan.events.size() < cfg_.corruption_events;
-         ++attempt) {
-      const std::size_t ci = rng.below(grid.node_count());
-      const core::GridCoord cell = grid.coord_of(ci);
-      if (cell.row == 0 && cell.col == 0) continue;  // the collector cell
-      const auto members = stack->mapper->members(cell);
-      if (members.empty()) continue;
-      const net::NodeId leader = stack->overlay->bound_node(cell);
-      net::NodeId victim =
-          members[static_cast<std::size_t>(rng.below(members.size()))];
-      if (rng.chance(0.5) && leader != net::kNoNode) victim = leader;
-      FaultEvent ev;
-      ev.at = 5.0 + rng.uniform() * horizon * 0.4;
-      ev.kind = FaultKind::kStateCorruption;
-      ev.node = victim;
-      ev.target = static_cast<CorruptionTarget>(rng.below(4));
-      gen.plan.events.push_back(ev);
-    }
-  }
-  if (cfg_.membership) {
-    // Vacancy scenarios: every member of a victim cell except one follower
-    // crashes at the same instant. The survivor's lease runs out over a
-    // silent cell, its election finds nobody, and the adoption path must
-    // move it into the nearest reachable neighboring cell and re-bind the
-    // vacated cell to a proxy — tracked so the invariant pass demands
-    // exactly that. The survivor is never the bound leader (a surviving
-    // leader just keeps serving a cell of one) and must hold a cross-cell
-    // radio edge into an untargeted cell, or adoption has nobody to reach;
-    // that refuge cell is marked hit so a later vacancy cannot empty it.
-    for (int attempt = 0;
-         attempt < 64 && gen.vacancies.size() < kMembershipVacancies;
-         ++attempt) {
-      const std::size_t ci = rng.below(grid.node_count());
-      const core::GridCoord cell = grid.coord_of(ci);
-      if (hit[ci] || (cell.row == 0 && cell.col == 0)) continue;
-      const auto members = stack->mapper->members(cell);
-      const net::NodeId leader = stack->overlay->bound_node(cell);
-      if (leader == net::kNoNode || members.size() < 2) continue;
-      net::NodeId survivor = net::kNoNode;
-      std::size_t refuge = 0;
-      for (const net::NodeId m : members) {
-        if (m == leader) continue;
-        for (const net::NodeId v : stack->graph->neighbors(m)) {
-          const core::GridCoord vc = stack->mapper->cell_of(v);
-          if (vc == cell || hit[grid.index_of(vc)]) continue;
-          survivor = m;
-          refuge = grid.index_of(vc);
-          break;
-        }
-        if (survivor != net::kNoNode) break;
-      }
-      if (survivor == net::kNoNode) continue;
-      hit[ci] = true;
-      hit[refuge] = true;
-      const Time at = 5.0 + rng.uniform() * horizon * 0.3;
-      for (const net::NodeId m : members) {
-        if (m == survivor) continue;
-        FaultEvent crash;
-        crash.at = at;
-        crash.kind = FaultKind::kCrash;
-        crash.node = m;
-        gen.plan.events.push_back(crash);
-      }
-      gen.vacancies.push_back({cell, survivor, at});
-    }
-    // Membership strikes: a seeded victim's cell belief is defected to an
-    // adjacent cell or its leader's roster is scrambled at fire time
-    // (CorruptionTarget::kMembership). Reconciliation — self-heal from
-    // position knowledge plus the audit digest round — must pull every one
-    // back within the extended stabilization bound. Cells already staged
-    // for a vacancy (or sheltering its survivor) stay clear so the
-    // adoption oracle is not confounded.
-    std::size_t strikes = 0;
-    for (int attempt = 0;
-         attempt < 64 && strikes < cfg_.membership_events; ++attempt) {
-      const std::size_t ci = rng.below(grid.node_count());
-      const core::GridCoord cell = grid.coord_of(ci);
-      if (hit[ci] || (cell.row == 0 && cell.col == 0)) continue;
-      const auto members = stack->mapper->members(cell);
-      if (members.empty()) continue;
-      const net::NodeId leader = stack->overlay->bound_node(cell);
-      net::NodeId victim =
-          members[static_cast<std::size_t>(rng.below(members.size()))];
-      if (rng.chance(0.5) && leader != net::kNoNode) victim = leader;
-      FaultEvent ev;
-      ev.at = 5.0 + rng.uniform() * horizon * 0.4;
-      ev.kind = FaultKind::kStateCorruption;
-      ev.node = victim;
-      ev.target = CorruptionTarget::kMembership;
-      gen.plan.events.push_back(ev);
-      ++strikes;
-    }
-  }
-  for (int attempt = 0; !cfg_.corruption && !cfg_.membership &&
-                        attempt < 64 && budget > 0.0 &&
-                        gen.plan.events.size() < kMaxPlanEvents;
-       ++attempt) {
-    const double draw = rng.uniform();
-    if (draw < 0.45) {
-      // Crash a cell's bound leader (resolved now, so the plan is
-      // node-targeted and replayable without a live binding).
-      const std::size_t ci = rng.below(grid.node_count());
-      const core::GridCoord cell = grid.coord_of(ci);
-      if (hit[ci]) continue;
-      const net::NodeId leader = stack->overlay->bound_node(cell);
-      const auto members = stack->mapper->members(cell);
-      if (leader == net::kNoNode || members.size() < 2) continue;
-      if (!stays_connected(*stack->graph, members, leader)) continue;
-      hit[ci] = true;
-      FaultEvent crash;
-      crash.at = 5.0 + rng.uniform() * horizon * 0.4;
-      crash.kind = FaultKind::kCrash;
-      crash.node = leader;
-      gen.plan.events.push_back(crash);
-      gen.leader_crashes.push_back({cell, leader, crash.at});
-      if (rng.chance(0.5)) {
-        // Recover well past the detection bound so the claim invariant is
-        // unconditional, then let the rejoin/demote path run too.
-        FaultEvent rec;
-        rec.at = crash.at + detection_bound() + 10.0 + rng.uniform() * 20.0;
-        rec.kind = FaultKind::kRecover;
-        rec.node = leader;
-        gen.plan.events.push_back(rec);
-      }
-      budget -= 1.5;
-    } else if (draw < 0.65) {
-      // Crash a non-leader member: churn that must NOT depose a leader.
-      const std::size_t ci = rng.below(grid.node_count());
-      const core::GridCoord cell = grid.coord_of(ci);
-      if (hit[ci]) continue;
-      const net::NodeId leader = stack->overlay->bound_node(cell);
-      const auto members = stack->mapper->members(cell);
-      if (members.size() < 3) continue;
-      const net::NodeId victim =
-          members[static_cast<std::size_t>(rng.below(members.size()))];
-      if (victim == leader) continue;
-      if (!stays_connected(*stack->graph, members, victim)) continue;
-      hit[ci] = true;
-      FaultEvent crash;
-      crash.at = 5.0 + rng.uniform() * horizon * 0.4;
-      crash.kind = FaultKind::kCrash;
-      crash.node = victim;
-      gen.plan.events.push_back(crash);
-      if (rng.chance(0.6)) {
-        FaultEvent rec;
-        rec.at = crash.at + 20.0 + rng.uniform() * 40.0;
-        rec.kind = FaultKind::kRecover;
-        rec.node = victim;
-        gen.plan.events.push_back(rec);
-      }
-      budget -= 0.75;
-    } else if (draw < 0.85) {
-      FaultEvent burst;
-      burst.at = rng.uniform() * horizon * 0.5;
-      burst.kind = FaultKind::kLossBurst;
-      burst.loss = 0.03 + rng.uniform() * 0.09;
-      burst.duration = 20.0 + rng.uniform() * 40.0;
-      gen.plan.events.push_back(burst);
-      budget -= burst.loss * burst.duration / 5.0;
-    } else {
-      // Region outage: whole cells go dark atomically. An empty cell
-      // elects nobody (no split-brain risk); the hierarchy suspects and
-      // later resumes it. Keep it clear of the collector and of cells
-      // already targeted.
-      if (budget < 2.0 || grid.side() < 3) continue;
-      const auto side = static_cast<std::int32_t>(grid.side());
-      const std::int32_t r0 = 1 + static_cast<std::int32_t>(rng.below(
-                                      static_cast<std::uint64_t>(side - 1)));
-      const std::int32_t c0 = static_cast<std::int32_t>(
-          rng.below(static_cast<std::uint64_t>(side)));
-      const std::int32_t r1 = std::min<std::int32_t>(r0 + 1, side - 1);
-      const std::int32_t c1 = std::min<std::int32_t>(c0 + 1, side - 1);
-      bool clear = true;
-      for (std::int32_t r = r0; r <= r1 && clear; ++r) {
-        for (std::int32_t c = c0; c <= c1 && clear; ++c) {
-          clear = !hit[grid.index_of({r, c})];
-        }
-      }
-      if (!clear) continue;
-      std::size_t cells = 0;
-      for (std::int32_t r = r0; r <= r1; ++r) {
-        for (std::int32_t c = c0; c <= c1; ++c) {
-          hit[grid.index_of({r, c})] = true;
-          ++cells;
-        }
-      }
-      FaultEvent outage;
-      outage.at = rng.uniform() * horizon * 0.3;
-      outage.kind = FaultKind::kRegionOutage;
-      outage.row0 = r0;
-      outage.col0 = c0;
-      outage.row1 = r1;
-      outage.col1 = c1;
-      outage.duration = 30.0 + rng.uniform() * 30.0;
-      gen.plan.events.push_back(outage);
-      budget -= static_cast<double>(cells) * 0.75;
-    }
-  }
-  if (cfg_.depletion) {
-    // Give a few untouched cells' leaders a finite battery. Resolved to
-    // node ids now (like crashes) so the plan replays without a live
-    // binding; "headroom" still resolves against fire-time spend, so the
-    // leader has exactly kDepletionHeadroom energy left when the event
-    // lands regardless of setup traffic.
-    for (int attempt = 0;
-         attempt < 64 && gen.depletions.size() < kDepletionTargets;
-         ++attempt) {
-      const std::size_t ci = rng.below(grid.node_count());
-      const core::GridCoord cell = grid.coord_of(ci);
-      if (hit[ci]) continue;
-      const net::NodeId leader = stack->overlay->bound_node(cell);
-      const auto members = stack->mapper->members(cell);
-      if (leader == net::kNoNode || members.size() < 2) continue;
-      if (!stays_connected(*stack->graph, members, leader)) continue;
-      hit[ci] = true;
-      FaultEvent ev;
-      ev.at = 2.0 + rng.uniform() * 6.0;
-      ev.kind = FaultKind::kSetBudget;
-      ev.node = leader;
-      ev.headroom = kDepletionHeadroom;
-      gen.plan.events.push_back(ev);
-      gen.depletions.push_back({cell, leader, ev.at});
-    }
-  }
-  res.plan_json = gen.plan.to_json();
-  res.leader_crashes = gen.leader_crashes.size();
-  for (const FaultEvent& ev : gen.plan.events) {
+  // ---- Plan: generated from the campaign seed, or given ------------------
+  const FaultPlan plan = given != nullptr
+                             ? *given
+                             : generate_plan(cfg_, detection_bound(), *stack,
+                                             res.seed);
+  res.plan_json = plan.to_json();
+  for (const FaultEvent& ev : plan.events) {
     if (ev.kind == FaultKind::kStateCorruption) ++res.corruptions;
   }
 
@@ -513,10 +578,13 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
     monitor.register_metrics(registry);
   }
   const Time arm_time = stack->sim.now();
-  injector.arm(gen.plan);
+  injector.arm(plan);  // a target outside the stack throws here
+  const TrackedFaults tracked = track(plan, *stack, cfg_.membership);
+  res.leader_crashes = tracked.leader_crashes.size();
   detector.start();
 
-  const std::vector<core::GridCoord> all_cells = grid.all_coords();
+  const std::vector<core::GridCoord> all_cells =
+      stack->overlay->grid().all_coords();
   const std::vector<double> values(all_cells.size(), 1.0);
   auto partials = std::make_shared<std::vector<core::PartialResult>>();
   for (std::size_t r = 0; r < cfg_.rounds; ++r) {
@@ -532,7 +600,7 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
   // detection bound and one uplease so suspected cells resume, then stop
   // and drain everything still in flight so the capture is not truncated.
   const Time settle =
-      std::max(stack->sim.now(), arm_time + gen.plan.down_horizon()) +
+      std::max(stack->sim.now(), arm_time + plan.down_horizon()) +
       detection_bound() + cfg_.detector.uplease_duration +
       (cfg_.depletion ? kDepletionGrace : 0.0) +
       (cfg_.corruption || cfg_.membership ? detector.stabilization_bound()
@@ -552,6 +620,12 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
   stack->sim.run();
   res.sim_events += stack->sim.events_processed();
   res.sim_time += stack->sim.now();
+  for (const auto& [name, value] : injector.counters().all()) {
+    res.counters.emplace_back(name, value);
+  }
+  for (const auto& [name, value] : detector.counters().all()) {
+    res.counters.emplace_back(name, value);
+  }
 
   // ---- Invariants --------------------------------------------------------
   auto finding = [&res](std::string msg) {
@@ -599,7 +673,7 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
     // a neighboring cell within the stabilization bound, and the vacated
     // cell ended re-bound to a live proxy leader.
     const Time stab = detector.stabilization_bound();
-    for (const TrackedCrash& tv : gen.vacancies) {
+    for (const Tracked& tv : tracked.vacancies) {
       const Time vacated_abs = arm_time + tv.at;
       const std::string tag =
           "vacated cell (" + std::to_string(tv.cell.row) + "," +
@@ -639,7 +713,7 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
 
   res.claims = claims.size();
   const Time bound = detection_bound();
-  for (const TrackedCrash& tc : gen.leader_crashes) {
+  for (const Tracked& tc : tracked.leader_crashes) {
     const Time crash_abs = arm_time + tc.at;
     std::size_t count = 0;
     Time first = 0.0;
@@ -673,7 +747,7 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
   for (const emulation::ClaimRecord& cl : claims) {
     if (cl.planned) ++res.planned_handoffs;
   }
-  for (const TrackedCrash& td : gen.depletions) {
+  for (const Tracked& td : tracked.depletions) {
     const std::string tag = "budgeted leader " + std::to_string(td.node) +
                             " in cell (" + std::to_string(td.cell.row) + "," +
                             std::to_string(td.cell.col) + ")";
@@ -703,11 +777,12 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index) const {
     }
   }
 
-  if (partials->size() != cfg_.rounds) {
-    finding("only " + std::to_string(partials->size()) + " of " +
+  res.rounds = std::move(*partials);
+  if (res.rounds.size() != cfg_.rounds) {
+    finding("only " + std::to_string(res.rounds.size()) + " of " +
             std::to_string(cfg_.rounds) + " reduce rounds closed");
   }
-  for (const core::PartialResult& p : *partials) {
+  for (const core::PartialResult& p : res.rounds) {
     res.stale_rejected += p.stale_rejected;
   }
   return res;

@@ -4,9 +4,8 @@
 //
 // Each campaign builds its own emulation::PhysicalStack (seeded deployment,
 // emulation, leader binding, overlay) with ARQ and a distributed
-// FailureDetector on top, generates a FaultPlan from the campaign's own
-// seeded RNG under a severity budget, runs deadline-bounded reduce rounds
-// through the faults, lets the detector settle, and then asserts:
+// FailureDetector on top, arms a FaultPlan, runs deadline-bounded reduce
+// rounds through the faults, lets the detector settle, and then asserts:
 //   * every trace invariant (obs/analyze/check.h) holds, energy and ARQ
 //     counters checked against a metrics snapshot. The events stream live
 //     into an obs::analyze::StreamingChecker as the campaign runs; nothing
@@ -17,6 +16,13 @@
 //     exactly one leadership claim for that cell, within the detection
 //     bound (lease + election + slack).
 //
+// The plan is either generated from the campaign's own seeded RNG under a
+// severity budget (run_campaign) or given (replay, e.g. campaigns/*.json
+// through `wsn-chaos --plan`); both take the same path from there. What
+// the invariant pass tracks is derived from the plan when it is armed,
+// against the bound stack: crashes of bound leaders, set_budget targets,
+// and — in membership mode — vacancies (see replay).
+//
 // The plan generator is constrained to keep the paper's preconditions
 // intact — it never removes a node whose loss would disconnect or empty its
 // cell's member set (all_cells_occupied / all_cells_connected), except via
@@ -25,16 +31,21 @@
 //
 // Determinism: campaign k is fully determined by (config, base seed, k) —
 // running it twice with `trace_out_dir` set yields byte-identical wtr
-// segments (the replay tests assert this), and a failing campaign's plan
-// JSON is enough to reproduce it offline with wsn-chaos / wsn-inspect.
+// segments (the replay tests assert this) — and replaying its plan JSON
+// with the same config and index reproduces it byte for byte, so a
+// failing campaign's plan is enough to reproduce it offline with
+// `wsn-chaos --plan`.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/primitives.h"
 #include "emulation/failure_detector.h"
 #include "net/topology_factory.h"
+#include "sim/fault_plan.h"
 #include "sim/simulator.h"
 
 namespace wsn::sim {
@@ -143,16 +154,14 @@ struct ChaosCampaignResult {
   Time sim_time = 0.0;
   /// With trace_out_dir set: the wtr capture was written in full.
   bool trace_written = false;
+  /// Each reduce round's outcome, in order; fewer than `rounds` entries
+  /// when a round never closed.
+  std::vector<core::PartialResult> rounds;
+  /// The injector's and then the detector's non-zero counters at campaign
+  /// end, each in name order (sim::CounterSet::all()).
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
 
   bool ok() const { return findings.empty(); }
-};
-
-struct ChaosSoakSummary {
-  std::size_t campaigns = 0;
-  std::size_t failed = 0;
-  std::vector<ChaosCampaignResult> results;  // one per campaign, in order
-
-  bool ok() const { return failed == 0; }
 };
 
 class ChaosSoak {
@@ -164,13 +173,25 @@ class ChaosSoak {
   /// election close, plus propagation slack.
   Time detection_bound() const;
 
-  /// Runs campaign `index` from scratch (fresh stack, fresh oracle).
+  /// Runs campaign `index` from scratch (fresh stack, fresh oracle) on a
+  /// plan generated from its seed.
   ChaosCampaignResult run_campaign(std::size_t index) const;
 
-  /// Runs every campaign.
-  ChaosSoakSummary run() const;
+  /// Runs campaign `index` exactly as run_campaign does — same stack seed,
+  /// mode flags and schedule — but arms `plan` instead of generating one.
+  /// The invariant pass tracks what the plan does to the bound stack: each
+  /// crash of a cell's bound leader (by node or by cell) outside membership
+  /// mode, each set_budget target (a cell resolves to its bound leader),
+  /// and, in membership mode, each vacancy — a set of crashes at one
+  /// instant that leaves exactly one member of a cell, the survivor.
+  /// Throws FaultInjector::arm's line-numbered error, before the campaign
+  /// runs, if the plan targets a node or cell outside the stack.
+  ChaosCampaignResult replay(std::size_t index, const FaultPlan& plan) const;
 
  private:
+  /// The one campaign path; generates the plan when `plan` is null.
+  ChaosCampaignResult run(std::size_t index, const FaultPlan* plan) const;
+
   ChaosSoakConfig cfg_;
 };
 

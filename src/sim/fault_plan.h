@@ -6,10 +6,10 @@
 // bench row is reproducible. A FaultPlan is a list of timed fault events —
 // node crash, node recovery, loss-burst windows, regional outage over a
 // rectangle of grid cells — loadable from a small JSON spec so tests,
-// benches, and examples replay identical campaigns. The FaultInjector
-// schedules the plan on the simulator's own event queue against either the
-// physical LinkLayer (optionally with a CellMapper to resolve cell-scoped
-// events) or the virtual-layer VirtualNetwork.
+// benches, and `wsn-chaos --plan` replay identical campaigns. The
+// FaultInjector schedules the plan on the simulator's own event queue
+// against either the physical LinkLayer (optionally with a CellMapper to
+// resolve cell-scoped events) or the virtual-layer VirtualNetwork.
 //
 // All timing comes from the plan and all randomness from the simulator's
 // seeded RNG, so seed + plan fully determine the run (the campaign
@@ -185,8 +185,8 @@ struct FaultPlan {
   /// with no later recover contributes its own time (it never ends, but the
   /// protocol's detection starts there), and a set_budget contributes its
   /// own time (the depletion death lands at some later, drain-dependent
-  /// tick). Loss bursts are excluded — links stay up during them. Harness
-  /// code uses this to place the post-recovery round of a campaign.
+  /// tick). Loss bursts are excluded — links stay up during them.
+  /// sim::ChaosSoak settles a campaign past this horizon before checking it.
   Time down_horizon() const;
 };
 

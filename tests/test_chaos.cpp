@@ -1,14 +1,17 @@
 // Chaos-soak harness (sim/chaos_soak.h): the full fixed-seed soak must come
 // back with zero findings and zero split-brains, a single campaign must
-// replay byte-identically (streamed wtr trace and plan JSON both), every
-// generated FaultPlan must round-trip through the JSON loader it claims to
-// be replayable with, and the live trace oracle must stay sound at 8x8.
+// replay byte-identically (streamed wtr trace and plan JSON both), also
+// when its plan JSON is given back to replay(), every generated FaultPlan
+// must round-trip through the JSON loader it claims to be replayable with,
+// a canned plan must replay through the same checks, and the live trace
+// oracle must stay sound at 8x8.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -35,12 +38,12 @@ std::string segment_bytes(const std::string& dir) {
   return bytes;
 }
 
-/// Campaign `k` of `cfg`, run twice, each run streaming its trace to its
-/// own directory (test-unique: ctest runs gtest cases as parallel
-/// processes).
+/// Campaign `k` of `cfg`, run twice and then replayed from the first run's
+/// plan JSON, each run streaming its trace to its own directory
+/// (test-unique: ctest runs gtest cases as parallel processes).
 struct Replay {
-  sim::ChaosCampaignResult first, second;
-  std::string first_trace, second_trace;
+  sim::ChaosCampaignResult first, second, third;
+  std::string first_trace, second_trace, third_trace;
 };
 
 Replay run_twice(sim::ChaosSoakConfig cfg, std::size_t k) {
@@ -57,6 +60,11 @@ Replay run_twice(sim::ChaosSoakConfig cfg, std::size_t k) {
   r.second = sim::ChaosSoak(cfg).run_campaign(k);
   r.second_trace = segment_bytes(cfg.trace_out_dir + campaign);
   std::filesystem::remove_all(cfg.trace_out_dir);
+  cfg.trace_out_dir = stem + ".third";
+  r.third = sim::ChaosSoak(cfg).replay(
+      k, sim::FaultPlan::from_json(r.first.plan_json));
+  r.third_trace = segment_bytes(cfg.trace_out_dir + campaign);
+  std::filesystem::remove_all(cfg.trace_out_dir);
   return r;
 }
 
@@ -64,9 +72,11 @@ TEST(ChaosSoak, FullSoakZeroFindings) {
   sim::ChaosSoakConfig cfg;  // 25 campaigns, fixed seed 20260805
   ASSERT_GE(cfg.campaigns, 25u);
   const sim::ChaosSoak soak(cfg);
-  const sim::ChaosSoakSummary summary = soak.run();
-  EXPECT_EQ(summary.campaigns, cfg.campaigns);
-  for (const sim::ChaosCampaignResult& res : summary.results) {
+  std::size_t failed = 0;
+  for (std::size_t k = 0; k < cfg.campaigns; ++k) {
+    const sim::ChaosCampaignResult res = soak.run_campaign(k);
+    EXPECT_EQ(res.index, k);
+    if (!res.ok()) ++failed;
     EXPECT_EQ(res.split_brains, 0u)
         << "campaign " << res.index << " (seed " << res.seed << ")";
     for (const std::string& f : res.findings) {
@@ -74,8 +84,7 @@ TEST(ChaosSoak, FullSoakZeroFindings) {
                     << "): " << f << "\nplan: " << res.plan_json;
     }
   }
-  EXPECT_EQ(summary.failed, 0u);
-  EXPECT_TRUE(summary.ok());
+  EXPECT_EQ(failed, 0u);
 }
 
 TEST(ChaosSoak, SingleCampaignReplaysByteIdentically) {
@@ -91,6 +100,14 @@ TEST(ChaosSoak, SingleCampaignReplaysByteIdentically) {
   EXPECT_EQ(r.first.sim_time, r.second.sim_time);
   EXPECT_EQ(r.first_trace, r.second_trace)
       << "same seed + same plan must produce a byte-identical trace";
+  // Replaying the plan JSON is the same campaign.
+  EXPECT_EQ(r.first.seed, r.third.seed);
+  EXPECT_EQ(r.first.plan_json, r.third.plan_json);
+  EXPECT_EQ(r.first.events, r.third.events);
+  EXPECT_EQ(r.first.sim_events, r.third.sim_events);
+  EXPECT_EQ(r.first.sim_time, r.third.sim_time);
+  EXPECT_EQ(r.first_trace, r.third_trace)
+      << "a replayed plan must produce the generated campaign's trace";
 }
 
 TEST(ChaosSoak, GeneratedPlansRoundTripThroughJson) {
@@ -116,11 +133,13 @@ TEST(ChaosSoak, DepletionSoakZeroFindings) {
   cfg.depletion = true;
   cfg.campaigns = 12;  // acceptance floor is >= 10 depletion campaigns
   const sim::ChaosSoak soak(cfg);
-  const sim::ChaosSoakSummary summary = soak.run();
-  EXPECT_EQ(summary.campaigns, cfg.campaigns);
+  std::size_t failed = 0;
   std::size_t depletions = 0;
   std::size_t planned = 0;
-  for (const sim::ChaosCampaignResult& res : summary.results) {
+  for (std::size_t k = 0; k < cfg.campaigns; ++k) {
+    const sim::ChaosCampaignResult res = soak.run_campaign(k);
+    EXPECT_EQ(res.index, k);
+    if (!res.ok()) ++failed;
     depletions += res.depletions;
     planned += res.planned_handoffs;
     EXPECT_EQ(res.split_brains, 0u)
@@ -130,7 +149,7 @@ TEST(ChaosSoak, DepletionSoakZeroFindings) {
                     << "): " << f << "\nplan: " << res.plan_json;
     }
   }
-  EXPECT_EQ(summary.failed, 0u);
+  EXPECT_EQ(failed, 0u);
   // The mode must actually exercise the fault model: batteries ran out and
   // the retiring leaders handed off first.
   EXPECT_GT(depletions, 0u);
@@ -146,6 +165,10 @@ TEST(ChaosSoak, DepletionCampaignReplaysByteIdentically) {
   EXPECT_EQ(r.first.depletions, r.second.depletions);
   EXPECT_EQ(r.first_trace, r.second_trace)
       << "battery exhaustion must stay inside the deterministic event loop";
+  EXPECT_EQ(r.first.plan_json, r.third.plan_json);
+  EXPECT_EQ(r.first.depletions, r.third.depletions);
+  EXPECT_EQ(r.first_trace, r.third_trace)
+      << "a replayed depletion plan must reproduce the campaign";
 }
 
 TEST(ChaosSoak, DetectionLatencyWithinBound) {
@@ -215,6 +238,11 @@ TEST(ChaosSoak, CorruptionCampaignReplaysByteIdentically) {
   EXPECT_EQ(r.first.max_reconverge_latency, r.second.max_reconverge_latency);
   EXPECT_EQ(r.first_trace, r.second_trace)
       << "corruption campaigns must replay byte-for-byte";
+  EXPECT_EQ(r.first.plan_json, r.third.plan_json);
+  EXPECT_EQ(r.first.corruptions, r.third.corruptions);
+  EXPECT_EQ(r.first.max_reconverge_latency, r.third.max_reconverge_latency);
+  EXPECT_EQ(r.first_trace, r.third_trace)
+      << "a replayed corruption plan must reproduce the campaign";
 }
 
 TEST(ChaosSoak, CorruptionPlansCarryOnlyCorruptionEvents) {
@@ -297,6 +325,13 @@ TEST(ChaosSoak, MembershipCampaignReplaysByteIdentically) {
   EXPECT_EQ(r.first.max_adoption_latency, r.second.max_adoption_latency);
   EXPECT_EQ(r.first_trace, r.second_trace)
       << "membership campaigns must replay byte-for-byte";
+  EXPECT_EQ(r.first.plan_json, r.third.plan_json);
+  EXPECT_EQ(r.first.corruptions, r.third.corruptions);
+  EXPECT_EQ(r.first.adoptions, r.third.adoptions);
+  EXPECT_EQ(r.first.adopt_binds, r.third.adopt_binds);
+  EXPECT_EQ(r.first.max_adoption_latency, r.third.max_adoption_latency);
+  EXPECT_EQ(r.first_trace, r.third_trace)
+      << "a replayed membership plan must reproduce the campaign";
 }
 
 TEST(ChaosSoak, MembershipPlansMixStrikesAndVacancies) {
@@ -322,6 +357,49 @@ TEST(ChaosSoak, MembershipPlansMixStrikesAndVacancies) {
     EXPECT_EQ(strikes, res.corruptions);
     EXPECT_GT(crashes, 0u) << "campaign " << k
                            << " staged no vacancy: " << res.plan_json;
+  }
+}
+
+// ---- Given plans ----------------------------------------------------------
+
+TEST(ChaosSoak, RegionOutagePlanReplaysAndRecovers) {
+  // campaigns/region_outage.json on an 8x8, 200-node stack with stack seed
+  // 1: a 3x3-cell outage from t=5 to t=175 spans round 2 (rounds start
+  // every 125 units), a cell's leader crashes, and a loss burst follows.
+  // The crash is tracked from the plan, and the first round after the
+  // outage reaches every cell.
+  sim::ChaosSoakConfig cfg;
+  cfg.grid_side = 8;
+  cfg.node_count = 200;
+  cfg.seed = 1;
+  cfg.rounds = 3;
+  const sim::FaultPlan plan = sim::FaultPlan::from_json(R"({"events": [
+  {"at": 5.0, "kind": "region_outage",
+   "row0": 5, "col0": 5, "row1": 7, "col1": 7,
+   "duration": 170.0},
+  {"at": 5.0, "kind": "crash", "cell": {"row": 2, "col": 2}},
+  {"at": 215.0, "kind": "loss_burst", "loss": 0.03, "duration": 60.0}
+]})");
+  const sim::ChaosCampaignResult res = sim::ChaosSoak(cfg).replay(0, plan);
+  for (const std::string& f : res.findings) ADD_FAILURE() << f;
+  EXPECT_EQ(res.leader_crashes, 1u);
+  EXPECT_EQ(res.claims, 1u);
+  ASSERT_EQ(res.rounds.size(), 3u);
+  EXPECT_EQ(res.rounds[2].expected.size(), 64u);
+  EXPECT_TRUE(res.rounds[2].complete())
+      << res.rounds[2].contributors.size() << "/64 contributors";
+}
+
+TEST(ChaosSoak, PlanTargetOutsideTheStackThrowsBeforeRunning) {
+  const sim::FaultPlan plan = sim::FaultPlan::from_json(R"({"events": [
+  {"at": 5, "kind": "crash", "node": 99999}
+]})");
+  try {
+    sim::ChaosSoak(sim::ChaosSoakConfig{}).replay(0, plan);
+    ADD_FAILURE() << "a plan naming node 99999 was armed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("fault plan line 2", 0), 0u)
+        << e.what();
   }
 }
 

@@ -7,17 +7,28 @@
 // campaign's FaultPlan JSON is written to DIR/campaign_<k>.plan.json (DIR is
 // created if missing) and the campaign is replayed (byte-identically) to
 // stream its trace into DIR/campaign_<k>/ as wtr segments, so the run is
-// reproducible offline (`wsn-inspect check DIR/campaign_<k>`); CI uploads
-// them as artifacts. A file that cannot be written is reported on stderr
-// and left out of the "artifacts:" line; a --profile write failure makes
-// the exit status 1.
+// reproducible offline (`wsn-chaos --plan DIR/campaign_<k>.plan.json` with
+// the same flags and `--only k`, or `wsn-inspect check DIR/campaign_<k>`);
+// CI uploads them as artifacts. A file that cannot be written is reported
+// on stderr and left out of the "artifacts:" line; a --profile write
+// failure makes the exit status 1.
 //
 // Usage:
 //   wsn-chaos [--campaigns N] [--seed S] [--grid N] [--nodes N]
 //             [--rounds N] [--budget X] [--depletion] [--corruption]
 //             [--membership] [--topology grid|ring|line|mesh|clique]
-//             [--out DIR] [--only K] [--trace-out DIR] [--profile PATH]
-//             [--verbose]
+//             [--plan FILE] [--out DIR] [--only K] [--trace-out DIR]
+//             [--profile PATH] [--verbose]
+//
+// --plan FILE replays the FaultPlan JSON in FILE (e.g. campaigns/*.json)
+// instead of generating a plan: every campaign arms FILE on its own stack
+// and is checked exactly like a generated one, with what the invariant
+// pass tracks derived from the plan (sim/chaos_soak.h). An unreadable or
+// invalid plan, or one that targets a node or cell outside the stack,
+// prints `error: ...` on stderr and exits 1.
+//
+// --verbose also prints every round's sum and contributors, and the
+// injector's and detector's non-zero counters, under each campaign line.
 //
 // --topology selects the node-placement shape (net/topology_factory.h);
 // grid is the classic kOnePerCellPlus deployment, the others diversify
@@ -57,8 +68,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -110,6 +124,20 @@ void report(const wsn::sim::ChaosCampaignResult& res,
         res.leader_crashes, res.depletions, res.planned_handoffs,
         res.max_detection_latency, res.ok() ? "PASS" : "FAIL");
   }
+  if (verbose) {
+    for (std::size_t r = 0; r < res.rounds.size(); ++r) {
+      const wsn::core::PartialResult& p = res.rounds[r];
+      std::printf("  round %zu: sum %.0f from %zu/%zu contributors (%s)\n",
+                  r + 1, p.value, p.contributors.size(), p.expected.size(),
+                  p.complete()       ? "complete"
+                  : p.deadline_hit ? "deadline hit"
+                                   : "partial");
+    }
+    for (const auto& [name, value] : res.counters) {
+      std::printf("  %s=%llu\n", name.c_str(),
+                  static_cast<unsigned long long>(value));
+    }
+  }
   if (verbose || !res.ok()) {
     for (const std::string& f : res.findings) {
       std::printf("  FINDING: %s\n", f.c_str());
@@ -132,8 +160,8 @@ wsn::sim::ChaosCampaignResult save_artifacts(
   }
   wsn::sim::ChaosSoakConfig replay = cfg;
   replay.trace_out_dir = out_dir;
-  wsn::sim::ChaosCampaignResult replayed =
-      wsn::sim::ChaosSoak(replay).run_campaign(res.index);
+  wsn::sim::ChaosCampaignResult replayed = wsn::sim::ChaosSoak(replay).replay(
+      res.index, wsn::sim::FaultPlan::from_json(res.plan_json));
   if (replayed.trace_written) {
     written += (written.empty() ? "" : ", ") + stem + "/ (wtr trace)";
   } else {
@@ -148,6 +176,7 @@ wsn::sim::ChaosCampaignResult save_artifacts(
 int main(int argc, char** argv) {
   wsn::sim::ChaosSoakConfig cfg;
   std::string out_dir;
+  std::string plan_path;
   std::string profile_path;
   long only = -1;
   bool verbose = false;
@@ -187,6 +216,8 @@ int main(int argc, char** argv) {
                      name);
         return 2;
       }
+    } else if (arg == "--plan") {
+      plan_path = next();
     } else if (arg == "--profile") {
       profile_path = next();
     } else if (arg == "--out") {
@@ -204,10 +235,27 @@ int main(int argc, char** argv) {
                    "[--nodes N] [--rounds N] [--budget X] [--depletion] "
                    "[--corruption] [--membership] "
                    "[--topology grid|ring|line|mesh|clique] "
-                   "[--out DIR] [--only K] [--trace-out DIR] "
+                   "[--plan FILE] [--out DIR] [--only K] [--trace-out DIR] "
                    "[--profile PATH] [--verbose]\n",
                    arg.c_str());
       return 2;
+    }
+  }
+
+  std::optional<wsn::sim::FaultPlan> plan;
+  if (!plan_path.empty()) {
+    std::ifstream in(plan_path);
+    if (!in) {
+      std::fprintf(stderr, "error: cannot read plan %s\n", plan_path.c_str());
+      return 1;
+    }
+    std::ostringstream text;
+    text << in.rdbuf();
+    try {
+      plan = wsn::sim::FaultPlan::from_json(text.str());
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
     }
   }
 
@@ -225,6 +273,10 @@ int main(int argc, char** argv) {
               cfg.membership   ? " (membership mode)"
               : cfg.corruption ? " (corruption mode)"
                                : "");
+  if (plan) {
+    std::printf("replaying %s (%zu events)\n", plan_path.c_str(),
+                plan->events.size());
+  }
 
   // Per-campaign worst latencies, for the percentile summary: detection
   // latency normally, re-convergence latency in corruption/membership mode.
@@ -257,12 +309,19 @@ int main(int argc, char** argv) {
                            : res.max_detection_latency;
     if (lat > 0.0) latencies.add(lat);
   };
-  if (only >= 0) {
-    take(soak.run_campaign(static_cast<std::size_t>(only)));
-  } else {
-    for (std::size_t k = 0; k < cfg.campaigns; ++k) {
-      take(soak.run_campaign(k));
+  const auto run = [&](std::size_t k) {
+    return plan ? soak.replay(k, *plan) : soak.run_campaign(k);
+  };
+  try {
+    if (only >= 0) {
+      take(run(static_cast<std::size_t>(only)));
+    } else {
+      for (std::size_t k = 0; k < cfg.campaigns; ++k) take(run(k));
     }
+  } catch (const std::exception& e) {
+    // A given plan that targets something outside the stack.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
   if (latencies.count() > 0) {
     std::printf("%s latency over %llu campaign(s): p50=%.2f p90=%.2f "
