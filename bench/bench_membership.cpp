@@ -40,7 +40,6 @@ RunResult run(net::TopologyKind topo, std::size_t severity) {
   cfg.topology = topo;
   cfg.membership = true;
   cfg.membership_events = severity;
-  cfg.campaigns = kCampaigns;
   cfg.seed = kSeed;
   const sim::ChaosSoak soak(cfg);
 
@@ -50,7 +49,7 @@ RunResult run(net::TopologyKind topo, std::size_t severity) {
   out.bound = 2.5 * cfg.detector.lease_duration +
               1.5 * cfg.detector.election_timeout +
               2.0 * sim::kSoakAuditPeriod + 10.0;
-  for (std::size_t k = 0; k < cfg.campaigns; ++k) {
+  for (std::size_t k = 0; k < kCampaigns; ++k) {
     const sim::ChaosCampaignResult res = soak.run_campaign(k);
     if (!res.ok()) ++out.failed;
     out.corruptions += res.corruptions;

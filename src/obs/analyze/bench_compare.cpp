@@ -26,12 +26,11 @@ RowGroups parse_rows(const std::string& jsonl, const char* which) {
     if (line.empty()) continue;
     JsonValue v;
     try {
-      v = parse_json(line);
-    } catch (const std::runtime_error& e) {
-      throw std::runtime_error(std::string(which) + " line " +
-                               std::to_string(lineno) + ": " + e.what());
+      v = parse_json(line, lineno);
+    } catch (const JsonError& e) {
+      throw std::runtime_error(std::string(which) + ": " + e.what());
     }
-    const JsonValue* bench = v.find("bench");
+    const JsonValue* bench = v.is_object() ? v.find("bench") : nullptr;
     if (bench == nullptr || !bench->is_string()) {
       throw std::runtime_error(std::string(which) + " line " +
                                std::to_string(lineno) +

@@ -1,17 +1,6 @@
 #include "obs/analyze/check.h"
 
-#include "obs/analyze/incremental.h"
-
 namespace wsn::obs::analyze {
-
-CheckReport check_trace(const std::vector<TraceEvent>& events,
-                        const JsonValue* metrics_snapshot) {
-  StreamCheckOptions options;
-  options.retire_lag = -1.0;  // the whole capture is in memory anyway
-  StreamingChecker checker(options);
-  for (const TraceEvent& ev : events) checker.feed(ev);
-  return checker.finish(metrics_snapshot);
-}
 
 CheckReport check_capture(const JsonValue& metrics_snapshot) {
   CheckReport report;

@@ -34,15 +34,13 @@
 // traced give-up count must equal the "arq.counters" section's
 // "arq.give_up", and the capture must be whole (check_capture below).
 //
-// StreamingChecker (incremental.h) is the one implementation of all of it;
-// check_trace() runs it over an in-memory vector.
+// StreamingChecker (incremental.h) is the one implementation of all of it.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "obs/analyze/json_reader.h"
-#include "obs/trace.h"
 
 namespace wsn::obs::analyze {
 
@@ -51,15 +49,12 @@ struct CheckReport {
   std::size_t flows_checked = 0;        // flows reconstructed and checked
   std::size_t collectives_checked = 0;  // collective spans begun
   std::size_t events_seen = 0;
+  /// Worst strike-to-quiet latency: for each fd.corrupt at t, the last
+  /// churn event in (t, t + its bound]; 0 when no strike provoked churn.
+  double max_reconverge_latency = 0.0;
 
   bool ok() const { return issues.empty(); }
 };
-
-/// Every invariant above over an in-memory capture: a StreamingChecker fed
-/// with retirement disabled, then finished with `metrics_snapshot` (nullptr
-/// skips the snapshot comparisons).
-CheckReport check_trace(const std::vector<TraceEvent>& events,
-                        const JsonValue* metrics_snapshot = nullptr);
 
 /// Capture-health check over a metrics snapshot: a nonzero "trace.dropped"
 /// gauge (RingBufferSink::register_metrics) means the companion trace file

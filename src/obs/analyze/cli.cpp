@@ -42,11 +42,6 @@ void print_warnings(const std::vector<std::string>& findings,
   for (const std::string& f : findings) out << "warning: " << f << "\n";
 }
 
-/// Default idle window (trace time units) after which streaming analyses
-/// retire a flow. Large enough that every protocol exchange in the suite
-/// completes well inside it; bounded so memory tracks live flows.
-constexpr double kDefaultRetireLag = 1024.0;
-
 /// "10%" => 0.10, "0.1" => 0.1. Throws on junk or negatives.
 double parse_tolerance(const std::string& s) {
   std::size_t used = 0;
@@ -95,11 +90,6 @@ Args scan_args(const std::vector<std::string>& argv, std::size_t start,
   return out;
 }
 
-double flag_double(const Args& args, const char* name, double fallback) {
-  const std::string* v = args.flag(name);
-  return v != nullptr ? std::stod(*v) : fallback;
-}
-
 const char* layer_name(Category c) {
   return c == Category::kOverlay ? "overlay" : "virtual";
 }
@@ -113,25 +103,22 @@ int cmd_flows(const Args& args, std::ostream& out) {
     limit = static_cast<std::size_t>(std::stoull(*v));
   }
   // Single streaming pass: flows retire in creation order, so the first
-  // `limit` retired flows are exactly the first `limit` rows the batch
-  // path printed. Peak memory is live flows + the shown rows.
+  // `limit` retired flows are the first `limit` flows of the capture. Peak
+  // memory is live flows + the shown rows.
   TraceReader reader(args.positional[0]);
   Table t({"flow", "layer", "src", "dst", "hops", "send", "deliver",
            "latency", "wait", "transmit"});
   std::size_t shown = 0;
-  FlowCollector collector(
-      [&](Flow& f) {
-        if (shown >= limit) return;
-        ++shown;
-        t.row({Table::num(f.id), layer_name(f.layer), Table::num(f.src_node),
-               Table::num(f.dst_node), Table::num(f.hops.size()),
-               Table::num(f.send_time, 3),
-               f.delivered ? Table::num(f.deliver_time, 3) : "-",
-               f.delivered ? Table::num(f.latency(), 3) : "-",
-               Table::num(f.total_wait(), 3),
-               Table::num(f.total_transmit(), 3)});
-      },
-      {flag_double(args, "--retire-lag", kDefaultRetireLag)});
+  FlowCollector collector([&](Flow& f) {
+    if (shown >= limit) return;
+    ++shown;
+    t.row({Table::num(f.id), layer_name(f.layer), Table::num(f.src_node),
+           Table::num(f.dst_node), Table::num(f.hops.size()),
+           Table::num(f.send_time, 3),
+           f.delivered ? Table::num(f.deliver_time, 3) : "-",
+           f.delivered ? Table::num(f.latency(), 3) : "-",
+           Table::num(f.total_wait(), 3), Table::num(f.total_transmit(), 3)});
+  });
   TraceEvent ev;
   while (reader.next(ev)) collector.feed(ev);
   collector.finish();
@@ -290,7 +277,6 @@ int cmd_histogram(const Args& args, std::ostream& out) {
     buckets = static_cast<std::size_t>(std::stoull(*v));
   }
   const std::string& path = args.positional[0];
-  const double lag = flag_double(args, "--retire-lag", kDefaultRetireLag);
 
   // Two streaming passes instead of one materialized flow list: pass 1
   // finds each metric's extent (histogram bounds), pass 2 fills the
@@ -314,12 +300,10 @@ int cmd_histogram(const Args& args, std::ostream& out) {
   std::vector<std::string> warnings;
   {
     TraceReader reader(path);
-    FlowCollector collector(
-        [&](Flow& f) {
-          if (latency_in(f)) latency_ext.add(latency_of(f));
-          if (size_in(f)) size_ext.add(size_of(f));
-        },
-        {lag});
+    FlowCollector collector([&](Flow& f) {
+      if (latency_in(f)) latency_ext.add(latency_of(f));
+      if (size_in(f)) size_ext.add(size_of(f));
+    });
     TraceEvent ev;
     while (reader.next(ev)) collector.feed(ev);
     collector.finish();
@@ -340,14 +324,12 @@ int cmd_histogram(const Args& args, std::ostream& out) {
   }
   if (latency_h.has_value() || size_h.has_value()) {
     TraceReader reader(path);
-    FlowCollector collector(
-        [&](Flow& f) {
-          if (latency_h.has_value() && latency_in(f)) {
-            latency_h->add(latency_of(f));
-          }
-          if (size_h.has_value() && size_in(f)) size_h->add(size_of(f));
-        },
-        {lag});
+    FlowCollector collector([&](Flow& f) {
+      if (latency_h.has_value() && latency_in(f)) {
+        latency_h->add(latency_of(f));
+      }
+      if (size_h.has_value() && size_in(f)) size_h->add(size_of(f));
+    });
     TraceEvent ev;
     while (reader.next(ev)) collector.feed(ev);
     collector.finish();
@@ -382,9 +364,7 @@ int cmd_check(const Args& args, std::ostream& out) {
   if (const std::string* metrics = args.flag("--metrics")) {
     snapshot = parse_json(read_file(*metrics));
   }
-  StreamCheckOptions options;
-  options.retire_lag = flag_double(args, "--retire-lag", kDefaultRetireLag);
-  StreamingChecker checker(options);
+  StreamingChecker checker;
   TraceReader reader(args.positional[0]);
   TraceEvent ev;
   while (reader.next(ev)) checker.feed(ev);
@@ -694,9 +674,9 @@ int cmd_perf(const Args& args, std::ostream& out) {
 void usage(std::ostream& err) {
   err << "usage: wsn-inspect <command> [args]\n"
          "  (TRACE is a JSONL file, a wtr file, or a streamed segment dir;\n"
-         "   analyses run single-pass with memory bounded by live flows —\n"
-         "   --retire-lag T tunes the idle window, default 1024)\n"
-         "  flows TRACE [--limit N] [--retire-lag T]\n"
+         "   analyses run single-pass with memory bounded by live flows:\n"
+         "   a flow retires once idle for 1024 time units)\n"
+         "  flows TRACE [--limit N]\n"
          "                                     reconstructed message flows\n"
          "  perf FILE [--top N] [--json PATH]  profiler snapshot: top self-\n"
          "                                     time, events/sec, host/sim\n"
@@ -705,9 +685,9 @@ void usage(std::ostream& err) {
          "  energy-map TRACE [--side N] [--top N] [--budget B]\n"
          "                                     per-node/per-level energy;\n"
          "                                     --budget adds a residual view\n"
-         "  histogram TRACE [--buckets N] [--retire-lag T]\n"
+         "  histogram TRACE [--buckets N]\n"
          "                                     latency/size distributions\n"
-         "  check TRACE [--metrics FILE] [--retire-lag T]\n"
+         "  check TRACE [--metrics FILE]\n"
          "                                     trace invariant checker\n"
          "                                     (incl. ARQ/fault reliability,\n"
          "                                     fd, depletion, and self-\n"
@@ -735,7 +715,7 @@ int run_inspect(const std::vector<std::string>& args, std::ostream& out,
   const std::string& cmd = args[0];
   try {
     if (cmd == "flows") {
-      return cmd_flows(scan_args(args, 1, {"--limit", "--retire-lag"}), out);
+      return cmd_flows(scan_args(args, 1, {"--limit"}), out);
     }
     if (cmd == "critical-path") {
       return cmd_critical_path(scan_args(args, 1, {}), out);
@@ -745,11 +725,10 @@ int run_inspect(const std::vector<std::string>& args, std::ostream& out,
           scan_args(args, 1, {"--side", "--top", "--budget"}), out);
     }
     if (cmd == "histogram") {
-      return cmd_histogram(scan_args(args, 1, {"--buckets", "--retire-lag"}),
-                           out);
+      return cmd_histogram(scan_args(args, 1, {"--buckets"}), out);
     }
     if (cmd == "check") {
-      return cmd_check(scan_args(args, 1, {"--metrics", "--retire-lag"}), out);
+      return cmd_check(scan_args(args, 1, {"--metrics"}), out);
     }
     if (cmd == "convert") {
       return cmd_convert(

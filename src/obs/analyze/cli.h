@@ -14,8 +14,8 @@
 //   wsn-inspect info TRACE
 //
 // TRACE is a JSONL file, a wtr file, or a streamed segment directory
-// (obs/stream_sink.h); the flow-based analyses accept --retire-lag T to
-// bound live-flow memory (default 1024 time units).
+// (obs/stream_sink.h); the flow-based analyses retire a flow once idle for
+// analyze::kRetireLag (1024) time units, so memory tracks live flows.
 //   wsn-inspect bench-compare --baseline FILE --current FILE [--tolerance 10%]
 //                [--wallclock-tolerance P] [--bench ID]
 //

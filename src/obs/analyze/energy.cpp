@@ -13,40 +13,35 @@ NodeEnergy& LayerEnergy::at(std::int64_t node) {
   return nodes[slot];
 }
 
-void accumulate_energy(EnergyMap& map, const TraceEvent& ev,
-                       const EnergyRates& rates) {
-  const double size = attr_num(ev, "size", 1.0);
+void accumulate_energy(EnergyMap& map, const TraceEvent& ev) {
+  const double e = attr_num(ev, "size", 1.0);
   switch (ev.category) {
     case Category::kVirtual:
       if (ev.name == "send") {
-        const double e = rates.vnet_tx * size;
         map.vnet.at(ev.node).tx += e;
         map.vnet.tx += e;
       } else if (ev.name == "hop") {
         // Hop 0 is the sender (already charged at the send); every later
-        // hop is a relay paying both sides of the crossing.
+        // hop is a relay paying both sides of the crossing. Hop events are
+        // emitted in both congestion modes at send time, so the chain
+        // misses no relay.
         if (attr_num(ev, "hop") >= 1.0) {
-          const double rx = rates.vnet_rx * size;
-          const double tx = rates.vnet_tx * size;
           NodeEnergy& n = map.vnet.at(ev.node);
-          n.rx += rx;
-          n.tx += tx;
-          map.vnet.rx += rx;
-          map.vnet.tx += tx;
+          n.rx += e;
+          n.tx += e;
+          map.vnet.rx += e;
+          map.vnet.tx += e;
         }
       } else if (ev.name == "deliver") {
-        const double e = rates.vnet_rx * size;
         map.vnet.at(ev.node).rx += e;
         map.vnet.rx += e;
       }
       break;
     case Category::kLink:
       if (ev.name == "broadcast" || ev.name == "unicast") {
-        const double e = rates.link_tx * size;
         map.link.at(ev.node).tx += e;
         map.link.tx += e;
       } else if (ev.name == "deliver") {
-        const double e = rates.link_rx * size;
         map.link.at(ev.node).rx += e;
         map.link.rx += e;
       }
@@ -54,15 +49,6 @@ void accumulate_energy(EnergyMap& map, const TraceEvent& ev,
     default:
       break;  // overlay sends ride on link transmissions; no double count
   }
-}
-
-EnergyMap attribute_energy(const std::vector<TraceEvent>& events,
-                           const EnergyRates& rates) {
-  EnergyMap map;
-  for (const TraceEvent& ev : events) accumulate_energy(map, ev, rates);
-  // The virtual-layer hop chain misses no relay: hop events are emitted in
-  // both congestion modes at send time, so the map is complete per flow.
-  return map;
 }
 
 HotspotReport hotspot_report(const LayerEnergy& vnet, std::size_t side) {

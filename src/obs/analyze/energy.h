@@ -1,13 +1,14 @@
 // Trace-derived energy attribution.
 //
 // Replays the energy-charging rules of the live layers over a captured
-// trace, event by event: a virtual-layer send charges the sender's radio,
-// every relay hop charges rx+tx at the relay, every delivery charges the
-// receiver; on the physical link layer broadcast/unicast charge the
-// transmitter and each link delivery charges its receiver. The result is a
-// per-node tx/rx map that — on a complete capture — must equal what the
-// EnergyLedger accumulated live (compute energy is not traced, so the
-// comparison covers radio energy only; see check.h).
+// trace, event by event, at the paper's uniform unit costs: a virtual-layer
+// send charges the sender's radio, every relay hop charges rx+tx at the
+// relay, every delivery charges the receiver; on the physical link layer
+// broadcast/unicast charge the transmitter and each link delivery charges
+// its receiver. The result is a per-node tx/rx map that — on a complete
+// capture — must equal what the EnergyLedger accumulated live (compute
+// energy is not traced, so the comparison covers radio energy only; see
+// check.h).
 //
 // On top of the raw map, hotspot_report() folds per-node energy through the
 // group hierarchy to quantify the leader/follower imbalance the paper's
@@ -43,15 +44,6 @@ inline double attr_num(const TraceEvent& ev, const char* key,
   return fallback;
 }
 
-/// Per-unit radio energy rates, mirroring CostModel (virtual layer) and
-/// RadioModel (link layer). Defaults are the paper's uniform cost model.
-struct EnergyRates {
-  double vnet_tx = 1.0;
-  double vnet_rx = 1.0;
-  double link_tx = 1.0;
-  double link_rx = 1.0;
-};
-
 struct NodeEnergy {
   double tx = 0.0;
   double rx = 0.0;
@@ -82,17 +74,12 @@ struct EnergyMap {
   double total() const { return vnet.total() + link.total(); }
 };
 
-/// Replays the charging rules over `events`. Self-sends are free (no radio),
-/// matching VirtualNetwork; lost or dead-receiver packets emit no deliver
-/// event and therefore — correctly — attract no rx charge.
-EnergyMap attribute_energy(const std::vector<TraceEvent>& events,
-                           const EnergyRates& rates = {});
-
-/// Streaming form: folds one event's radio charges into `map`.
-/// attribute_energy is exactly a loop over this, and wsn-inspect energy-map
-/// uses it to process captures larger than memory one event at a time.
-void accumulate_energy(EnergyMap& map, const TraceEvent& ev,
-                       const EnergyRates& rates = {});
+/// Folds one event's radio charges into `map`, one unit of energy per unit
+/// of message size and radio side. Self-sends are free (no radio), matching
+/// VirtualNetwork; lost or dead-receiver packets emit no deliver event and
+/// therefore — correctly — attract no rx charge. wsn-inspect energy-map and
+/// the checker fold whole captures through it one event at a time.
+void accumulate_energy(EnergyMap& map, const TraceEvent& ev);
 
 /// Mean radio energy of level-k leaders vs. everyone else.
 struct LevelEnergy {

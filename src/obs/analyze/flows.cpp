@@ -1,7 +1,5 @@
 #include "obs/analyze/flows.h"
 
-#include "obs/analyze/incremental.h"
-
 namespace wsn::obs::analyze {
 
 double Flow::total_wait() const {
@@ -16,20 +14,12 @@ double Flow::total_transmit() const {
   return t;
 }
 
-std::vector<Flow> reconstruct_flows(const std::vector<TraceEvent>& events) {
-  // The batch path is the streaming collector with retirement disabled:
-  // finish() drains in creation order, which is exactly the order the old
-  // materialize-everything loop produced.
-  std::vector<Flow> flows;
-  FlowCollector collector([&flows](Flow& f) { flows.push_back(std::move(f)); });
-  for (const TraceEvent& ev : events) collector.feed(ev);
-  collector.finish();
-  return flows;
-}
-
-namespace {
-
-CriticalPathReport walk_critical_path(const std::vector<const Flow*>& pool) {
+CriticalPathReport critical_path(const std::vector<Flow>& flows) {
+  std::vector<const Flow*> pool;
+  pool.reserve(flows.size());
+  for (const Flow& f : flows) {
+    if (f.delivered) pool.push_back(&f);
+  }
   CriticalPathReport report;
   const Flow* last = nullptr;
   for (const Flow* f : pool) {
@@ -75,28 +65,6 @@ CriticalPathReport walk_critical_path(const std::vector<const Flow*>& pool) {
     report.node_gaps += link.gap_before;
   }
   return report;
-}
-
-}  // namespace
-
-CriticalPathReport critical_path(const std::vector<Flow>& flows) {
-  std::vector<const Flow*> pool;
-  pool.reserve(flows.size());
-  for (const Flow& f : flows) {
-    if (f.delivered) pool.push_back(&f);
-  }
-  return walk_critical_path(pool);
-}
-
-CriticalPathReport critical_path_in(const std::vector<Flow>& flows, double t0,
-                                    double t1) {
-  std::vector<const Flow*> pool;
-  for (const Flow& f : flows) {
-    if (f.delivered && f.send_time >= t0 && f.deliver_time <= t1) {
-      pool.push_back(&f);
-    }
-  }
-  return walk_critical_path(pool);
 }
 
 }  // namespace wsn::obs::analyze

@@ -1,12 +1,13 @@
-// Flow reconstruction and critical-path extraction over captured traces.
+// Flow records and critical-path extraction over captured traces.
 //
 // A flow is every TraceEvent sharing one correlation id: the send, the
 // per-relay hop records, and the delivery of one logical message — on the
 // virtual layer, or an overlay send with the physical link transmissions
-// beneath it. Reconstruction folds that event soup back into structured
-// records; the critical-path walk then answers the question the telemetry
-// was built for: *which chain of messages, and which hop of which message,
-// made this operation slow* — split into queueing vs. transmission time.
+// beneath it. FlowCollector (incremental.h) folds that event soup back
+// into these records as the events stream past; the critical-path walk
+// then answers the question the telemetry was built for: *which chain of
+// messages, and which hop of which message, made this operation slow* —
+// split into queueing vs. transmission time.
 #pragma once
 
 #include <cstdint>
@@ -68,11 +69,6 @@ struct Flow {
   bool operator==(const Flow&) const = default;
 };
 
-/// Groups events by flow id and folds each group into a Flow. Collective
-/// 'B'/'E' spans and flowless (id 0) events are ignored here (the checker
-/// pairs collective spans itself). Events must be in emission order.
-std::vector<Flow> reconstruct_flows(const std::vector<TraceEvent>& events);
-
 /// One link of a reconstructed dependency chain: `gap_before` is the time
 /// the chain sat at a node between the previous delivery and this send
 /// (merge compute, scheduling) — latency that belongs to no message.
@@ -98,10 +94,5 @@ struct CriticalPathReport {
 /// Extracts the critical path over all delivered flows. Empty chain when
 /// nothing was delivered.
 CriticalPathReport critical_path(const std::vector<Flow>& flows);
-
-/// Restricts the walk to flows sent at/after `t0` and delivered at/before
-/// `t1` — e.g. the window between a collective's 'B' and 'E' events.
-CriticalPathReport critical_path_in(const std::vector<Flow>& flows, double t0,
-                                    double t1);
 
 }  // namespace wsn::obs::analyze

@@ -2,11 +2,61 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 #include <utility>
 
 namespace wsn::obs::analyze {
 
 namespace {
+
+/// The one table of which event names the convergence checks react to.
+/// A name may sit in several classes.
+enum NameClass : unsigned {
+  /// An external fault. It restarts the quiescence clock of both the
+  /// self-stabilization and the membership check.
+  kDisturbance = 1u << 0,
+  /// Leadership churn, which must stop by the stabilization deadline (an
+  /// fd.claim only when unplanned: a proactive handoff is not churn).
+  kLeadershipChurn = 1u << 1,
+  /// Membership repair, which must stop by the reconciliation deadline.
+  kMembershipChurn = 1u << 2,
+  /// Any view still moving, which keeps an fd.corrupt strike from being
+  /// quiet: it times CheckReport::max_reconverge_latency.
+  kStrikeChurn = 1u << 3,
+};
+
+struct ClassedName {
+  std::string_view name;
+  unsigned classes;
+};
+
+constexpr ClassedName kNameClasses[] = {
+    {"fault.crash", kDisturbance},
+    {"fault.recover", kDisturbance},
+    {"fault.outage_end", kDisturbance},
+    {"fault.burst_end", kDisturbance},
+    {"energy.depleted", kDisturbance},
+    {"fd.elect", kLeadershipChurn | kStrikeChurn},
+    {"fd.claim", kLeadershipChurn | kStrikeChurn},
+    {"fd.lease_expire", kLeadershipChurn | kStrikeChurn},
+    {"fd.audit_conflict", kLeadershipChurn | kStrikeChurn},
+    {"fd.epoch_regress", kLeadershipChurn | kStrikeChurn},
+    {"fd.audit_heal", kStrikeChurn},
+    {"fd.adopt", kStrikeChurn},
+    {"fd.adopt_bind", kMembershipChurn | kStrikeChurn},
+    {"fd.member_heal", kMembershipChurn | kStrikeChurn},
+    {"fd.roster_heal", kMembershipChurn | kStrikeChurn},
+    {"fd.roster_conflict", kMembershipChurn | kStrikeChurn},
+    {"fd.adopt_accept", kMembershipChurn},
+    {"fd.stranded", kMembershipChurn},
+};
+
+unsigned classes_of(const std::string& name) {
+  for (const ClassedName& c : kNameClasses) {
+    if (name == c.name) return c.classes;
+  }
+  return 0;
+}
 
 bool close_rel(double a, double b, double rel) {
   const double scale = std::max(std::abs(a), std::abs(b));
@@ -64,8 +114,7 @@ void append_flow_issues(const Flow& f, std::vector<std::string>& issues) {
 }
 
 /// The event-into-flow fold — the one place that knows how raw events map
-/// onto Flow fields. reconstruct_flows (flows.cpp) and the streaming path
-/// both run through here.
+/// onto Flow fields.
 void fold_event(Flow& f, const TraceEvent& ev) {
   switch (ev.category) {
     case Category::kVirtual:
@@ -149,15 +198,13 @@ void FlowCollector::feed(const TraceEvent& ev) {
   // Only the front of the creation queue retires, so retirement order ==
   // creation order regardless of how flows interleave. A long-lived front
   // flow delays those behind it — that trades a little memory for output
-  // whose order does not depend on the lag.
-  if (options_.retire_lag >= 0.0) {
-    while (!queue_.empty() &&
-           queue_.front().last_touch + options_.retire_lag < ev.time) {
-      LiveFlow& front = queue_.front();
-      index_.erase(front.flow.id);
-      on_retire_(front.flow);
-      queue_.pop_front();
-    }
+  // whose order does not depend on retirement.
+  while (!queue_.empty() &&
+         queue_.front().last_touch + kRetireLag < ev.time) {
+    LiveFlow& front = queue_.front();
+    index_.erase(front.flow.id);
+    on_retire_(front.flow);
+    queue_.pop_front();
   }
 }
 
@@ -170,10 +217,8 @@ void FlowCollector::finish() {
   }
 }
 
-StreamingChecker::StreamingChecker(StreamCheckOptions options)
-    : options_(options),
-      flows_([this](Flow& f) { retire(f); },
-             FlowCollector::Options{options.retire_lag}) {}
+StreamingChecker::StreamingChecker()
+    : flows_([this](Flow& f) { retire(f); }) {}
 
 void StreamingChecker::retire(Flow& f) {
   ++report_.flows_checked;
@@ -186,7 +231,7 @@ void StreamingChecker::retire(Flow& f) {
 
 void StreamingChecker::feed(const TraceEvent& ev) {
   ++report_.events_seen;
-  accumulate_energy(energy_, ev, options_.rates);
+  accumulate_energy(energy_, ev);
   flows_.feed(ev);
   switch (ev.category) {
     case Category::kCollective:
@@ -255,21 +300,25 @@ void StreamingChecker::feed_reliability(const TraceEvent& ev) {
   // deadline; churn candidates must be buffered — only the deadline known
   // at finish() separates legitimate reaction from failure to re-converge.
   // fd.corrupt itself is folded in the main chain below.
-  if (ev.name == "fault.crash" || ev.name == "fault.recover" ||
-      ev.name == "fault.outage_end" || ev.name == "fault.burst_end" ||
-      ev.name == "energy.depleted") {
+  const unsigned classes = classes_of(ev.name);
+  if ((classes & kDisturbance) != 0) {
     stab_disturb_ = std::max(stab_disturb_, ev.time);
-  } else if (ev.name == "fd.elect" || ev.name == "fd.lease_expire" ||
-             ev.name == "fd.audit_conflict" ||
-             ev.name == "fd.epoch_regress" ||
-             (ev.name == "fd.claim" && attr_num(ev, "planned") == 0.0)) {
+  }
+  if ((classes & kLeadershipChurn) != 0 && attr_num(ev, "planned") == 0.0) {
     stab_churn_.push_back({ev.name, ev.node, ev.time});
+  }
+  if ((classes & kStrikeChurn) != 0) {
+    for (Strike& s : strikes_) {
+      if (ev.time > s.at && ev.time <= s.at + s.bound) {
+        s.quiet = std::max(s.quiet, ev.time);
+      }
+    }
   }
 
   // Self-healing membership bookkeeping: the ledger buffers strikes,
   // adoptions and repair churn until finish(), when the reconciliation
   // deadline is final.
-  membership_.feed(ev);
+  membership_.feed(ev, classes);
 
   if (ev.name == "rel.send") {
     sent_[rel_key(ev)] = ev.time;
@@ -317,8 +366,9 @@ void StreamingChecker::feed_reliability(const TraceEvent& ev) {
     }
     last_claim_epoch_[cell] = epoch;
   } else if (ev.name == "fd.corrupt") {
-    ++stab_corruptions_;
-    stab_bound_ = std::max(stab_bound_, attr_num(ev, "bound"));
+    const double bound = attr_num(ev, "bound");
+    strikes_.push_back({ev.time, bound, ev.time});
+    stab_bound_ = std::max(stab_bound_, bound);
     stab_disturb_ = std::max(stab_disturb_, ev.time);
   } else if (ev.name == "energy.depleted") {
     const double budget = attr_num(ev, "budget", -1.0);
@@ -359,9 +409,8 @@ void StreamingChecker::feed_depletion_link(const TraceEvent& ev) {
 }
 
 void StreamingChecker::expire_rel_state(double watermark) {
-  if (options_.retire_lag < 0.0) return;  // never retire
   while (!sent_queue_.empty() &&
-         sent_queue_.front().second + options_.retire_lag < watermark) {
+         sent_queue_.front().second + kRetireLag < watermark) {
     const auto& [key, touch] = sent_queue_.front();
     const auto it = sent_.find(key);
     // Erase only if no later touch re-enqueued the key.
@@ -370,7 +419,14 @@ void StreamingChecker::expire_rel_state(double watermark) {
   }
 }
 
-void StreamingChecker::MembershipLedger::feed(const TraceEvent& ev) {
+void StreamingChecker::MembershipLedger::feed(const TraceEvent& ev,
+                                              unsigned classes) {
+  if ((classes & kDisturbance) != 0) {
+    last_disturbance = std::max(last_disturbance, ev.time);
+  }
+  if ((classes & kMembershipChurn) != 0) {
+    churn.push_back({ev.name, ev.node, ev.time});
+  }
   if (ev.name == "fd.defect" || ev.name == "fd.roster_corrupt") {
     bound = std::max(bound, attr_num(ev, "bound"));
     last_disturbance = std::max(last_disturbance, ev.time);
@@ -391,19 +447,10 @@ void StreamingChecker::MembershipLedger::feed(const TraceEvent& ev) {
         {static_cast<std::int64_t>(attr_num(ev, "node", -1.0)),
          static_cast<std::int64_t>(attr_num(ev, "row", -1.0)),
          static_cast<std::int64_t>(attr_num(ev, "col", -1.0)), ev.time});
-    churn.push_back({ev.name, ev.node, ev.time});
   } else if (ev.name == "fd.adopt_bind") {
     binds.push_back({static_cast<std::int64_t>(attr_num(ev, "row", -1.0)),
                      static_cast<std::int64_t>(attr_num(ev, "col", -1.0)),
                      ev.time});
-    churn.push_back({ev.name, ev.node, ev.time});
-  } else if (ev.name == "fd.member_heal" || ev.name == "fd.roster_heal" ||
-             ev.name == "fd.roster_conflict" || ev.name == "fd.stranded") {
-    churn.push_back({ev.name, ev.node, ev.time});
-  } else if (ev.name == "fault.crash" || ev.name == "fault.recover" ||
-             ev.name == "fault.outage_end" || ev.name == "fault.burst_end" ||
-             ev.name == "energy.depleted") {
-    last_disturbance = std::max(last_disturbance, ev.time);
   }
 }
 
@@ -481,7 +528,11 @@ CheckReport StreamingChecker::finish(const JsonValue* metrics_snapshot) {
 
   // Self-stabilization: with the final quiescence deadline known, re-filter
   // the buffered churn. Vacuous without an fd.corrupt strike.
-  if (stab_corruptions_ > 0) {
+  for (const Strike& s : strikes_) {
+    report_.max_reconverge_latency =
+        std::max(report_.max_reconverge_latency, s.quiet - s.at);
+  }
+  if (!strikes_.empty()) {
     const double deadline = stab_disturb_ + stab_bound_;
     for (const ChurnEvent& ce : stab_churn_) {
       if (ce.time <= deadline) continue;

@@ -1,19 +1,19 @@
 // Incremental (single-pass, bounded-memory) trace analysis.
 //
 // FlowCollector folds events into live Flow records and *retires* each
-// flow to a callback once it has been idle for `retire_lag` time units, so
+// flow to a callback once it has been idle for kRetireLag time units, so
 // peak memory tracks the number of concurrently-live flows instead of the
 // trace length. StreamingChecker runs every check.h invariant on top of
 // that collector — it is their one implementation: wsn-inspect check
-// streams a capture from disk into it, sim::ChaosSoak feeds it live from
-// the tracer with no capture at all, and check_trace() feeds it an
-// in-memory vector with retirement disabled. All assume events arrive in
-// emission order with nondecreasing timestamps — which is how every sink
-// writes them.
+// streams a capture from disk into it, and sim::ChaosSoak and stackbench
+// feed it live from the tracer with no capture at all. Both assume events
+// arrive in emission order with nondecreasing timestamps — which is how
+// every sink writes them.
 //
 // Retirement is strictly in flow-creation order (only the front of the
 // creation queue retires), so downstream output — wsn-inspect flows rows,
-// per-flow findings — comes out in the same order whatever the lag.
+// per-flow findings — comes out in creation order, exactly as if nothing
+// retired before the end of the stream.
 #pragma once
 
 #include <cstdint>
@@ -32,25 +32,22 @@
 
 namespace wsn::obs::analyze {
 
-struct FlowCollectorOptions {
-  /// A flow retires once untouched for this many time units behind the
-  /// stream's watermark. Negative: never retire early — finish() then
-  /// yields exactly reconstruct_flows(), in the same order.
-  double retire_lag = -1.0;
-};
+/// Flow and ARQ state untouched for this many trace time units behind the
+/// stream's watermark retires. Every protocol exchange in the suite
+/// completes well inside it — the slowest ARQ exchange, five retries on an
+/// RTO doubling from 3.75 units plus 25% jitter, takes ~295 — and it keeps
+/// memory bounded by live work, not by trace length.
+inline constexpr double kRetireLag = 1024.0;
 
 class FlowCollector {
  public:
   using RetireFn = std::function<void(Flow&)>;
-  // Namespace-scope (not nested): GCC rejects a `= {}` default argument
-  // naming a nested aggregate whose NSDMIs aren't parsed yet.
-  using Options = FlowCollectorOptions;
 
-  explicit FlowCollector(RetireFn on_retire, Options options = {})
-      : on_retire_(std::move(on_retire)), options_(options) {}
+  explicit FlowCollector(RetireFn on_retire)
+      : on_retire_(std::move(on_retire)) {}
 
-  /// Folds one event into its flow (collective and flow-0 events are
-  /// ignored, as in reconstruct_flows) and retires flows that fell behind
+  /// Folds one event into its flow (collective and flow-0 events carry no
+  /// flow structure and are ignored) and retires flows that fell behind
   /// the watermark.
   void feed(const TraceEvent& ev);
 
@@ -67,22 +64,11 @@ class FlowCollector {
   };
 
   RetireFn on_retire_;
-  Options options_;
   // deque gives stable element addresses under push_back/pop_front, so the
   // id index can hold plain pointers into it.
   std::deque<LiveFlow> queue_;
   std::unordered_map<std::uint64_t, LiveFlow*> index_;
   std::uint64_t flows_seen_ = 0;
-};
-
-struct StreamCheckOptions {
-  /// Flow/ARQ state older than this (in trace time units) is retired; a
-  /// larger lag tolerates more interleaving between long-lived flows at
-  /// the cost of more live state. Negative: never retire — every flow and
-  /// every ARQ exchange stays live until finish(), which is how
-  /// check_trace() checks an in-memory vector.
-  double retire_lag = 1024.0;
-  EnergyRates rates;
 };
 
 /// All check.h invariants as one single-pass consumer. feed() every event
@@ -92,7 +78,7 @@ struct StreamCheckOptions {
 /// flows + nodes + collectives + fault activity, never by trace length.
 class StreamingChecker {
  public:
-  explicit StreamingChecker(StreamCheckOptions options = {});
+  StreamingChecker();
 
   void feed(const TraceEvent& ev);
   CheckReport finish(const JsonValue* metrics_snapshot = nullptr);
@@ -140,8 +126,16 @@ class StreamingChecker {
     std::vector<Bind> binds;
     std::vector<ChurnEvent> churn;
 
-    void feed(const TraceEvent& ev);
+    /// `classes`: the event's name classes (see incremental.cpp).
+    void feed(const TraceEvent& ev, unsigned classes);
     void resolve(std::vector<std::string>& issues) const;
+  };
+
+  /// An fd.corrupt strike, timed against the churn it provokes.
+  struct Strike {
+    double at = 0.0;
+    double bound = 0.0;  // the analytic stabilization bound it carries
+    double quiet = 0.0;  // last strike churn inside (at, at + bound]
   };
 
   void retire(Flow& f);
@@ -150,7 +144,6 @@ class StreamingChecker {
   void feed_depletion_link(const TraceEvent& ev);
   void expire_rel_state(double watermark);
 
-  StreamCheckOptions options_;
   CheckReport report_;
   FlowCollector flows_;
   EnergyMap energy_;
@@ -182,11 +175,12 @@ class StreamingChecker {
   std::unordered_map<std::int64_t, double> depleted_at_;
 
   // Self-stabilization: churn candidates wait for the final deadline.
-  // Bounded by elections/claims in the trace, not by trace length.
+  // Bounded by elections/claims and strikes in the trace, not by trace
+  // length.
   std::vector<ChurnEvent> stab_churn_;
   double stab_bound_ = 0.0;
   double stab_disturb_ = 0.0;
-  std::size_t stab_corruptions_ = 0;
+  std::vector<Strike> strikes_;
 
   MembershipLedger membership_;
 };

@@ -1,12 +1,9 @@
 #include "obs/export.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
-#include <istream>
 #include <ostream>
-#include <stdexcept>
 
+#include "obs/analyze/json_reader.h"
 #include "obs/json.h"
 #include "obs/profiler.h"
 
@@ -19,10 +16,9 @@ void append_jsonl(const TraceEvent& ev, std::string& out) {
   json_append_int(out, ev.node);
   out += ",\"cat\":";
   json_append_string(out, category_name(ev.category));
-  out += ",\"ph\":\"";
-  // Phases are single ASCII chars ('i'/'B'/'E') and never need escaping.
-  out += ev.phase;
-  out += "\",\"name\":";
+  out += ",\"ph\":";
+  json_append_string(out, std::string_view(&ev.phase, 1));
+  out += ",\"name\":";
   json_append_string(out, ev.name);
   out += ",\"flow\":";
   json_append_uint(out, ev.flow);
@@ -38,12 +34,6 @@ void append_jsonl(const TraceEvent& ev, std::string& out) {
   out += "}}";
 }
 
-std::string to_jsonl(const TraceEvent& ev) {
-  std::string out;
-  append_jsonl(ev, out);
-  return out;
-}
-
 void write_jsonl(const std::vector<TraceEvent>& events, std::ostream& out) {
   std::string line;
   for (const TraceEvent& ev : events) {
@@ -56,187 +46,86 @@ void write_jsonl(const std::vector<TraceEvent>& events, std::ostream& out) {
 
 namespace {
 
-/// Hand-rolled parser for exactly the JSON subset to_jsonl emits: flat
-/// objects with string keys and string/number values, one level of nesting
-/// for "args". Kept beside the writer so the formats cannot drift apart.
-class JsonlParser {
- public:
-  explicit JsonlParser(const std::string& line) : s_(line) {}
+using analyze::JsonLexer;
+using analyze::JsonNumber;
 
-  TraceEvent parse() {
-    TraceEvent ev;
-    expect('{');
-    bool first = true;
-    while (peek() != '}') {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "t") {
-        ev.time = as_double(parse_number());
-      } else if (key == "node") {
-        ev.node = as_int(parse_number());
-      } else if (key == "cat") {
-        const std::string name = parse_string();
-        if (!category_from_name(name, ev.category)) {
-          fail("unknown category: " + name);
-        }
-      } else if (key == "ph") {
-        const std::string ph = parse_string();
-        if (ph.size() != 1) fail("phase must be one char");
-        ev.phase = ph[0];
-      } else if (key == "name") {
-        ev.name = parse_string();
-      } else if (key == "flow") {
-        ev.flow = static_cast<std::uint64_t>(as_int(parse_number()));
-      } else if (key == "args") {
-        parse_args(ev);
-      } else {
-        fail("unknown key: " + key);
-      }
-    }
-    expect('}');
-    if (pos_ != s_.size()) fail("trailing garbage after event object");
-    return ev;
+AttrValue attr_of(const JsonNumber& n) {
+  return std::visit([](auto v) { return AttrValue(v); }, n);
+}
+
+/// "node" and "flow": an integer of either sign, reinterpreted as the
+/// field's type.
+std::int64_t int_field(JsonLexer& lex) {
+  const JsonNumber n = lex.read_number();
+  if (const auto* i = std::get_if<std::int64_t>(&n)) return *i;
+  if (const auto* u = std::get_if<std::uint64_t>(&n)) {
+    return static_cast<std::int64_t>(*u);
   }
+  lex.fail("expected an integer");
+}
 
- private:
-  void parse_args(TraceEvent& ev) {
-    expect('{');
-    bool first = true;
-    while (peek() != '}') {
-      if (!first) expect(',');
-      first = false;
-      Attr a;
-      a.key = parse_string();
-      expect(':');
-      if (peek() == '"') {
-        a.value = parse_string();
-      } else {
-        a.value = parse_number();
-      }
-      ev.attrs.push_back(std::move(a));
-    }
-    expect('}');
-  }
-
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end of line");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (peek() != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        const char esc = peek();
-        ++pos_;
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-            out += static_cast<char>(
-                std::strtol(s_.substr(pos_, 4).c_str(), nullptr, 16));
-            pos_ += 4;
-            break;
-          }
-          default: fail("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  /// Number typing mirrors the writer: a '.' or exponent means double,
-  /// a leading '-' means int64, anything else uint64.
-  AttrValue parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    bool is_double = false;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      if (s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E') {
-        is_double = true;
-      }
-      ++pos_;
-    }
-    const std::string tok = s_.substr(start, pos_ - start);
-    if (tok.empty()) fail("expected number");
-    if (is_double) return std::strtod(tok.c_str(), nullptr);
-    if (tok[0] == '-') {
-      return static_cast<std::int64_t>(std::strtoll(tok.c_str(), nullptr, 10));
-    }
-    return static_cast<std::uint64_t>(std::strtoull(tok.c_str(), nullptr, 10));
-  }
-
-  static std::int64_t as_int(const AttrValue& v) {
-    if (const auto* i = std::get_if<std::int64_t>(&v)) return *i;
-    if (const auto* u = std::get_if<std::uint64_t>(&v)) {
-      return static_cast<std::int64_t>(*u);
-    }
-    throw std::runtime_error("parse_jsonl: expected integer field");
-  }
-
-  /// Tolerant double read: our writer always marks doubles with '.'/'e',
-  /// but hand-edited traces may carry "t":5 — accept any numeric kind
-  /// rather than surfacing std::bad_variant_access.
-  static double as_double(const AttrValue& v) {
-    if (const auto* d = std::get_if<double>(&v)) return *d;
-    if (const auto* i = std::get_if<std::int64_t>(&v)) {
-      return static_cast<double>(*i);
-    }
-    if (const auto* u = std::get_if<std::uint64_t>(&v)) {
-      return static_cast<double>(*u);
-    }
-    throw std::runtime_error("parse_jsonl: expected numeric field");
-  }
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::runtime_error("parse_jsonl: " + why + " at offset " +
-                             std::to_string(pos_) + " in: " + s_);
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+/// "t": any number. The writer always marks doubles with '.'/'e', but
+/// hand-edited traces may carry "t":5.
+double double_field(JsonLexer& lex) {
+  return std::visit([](auto v) { return static_cast<double>(v); },
+                    lex.read_number());
+}
 
 }  // namespace
 
-TraceEvent parse_jsonl_line(const std::string& line) {
-  return JsonlParser(line).parse();
-}
-
-std::vector<TraceEvent> parse_jsonl(std::istream& in) {
-  std::vector<TraceEvent> out;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    try {
-      out.push_back(parse_jsonl_line(line));
-    } catch (const std::runtime_error& e) {
-      throw std::runtime_error("line " + std::to_string(lineno) + ": " +
-                               e.what());
-    }
+// The grammar of exactly the objects append_jsonl writes, decoded straight
+// off the shared lexer: flat string/number members plus one "args" object
+// of string/number attrs. Kept beside the writer so the two cannot drift.
+TraceEvent parse_jsonl_line(std::string_view line, std::size_t lineno) {
+  JsonLexer lex(line, lineno);
+  TraceEvent ev;
+  std::string key;
+  std::string value;
+  lex.expect('{');
+  if (!lex.consume('}')) {
+    do {
+      lex.read_string(key);
+      lex.expect(':');
+      if (key == "t") {
+        ev.time = double_field(lex);
+      } else if (key == "node") {
+        ev.node = int_field(lex);
+      } else if (key == "cat") {
+        lex.read_string(value);
+        if (!category_from_name(value, ev.category)) {
+          lex.fail("unknown category: " + value);
+        }
+      } else if (key == "ph") {
+        lex.read_string(value);
+        if (value.size() != 1) lex.fail("phase must be one char");
+        ev.phase = value[0];
+      } else if (key == "name") {
+        lex.read_string(ev.name);
+      } else if (key == "flow") {
+        ev.flow = static_cast<std::uint64_t>(int_field(lex));
+      } else if (key == "args") {
+        lex.expect('{');
+        if (!lex.consume('}')) {
+          do {
+            Attr& a = ev.attrs.emplace_back();
+            lex.read_string(a.key);
+            lex.expect(':');
+            if (lex.peek() == '"') {
+              lex.read_string(a.value.emplace<std::string>());
+            } else {
+              a.value = attr_of(lex.read_number());
+            }
+          } while (lex.consume(','));
+          lex.expect('}');
+        }
+      } else {
+        lex.fail("unknown key: " + key);
+      }
+    } while (lex.consume(','));
+    lex.expect('}');
   }
-  return out;
+  lex.expect_end();
+  return ev;
 }
 
 void write_chrome_trace(const std::vector<TraceEvent>& events,
@@ -276,9 +165,8 @@ void write_chrome_trace(const std::vector<TraceEvent>& events,
     json_append_string(line, ev.name);
     line += ",\"cat\":";
     json_append_string(line, category_name(ev.category));
-    line += ",\"ph\":\"";
-    line += ev.phase;
-    line += '"';
+    line += ",\"ph\":";
+    json_append_string(line, std::string_view(&ev.phase, 1));
     if (ev.phase == 'i') line += ",\"s\":\"t\"";
     // 1 cost-model time unit = 1 ms; ts is in microseconds.
     line += ",\"ts\":";

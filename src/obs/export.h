@@ -1,18 +1,22 @@
-// Trace exporters and the JSONL re-importer.
+// Trace exporters and the JSONL reader.
 //
 // Two formats:
 //   * JSONL — one self-describing JSON object per event, the grep/jq-able
-//     archival format. parse_jsonl() reads it back losslessly (integer vs
-//     double attribute kinds survive the round trip), which is what lets
-//     tests and offline tools reconstruct message provenance from a file.
+//     archival format. parse_jsonl_line() reads a line back losslessly
+//     (integer vs double attribute kinds survive the round trip), which is
+//     what lets TraceReader and offline tools reconstruct message
+//     provenance from a file. It decodes on the shared JSON lexer
+//     (obs/analyze/json_reader.h), so its errors name their line.
 //   * Chrome trace_event JSON — loadable in about://tracing or
 //     https://ui.perfetto.dev. Simulation time is mapped 1 cost-model unit
 //     = 1 ms (ts is microseconds), nodes become "threads" so per-node
 //     timelines line up visually.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/trace.h"
@@ -27,21 +31,12 @@ class SimProfiler;
 /// (bench_micro_kernels carries the canary).
 void append_jsonl(const TraceEvent& ev, std::string& out);
 
-/// One event as a single-line JSON object (no trailing newline).
-std::string to_jsonl(const TraceEvent& ev);
-
 /// Writes one JSON object per line (append_jsonl through a reused buffer).
 void write_jsonl(const std::vector<TraceEvent>& events, std::ostream& out);
 
-/// Parses one JSONL line into an event. Throws std::runtime_error with the
-/// byte offset on malformed input; callers that know the line number prefix
-/// it (parse_jsonl, TraceReader).
-TraceEvent parse_jsonl_line(const std::string& line);
-
-/// Parses a JSONL stream produced by write_jsonl. Throws std::runtime_error
-/// ("line N: ..." with the 1-based line number) on malformed input; blank
-/// lines are skipped but still counted.
-std::vector<TraceEvent> parse_jsonl(std::istream& in);
+/// Parses one JSONL line, line `lineno` of its file, into an event. Throws
+/// analyze::JsonError ("json: line <lineno>: ...") on malformed input.
+TraceEvent parse_jsonl_line(std::string_view line, std::size_t lineno = 1);
 
 /// Writes a Chrome trace_event file ({"traceEvents":[...]}).
 void write_chrome_trace(const std::vector<TraceEvent>& events,

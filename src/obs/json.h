@@ -1,7 +1,8 @@
 // Minimal JSON writing helpers shared by the trace exporters, the metrics
-// registry, and the bench --json emitter. Writing only — parsing of the
-// JSONL trace subset lives in obs/export.cpp next to its writer so the two
-// stay in lockstep.
+// registry, and the bench --json emitter. Writing only — every JSON input
+// is read by the one lexer in obs/analyze/json_reader.h; the JSONL event
+// grammar on top of it sits in obs/export.cpp next to its writer so the
+// two stay in lockstep.
 #pragma once
 
 #include <cstdint>

@@ -11,6 +11,13 @@
 
 namespace wsn::obs {
 
+namespace {
+
+/// The encode buffer is written out once it holds this many bytes.
+constexpr std::size_t kFlushBytes = 1u << 16;
+
+}  // namespace
+
 std::string StreamingFileSink::segment_name(TraceFormat format,
                                             std::uint64_t index) {
   char buf[32];
@@ -27,7 +34,7 @@ StreamingFileSink::StreamingFileSink(StreamSinkConfig config)
     fail("cannot create " + config_.directory + ": " + ec.message());
     return;
   }
-  buf_.reserve(config_.flush_bytes * 2);
+  buf_.reserve(kFlushBytes * 2);
   open_segment();
 }
 
@@ -104,7 +111,7 @@ void StreamingFileSink::accept(TraceEvent ev) {
   }
   ++events_;
   ++events_in_segment_;
-  if (buf_.size() >= config_.flush_bytes) flush_buffer();
+  if (buf_.size() >= kFlushBytes) flush_buffer();
   if (segment_written_ + buf_.size() >= config_.segment_bytes) {
     rotate();
     if (failed_) return;

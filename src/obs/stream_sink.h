@@ -4,7 +4,7 @@
 // (multi-GB captures, ROADMAP items 2-3) that either truncates the run or
 // doesn't fit. This sink instead encodes each event into a reusable append
 // buffer (JSONL via append_jsonl, or the compact wtr binary format) and
-// flushes the buffer to a segment file when it passes a threshold — the
+// flushes the buffer to a segment file when it passes 64 KiB — the
 // steady-state accept path performs no per-event allocation. Segments
 // rotate at a configurable byte size (`trace.wtr.000`, `.001`, ...); each
 // wtr segment gets its own string table and a footer (event count + CRC),
@@ -31,7 +31,6 @@ struct StreamSinkConfig {
   std::string directory;                        // created if missing
   TraceFormat format = TraceFormat::kWtr;
   std::uint64_t segment_bytes = 64ull << 20;    // rotate past this size
-  std::size_t flush_bytes = 1u << 16;           // buffer high-water mark
   bool fsync_on_rotate = false;                 // durability at rotation
 };
 

@@ -124,7 +124,7 @@ bool TraceReader::next_jsonl(TraceEvent& ev) {
       ++lineno_;
       if (line_.empty()) continue;
       try {
-        ev = parse_jsonl_line(line_);
+        ev = parse_jsonl_line(line_, lineno_);
       } catch (const std::runtime_error& e) {
         if (in_.peek() == std::ifstream::traits_type::eof()) {
           // A bad final line is an unflushed tail, not a malformed trace:
@@ -134,8 +134,7 @@ bool TraceReader::next_jsonl(TraceEvent& ev) {
                               std::to_string(lineno_));
           break;
         }
-        throw std::runtime_error(path + " line " + std::to_string(lineno_) +
-                                 ": " + e.what());
+        throw std::runtime_error(path + ": " + e.what());
       }
       ++file_events_;
       ++events_read_;

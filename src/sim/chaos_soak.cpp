@@ -82,10 +82,10 @@ struct TrackedFaults {
 };
 
 /// A campaign's whole trace path. Every event is fed live to the streaming
-/// oracle and counted, fd.corrupt strikes are timed against the churn they
-/// provoke, and — with a stream directory — the event is written there as
-/// wtr segments. Nothing is retained, so memory is bounded by live protocol
-/// state at any grid size.
+/// oracle — which also times fd.corrupt strikes against the churn they
+/// provoke — and, with a stream directory, written there as wtr segments.
+/// Nothing is retained, so memory is bounded by live protocol state at any
+/// grid size.
 class OracleSink final : public obs::TraceSink {
  public:
   explicit OracleSink(const std::string& stream_dir) {
@@ -101,61 +101,19 @@ class OracleSink final : public obs::TraceSink {
   void accept(obs::TraceEvent ev) override {
     {
       obs::ProfSpan span(obs::ProfCat::kSink);
-      ++events_;
       checker_.feed(ev);
-      if (ev.category == obs::Category::kReliability) time_strikes(ev);
     }
     if (stream_ != nullptr) stream_->accept(std::move(ev));
   }
 
-  std::size_t events() const { return events_; }
   obs::StreamingFileSink* stream() { return stream_.get(); }
   obs::analyze::CheckReport finish(const obs::analyze::JsonValue& snapshot) {
     return checker_.finish(&snapshot);
   }
 
-  /// Worst strike-to-quiet latency: for each fd.corrupt at t, the last
-  /// churn event in (t, t + bound]; 0 when no strike provoked churn.
-  double max_reconverge_latency() const {
-    double worst = 0.0;
-    for (const Strike& s : strikes_) worst = std::max(worst, s.quiet - s.at);
-    return worst;
-  }
-
  private:
-  struct Strike {
-    double at = 0.0;
-    double bound = 0.0;  // the analytic stabilization bound it carries
-    double quiet = 0.0;  // last churn inside (at, at + bound]
-  };
-
-  void time_strikes(const obs::TraceEvent& ev) {
-    if (ev.name == "fd.corrupt") {
-      strikes_.push_back(
-          {ev.time, obs::analyze::attr_num(ev, "bound"), ev.time});
-      return;
-    }
-    // Belief/roster repair and adoption (membership mode only) count too:
-    // a strike is only quiet once the views stop moving.
-    const bool churn =
-        ev.name == "fd.elect" || ev.name == "fd.claim" ||
-        ev.name == "fd.audit_conflict" || ev.name == "fd.audit_heal" ||
-        ev.name == "fd.epoch_regress" || ev.name == "fd.lease_expire" ||
-        ev.name == "fd.member_heal" || ev.name == "fd.roster_heal" ||
-        ev.name == "fd.roster_conflict" || ev.name == "fd.adopt" ||
-        ev.name == "fd.adopt_bind";
-    if (!churn) return;
-    for (Strike& s : strikes_) {
-      if (ev.time > s.at && ev.time <= s.at + s.bound) {
-        s.quiet = std::max(s.quiet, ev.time);
-      }
-    }
-  }
-
   obs::analyze::StreamingChecker checker_;
   std::unique_ptr<obs::StreamingFileSink> stream_;
-  std::size_t events_ = 0;
-  std::vector<Strike> strikes_;
 };
 
 /// The campaign's generated plan: drawn from its own RNG (independent of
@@ -637,7 +595,6 @@ ChaosCampaignResult ChaosSoak::run(std::size_t index,
       finding("streaming trace capture failed: " + stream->error());
     }
   }
-  res.events = oracle->events();
 
   // The trace oracle: structure, energy and ARQ counters against the
   // snapshot, failure detection, depletion, and — vacuous unless the plan
@@ -646,6 +603,7 @@ ChaosCampaignResult ChaosSoak::run(std::size_t index,
   registry.write_json(snap);
   const obs::analyze::CheckReport report =
       oracle->finish(obs::analyze::parse_json(snap.str()));
+  res.events = report.events_seen;
   for (const std::string& issue : report.issues) {
     finding("trace oracle: " + issue);
   }
@@ -657,7 +615,7 @@ ChaosCampaignResult ChaosSoak::run(std::size_t index,
               ") never re-converged: live members disagree on (leader, "
               "epoch) or the agreed leader is not serving");
     }
-    res.max_reconverge_latency = oracle->max_reconverge_latency();
+    res.max_reconverge_latency = report.max_reconverge_latency;
   }
   if (cfg_.membership) {
     res.adoptions = detector.adoptions().size();

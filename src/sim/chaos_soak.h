@@ -61,7 +61,6 @@ struct ChaosSoakConfig {
   std::size_t node_count = 60;
   /// Base seed; campaign k derives everything from `seed + k`.
   std::uint64_t seed = 20260805;
-  std::size_t campaigns = 25;
   /// Deadline-bounded reduce rounds run while faults fire.
   std::size_t rounds = 2;
   /// Plan-generator spending cap: leader crash 1.5, member crash 0.75,

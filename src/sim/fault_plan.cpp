@@ -1,7 +1,6 @@
 #include "sim/fault_plan.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -23,92 +22,14 @@ namespace {
 
 using obs::analyze::JsonValue;
 
-double num_field(const JsonValue& obj, const char* key, double fallback) {
-  const JsonValue* v = obj.find(key);
-  return v == nullptr ? fallback : v->number();
+/// Every plan error names the line of the value at fault: the document's
+/// own shape here, one event's in fail_event.
+[[noreturn]] void fail_plan(std::size_t line, const std::string& msg) {
+  throw std::runtime_error("fault plan line " + std::to_string(line) + ": " +
+                           msg);
 }
 
-// The parsed JsonValue tree carries no source positions, so error messages
-// recover them with a second, purely lexical pass: walk the raw text
-// tracking line number, string/escape state, and brace depth, and record the
-// line on which each object element of the top-level "events" array opens.
-// Returns one line per '{' element, in order; callers index by event number
-// and fall back to "line unknown" on any mismatch.
-std::vector<std::size_t> event_start_lines(const std::string& text) {
-  std::vector<std::size_t> out;
-  std::size_t line = 1;
-  bool in_string = false;
-  bool escape = false;
-  std::string current;      // content of the string literal being scanned
-  std::string last_string;  // most recently completed string literal
-  int depth = 0;
-  int events_depth = -1;  // depth of elements inside the events array
-  bool events_key_pending = false;  // saw `"events"` `:`, awaiting '['
-  bool expecting_element = false;
-  for (const char ch : text) {
-    if (ch == '\n') ++line;
-    if (in_string) {
-      if (escape) {
-        escape = false;
-      } else if (ch == '\\') {
-        escape = true;
-      } else if (ch == '"') {
-        in_string = false;
-        last_string = current;
-      } else {
-        current.push_back(ch);
-      }
-      continue;
-    }
-    switch (ch) {
-      case '"':
-        in_string = true;
-        current.clear();
-        events_key_pending = false;
-        break;
-      case ':':
-        if (depth == 1 && last_string == "events" && events_depth < 0) {
-          events_key_pending = true;
-        }
-        break;
-      case '[':
-        if (events_key_pending) {
-          events_depth = depth + 1;
-          expecting_element = true;
-          events_key_pending = false;
-        }
-        ++depth;
-        break;
-      case '{':
-        if (depth == events_depth && expecting_element) {
-          out.push_back(line);
-          expecting_element = false;
-        }
-        events_key_pending = false;
-        ++depth;
-        break;
-      case ']':
-        --depth;
-        if (events_depth >= 0 && depth < events_depth) {
-          events_depth = -1;  // left the events array; don't re-enter
-        }
-        break;
-      case '}':
-        --depth;
-        break;
-      case ',':
-        if (depth == events_depth) expecting_element = true;
-        break;
-      default:
-        if (!std::isspace(static_cast<unsigned char>(ch))) {
-          events_key_pending = false;
-        }
-        break;
-    }
-  }
-  return out;
-}
-
+/// `line` is 0 for a plan built in code, which has no lines.
 [[noreturn]] void fail_event(std::size_t line, std::size_t index,
                              const std::string& msg) {
   std::string where = "fault plan";
@@ -116,6 +37,18 @@ std::vector<std::size_t> event_start_lines(const std::string& text) {
   // 1-based for humans: "event #1" is the first element of "events".
   where += ", event #" + std::to_string(index + 1);
   throw std::runtime_error(where + ": " + msg);
+}
+
+/// The numeric member `key` of event `i`'s object `obj`, or `fallback`
+/// when it is absent; a value of another type names its own line.
+double num_field(const JsonValue& obj, const char* key, double fallback,
+                 std::size_t i) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr) return fallback;
+  if (!v->is_number()) {
+    fail_event(v->line, i, std::string("\"") + key + "\" is not a number");
+  }
+  return v->number();
 }
 
 void append_number(std::string& out, double v) {
@@ -139,7 +72,7 @@ std::string number_text(double v) {
 /// or surprising results.
 std::int32_t int_field(const JsonValue& obj, const char* key, double fallback,
                        double lo, std::size_t line, std::size_t i) {
-  const double v = num_field(obj, key, fallback);
+  const double v = num_field(obj, key, fallback, i);
   constexpr double hi = std::numeric_limits<std::int32_t>::max();
   if (!(v >= lo && v <= hi) || v != std::floor(v)) {
     fail_event(line, i,
@@ -156,15 +89,18 @@ std::int32_t int_field(const JsonValue& obj, const char* key, double fallback,
 void parse_target(const JsonValue& e, const std::string& kind,
                   std::size_t line, std::size_t i, FaultEvent& ev) {
   if (const JsonValue* cell = e.find("cell")) {
-    if (num_field(*cell, "row", -1.0) < 0 ||
-        num_field(*cell, "col", -1.0) < 0) {
+    if (!cell->is_object()) {
+      fail_event(cell->line, i, "\"cell\" is not an object");
+    }
+    if (num_field(*cell, "row", -1.0, i) < 0 ||
+        num_field(*cell, "col", -1.0, i) < 0) {
       fail_event(line, i, "cell needs row and col >= 0");
     }
     ev.cell = {int_field(*cell, "row", -1.0, 0.0, line, i),
                int_field(*cell, "col", -1.0, 0.0, line, i)};
     return;
   }
-  const double node = num_field(e, "node", -1.0);
+  const double node = num_field(e, "node", -1.0, i);
   if (node < 0) fail_event(line, i, kind + " needs \"node\" or \"cell\"");
   if (!(node < net::kNoNode) || node != std::floor(node)) {
     fail_event(line, i,
@@ -203,26 +139,29 @@ void trace_fault(Simulator& sim, const char* name, std::int64_t node,
 }  // namespace
 
 FaultPlan FaultPlan::from_json(const std::string& text) {
-  const JsonValue doc = obs::analyze::parse_json(text);
-  const JsonValue* events = doc.find("events");
-  if (events == nullptr || !events->is_array()) {
-    throw std::runtime_error("fault plan: missing \"events\" array");
+  JsonValue doc;
+  try {
+    doc = obs::analyze::parse_json(text);
+  } catch (const obs::analyze::JsonError& e) {
+    fail_plan(e.line(), e.reason());
   }
-  const std::vector<std::size_t> lines = event_start_lines(text);
-  const auto line_of = [&](std::size_t i) {
-    return i < lines.size() ? lines[i] : std::size_t{0};
-  };
+  const JsonValue* events = doc.is_object() ? doc.find("events") : nullptr;
+  if (events == nullptr || !events->is_array()) {
+    fail_plan(events == nullptr ? doc.line : events->line,
+              "missing \"events\" array");
+  }
   FaultPlan plan;
   for (std::size_t i = 0; i < events->array().size(); ++i) {
     const JsonValue& e = events->array()[i];
-    const std::size_t line = line_of(i);
+    const std::size_t line = e.line;
+    if (!e.is_object()) fail_event(line, i, "event is not an object");
     const JsonValue* kind = e.find("kind");
     if (kind == nullptr || !kind->is_string()) {
       fail_event(line, i, "event without a \"kind\"");
     }
     FaultEvent ev;
     ev.line = line;
-    ev.at = num_field(e, "at", 0.0);
+    ev.at = num_field(e, "at", 0.0, i);
     if (ev.at < 0.0) {
       fail_event(line, i, "negative time " + std::to_string(ev.at));
     }
@@ -232,8 +171,8 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
       parse_target(e, k, line, i, ev);
     } else if (k == "loss_burst") {
       ev.kind = FaultKind::kLossBurst;
-      ev.loss = num_field(e, "loss", 0.0);
-      ev.duration = num_field(e, "duration", 0.0);
+      ev.loss = num_field(e, "loss", 0.0, i);
+      ev.duration = num_field(e, "duration", 0.0, i);
       if (ev.loss < 0.0 || ev.loss > 1.0) {
         fail_event(line, i, "loss must be in [0, 1]");
       }
@@ -243,7 +182,7 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
       }
     } else if (k == "region_outage") {
       ev.kind = FaultKind::kRegionOutage;
-      ev.duration = num_field(e, "duration", 0.0);
+      ev.duration = num_field(e, "duration", 0.0, i);
       constexpr double lo = std::numeric_limits<std::int32_t>::min();
       ev.row0 = int_field(e, "row0", 0.0, lo, line, i);
       ev.col0 = int_field(e, "col0", 0.0, lo, line, i);
@@ -267,13 +206,13 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
                    "\"headroom\"");
       }
       if (has_budget) {
-        ev.budget = num_field(e, "budget", -1.0);
+        ev.budget = num_field(e, "budget", -1.0, i);
         if (ev.budget < 0.0) {
           fail_event(line, i,
                      "negative budget " + std::to_string(ev.budget));
         }
       } else {
-        ev.headroom = num_field(e, "headroom", -1.0);
+        ev.headroom = num_field(e, "headroom", -1.0, i);
         if (ev.headroom < 0.0) {
           fail_event(line, i,
                      "negative headroom " + std::to_string(ev.headroom));
@@ -313,7 +252,7 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
     if (ev.node == net::kNoNode) continue;
     if (ev.kind == FaultKind::kCrash) {
       if (down[ev.node]) {
-        fail_event(line_of(i), i,
+        fail_event(ev.line, i,
                    "crash of node " + std::to_string(ev.node) + " at t=" +
                        std::to_string(ev.at) +
                        " overlaps an earlier crash with no recover between");

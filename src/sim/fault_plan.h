@@ -167,9 +167,11 @@ struct FaultPlan {
   std::vector<FaultEvent> events;
 
   /// Parses the JSON spec above; throws std::runtime_error on malformed
-  /// input. Error messages name the source line and event index of the
-  /// offending entry ("fault plan line 7, event #2: ..."). Rejected beyond
-  /// shape errors: unknown kinds, negative times or durations, out-of-range
+  /// input. Every message names a source line: "fault plan line 3: ..."
+  /// for a syntax error or a document without an "events" array, "fault
+  /// plan line 7, event #2: ..." for an offending entry (a field of the
+  /// wrong type names the field's own line). Rejected beyond shape and
+  /// type errors: unknown kinds, negative times or durations, out-of-range
   /// loss, empty region rectangles, a node that is not an integer below
   /// kNoNode, a cell or rectangle bound that is not an int32 integer, and a
   /// node-targeted crash scheduled while the same node is already down

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -33,11 +34,15 @@
 #include "obs/sinks.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
+#include "tests/trace_helpers.h"
 
 namespace {
 
 using namespace wsn;
 using namespace wsn::obs::analyze;
+using testing_helpers::check_events;
+using testing_helpers::collect_flows;
+using testing_helpers::energy_of;
 
 /// Captured virtual-layer run: every node sends one unit message to the
 /// grid origin, optionally with transmitter serialization (queueing).
@@ -137,13 +142,80 @@ TEST(JsonReader, RejectsMalformedInput) {
   EXPECT_THROW(parse_json(std::string(200000, '[')), std::runtime_error);
 }
 
+/// The message parse_json throws for `text`, or "" if it parses.
+std::string json_error(const std::string& text) {
+  try {
+    (void)parse_json(text);
+  } catch (const JsonError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(JsonReader, RejectsMalformedNumbersNamingTheirLine) {
+  // Each once parsed as the prefix strtod/strtoull accepted: 0, 1, 1.2, 1,
+  // UINT64_MAX. Now each is an error on the line it sits on.
+  for (const std::string bad :
+       {"--5", "1-2", "1.2.3", "1e", "18446744073709551616", "01", "-",
+        "1.", ".5", "+1", "-9223372036854775809", "1e400"}) {
+    const std::string msg = json_error("{\n\"a\": 1,\n\"b\": " + bad + "\n}");
+    EXPECT_EQ(msg.rfind("json: line 3: ", 0), 0u) << bad << " -> " << msg;
+  }
+  const JsonValue v = parse_json(
+      "[18446744073709551615, -9223372036854775808, -0, 0.5e-3, 1E+2]");
+  const JsonArray& a = v.array();
+  EXPECT_EQ(std::get<std::uint64_t>(a[0].v),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(std::get<std::int64_t>(a[1].v),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(std::get<std::int64_t>(a[2].v), 0);
+  EXPECT_DOUBLE_EQ(std::get<double>(a[3].v), 0.0005);
+  EXPECT_DOUBLE_EQ(std::get<double>(a[4].v), 100.0);
+}
+
+TEST(JsonReader, DecodesUnicodeEscapesToUtf8) {
+  const JsonValue v = parse_json(
+      R"(["A\u00e9\u20ac", "\ud83d\ude00", "\u0000"])");
+  const JsonArray& a = v.array();
+  EXPECT_EQ(a[0].string(), "A\xC3\xA9\xE2\x82\xAC");
+  EXPECT_EQ(a[1].string(), "\xF0\x9F\x98\x80");
+  EXPECT_EQ(a[2].string(), std::string(1, '\0'));
+  // "\u00zz" once decoded as a NUL byte.
+  for (const std::string bad : {R"("\u00zz")", R"("\u12")", R"("\ud83d")",
+                                R"("\ude00")", R"("\ud83d\u0041")"}) {
+    const std::string msg = json_error("[\n" + bad + "]");
+    EXPECT_EQ(msg.rfind("json: line 2: ", 0), 0u) << bad << " -> " << msg;
+  }
+  EXPECT_EQ(json_error("[\"a\nb\"]").rfind("json: line 1: control", 0), 0u);
+}
+
+TEST(JsonReader, ValuesAndErrorsCarryLines) {
+  const JsonValue v =
+      parse_json("{\n  \"a\": [1,\n    \"x\"],\n\n  \"b\": null}");
+  EXPECT_EQ(v.line, 1u);
+  EXPECT_EQ(v.find("a")->line, 2u);
+  EXPECT_EQ(v.find("a")->array()[0].line, 2u);
+  EXPECT_EQ(v.find("a")->array()[1].line, 3u);
+  EXPECT_EQ(v.find("b")->line, 5u);
+  // A wrong-type accessor names the value's line.
+  try {
+    (void)v.find("a")->array()[1].number();
+    ADD_FAILURE() << "a string read as a number";
+  } catch (const JsonError& e) {
+    EXPECT_STREQ(e.what(), "json: line 3: value is not a number");
+    EXPECT_EQ(e.line(), 3u);
+  }
+  EXPECT_EQ(json_error("{\"a\": 1\n\n\"b\": 2}"),
+            "json: line 3: expected '}'");
+}
+
 // ---------------------------------------------------------------------------
 // Flow reconstruction
 
 TEST(FlowReconstruction, RecoversPathAndLatencyContentionFree) {
   const auto events =
       capture_all_to_origin(8, core::Congestion::kNone);
-  const auto flows = reconstruct_flows(events);
+  const auto flows = collect_flows(events);
   ASSERT_EQ(flows.size(), 64u);
 
   core::GridTopology grid(8);
@@ -168,7 +240,7 @@ TEST(FlowReconstruction, RecoversPathAndLatencyContentionFree) {
 TEST(FlowReconstruction, CapturesQueueingUnderSerialization) {
   const auto events =
       capture_all_to_origin(8, core::Congestion::kNodeSerialized);
-  const auto flows = reconstruct_flows(events);
+  const auto flows = collect_flows(events);
   double total_wait = 0.0;
   for (const Flow& f : flows) {
     if (f.self_send) continue;
@@ -233,7 +305,7 @@ TEST(CriticalPath, FollowsDependencyChain) {
     vnet.send({0, 7}, {0, 3}, std::monostate{}, 1.0);
     sim.run();
   }
-  const auto flows = reconstruct_flows(sink.events());
+  const auto flows = collect_flows(sink.events());
   ASSERT_EQ(flows.size(), 3u);
   const CriticalPathReport report = critical_path(flows);
   ASSERT_EQ(report.chain.size(), 3u);
@@ -248,22 +320,6 @@ TEST(CriticalPath, FollowsDependencyChain) {
   EXPECT_DOUBLE_EQ(report.message_transmit, 7.0);
   EXPECT_DOUBLE_EQ(report.start_time, 0.0);
   EXPECT_DOUBLE_EQ(report.end_time, 7.0);
-}
-
-TEST(CriticalPath, WindowRestrictsChain) {
-  const auto events =
-      capture_all_to_origin(8, core::Congestion::kNone);
-  const auto flows = reconstruct_flows(events);
-  const CriticalPathReport full = critical_path(flows);
-  ASSERT_FALSE(full.chain.empty());
-  // All sends happen at t=0, so every chain is a single flow; the longest
-  // is the far-corner 14-hop message.
-  EXPECT_EQ(full.chain.size(), 1u);
-  EXPECT_DOUBLE_EQ(full.total(), 14.0);
-  const CriticalPathReport windowed = critical_path_in(flows, 0.0, 8.0);
-  ASSERT_FALSE(windowed.chain.empty());
-  EXPECT_LE(windowed.end_time, 8.0);
-  EXPECT_DOUBLE_EQ(windowed.total(), 8.0);
 }
 
 TEST(CriticalPath, EmptyOnNoDeliveries) {
@@ -287,7 +343,7 @@ TEST(EnergyAttribution, MatchesLedgerExactlyPerNode) {
     }
     sim.run();
   }
-  const EnergyMap map = attribute_energy(sink.events());
+  const EnergyMap map = energy_of(sink.events());
   const auto& ledger = vnet.ledger();
   EXPECT_NEAR(map.vnet.tx, ledger.total(net::EnergyUse::kTx), 1e-9);
   EXPECT_NEAR(map.vnet.rx, ledger.total(net::EnergyUse::kRx), 1e-9);
@@ -316,7 +372,7 @@ TEST(EnergyAttribution, LinkLayerMatchesLedger) {
     }
     stack.sim.run();
   }
-  const EnergyMap map = attribute_energy(sink.events());
+  const EnergyMap map = energy_of(sink.events());
   EXPECT_GT(map.link.total(), 0.0);
   EXPECT_NEAR(map.link.tx, stack.ledger->total(net::EnergyUse::kTx), 1e-9);
   EXPECT_NEAR(map.link.rx, stack.ledger->total(net::EnergyUse::kRx), 1e-9);
@@ -342,7 +398,7 @@ TEST(EnergyAttribution, HotspotReportQuantifiesLeaderImbalance) {
     }
     sim.run();
   }
-  const EnergyMap map = attribute_energy(sink.events());
+  const EnergyMap map = energy_of(sink.events());
   const HotspotReport hs = hotspot_report(map.vnet);
   EXPECT_EQ(hs.side, 16u);
   ASSERT_EQ(hs.levels.size(), 4u);
@@ -360,7 +416,7 @@ TEST(EnergyAttribution, HotspotReportQuantifiesLeaderImbalance) {
 TEST(Checker, PassesOnRealCapture) {
   const auto events =
       capture_all_to_origin(8, core::Congestion::kNodeSerialized);
-  const CheckReport report = check_trace(events);
+  const CheckReport report = check_events(events);
   EXPECT_TRUE(report.ok()) << (report.issues.empty() ? "" : report.issues[0]);
   EXPECT_EQ(report.flows_checked, 64u);
 }
@@ -373,7 +429,7 @@ TEST(Checker, DetectsDroppedDelivery) {
                          });
   ASSERT_NE(it, events.end());
   events.erase(it);
-  const CheckReport report = check_trace(events);
+  const CheckReport report = check_events(events);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.issues[0].find("never delivered"), std::string::npos);
 }
@@ -387,7 +443,7 @@ TEST(Checker, DetectsOrphanDelivery) {
                          });
   ASSERT_NE(it, events.end());
   events.erase(it);
-  const CheckReport report = check_trace(events);
+  const CheckReport report = check_events(events);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.issues[0].find("without a send"), std::string::npos);
 }
@@ -401,7 +457,7 @@ TEST(Checker, DetectsTamperedHopTiming) {
     }
     break;
   }
-  const CheckReport report = check_trace(events);
+  const CheckReport report = check_events(events);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.issues[0].find("acausal"), std::string::npos);
 }
@@ -422,7 +478,7 @@ TEST(Checker, EnergyAgreesWithMetricsSnapshot) {
   vnet.register_metrics(registry);
   const JsonValue snapshot = parse_json(registry.to_json());
 
-  const CheckReport ok = check_trace(sink.events(), &snapshot);
+  const CheckReport ok = check_events(sink.events(), &snapshot);
   EXPECT_TRUE(ok.ok()) << (ok.issues.empty() ? "" : ok.issues[0]);
 
   // A capture missing one hop's worth of events must be caught — by the
@@ -435,7 +491,7 @@ TEST(Checker, EnergyAgreesWithMetricsSnapshot) {
                          });
   ASSERT_NE(it, truncated.end());
   truncated.erase(it);
-  const CheckReport bad = check_trace(truncated, &snapshot);
+  const CheckReport bad = check_events(truncated, &snapshot);
   EXPECT_FALSE(bad.ok());
   EXPECT_TRUE(std::any_of(bad.issues.begin(), bad.issues.end(),
                           [](const std::string& issue) {
@@ -480,7 +536,7 @@ TEST(CheckDepletion, CleanLifecyclePasses) {
       link_event(2.0, 7, "unicast"),  // the budget-crossing frame itself
       link_event(3.0, 8, "unicast"),  // other nodes keep talking
   };
-  const CheckReport report = check_trace(events);
+  const CheckReport report = check_events(events);
   EXPECT_TRUE(report.ok()) << (report.issues.empty() ? "" : report.issues[0]);
   EXPECT_EQ(report.events_seen, events.size());
 }
@@ -490,7 +546,7 @@ TEST(CheckDepletion, FlagsDuplicateDepletion) {
       depletion_event(2.0, 7, 50.0, 50.0),
       depletion_event(5.0, 7, 50.0, 55.0),
   };
-  const CheckReport report = check_trace(events);
+  const CheckReport report = check_events(events);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.issues[0].find("duplicate energy.depleted"),
             std::string::npos);
@@ -498,7 +554,7 @@ TEST(CheckDepletion, FlagsDuplicateDepletion) {
 
 TEST(CheckDepletion, FlagsCrossingBelowBudget) {
   const CheckReport report =
-      check_trace({depletion_event(2.0, 7, 50.0, 30.0)});
+      check_events({depletion_event(2.0, 7, 50.0, 30.0)});
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.issues[0].find("below budget"), std::string::npos);
 }
@@ -509,7 +565,7 @@ TEST(CheckDepletion, FlagsPostDepletionTransmissionAndDelivery) {
       link_event(3.0, 7, "broadcast"),
       link_event(4.0, 7, "deliver"),
   };
-  const CheckReport report = check_trace(events);
+  const CheckReport report = check_events(events);
   ASSERT_EQ(report.issues.size(), 2u);
   EXPECT_NE(report.issues[0].find("transmission at t="), std::string::npos);
   EXPECT_NE(report.issues[0].find("after depletion"), std::string::npos);

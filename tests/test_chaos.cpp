@@ -69,11 +69,11 @@ Replay run_twice(sim::ChaosSoakConfig cfg, std::size_t k) {
 }
 
 TEST(ChaosSoak, FullSoakZeroFindings) {
-  sim::ChaosSoakConfig cfg;  // 25 campaigns, fixed seed 20260805
-  ASSERT_GE(cfg.campaigns, 25u);
+  const sim::ChaosSoakConfig cfg;  // fixed seed 20260805
+  const std::size_t campaigns = 25;
   const sim::ChaosSoak soak(cfg);
   std::size_t failed = 0;
-  for (std::size_t k = 0; k < cfg.campaigns; ++k) {
+  for (std::size_t k = 0; k < campaigns; ++k) {
     const sim::ChaosCampaignResult res = soak.run_campaign(k);
     EXPECT_EQ(res.index, k);
     if (!res.ok()) ++failed;
@@ -131,12 +131,12 @@ TEST(ChaosSoak, DepletionSoakZeroFindings) {
   // every budgeted leader's battery death, and zero split-brains.
   sim::ChaosSoakConfig cfg;
   cfg.depletion = true;
-  cfg.campaigns = 12;  // acceptance floor is >= 10 depletion campaigns
+  const std::size_t campaigns = 12;  // acceptance floor is >= 10
   const sim::ChaosSoak soak(cfg);
   std::size_t failed = 0;
   std::size_t depletions = 0;
   std::size_t planned = 0;
-  for (std::size_t k = 0; k < cfg.campaigns; ++k) {
+  for (std::size_t k = 0; k < campaigns; ++k) {
     const sim::ChaosCampaignResult res = soak.run_campaign(k);
     EXPECT_EQ(res.index, k);
     if (!res.ok()) ++failed;
@@ -204,12 +204,11 @@ TEST(ChaosSoak, CorruptionSoakReconvergesAcrossTopologies) {
     sim::ChaosSoakConfig cfg;
     cfg.corruption = true;
     cfg.topology = topo;
-    cfg.campaigns = 4;
     const sim::ChaosSoak soak(cfg);
     const double bound = 2.5 * cfg.detector.lease_duration +
                          1.5 * cfg.detector.election_timeout +
                          sim::kSoakAuditPeriod + 10.0;
-    for (std::size_t k = 0; k < cfg.campaigns; ++k) {
+    for (std::size_t k = 0; k < 4; ++k) {
       const auto res = soak.run_campaign(k);
       EXPECT_EQ(res.topology, net::to_string(topo));
       EXPECT_GT(res.corruptions, 0u);
@@ -282,12 +281,11 @@ TEST(ChaosSoak, MembershipSoakHealsAcrossTopologies) {
     sim::ChaosSoakConfig cfg;
     cfg.membership = true;
     cfg.topology = topo;
-    cfg.campaigns = 4;
     const sim::ChaosSoak soak(cfg);
     const double bound = 2.5 * cfg.detector.lease_duration +
                          1.5 * cfg.detector.election_timeout +
                          2.0 * sim::kSoakAuditPeriod + 10.0;
-    for (std::size_t k = 0; k < cfg.campaigns; ++k) {
+    for (std::size_t k = 0; k < 4; ++k) {
       const auto res = soak.run_campaign(k);
       EXPECT_EQ(res.topology, net::to_string(topo));
       EXPECT_GT(res.corruptions, 0u);

@@ -23,6 +23,7 @@
 #include "obs/sinks.h"
 #include "obs/trace.h"
 #include "sim/depletion_monitor.h"
+#include "tests/trace_helpers.h"
 
 namespace wsn {
 namespace {
@@ -77,7 +78,7 @@ TEST(DepletionMonitor, BudgetCrossingBecomesTracedDeath) {
   stack.register_metrics(registry);
   const obs::analyze::JsonValue snapshot =
       obs::analyze::parse_json(registry.to_json());
-  const auto report = obs::analyze::check_trace(events, &snapshot);
+  const auto report = testing_helpers::check_events(events, &snapshot);
   EXPECT_TRUE(report.ok()) << (report.issues.empty() ? "" : report.issues[0]);
   EXPECT_EQ(report.events_seen, events.size());
 
@@ -137,7 +138,7 @@ TEST(ProactiveHandoff, LeaderRetiresBeforeItsBatteryDies) {
   stack.register_metrics(registry);
   const obs::analyze::JsonValue snapshot =
       obs::analyze::parse_json(registry.to_json());
-  const auto report = obs::analyze::check_trace(sink.events(), &snapshot);
+  const auto report = testing_helpers::check_events(sink.events(), &snapshot);
   EXPECT_TRUE(report.ok()) << (report.issues.empty() ? "" : report.issues[0]);
 }
 

@@ -32,6 +32,7 @@
 #include "obs/trace.h"
 #include "sim/fault_plan.h"
 #include "tests/failover_oracle.h"
+#include "tests/trace_helpers.h"
 
 namespace wsn {
 namespace {
@@ -262,6 +263,63 @@ TEST(FaultPlanJson, RejectsMalformedInput) {
       R"({"events": [{"at": 1.0, "kind": "region_outage", "row0": 0,
                       "col0": 0, "row1": 0.5, "col1": 1, "duration": 2}]})");
   EXPECT_NE(msg.find("row1 0.5 is not an integer"), std::string::npos) << msg;
+}
+
+TEST(FaultPlanJson, MalformedNumbersNameTheirLine) {
+  // Each once parsed as the prefix strtod/strtoull accepted: "node": --5
+  // crashed node 0 and "at": 1-2 fired at t=1.
+  for (const std::string field :
+       {R"("node": --5)", R"("node": 1-2)", R"("node": 1.2.3)",
+        R"("node": 1e)", R"("node": 18446744073709551616)",
+        R"("node": 3, "at": 1-2)"}) {
+    const std::string msg = rejection_message(
+        "{\"events\": [\n"
+        "  {\"kind\": \"crash\",\n"
+        "   " + field + "}\n"
+        "]}");
+    EXPECT_EQ(msg.rfind("fault plan line 3: ", 0), 0u)
+        << field << " -> " << msg;
+  }
+}
+
+TEST(FaultPlanJson, WrongTypedFieldsNameTheirLine) {
+  // "at": "5" once failed with "json: value is not a number" and no line.
+  EXPECT_EQ(rejection_message(
+                "{\"events\": [\n"
+                "  {\"at\": \"5\", \"kind\": \"crash\", \"node\": 3}\n"
+                "]}"),
+            "fault plan line 2, event #1: \"at\" is not a number");
+  EXPECT_EQ(rejection_message(
+                "{\"events\": [\n"
+                "  {\"at\": 1, \"kind\": \"crash\", \"node\": 3},\n"
+                "  {\"at\": 5, \"kind\": \"crash\",\n"
+                "   \"cell\": {\"col\": 0,\n"
+                "            \"row\": \"a\"}}\n"
+                "]}"),
+            "fault plan line 5, event #2: \"row\" is not a number");
+  EXPECT_EQ(rejection_message(
+                "{\"events\": [\n"
+                "  {\"at\": 5, \"kind\": \"crash\", \"cell\": 7}\n"
+                "]}"),
+            "fault plan line 2, event #1: \"cell\" is not an object");
+  EXPECT_EQ(rejection_message("{\"events\": [\n  [1]\n]}"),
+            "fault plan line 2, event #1: event is not an object");
+  EXPECT_EQ(rejection_message("[\n{\"events\": []}]"),
+            "fault plan line 1: missing \"events\" array");
+  EXPECT_EQ(rejection_message("{\n\"events\": {}}"),
+            "fault plan line 2: missing \"events\" array");
+}
+
+TEST(FaultPlanJson, SyntaxErrorsNameTheirLine) {
+  // A missing comma on line 3.
+  EXPECT_EQ(rejection_message(
+                "{\"events\": [\n"
+                "  {\"at\": 1, \"kind\": \"crash\", \"node\": 3},\n"
+                "  {\"at\": 2 \"kind\": \"recover\", \"node\": 3}\n"
+                "]}"),
+            "fault plan line 3: expected '}'");
+  EXPECT_EQ(rejection_message("{\"events\": [\n\n  {\"at\": 1,"),
+            "fault plan line 3: unexpected end of input, expected '\"'");
 }
 
 TEST(FaultPlanJson, UnknownKindErrorNamesLineAndEvent) {
@@ -986,7 +1044,7 @@ TEST(FaultCampaign, CannedCampaignDegradesRecoversAndExplains) {
   EXPECT_EQ(sink.dropped(), 0u);
   const obs::analyze::JsonValue snapshot =
       obs::analyze::parse_json(registry.to_json());
-  const auto report = obs::analyze::check_trace(sink.events(), &snapshot);
+  const auto report = testing_helpers::check_events(sink.events(), &snapshot);
   EXPECT_TRUE(report.ok()) << report.issues.front();
   EXPECT_GT(stack.arq->counters().get("arq.give_up"), 0u);
 }

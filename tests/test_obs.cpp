@@ -24,6 +24,7 @@
 #include "obs/trace.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
+#include "tests/trace_helpers.h"
 
 namespace {
 
@@ -126,28 +127,25 @@ TEST(JsonlExport, RoundTripsLosslessly) {
 
   std::ostringstream out;
   obs::write_jsonl(events, out);
-  std::istringstream in(out.str());
-  const auto parsed = obs::parse_jsonl(in);
+  const auto parsed = testing_helpers::parse_jsonl_text(out.str());
   ASSERT_EQ(parsed.size(), events.size());
   EXPECT_EQ(parsed[0], events[0]);
   EXPECT_EQ(parsed[1], events[1]);
 }
 
 TEST(JsonlExport, ParseRejectsGarbage) {
-  std::istringstream in("{\"t\":1.0,\"node\":0,");
-  EXPECT_THROW(obs::parse_jsonl(in), std::runtime_error);
+  EXPECT_THROW(obs::parse_jsonl_line("{\"t\":1.0,\"node\":0,"),
+               std::runtime_error);
 }
 
 TEST(JsonlExport, ParseAcceptsIntegerTypedTime) {
   // Foreign producers often emit whole-number times without a decimal
   // point; the reader must coerce instead of dying on the variant type.
-  std::istringstream in(
+  const obs::TraceEvent ev = obs::parse_jsonl_line(
       "{\"t\":5,\"node\":2,\"cat\":\"vnet\",\"ph\":\"i\",\"name\":\"send\","
-      "\"flow\":1,\"args\":{}}\n");
-  const auto events = obs::parse_jsonl(in);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_DOUBLE_EQ(events[0].time, 5.0);
-  EXPECT_EQ(events[0].node, 2);
+      "\"flow\":1,\"args\":{}}");
+  EXPECT_DOUBLE_EQ(ev.time, 5.0);
+  EXPECT_EQ(ev.node, 2);
 }
 
 TEST(JsonlExport, ParseFailuresAreCleanRuntimeErrors) {
@@ -175,22 +173,47 @@ TEST(JsonlExport, ParseFailuresAreCleanRuntimeErrors) {
       "\"flow\":0,\"args\":{}} trailing",
   };
   for (const char* line : bad_lines) {
-    std::istringstream in(std::string(line) + "\n");
-    EXPECT_THROW(obs::parse_jsonl(in), std::runtime_error) << line;
+    EXPECT_THROW(obs::parse_jsonl_line(line), std::runtime_error) << line;
   }
 }
 
 TEST(JsonlExport, ParseErrorsCarryLineNumbers) {
-  std::istringstream in(
-      "{\"t\":1.0,\"node\":0,\"cat\":\"vnet\",\"ph\":\"i\",\"name\":\"a\","
-      "\"flow\":0,\"args\":{}}\n"
-      "{broken\n");
   try {
-    obs::parse_jsonl(in);
+    testing_helpers::parse_jsonl_text(
+        "{\"t\":1.0,\"node\":0,\"cat\":\"vnet\",\"ph\":\"i\",\"name\":\"a\","
+        "\"flow\":0,\"args\":{}}\n"
+        "{broken\n");
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(JsonlExport, ParseRejectsMalformedNumbersNamingTheLine) {
+  // "node":- once read as node 0 and "node":1-2 as node 1.
+  for (const std::string node : {"-", "1-2", "--5", "1.2.3", "01"}) {
+    const std::string line =
+        "{\"t\":1.0,\"node\":" + node +
+        ",\"cat\":\"vnet\",\"ph\":\"i\",\"name\":\"a\",\"flow\":0,\"args\":{}}";
+    try {
+      obs::parse_jsonl_line(line, 7);
+      ADD_FAILURE() << line << " parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("json: line 7: ", 0), 0u)
+          << e.what();
+    }
+  }
+}
+
+TEST(JsonlExport, OddPhasesRoundTrip) {
+  // A phase is one byte, any byte: the writer escapes it like any string.
+  for (const char phase : {'"', '\\', '\n', '\x01'}) {
+    obs::TraceEvent ev;
+    ev.phase = phase;
+    std::string line;
+    obs::append_jsonl(ev, line);
+    EXPECT_EQ(obs::parse_jsonl_line(line), ev) << line;
   }
 }
 

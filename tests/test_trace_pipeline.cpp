@@ -25,10 +25,14 @@
 #include "obs/stream_sink.h"
 #include "obs/trace_reader.h"
 #include "obs/wtr.h"
+#include "tests/trace_helpers.h"
 
 namespace {
 
 using namespace wsn;
+using testing_helpers::check_events;
+using testing_helpers::nasty_events;
+using testing_helpers::slurp;
 namespace fs = std::filesystem;
 
 /// Per-test scratch directory (ctest runs gtest cases as parallel
@@ -47,19 +51,13 @@ struct ScopedDir {
   std::string path;
 };
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-/// n synthetic unit-latency flows (send + hop at t=k, deliver at t=k+1) —
-/// the checker-clean shape the analyzers reconstruct without issues.
-std::vector<obs::TraceEvent> flow_events(std::size_t n) {
+/// n synthetic unit-latency flows (send + hop at t=k*spacing, deliver one
+/// unit later) — the checker-clean shape the analyzers reconstruct without
+/// issues.
+std::vector<obs::TraceEvent> flow_events(std::size_t n, double spacing = 1.0) {
   std::vector<obs::TraceEvent> events;
   for (std::size_t k = 0; k < n; ++k) {
-    const double t = static_cast<double>(k);
+    const double t = static_cast<double>(k) * spacing;
     const auto src = static_cast<std::int64_t>(k % 1024);
     const auto dst = static_cast<std::int64_t>((k * 7 + 3) % 1024);
     const std::uint64_t flow = k + 1;
@@ -76,27 +74,6 @@ std::vector<obs::TraceEvent> flow_events(std::size_t n) {
     events.push_back(std::move(hop));
     events.push_back(std::move(deliver));
   }
-  return events;
-}
-
-/// Events exercising every corner of the encoding: all attr kinds, extreme
-/// integers, sub-normal/negative-zero doubles, JSON-hostile strings, every
-/// phase, negative node ids.
-std::vector<obs::TraceEvent> nasty_events() {
-  std::vector<obs::TraceEvent> events;
-  obs::TraceEvent a{0.0, -1, obs::Category::kApp, 'B', "phase \"one\"\n", 0,
-                    {{"min", std::int64_t{INT64_MIN}},
-                     {"max", std::int64_t{INT64_MAX}},
-                     {"umax", std::uint64_t{UINT64_MAX}},
-                     {"tiny", 5e-324},
-                     {"text", std::string("tab\t\\backslash\x01")}}};
-  obs::TraceEvent b{-0.0, INT64_MIN, obs::Category::kReliability, 'E',
-                    "", std::uint64_t{1} << 63,
-                    {{"neg_zero", -0.0}, {"third", 1.0 / 3.0}}};
-  obs::TraceEvent c{1e300, 42, obs::Category::kLink, 'i', "deliver", 7, {}};
-  events.push_back(std::move(a));
-  events.push_back(std::move(b));
-  events.push_back(std::move(c));
   return events;
 }
 
@@ -376,20 +353,21 @@ TEST(StreamingFileSink, FailureIsStickyAndReported) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental analysis == batch analysis
+// Incremental analysis: retirement changes memory, never results
 
 TEST(Incremental, StreamingFlowsMatchBatchAcrossRotation) {
   ScopedDir dir(unique_path("wtr"));
-  const auto events = flow_events(300);
+  // Flows 200 time units apart: at the 1024-unit retire lag about five are
+  // live at once, so the collector retires them all through the stream.
+  const auto events = flow_events(300, 200.0);
   write_capture(dir.path, events, obs::TraceFormat::kWtr, 4096);
 
   const std::vector<obs::analyze::Flow> batch =
-      obs::analyze::reconstruct_flows(events);
+      testing_helpers::collect_flows(events);
 
   std::vector<obs::analyze::Flow> streamed;
   obs::analyze::FlowCollector collector(
-      [&streamed](obs::analyze::Flow& f) { streamed.push_back(std::move(f)); },
-      {/*retire_lag=*/2.0});
+      [&streamed](obs::analyze::Flow& f) { streamed.push_back(std::move(f)); });
   obs::TraceReader reader(dir.path);
   obs::TraceEvent ev;
   std::size_t max_live = 0;
@@ -401,37 +379,43 @@ TEST(Incremental, StreamingFlowsMatchBatchAcrossRotation) {
 
   EXPECT_EQ(streamed, batch);
   EXPECT_EQ(collector.flows_seen(), 300u);
+  ASSERT_EQ(streamed.size(), 300u);
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    EXPECT_EQ(streamed[i].id, i + 1);  // creation order
+    EXPECT_TRUE(streamed[i].delivered);
+    EXPECT_DOUBLE_EQ(streamed[i].latency(), 1.0);
+  }
   // Bounded memory: the live window tracks the retire lag, not the trace.
   EXPECT_LT(max_live, 16u);
 }
 
+/// flow_events(50, spacing), then an orphan delivery, a send that never
+/// delivers, one clean collective and one that never completes.
+std::vector<obs::TraceEvent> anomalous_events(double spacing) {
+  auto events = flow_events(50, spacing);
+  const double t = 900.0 * spacing;
+  events.push_back({t, 3, obs::Category::kVirtual, 'i', "deliver", 9001, {}});
+  events.push_back({t + spacing, 4, obs::Category::kVirtual, 'i', "send",
+                    9002,
+                    {{"dst", std::int64_t{5}},
+                     {"size", 1.0},
+                     {"hops", std::uint64_t{1}}}});
+  events.push_back({t + 2 * spacing, 0, obs::Category::kCollective, 'B',
+                    "reduce", 9100, {}});
+  events.push_back({t + 3 * spacing, 0, obs::Category::kCollective, 'E',
+                    "reduce", 9100, {}});
+  events.push_back({t + 4 * spacing, 0, obs::Category::kCollective, 'B',
+                    "barrier", 9101, {}});
+  return events;
+}
+
 TEST(Incremental, StreamingCheckMatchesBatchVerdict) {
-  auto events = flow_events(50);
-  // Orphan delivery (flow never sent).
-  obs::TraceEvent orphan{900.0, 3, obs::Category::kVirtual, 'i', "deliver",
-                         9001, {}};
-  events.push_back(orphan);
-  // A send that never delivers.
-  obs::TraceEvent lost{901.0, 4, obs::Category::kVirtual, 'i', "send", 9002,
-                       {{"dst", std::int64_t{5}},
-                        {"size", 1.0},
-                        {"hops", std::uint64_t{1}}}};
-  events.push_back(lost);
-  // One clean collective and one that never completes.
-  events.push_back({902.0, 0, obs::Category::kCollective, 'B', "reduce", 9100,
-                    {}});
-  events.push_back({903.0, 0, obs::Category::kCollective, 'E', "reduce", 9100,
-                    {}});
-  events.push_back({904.0, 0, obs::Category::kCollective, 'B', "barrier",
-                    9101, {}});
-
-  const obs::analyze::CheckReport batch = obs::analyze::check_trace(events);
-
-  obs::analyze::StreamCheckOptions options;
-  options.retire_lag = 8.0;
-  obs::analyze::StreamingChecker checker(options);
-  for (const obs::TraceEvent& ev : events) checker.feed(ev);
-  const obs::analyze::CheckReport streamed = checker.finish();
+  // Squeezed into 904 time units, nothing retires before finish(); spread
+  // 100x wider, flows and ARQ state retire mid-stream. The verdict must not
+  // depend on which.
+  const obs::analyze::CheckReport batch = check_events(anomalous_events(1.0));
+  const obs::analyze::CheckReport streamed =
+      check_events(anomalous_events(100.0));
 
   EXPECT_EQ(streamed.flows_checked, batch.flows_checked);
   EXPECT_EQ(streamed.collectives_checked, batch.collectives_checked);
@@ -440,14 +424,15 @@ TEST(Incremental, StreamingCheckMatchesBatchVerdict) {
     return v;
   };
   EXPECT_EQ(sorted(streamed.issues), sorted(batch.issues));
-  EXPECT_FALSE(streamed.ok());
+  EXPECT_EQ(batch.issues.size(), 3u);
+  EXPECT_EQ(batch.flows_checked, 52u);
 }
 
 TEST(Incremental, StreamingMembershipMatchesBatchFindings) {
   // A membership stream with one clean adoption, one adoption whose
   // vacated cell is never re-bound (dark cell), and repair churn after the
-  // reconciliation deadline. check_trace over the vector and a default
-  // (retiring) StreamingChecker must report byte-identical findings.
+  // reconciliation deadline. Checked in memory and streamed back from a
+  // JSONL capture, the findings must be byte-identical.
   using obs::Category;
   std::vector<obs::TraceEvent> events;
   events.push_back({10.0, 3, Category::kReliability, 'i', "fd.defect", 0,
@@ -476,23 +461,24 @@ TEST(Incremental, StreamingMembershipMatchesBatchFindings) {
   events.push_back({160.0, 5, Category::kReliability, 'i', "fd.roster_heal",
                     0, {}});
 
-  const obs::analyze::CheckReport batch = obs::analyze::check_trace(events);
+  const obs::analyze::CheckReport batch = check_events(events);
   ASSERT_EQ(batch.issues.size(), 2u);  // dark cell + late churn
 
-  obs::analyze::StreamingChecker checker{obs::analyze::StreamCheckOptions{}};
-  for (const obs::TraceEvent& ev : events) checker.feed(ev);
+  const std::string path = unique_path("trace.jsonl");
+  {
+    std::ofstream out(path, std::ios::binary);
+    obs::write_jsonl(events, out);
+  }
+  obs::analyze::StreamingChecker checker;
+  obs::TraceReader reader(path);
+  obs::TraceEvent ev;
+  while (reader.next(ev)) checker.feed(ev);
   const obs::analyze::CheckReport streamed = checker.finish();
-  auto sorted = [](std::vector<std::string> v) {
-    std::sort(v.begin(), v.end());
-    return v;
-  };
-  EXPECT_EQ(sorted(streamed.issues), sorted(batch.issues));
-  EXPECT_FALSE(streamed.ok());
+  EXPECT_EQ(streamed.issues, batch.issues);
+  fs::remove(path);
 }
 
-TEST(Incremental, NegativeRetireLagKeepsArqExchanges) {
-  // A negative lag means "never retire": the ack, far past any finite lag
-  // after its send, must still find it.
+TEST(Incremental, ArqExchangeLivesForTheRetireLag) {
   auto rel = [](double t, const char* name) {
     return obs::TraceEvent{t,
                            3,
@@ -504,13 +490,22 @@ TEST(Incremental, NegativeRetireLagKeepsArqExchanges) {
                             {"dst", std::uint64_t{4}},
                             {"seq", std::uint64_t{1}}}};
   };
-  obs::analyze::StreamCheckOptions options;
-  options.retire_lag = -1.0;
-  obs::analyze::StreamingChecker checker(options);
-  checker.feed(rel(1.0, "rel.send"));
-  checker.feed(rel(5001.0, "rel.ack"));
-  const obs::analyze::CheckReport report = checker.finish();
-  EXPECT_TRUE(report.ok()) << report.issues.front();
+  // Any later event advances the watermark that retires ARQ state.
+  auto tick = [](double t) {
+    return obs::TraceEvent{t, 0, obs::Category::kLink, 'i', "broadcast", 0,
+                           {}};
+  };
+  constexpr double kLag = obs::analyze::kRetireLag;
+  // An ack just inside the lag still finds its send...
+  EXPECT_TRUE(check_events({rel(1.0, "rel.send"), tick(kLag),
+                            rel(kLag, "rel.ack")})
+                  .ok());
+  // ...one past it does not: the exchange retired.
+  const obs::analyze::CheckReport late = check_events(
+      {rel(1.0, "rel.send"), tick(kLag + 2.0), rel(kLag + 2.0, "rel.ack")});
+  ASSERT_EQ(late.issues.size(), 1u);
+  EXPECT_NE(late.issues[0].find("no matching rel.send"), std::string::npos)
+      << late.issues[0];
 }
 
 // ---------------------------------------------------------------------------

@@ -175,6 +175,7 @@ wsn::sim::ChaosCampaignResult save_artifacts(
 
 int main(int argc, char** argv) {
   wsn::sim::ChaosSoakConfig cfg;
+  std::size_t campaigns = 25;
   std::string out_dir;
   std::string plan_path;
   std::string profile_path;
@@ -190,7 +191,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--campaigns") {
-      cfg.campaigns = std::strtoul(next(), nullptr, 10);
+      campaigns = std::strtoul(next(), nullptr, 10);
     } else if (arg == "--seed") {
       cfg.seed = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--grid") {
@@ -267,7 +268,7 @@ int main(int argc, char** argv) {
   std::printf("chaos soak: topology %s, grid %zux%zu, %zu nodes, "
               "%zu campaigns, seed %llu, detection bound %.1f%s\n",
               wsn::net::to_string(cfg.topology), cfg.grid_side, cfg.grid_side,
-              cfg.node_count, cfg.campaigns,
+              cfg.node_count, campaigns,
               static_cast<unsigned long long>(cfg.seed),
               soak.detection_bound(),
               cfg.membership   ? " (membership mode)"
@@ -316,7 +317,7 @@ int main(int argc, char** argv) {
     if (only >= 0) {
       take(run(static_cast<std::size_t>(only)));
     } else {
-      for (std::size_t k = 0; k < cfg.campaigns; ++k) take(run(k));
+      for (std::size_t k = 0; k < campaigns; ++k) take(run(k));
     }
   } catch (const std::exception& e) {
     // A given plan that targets something outside the stack.
