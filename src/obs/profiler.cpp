@@ -77,6 +77,7 @@ const char* prof_cat_name(ProfCat c) {
     case ProfCat::kTraceEmit: return "trace_emit";
     case ProfCat::kSink: return "sink";
     case ProfCat::kPhase: return "phase";
+    case ProfCat::kApp: return "app";
   }
   return "phase";
 }

@@ -54,8 +54,9 @@ enum class ProfCat : std::uint8_t {
   kTraceEmit = 6,  // obs: Tracer::emit fan-out
   kSink = 7,       // obs: trace sink accept (ring buffer write)
   kPhase = 8,      // user-defined phases (quickstart setup/query/campaign)
+  kApp = 9,        // app: the Figure 4 program's rules and their hooks
 };
-inline constexpr std::size_t kProfCatCount = 9;
+inline constexpr std::size_t kProfCatCount = 10;
 
 /// Stable short name used in exports ("dispatch", "link_tx", ...).
 const char* prof_cat_name(ProfCat c);

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "app/field.h"
+#include "app/topographic.h"
 #include "core/grid_topology.h"
 #include "emulation/physical_stack.h"
 #include "obs/analyze/bench_compare.h"
@@ -222,6 +224,24 @@ TEST(SimProfiler, RegistersProfGauges) {
   EXPECT_GT(registry.gauge("prof.events_per_sec"), 0.0);
   EXPECT_GE(registry.gauge("prof.host_ms"), 0.0);
   EXPECT_GE(registry.gauge("prof.alloc_count"), 0.0);
+}
+
+TEST(SimProfiler, ProgramWorkIsBilledToApp) {
+  // The Figure 4 program runs inside the ARQ receive span and the kernel's
+  // dispatch span; its own span keeps the merge work out of their self
+  // time.
+  emulation::PhysicalStack stack(4, 60, 1.3, 3);
+  stack.enable_arq();
+  obs::SimProfiler& prof = obs::profiler();
+  prof.arm();
+  const auto outcome =
+      app::run_topographic_query(*stack.overlay, app::full_grid(4));
+  prof.disarm();
+  EXPECT_EQ(outcome.regions.size(), 1u);
+  const obs::ProfBucket& app_bucket = prof.bucket(obs::ProfCat::kApp);
+  EXPECT_GT(app_bucket.count, 0u);
+  EXPECT_GT(app_bucket.self_ns, 0u);
+  EXPECT_STREQ(obs::prof_cat_name(obs::ProfCat::kApp), "app");
 }
 
 // ---------------------------------------------------------------------------
