@@ -4,7 +4,6 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace wsn::app {
 namespace {
@@ -34,32 +33,27 @@ void for_each_perimeter_label(const BlockSummary& s, Fn&& fn) {
 }
 
 /// Renumbers perimeter labels densely (1..k, canonical encounter order) and
-/// rebuilds the open map from `stats`. `stats` maps the raw label space used
-/// in the edge arrays to region statistics.
-void canonicalize(BlockSummary& s,
-                  const std::unordered_map<BoundaryLabel, RegionInfo>& stats) {
-  std::unordered_map<BoundaryLabel, BoundaryLabel> dense;
+/// rebuilds `s.open`. The edge arrays hold raw labels; raw label l has the
+/// statistics stats[l - 1]. On return relabel[l - 1] is the new label of raw
+/// label l, or 0 if l is not on the perimeter.
+void canonicalize(BlockSummary& s, const std::vector<RegionInfo>& stats,
+                  std::vector<BoundaryLabel>& relabel) {
+  relabel.assign(stats.size(), 0);
+  s.open.clear();
   for_each_perimeter_label(s, [&](BoundaryLabel raw) {
-    if (raw == 0) return;
-    dense.try_emplace(raw, static_cast<BoundaryLabel>(dense.size()) + 1);
+    if (raw == 0 || relabel[raw - 1] != 0) return;
+    s.open.push_back(stats[raw - 1]);
+    relabel[raw - 1] = static_cast<BoundaryLabel>(s.open.size());
   });
-  auto remap = [&dense](std::vector<BoundaryLabel>& edge) {
+  auto remap = [&relabel](std::vector<BoundaryLabel>& edge) {
     for (BoundaryLabel& l : edge) {
-      if (l != 0) l = dense.at(l);
+      if (l != 0) l = relabel[l - 1];
     }
   };
   remap(s.north);
   remap(s.south);
   remap(s.west);
   remap(s.east);
-  s.open.clear();
-  for (const auto& [raw, label] : dense) {
-    auto it = stats.find(raw);
-    if (it == stats.end()) {
-      throw std::logic_error("canonicalize: perimeter label without stats");
-    }
-    s.open.emplace(label, it->second);
-  }
 }
 
 enum class Adjacency { kHorizontal, kVertical };
@@ -90,15 +84,6 @@ std::optional<std::pair<Adjacency, bool>> classify(const BlockSummary& a,
   return std::nullopt;
 }
 
-std::vector<BoundaryLabel> concat(const std::vector<BoundaryLabel>& x,
-                                  const std::vector<BoundaryLabel>& y) {
-  std::vector<BoundaryLabel> out;
-  out.reserve(x.size() + y.size());
-  out.insert(out.end(), x.begin(), x.end());
-  out.insert(out.end(), y.begin(), y.end());
-  return out;
-}
-
 }  // namespace
 
 BlockSummary BlockSummary::leaf(const core::GridCoord& c, bool feature) {
@@ -112,7 +97,7 @@ BlockSummary BlockSummary::leaf(const core::GridCoord& c, bool feature) {
   if (feature) {
     GridBounds b;
     b.expand(c);
-    s.open.emplace(1, RegionInfo{1, b});
+    s.open.push_back(RegionInfo{1, b});
   }
   return s;
 }
@@ -156,32 +141,32 @@ BlockSummary BlockSummary::of_rect(const FeatureGrid& grid, std::int32_t row0,
     s.east[r] = local_label(r, width - 1);
   }
 
-  // Region statistics in global coordinates.
-  std::unordered_map<BoundaryLabel, RegionInfo> stats;
-  std::vector<bool> touches(labeled.regions.size() + 1, false);
+  // Region statistics in global coordinates; labels run 1..k.
+  std::vector<RegionInfo> stats(labeled.regions.size());
   for (const Region& region : labeled.regions) {
     GridBounds global;
     global.row_min = region.bounds.row_min + row0;
     global.row_max = region.bounds.row_max + row0;
     global.col_min = region.bounds.col_min + col0;
     global.col_max = region.bounds.col_max + col0;
-    stats[region.label] = RegionInfo{region.area, global};
+    RegionInfo& info = stats[region.label - 1];
+    info = RegionInfo{region.area, global};
     const bool touch = region.bounds.row_min == 0 ||
                        region.bounds.col_min == 0 ||
                        region.bounds.row_max ==
                            static_cast<std::int32_t>(height) - 1 ||
                        region.bounds.col_max ==
                            static_cast<std::int32_t>(width) - 1;
-    touches[region.label] = touch;
-    if (!touch) s.closed.push_back(stats[region.label]);
+    if (!touch) s.closed.push_back(info);
   }
-  canonicalize(s, stats);
+  std::vector<BoundaryLabel> relabel;
+  canonicalize(s, stats, relabel);
   return s;
 }
 
 std::uint64_t BlockSummary::total_area() const {
   std::uint64_t sum = 0;
-  for (const auto& [label, info] : open) sum += info.area;
+  for (const RegionInfo& info : open) sum += info.area;
   for (const RegionInfo& info : closed) sum += info.area;
   return sum;
 }
@@ -213,22 +198,19 @@ void BlockSummary::validate() const {
   }
   // Every perimeter label must be an open region and vice versa; labels are
   // dense 1..k.
-  std::vector<bool> seen(open.size() + 1, false);
+  std::vector<bool> seen(open.size(), false);
   for_each_perimeter_label(*this, [&](BoundaryLabel l) {
     if (l == 0) return;
-    if (!open.contains(l)) {
+    if (l > open.size()) {
       throw std::logic_error("BlockSummary: perimeter label not open");
     }
-    seen[l] = true;
+    seen[l - 1] = true;
   });
-  for (const auto& [label, info] : open) {
-    if (label == 0 || label > open.size()) {
-      throw std::logic_error("BlockSummary: open labels not dense");
-    }
-    if (!seen[label]) {
+  for (std::size_t i = 0; i < open.size(); ++i) {
+    if (!seen[i]) {
       throw std::logic_error("BlockSummary: open region not on perimeter");
     }
-    if (info.area == 0) {
+    if (open[i].area == 0) {
       throw std::logic_error("BlockSummary: open region with zero area");
     }
   }
@@ -250,103 +232,107 @@ std::string BlockSummary::describe() const {
   return os.str();
 }
 
-BlockSummary merge(const BlockSummary& a, const BlockSummary& b) {
+BlockSummary merge(BlockSummary&& a, BlockSummary&& b, MergeScratch& scratch) {
   const auto adjacency = classify(a, b);
   if (!adjacency) {
     throw std::invalid_argument("merge: extents are not edge-adjacent");
   }
   const auto [orientation, swapped] = *adjacency;
-  const BlockSummary& first = swapped ? b : a;   // west or north piece
-  const BlockSummary& second = swapped ? a : b;  // east or south piece
+  BlockSummary& first = swapped ? b : a;   // west or north piece; the result
+  BlockSummary& second = swapped ? a : b;  // east or south piece
 
   // Raw label space of the merged perimeter: first's labels keep their
-  // values; second's labels are offset past them.
+  // values; second's labels are offset past them. Raw label l is
+  // union-find element l - 1.
   const auto offset = static_cast<BoundaryLabel>(first.open.size());
-  auto shift = [offset](const std::vector<BoundaryLabel>& edge) {
-    std::vector<BoundaryLabel> out = edge;
-    for (BoundaryLabel& l : out) {
-      if (l != 0) l += offset;
-    }
-    return out;
-  };
-
-  // Union-find over raw labels 1..first.open.size()+second.open.size();
-  // index i represents raw label i+1.
-  detail::DisjointSets dsu(first.open.size() + second.open.size());
+  const std::size_t raw_count = first.open.size() + second.open.size();
+  detail::DisjointSets& sets = scratch.sets;
+  sets.reset(raw_count);
   auto unite_seam = [&](const std::vector<BoundaryLabel>& edge_first,
                         const std::vector<BoundaryLabel>& edge_second) {
     for (std::size_t i = 0; i < edge_first.size(); ++i) {
       const BoundaryLabel la = edge_first[i];
       const BoundaryLabel lb = edge_second[i];
       if (la != 0 && lb != 0) {
-        dsu.unite(la - 1, lb + offset - 1);
+        sets.unite(la - 1, lb + offset - 1);
       }
     }
   };
+  // Appends second's `tail` to first's `edge`, shifting it into the raw
+  // space.
+  auto append = [offset](std::vector<BoundaryLabel>& edge,
+                         const std::vector<BoundaryLabel>& tail) {
+    const std::size_t from = edge.size();
+    edge.insert(edge.end(), tail.begin(), tail.end());
+    for (std::size_t i = from; i < edge.size(); ++i) {
+      if (edge[i] != 0) edge[i] += offset;
+    }
+  };
+  // Replaces first's `edge` with second's, shifted into the raw space.
+  auto take = [offset](std::vector<BoundaryLabel>& edge,
+                       std::vector<BoundaryLabel>& theirs) {
+    edge.swap(theirs);
+    for (BoundaryLabel& l : edge) {
+      if (l != 0) l += offset;
+    }
+  };
 
-  BlockSummary out;
   if (orientation == Adjacency::kHorizontal) {
     unite_seam(first.east, second.west);
-    out.row0 = first.row0;
-    out.col0 = first.col0;
-    out.width = first.width + second.width;
-    out.height = first.height;
-    out.north = concat(first.north, shift(second.north));
-    out.south = concat(first.south, shift(second.south));
-    out.west = first.west;
-    out.east = shift(second.east);
+    first.width += second.width;
+    append(first.north, second.north);
+    append(first.south, second.south);
+    take(first.east, second.east);
   } else {
     unite_seam(first.south, second.north);
-    out.row0 = first.row0;
-    out.col0 = first.col0;
-    out.width = first.width;
-    out.height = first.height + second.height;
-    out.north = first.north;
-    out.south = shift(second.south);
-    out.west = concat(first.west, shift(second.west));
-    out.east = concat(first.east, shift(second.east));
+    first.height += second.height;
+    append(first.west, second.west);
+    append(first.east, second.east);
+    take(first.south, second.south);
   }
 
   // Resolve every perimeter label to its union-find root (in raw space).
-  auto resolve = [&](std::vector<BoundaryLabel>& edge) {
+  auto resolve = [&sets](std::vector<BoundaryLabel>& edge) {
     for (BoundaryLabel& l : edge) {
-      if (l != 0) l = dsu.find(l - 1) + 1;
+      if (l != 0) l = sets.find(l - 1) + 1;
     }
   };
-  resolve(out.north);
-  resolve(out.south);
-  resolve(out.west);
-  resolve(out.east);
+  resolve(first.north);
+  resolve(first.south);
+  resolve(first.west);
+  resolve(first.east);
 
   // Accumulate statistics per root.
-  std::unordered_map<BoundaryLabel, RegionInfo> stats;
-  auto fold = [&](const std::map<BoundaryLabel, RegionInfo>& open,
+  std::vector<RegionInfo>& stats = scratch.stats;
+  stats.assign(raw_count, RegionInfo{});
+  auto fold = [&](const std::vector<RegionInfo>& open,
                   BoundaryLabel label_offset) {
-    for (const auto& [label, info] : open) {
-      const BoundaryLabel root = dsu.find(label + label_offset - 1) + 1;
-      RegionInfo& acc = stats[root];
-      acc.area += info.area;
-      acc.bounds.merge(info.bounds);
+    for (std::size_t i = 0; i < open.size(); ++i) {
+      RegionInfo& acc =
+          stats[sets.find(static_cast<BoundaryLabel>(i) + label_offset)];
+      acc.area += open[i].area;
+      acc.bounds.merge(open[i].bounds);
     }
   };
   fold(first.open, 0);
   fold(second.open, offset);
 
   // Closed regions pass through; groups absent from the merged perimeter
-  // close now.
-  out.closed = first.closed;
-  out.closed.insert(out.closed.end(), second.closed.begin(),
-                    second.closed.end());
-  std::vector<bool> on_perimeter(dsu.size() + 1, false);
-  for_each_perimeter_label(out, [&](BoundaryLabel l) {
-    if (l != 0) on_perimeter[l] = true;
-  });
-  for (const auto& [root, info] : stats) {
-    if (!on_perimeter[root]) out.closed.push_back(info);
+  // close now, in ascending root order.
+  first.closed.insert(first.closed.end(), second.closed.begin(),
+                      second.closed.end());
+  canonicalize(first, stats, scratch.relabel);
+  for (std::uint32_t r = 0; r < raw_count; ++r) {
+    if (sets.find(r) == r && scratch.relabel[r] == 0) {
+      first.closed.push_back(stats[r]);
+    }
   }
+  return std::move(first);
+}
 
-  canonicalize(out, stats);
-  return out;
+BlockSummary merge(const BlockSummary& a, const BlockSummary& b) {
+  MergeScratch scratch;
+  return merge(BlockSummary(a), BlockSummary(b), scratch);
 }
 
 BlockSummary merge4(const BlockSummary& nw, const BlockSummary& ne,
@@ -356,7 +342,7 @@ BlockSummary merge4(const BlockSummary& nw, const BlockSummary& ne,
 
 std::vector<RegionInfo> finalize(const BlockSummary& root) {
   std::vector<RegionInfo> regions = root.closed;
-  for (const auto& [label, info] : root.open) regions.push_back(info);
+  regions.insert(regions.end(), root.open.begin(), root.open.end());
   return regions;
 }
 
@@ -370,9 +356,9 @@ std::uint32_t QuadAccumulator::add(BlockSummary piece) {
     for (std::size_t i = 0; i < pieces_.size() && !progressed; ++i) {
       for (std::size_t j = i + 1; j < pieces_.size() && !progressed; ++j) {
         if (pieces_[i].mergeable_with(pieces_[j])) {
-          BlockSummary merged = merge(pieces_[i], pieces_[j]);
+          pieces_[i] = merge(std::move(pieces_[i]), std::move(pieces_[j]),
+                             *scratch_);
           pieces_.erase(pieces_.begin() + static_cast<std::ptrdiff_t>(j));
-          pieces_[i] = std::move(merged);
           ++merges;
           progressed = true;
         }

@@ -20,8 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,8 +52,9 @@ struct BlockSummary {
   // must agree.
   std::vector<BoundaryLabel> north, south, west, east;
 
-  /// Open regions by label (touch the perimeter; may extend beyond it).
-  std::map<BoundaryLabel, RegionInfo> open;
+  /// Open regions (touch the perimeter; may extend beyond it), indexed by
+  /// label - 1: the region labelled l is open[l - 1].
+  std::vector<RegionInfo> open;
   /// Closed regions (entirely inside; final).
   std::vector<RegionInfo> closed;
 
@@ -88,8 +87,27 @@ struct BlockSummary {
   std::string describe() const;
 };
 
-/// Merges two edge-adjacent summaries into the summary of their union.
-/// Throws std::invalid_argument if the extents are not compatible.
+/// Working storage of merge(), indexed by label: the union-find over both
+/// pieces' open regions, the statistics of each resulting region and its
+/// new label. Whoever runs a sequence of merges (a query round) owns one and
+/// passes it to each, so merges stop allocating here once it has grown to
+/// the largest pair of pieces.
+struct MergeScratch {
+  detail::DisjointSets sets;
+  std::vector<RegionInfo> stats;
+  std::vector<BoundaryLabel> relabel;
+};
+
+/// Merges two edge-adjacent summaries into the summary of their union,
+/// consuming both: the result reuses the west (or north) piece's edge
+/// vectors and takes over the other piece's. Regions that close in this
+/// merge are appended to `closed` in ascending order of their union-find
+/// root. Throws std::invalid_argument, leaving both pieces unchanged, if the
+/// extents are not edge-adjacent.
+BlockSummary merge(BlockSummary&& a, BlockSummary&& b, MergeScratch& scratch);
+
+/// The same merge for callers that keep their pieces: copies both, then
+/// runs the consuming merge with its own scratch.
 BlockSummary merge(const BlockSummary& a, const BlockSummary& b);
 
 /// Merges four quadrant summaries (NW, NE, SW, SE of one square) via
@@ -123,6 +141,12 @@ struct SummarySizeModel {
 /// all four quadrants have arrived.
 class QuadAccumulator {
  public:
+  /// Merges with `scratch`, which the accumulators of one round share; it
+  /// must outlive the accumulator.
+  explicit QuadAccumulator(MergeScratch& scratch) : scratch_(&scratch) {
+    pieces_.reserve(4);
+  }
+
   /// Adds one child summary; returns the number of pairwise merges
   /// performed immediately (0, 1, or 2), which the caller charges as
   /// computation.
@@ -135,6 +159,7 @@ class QuadAccumulator {
   BlockSummary take();
 
  private:
+  MergeScratch* scratch_;
   std::vector<BlockSummary> pieces_;
   std::size_t received_ = 0;
 };

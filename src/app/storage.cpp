@@ -30,18 +30,19 @@ RegionStore run_and_store(core::MessageFabric& fabric, const FeatureGrid& grid,
     return BlockSummary::leaf(c, grid.at(c));
   };
 
-  hooks.merge = [](std::any& acc, const std::any& incoming) {
-    if (!acc.has_value()) acc = CountingAccumulator{};
+  MergeScratch scratch;  // shared by the round's accumulators
+  hooks.merge = [&scratch](std::any& acc, std::any&& incoming) {
+    if (!acc.has_value()) acc = CountingAccumulator{QuadAccumulator(scratch)};
     auto& counting = std::any_cast<CountingAccumulator&>(acc);
-    const auto& piece = std::any_cast<const BlockSummary&>(incoming);
+    auto& piece = std::any_cast<BlockSummary&>(incoming);
     counting.input_closed += piece.closed.size();
-    counting.quad.add(piece);
+    counting.quad.add(std::move(piece));
   };
 
   hooks.seal = [&store, &fabric](std::any& acc, const core::GridCoord& self,
                                  std::uint32_t level) -> std::any {
     if (level == 0) {
-      return std::any_cast<BlockSummary>(acc);
+      return std::move(acc);  // the sensed leaf summary itself
     }
     auto& counting = std::any_cast<CountingAccumulator&>(acc);
     if (!counting.quad.complete()) {
@@ -63,7 +64,7 @@ RegionStore run_and_store(core::MessageFabric& fabric, const FeatureGrid& grid,
   };
 
   hooks.exfiltrate = [&store, &fabric](const core::GridCoord& c,
-                                       std::any payload) {
+                                       const std::any& payload) {
     const auto& summary = std::any_cast<const BlockSummary&>(payload);
     // Regions still open at the root close here conceptually.
     store.closed_here[fabric.grid().index_of(c)] +=
@@ -71,7 +72,7 @@ RegionStore run_and_store(core::MessageFabric& fabric, const FeatureGrid& grid,
     store.total_regions = finalize(summary).size();
   };
 
-  synthesis::AggregationProgram program(fabric, hooks);
+  synthesis::AggregationProgram program(fabric, std::move(hooks));
   program.start_round();
   fabric.simulator().run();
   if (!program.finished()) {

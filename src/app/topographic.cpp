@@ -1,5 +1,6 @@
 #include "app/topographic.h"
 
+#include <memory>
 #include <stdexcept>
 
 namespace wsn::app {
@@ -15,17 +16,19 @@ synthesis::ProgramHooks topographic_hooks(
     return BlockSummary::leaf(c, grid.at(c));
   };
 
-  hooks.merge = [](std::any& acc, const std::any& incoming) {
-    if (!acc.has_value()) acc = QuadAccumulator{};
+  // The round's accumulators share one merge workspace.
+  auto scratch = std::make_shared<MergeScratch>();
+  hooks.merge = [scratch](std::any& acc, std::any&& incoming) {
+    if (!acc.has_value()) acc = QuadAccumulator(*scratch);
     auto& accumulator = std::any_cast<QuadAccumulator&>(acc);
-    accumulator.add(std::any_cast<BlockSummary>(incoming));
+    accumulator.add(std::move(std::any_cast<BlockSummary&>(incoming)));
   };
 
   hooks.seal = [](std::any& acc, const core::GridCoord& /*self*/,
                   std::uint32_t level) -> std::any {
     if (level == 0) {
-      // Level 0 holds the sensed leaf summary directly.
-      return std::any_cast<BlockSummary>(acc);
+      // Level 0 holds the sensed leaf summary itself; pass it on.
+      return std::move(acc);
     }
     auto& accumulator = std::any_cast<QuadAccumulator&>(acc);
     if (!accumulator.complete()) {
@@ -38,7 +41,8 @@ synthesis::ProgramHooks topographic_hooks(
     return size_model.units(std::any_cast<const BlockSummary&>(p));
   };
 
-  hooks.exfiltrate = [regions_out](const core::GridCoord&, std::any payload) {
+  hooks.exfiltrate = [regions_out](const core::GridCoord&,
+                                   const std::any& payload) {
     if (regions_out != nullptr) {
       *regions_out = finalize(std::any_cast<const BlockSummary&>(payload));
     }

@@ -3,7 +3,7 @@
 namespace wsn::core {
 
 void VirtualNetwork::deliver(const GridCoord& from, const GridCoord& to,
-                             const std::any& payload, double size_units,
+                             std::any payload, double size_units,
                              std::uint64_t flow) {
   const std::size_t idx = grid_.index_of(to);
   if (down_[idx]) {
@@ -29,7 +29,7 @@ void VirtualNetwork::deliver(const GridCoord& from, const GridCoord& to,
           {"size", size_units}}});
   }
   if (receivers_[idx]) {
-    receivers_[idx](VirtualMessage{from, size_units, payload});
+    receivers_[idx](VirtualMessage{from, size_units, std::move(payload)});
   } else {
     counters_.add(Counter::kNoReceiver);
   }
@@ -66,7 +66,8 @@ void VirtualNetwork::forward_serialized(
   sim_.schedule_at(depart, [this, path, hop, payload, size_units, flow]() {
     const std::size_t next = hop + 1;
     if (next + 1 == path->size()) {
-      deliver(path->front(), path->back(), *payload, size_units, flow);
+      deliver(path->front(), path->back(), std::move(*payload), size_units,
+              flow);
     } else {
       forward_serialized(path, next, payload, size_units, flow);
     }
@@ -99,10 +100,11 @@ void VirtualNetwork::send(const GridCoord& from, const GridCoord& to,
   if (hops == 0) {
     // Self-delivery: no radio involved, no energy, no latency.
     counters_.add(Counter::kSelfSend);
-    sim_.post([this, from, payload = std::move(payload), size_units]() {
+    sim_.post([this, from, payload = std::move(payload),
+               size_units]() mutable {
       const std::size_t idx = grid_.index_of(from);
       if (receivers_[idx]) {
-        receivers_[idx](VirtualMessage{from, size_units, payload});
+        receivers_[idx](VirtualMessage{from, size_units, std::move(payload)});
       }
     });
     return;
@@ -151,8 +153,9 @@ void VirtualNetwork::send(const GridCoord& from, const GridCoord& to,
   const sim::Time latency = cost_.path_latency(hops, size_units);
   sim_.schedule_in(
       latency,
-      [this, from, to, payload = std::move(payload), size_units, flow]() {
-        deliver(from, to, payload, size_units, flow);
+      [this, from, to, payload = std::move(payload), size_units,
+       flow]() mutable {
+        deliver(from, to, std::move(payload), size_units, flow);
       });
 }
 

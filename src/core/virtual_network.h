@@ -138,8 +138,8 @@ class VirtualNetwork final : public MessageFabric {
   void forward_serialized(std::shared_ptr<std::vector<GridCoord>> path,
                           std::size_t hop, std::shared_ptr<std::any> payload,
                           double size_units, std::uint64_t flow);
-  void deliver(const GridCoord& from, const GridCoord& to,
-               const std::any& payload, double size_units, std::uint64_t flow);
+  void deliver(const GridCoord& from, const GridCoord& to, std::any payload,
+               double size_units, std::uint64_t flow);
 
   sim::Simulator& sim_;
   GridTopology grid_;

@@ -269,7 +269,10 @@ void OverlayNetwork::deliver_local(net::NodeId at, const OverlayPacket& pkt) {
   }
   const std::size_t idx = grid_.index_of(pkt.dst);
   if (handlers_[idx]) {
-    handlers_[idx](core::VirtualMessage{pkt.src, pkt.size_units, *pkt.payload});
+    // A packet reaches its destination once (the ARQ suppresses duplicate
+    // frames), so its payload is handed over, not copied.
+    handlers_[idx](core::VirtualMessage{pkt.src, pkt.size_units,
+                                        std::move(*pkt.payload)});
   }
 }
 

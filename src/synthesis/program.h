@@ -54,8 +54,10 @@ struct ProgramHooks {
   std::function<std::any(const core::GridCoord&)> sense;
 
   /// Folds one child contribution into the accumulator for a level.
-  /// `acc` starts empty (has_value() == false) for each level.
-  std::function<void(std::any& acc, const std::any& incoming)> merge;
+  /// `acc` starts empty (has_value() == false) for each level. The program
+  /// hands every payload over exactly once, so the hook may move from
+  /// `incoming`.
+  std::function<void(std::any& acc, std::any&& incoming)> merge;
 
   /// Converts a completed accumulation into the payload transmitted upward
   /// (level >= 1) or the level-0 sensed data into its payload (level == 0).
@@ -66,8 +68,9 @@ struct ProgramHooks {
   /// Units of data one payload occupies on the air.
   std::function<double(const std::any& payload)> payload_units;
 
-  /// Receives the final aggregate at the exfiltrating node.
-  std::function<void(const core::GridCoord&, std::any)> exfiltrate;
+  /// Receives the final aggregate at the exfiltrating node; the program
+  /// keeps it as result().
+  std::function<void(const core::GridCoord&, const std::any&)> exfiltrate;
 
   /// Cost annotations (ops per activation), per the uniform cost model.
   double sense_ops = 1.0;
@@ -112,17 +115,6 @@ class AggregationProgram {
   std::uint32_t max_rec_level() const { return max_level_; }
 
  private:
-  struct NodeState {
-    bool start = false;
-    std::vector<std::any> my_sub_graph;      // [0..maxrecLevel]
-    std::vector<std::uint32_t> msgs_received; // [0..maxrecLevel]
-    /// Merges whose compute latency has elapsed; gates advancement so the
-    /// final merge's cost lands on the critical path.
-    std::vector<std::uint32_t> merges_done;   // [0..maxrecLevel]
-    std::vector<bool> contributed;            // self data folded per level
-    std::vector<bool> level_sent;             // sealed & transmitted upward
-  };
-
   /// One message of the mGraph alphabet.
   struct MGraph {
     core::GridCoord sender_coord;
@@ -136,14 +128,25 @@ class AggregationProgram {
   /// (self-merge, network send, or exfiltration at maxrecLevel).
   void transmit_level(const core::GridCoord& c, std::uint32_t level);
   void check_advance(const core::GridCoord& c, std::uint32_t level);
-  NodeState& state(const core::GridCoord& c) {
-    return states_[fabric_.grid().index_of(c)];
+  /// Index of node `c`'s entry for `level` in the per-level state arrays.
+  std::size_t slot(const core::GridCoord& c, std::uint32_t level) const {
+    return fabric_.grid().index_of(c) * (max_level_ + 1) + level;
   }
 
   core::MessageFabric& fabric_;
   ProgramHooks hooks_;
   std::uint32_t max_level_;
-  std::vector<NodeState> states_;
+  // Figure 4's per-node state, sized once in the constructor and reset in
+  // place by start_round(). The per-level arrays hold nodes x (maxrecLevel
+  // + 1) entries, indexed by slot().
+  std::vector<bool> start_;                   // per node
+  std::vector<std::any> my_sub_graph_;        // mySubGraph[0..maxrecLevel]
+  std::vector<std::uint32_t> msgs_received_;  // msgsReceived[0..maxrecLevel]
+  /// Merges whose compute latency has elapsed; gates advancement so the
+  /// final merge's cost lands on the critical path.
+  std::vector<std::uint32_t> merges_done_;
+  std::vector<bool> contributed_;  // self data folded per level
+  std::vector<bool> level_sent_;   // sealed & transmitted upward
   RoundStats stats_;
   std::any result_;
 };

@@ -43,8 +43,8 @@ TEST(BlockSummary, LeafFeature) {
   EXPECT_EQ(s.closed_count(), 0u);
   EXPECT_EQ(s.total_area(), 1u);
   EXPECT_EQ(s.boundary_feature_cells(), 1u);
-  EXPECT_EQ(s.open.at(1).bounds.row_min, 3);
-  EXPECT_EQ(s.open.at(1).bounds.col_min, 5);
+  EXPECT_EQ(s.open.at(0).bounds.row_min, 3);
+  EXPECT_EQ(s.open.at(0).bounds.col_min, 5);
 }
 
 TEST(BlockSummary, LeafBackground) {
@@ -63,7 +63,7 @@ TEST(BlockSummary, MergeTwoFeatureLeavesHorizontally) {
   EXPECT_EQ(m.width, 2u);
   EXPECT_EQ(m.height, 1u);
   EXPECT_EQ(m.open_count(), 1u);  // joined across the seam
-  EXPECT_EQ(m.open.at(1).area, 2u);
+  EXPECT_EQ(m.open.at(0).area, 2u);
 }
 
 TEST(BlockSummary, MergeTwoFeatureLeavesVertically) {
@@ -74,7 +74,7 @@ TEST(BlockSummary, MergeTwoFeatureLeavesVertically) {
   EXPECT_EQ(m.width, 1u);
   EXPECT_EQ(m.height, 2u);
   EXPECT_EQ(m.open_count(), 1u);
-  EXPECT_EQ(m.open.at(1).area, 2u);
+  EXPECT_EQ(m.open.at(0).area, 2u);
 }
 
 TEST(BlockSummary, MergeArgumentOrderIrrelevant) {
@@ -178,8 +178,9 @@ TEST(QuadAccumulator, MergesInAnyArrivalOrder) {
       BlockSummary::of_rect(g, 0, 0, 2, 2), BlockSummary::of_rect(g, 0, 2, 2, 2),
       BlockSummary::of_rect(g, 2, 0, 2, 2), BlockSummary::of_rect(g, 2, 2, 2, 2)};
   std::vector<std::size_t> order{0, 1, 2, 3};
+  MergeScratch scratch;
   do {
-    QuadAccumulator acc;
+    QuadAccumulator acc(scratch);
     std::uint32_t merges = 0;
     for (std::size_t i : order) merges += acc.add(quadrants[i]);
     ASSERT_TRUE(acc.complete());
@@ -194,7 +195,8 @@ TEST(QuadAccumulator, MergesInAnyArrivalOrder) {
 }
 
 TEST(QuadAccumulator, TakeBeforeCompleteThrows) {
-  QuadAccumulator acc;
+  MergeScratch scratch;
+  QuadAccumulator acc(scratch);
   acc.add(BlockSummary::leaf({0, 0}, true));
   EXPECT_THROW(acc.take(), std::logic_error);
 }

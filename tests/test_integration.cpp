@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 
 #include "analysis/analytical.h"
 #include "app/centralized.h"
@@ -12,6 +13,8 @@
 #include "app/topographic.h"
 #include "core/virtual_network.h"
 #include "emulation/physical_stack.h"
+#include "obs/profiler.h"
+#include "synthesis/program.h"
 
 namespace wsn {
 namespace {
@@ -192,6 +195,85 @@ TEST(Integration, LossyPhysicalNetworkStillSetsUpTables) {
   emulation::CellMapper mapper(graph, terrain, 4);
   const auto result = emulation::run_topology_emulation(link, mapper);
   EXPECT_TRUE(result.boundary_audit_passed);
+}
+
+TEST(Topographic, QueryAllocationsStayBounded) {
+  // Summaries move through the program and merge in place with one
+  // workspace per round, so a query allocates for its leaves, its messages
+  // and its growing edges, not for copies of whole summaries (copying them
+  // at every hook cost about 11,800 allocations here). The warm-up query
+  // sizes the kernel's slots.
+  const app::FeatureGrid grid =
+      app::threshold_sample(app::value_noise_field(7), 16, 0.5);
+  sim::Simulator sim(1);
+  core::VirtualNetwork vnet(sim, core::GridTopology(16),
+                            core::uniform_cost_model());
+  app::run_topographic_query(vnet, grid);
+  const std::uint64_t before = obs::global_alloc_stats().count;
+  const auto outcome = app::run_topographic_query(vnet, grid);
+  const std::uint64_t allocs = obs::global_alloc_stats().count - before;
+  EXPECT_EQ(sorted_areas(outcome.regions),
+            sorted_areas(app::dnc_label(grid)));
+  EXPECT_LT(allocs, 5000u);
+}
+
+/// Hooks whose payload is the list of node indices a block covers, moved
+/// out of every input: a payload handed over twice arrives empty the second
+/// time, and one never handed over is missing from the root's list.
+synthesis::ProgramHooks moving_hooks(const core::GridTopology& grid,
+                                     std::vector<std::size_t>* root_list,
+                                     std::size_t* empty_inputs) {
+  using List = std::vector<std::size_t>;
+  synthesis::ProgramHooks hooks;
+  hooks.sense = [&grid](const core::GridCoord& c) -> std::any {
+    return List{grid.index_of(c)};
+  };
+  hooks.merge = [empty_inputs](std::any& acc, std::any&& incoming) {
+    const List piece = std::move(std::any_cast<List&>(incoming));
+    if (piece.empty()) ++*empty_inputs;
+    if (!acc.has_value()) acc = List{};
+    auto& list = std::any_cast<List&>(acc);
+    list.insert(list.end(), piece.begin(), piece.end());
+  };
+  hooks.seal = [](std::any& acc, const core::GridCoord&, std::uint32_t) {
+    return std::move(acc);
+  };
+  hooks.payload_units = [](const std::any&) { return 1.0; };
+  hooks.exfiltrate = [root_list](const core::GridCoord&,
+                                 const std::any& payload) {
+    *root_list = std::any_cast<const List&>(payload);
+  };
+  return hooks;
+}
+
+void expect_each_payload_once(core::MessageFabric& fabric) {
+  std::vector<std::size_t> root_list;
+  std::size_t empty_inputs = 0;
+  synthesis::AggregationProgram program(
+      fabric, moving_hooks(fabric.grid(), &root_list, &empty_inputs));
+  program.start_round();
+  fabric.simulator().run();
+  ASSERT_TRUE(program.finished());
+  EXPECT_EQ(empty_inputs, 0u);
+  std::ranges::sort(root_list);
+  std::vector<std::size_t> every_node(fabric.grid().node_count());
+  std::iota(every_node.begin(), every_node.end(), std::size_t{0});
+  EXPECT_EQ(root_list, every_node);
+}
+
+TEST(Topographic, MovingHookReceivesEachPayloadOnce) {
+  sim::Simulator sim(3);
+  core::VirtualNetwork vnet(sim, core::GridTopology(8),
+                            core::uniform_cost_model());
+  expect_each_payload_once(vnet);
+
+  // With loss, ARQ retransmits frames whose first copy did arrive; the
+  // duplicates it suppresses must not reach the program.
+  emulation::PhysicalStack stack(4, 160, 1.3, 5);
+  stack.enable_arq();
+  stack.link->set_loss_probability(0.1);
+  expect_each_payload_once(*stack.overlay);
+  EXPECT_GT(stack.arq->counters().get("arq.dup"), 0u);
 }
 
 }  // namespace

@@ -118,6 +118,74 @@ TEST_P(MergeCorrectness, PairwiseMergeMatchesOfRect) {
   }
 }
 
+/// Regions as a sorted list of (area, bounds), for multiset comparison.
+std::vector<std::tuple<std::uint64_t, int, int, int, int>> sorted_regions(
+    const std::vector<app::RegionInfo>& regions) {
+  std::vector<std::tuple<std::uint64_t, int, int, int, int>> keys;
+  for (const app::RegionInfo& r : regions) {
+    keys.emplace_back(r.area, r.bounds.row_min, r.bounds.col_min,
+                      r.bounds.row_max, r.bounds.col_max);
+  }
+  std::ranges::sort(keys);
+  return keys;
+}
+
+// The consuming merge, as a query round runs it: one workspace shared by
+// every merge, pieces moved in. Its result must equal the reference summary
+// of the union in full (edges, open regions by label, closed regions as a
+// multiset) whichever piece is passed first and whichever way the pieces
+// meet, down to 1-row and 1-column extents.
+TEST_P(MergeCorrectness, ConsumingMergeMatchesOfRectExactly) {
+  const auto [seed, density] = GetParam();
+  sim::Rng rng(static_cast<std::uint64_t>(seed) + 100);
+  const int side = 12;
+  const app::FeatureGrid grid =
+      app::random_grid(static_cast<std::size_t>(side), density, rng);
+  app::MergeScratch scratch;
+  for (int trial = 0; trial < 48; ++trial) {
+    const bool stacked = trial % 2 == 0;      // north/south, else west/east
+    const bool swapped = trial % 4 >= 2;      // east or south piece first
+    const bool thin = trial % 8 >= 6;         // one row or one column
+    // The split dimension needs two cells; the other may be one.
+    const auto w = static_cast<std::uint32_t>(
+        stacked && thin ? 1 : rng.between(stacked ? 1 : 2, side));
+    const auto h = static_cast<std::uint32_t>(
+        !stacked && thin ? 1 : rng.between(stacked ? 2 : 1, side));
+    const auto row0 = static_cast<std::int32_t>(rng.below(side - h + 1));
+    const auto col0 = static_cast<std::int32_t>(rng.below(side - w + 1));
+    app::BlockSummary first;
+    app::BlockSummary second;
+    if (stacked) {
+      const auto cut = static_cast<std::uint32_t>(rng.between(1, h - 1));
+      first = app::BlockSummary::of_rect(grid, row0, col0, w, cut);
+      second = app::BlockSummary::of_rect(
+          grid, row0 + static_cast<std::int32_t>(cut), col0, w, h - cut);
+    } else {
+      const auto cut = static_cast<std::uint32_t>(rng.between(1, w - 1));
+      first = app::BlockSummary::of_rect(grid, row0, col0, cut, h);
+      second = app::BlockSummary::of_rect(
+          grid, row0, col0 + static_cast<std::int32_t>(cut), w - cut, h);
+    }
+    const app::BlockSummary merged =
+        swapped ? app::merge(std::move(second), std::move(first), scratch)
+                : app::merge(std::move(first), std::move(second), scratch);
+    merged.validate();
+    const app::BlockSummary reference =
+        app::BlockSummary::of_rect(grid, row0, col0, w, h);
+    SCOPED_TRACE(reference.describe());
+    EXPECT_EQ(merged.row0, reference.row0);
+    EXPECT_EQ(merged.col0, reference.col0);
+    EXPECT_EQ(merged.width, reference.width);
+    EXPECT_EQ(merged.height, reference.height);
+    EXPECT_EQ(merged.north, reference.north);
+    EXPECT_EQ(merged.south, reference.south);
+    EXPECT_EQ(merged.west, reference.west);
+    EXPECT_EQ(merged.east, reference.east);
+    EXPECT_EQ(merged.open, reference.open);
+    EXPECT_EQ(sorted_regions(merged.closed), sorted_regions(reference.closed));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, MergeCorrectness,
                          ::testing::Combine(::testing::Range(1, 9),
                                             ::testing::Values(0.3, 0.5, 0.7)));

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/virtual_network.h"
+#include "obs/profiler.h"
 #include "synthesis/program.h"
 #include "synthesis/spec.h"
 #include "synthesis/synthesizer.h"
@@ -134,6 +135,34 @@ TEST(AggregationProgram, SecondRoundRunsCleanly) {
   prog.start_round();
   sim.run();
   EXPECT_DOUBLE_EQ(result, 32.0);  // identical second round
+}
+
+TEST(AggregationProgram, SecondStartRoundAllocatesNoState) {
+  // Per-node state is sized once, by the constructor; a new round resets it
+  // in place. What start_round() may allocate is the kernel's share of its
+  // one post per node, measured first with as many empty posts. The
+  // kernel's FIFO lane allocates in blocks, so where the lane starts within
+  // a block can move its count by one.
+  sim::Simulator sim(8);
+  core::VirtualNetwork vnet(sim, core::GridTopology(8),
+                            core::uniform_cost_model());
+  double result = -1;
+  AggregationProgram prog(
+      vnet, sum_hooks(&result, [](const core::GridCoord&) { return 1.0; }));
+  prog.start_round();
+  sim.run();
+
+  std::uint64_t before = obs::global_alloc_stats().count;
+  for (int i = 0; i < 64; ++i) sim.post([] {});
+  const std::uint64_t kernel_allocs = obs::global_alloc_stats().count - before;
+  sim.run();
+
+  before = obs::global_alloc_stats().count;
+  prog.start_round();
+  const std::uint64_t allocs = obs::global_alloc_stats().count - before;
+  sim.run();
+  EXPECT_DOUBLE_EQ(result, 64.0);
+  EXPECT_LE(allocs, kernel_allocs + 1);
 }
 
 TEST(AggregationProgram, MissingHooksRejected) {
