@@ -21,11 +21,15 @@ namespace wsn::app {
 /// Encodes `summary` into a compact byte representation:
 ///   header: row0, col0 (zigzag varint), width, height (varint)
 ///   perimeter: run-length encoded labels in canonical scan order
-///   open regions: label, area, bounds (varints)
+///   open regions: label, area, bounds (varints), labels 1..k in order
 ///   closed regions: area, bounds (varints)
 std::vector<std::uint8_t> encode_summary(const BlockSummary& summary);
 
-/// Inverse of encode_summary. Throws std::runtime_error on malformed input.
+/// Inverse of encode_summary. Throws std::runtime_error on malformed input:
+/// a truncated or out-of-range field, an edge whose length is not the
+/// extent's, open labels out of 1..k order, or a summary that fails
+/// BlockSummary::validate(). Edge lengths are checked before any storage
+/// is reserved for them.
 BlockSummary decode_summary(std::span<const std::uint8_t> bytes);
 
 /// Exact wire size in bytes.

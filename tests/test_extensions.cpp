@@ -13,6 +13,7 @@
 #include "emulation/emulation_protocol.h"
 #include "emulation/leader_binding.h"
 #include "emulation/physical_stack.h"
+#include "obs/profiler.h"
 
 namespace wsn {
 namespace {
@@ -63,6 +64,50 @@ TEST(Serialize, TrailingBytesRejected) {
   auto bytes = app::encode_summary(app::BlockSummary::leaf({0, 0}, false));
   bytes.push_back(0);
   EXPECT_THROW(app::decode_summary(bytes), std::runtime_error);
+}
+
+/// Header and perimeter of a one-cell feature summary at (0, 0), up to its
+/// open-region count.
+std::vector<std::uint8_t> one_cell_prefix() {
+  std::vector<std::uint8_t> bytes;
+  for (std::uint64_t v : {0, 0, 1, 1}) app::detail::put_varint(bytes, v);
+  for (int edge = 0; edge < 4; ++edge) {
+    for (std::uint64_t v : {1, 1, 1}) app::detail::put_varint(bytes, v);
+  }
+  return bytes;
+}
+
+void put_region(std::vector<std::uint8_t>& bytes, std::uint64_t area) {
+  app::detail::put_varint(bytes, area);
+  for (int i = 0; i < 4; ++i) app::detail::put_varint(bytes, 0);
+}
+
+TEST(Serialize, RepeatedOpenLabelRejected) {
+  // Two open records both labelled 1: the second (area 7) must not be
+  // dropped silently.
+  std::vector<std::uint8_t> bytes = one_cell_prefix();
+  app::detail::put_varint(bytes, 2);
+  app::detail::put_varint(bytes, 1);
+  put_region(bytes, 1);
+  app::detail::put_varint(bytes, 1);
+  put_region(bytes, 7);
+  app::detail::put_varint(bytes, 0);
+  EXPECT_THROW(app::decode_summary(bytes), std::runtime_error);
+}
+
+TEST(Serialize, EdgeLengthBeyondExtentRejectedBeforeAllocating) {
+  // A one-cell header whose north edge claims 2^62 or 2^28 labels: the
+  // decoder must reject it from the header, not reserve for it.
+  for (std::uint64_t len : {std::uint64_t{1} << 62, std::uint64_t{1} << 28}) {
+    std::vector<std::uint8_t> bytes;
+    for (std::uint64_t v : {0, 0, 1, 1}) app::detail::put_varint(bytes, v);
+    app::detail::put_varint(bytes, len);
+    const std::uint64_t before = obs::global_alloc_stats().bytes;
+    EXPECT_THROW(app::decode_summary(bytes), std::runtime_error)
+        << "length " << len;
+    EXPECT_LT(obs::global_alloc_stats().bytes - before, 1u << 20)
+        << "length " << len;
+  }
 }
 
 TEST(Serialize, CompressionGrowsSlowerThanArea) {
