@@ -13,10 +13,14 @@
 //   * quickstart: the full simulation stack (PhysicalStack + overlay
 //                 traffic), so the synthetic rows stay anchored to what a
 //                 real workload sees per event.
+//   * topographic: the paper's case study on stackbench's `query` shape
+//                 (16x16 grid, 2048 nodes, ARQ): 20 topographic queries
+//                 through the Figure 4 program, with their heap
+//                 allocations and the program's own (`app`) host time.
 //
 // Deterministic fields (depth, ops, events, cancelled, skips, final queue
-// state) are gated tightly by BENCH_BASELINE.json in the observability CI
-// job. Host-time fields end in "_ns" / "_per_sec" and are gated only by
+// state, queries, allocs) are gated tightly by BENCH_BASELINE.json in the
+// observability CI job. Host-time fields end in "_ns" / "_per_sec" and are gated only by
 // the perf-smoke job, one-sided at a generous tolerance (see
 // obs/analyze/bench_compare.h).
 #include <chrono>
@@ -24,6 +28,8 @@
 #include <vector>
 
 #include "analysis/table.h"
+#include "app/field.h"
+#include "app/topographic.h"
 #include "bench/bench_common.h"
 #include "core/primitives.h"
 #include "emulation/physical_stack.h"
@@ -190,6 +196,53 @@ void quickstart_row(analysis::Table& table, bench::JsonWriter& json) {
             {"dispatch_self_ns", static_cast<double>(dispatch.self_ns)}});
 }
 
+/// The app ruler: topographic queries on a converged 16x16, 2048-node
+/// stack with ARQ, profiled like the quickstart row. `allocs` counts every
+/// heap allocation the queries make; it is deterministic, so the baseline
+/// gates it like an event count.
+void topographic_row(analysis::Table& table, bench::JsonWriter& json) {
+  constexpr std::size_t kSide = 16;
+  constexpr std::size_t kNodes = 2048;
+  constexpr double kRange = 1.3;
+  constexpr std::uint64_t kSeed = 1;
+  constexpr std::uint64_t kQueries = 20;
+  emulation::PhysicalStack stack(kSide, kNodes, kRange, kSeed);
+  stack.enable_arq();
+  std::vector<app::FeatureGrid> grids;
+  for (std::uint64_t k = 0; k < kQueries; ++k) {
+    grids.push_back(
+        app::threshold_sample(app::value_noise_field(kSeed + k), kSide, 0.5));
+  }
+  const std::uint64_t setup_events = stack.sim.events_processed();
+
+  obs::SimProfiler& prof = obs::profiler();
+  prof.arm();
+  for (const app::FeatureGrid& grid : grids) {
+    app::run_topographic_query(*stack.overlay, grid);
+  }
+  prof.disarm();
+  const std::uint64_t events = stack.sim.events_processed() - setup_events;
+  prof.note_sim(stack.sim.now(), events);
+
+  const double host_ns = static_cast<double>(prof.elapsed_ns());
+  const std::uint64_t allocs = prof.allocs().count;
+  table.row({"topographic", "-", analysis::Table::num(events),
+             analysis::Table::num(allocs),
+             analysis::Table::num(prof.events_per_sec(), 0),
+             analysis::Table::num(
+                 events > 0 ? host_ns / static_cast<double>(events) : 0.0, 0),
+             "-"});
+  json.row("kernel",
+           {{"workload", std::string("topographic")},
+            {"queries", kQueries},
+            {"events", events},
+            {"allocs", allocs},
+            {"events_per_sec", prof.events_per_sec()},
+            {"mean_query_ns", host_ns / static_cast<double>(kQueries)},
+            {"app_self_ns",
+             static_cast<double>(prof.bucket(obs::ProfCat::kApp).self_ns)}});
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -197,8 +250,8 @@ int main(int argc, char** argv) {
   bench::print_header(
       "kernel", "EventQueue dispatch throughput",
       "events/sec of the priority-queue kernel under churn, cancellation, "
-      "and a full-stack workload; the baseline the kernel overhaul must "
-      "beat");
+      "a full-stack workload and the topographic query; the baseline the "
+      "kernel overhaul must beat");
 
   analysis::Table table({"workload", "depth", "events", "aux", "events/sec",
                          "mean ns", "p99 ns"});
@@ -208,6 +261,7 @@ int main(int argc, char** argv) {
   }
   cancel_row(table, json, 4096, kOps);
   quickstart_row(table, json);
+  topographic_row(table, json);
   std::printf("%s\n", table.str().c_str());
   return 0;
 }
