@@ -114,8 +114,6 @@ class DisjointSets {
     return a;
   }
 
-  std::size_t size() const { return parent_.size(); }
-
  private:
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint8_t> rank_;
