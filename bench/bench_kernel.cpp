@@ -2,14 +2,15 @@
 //
 // The ROADMAP's kernel-overhaul item (calendar queue, then PDES) needs a
 // number to beat. This bench produces it: raw dispatch throughput of the
-// std::priority_queue kernel under three workloads —
+// kernel (a FIFO lane beside a 4-ary heap of 16-byte keys, callbacks run in
+// their slots) under four workloads —
 //
 //   * churn:      steady-state at a fixed queue depth; every dispatched
 //                 event schedules one successor, so the heap stays at depth
 //                 D while the sift cost is exercised at several D.
 //   * cancel:     schedule/cancel mix; half the scheduled events are
 //                 cancelled before firing, exercising tombstones and the
-//                 lazy-skip path in pop().
+//                 lazy-skip path in dispatch().
 //   * quickstart: the full simulation stack (PhysicalStack + overlay
 //                 traffic), so the synthetic rows stay anchored to what a
 //                 real workload sees per event.
@@ -117,7 +118,8 @@ void churn_row(analysis::Table& table, bench::JsonWriter& json,
 
 /// Schedule/cancel mix at a fixed base depth: per dispatched event, two new
 /// events are scheduled and one of them immediately cancelled, so half the
-/// schedule volume dies as tombstones and pop() exercises its lazy skips.
+/// schedule volume dies as tombstones and dispatch() exercises its lazy
+/// skips.
 void cancel_row(analysis::Table& table, bench::JsonWriter& json,
                 std::size_t depth, std::uint64_t ops) {
   sim::Simulator sim(11);
@@ -249,7 +251,7 @@ int main(int argc, char** argv) {
   bench::JsonWriter json(bench::json_path_from_args(argc, argv));
   bench::print_header(
       "kernel", "EventQueue dispatch throughput",
-      "events/sec of the priority-queue kernel under churn, cancellation, "
+      "events/sec of the event-queue kernel under churn, cancellation, "
       "a full-stack workload and the topographic query; the baseline the "
       "kernel overhaul must beat");
 

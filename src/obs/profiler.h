@@ -45,7 +45,7 @@ class MetricsRegistry;
 
 /// Fixed profiling categories — one per instrumented layer/hot path.
 enum class ProfCat : std::uint8_t {
-  kDispatch = 0,   // sim: one EventQueue pop + callback dispatch
+  kDispatch = 0,   // sim: one EventQueue::dispatch (sift + callback)
   kLinkTx = 1,     // net: LinkLayer::broadcast / unicast
   kLinkRx = 2,     // net: scheduled LinkLayer delivery (rx charge + handler)
   kArq = 3,        // net: ReliableChannel send / frame handling

@@ -32,23 +32,28 @@ class Simulator {
   Time now() const { return now_; }
   Rng& rng() { return rng_; }
 
-  /// Schedules `fn` at absolute time `at` (must be >= now()).
-  EventId schedule_at(Time at, EventQueue::Callback fn) {
+  /// Schedules `fn` at absolute time `at` (finite and >= now()). The
+  /// closure is constructed straight into its queue slot. Throws
+  /// std::invalid_argument for a time in the past, NaN or infinite.
+  template <typename F>
+  EventId schedule_at(Time at, F&& fn) {
     if (at < now_) {
       throw std::invalid_argument("Simulator: cannot schedule in the past");
     }
-    return queue_.schedule(at, std::move(fn));
+    return queue_.schedule(at, std::forward<F>(fn));
   }
 
-  /// Schedules `fn` after `delay` (must be >= 0).
-  EventId schedule_in(Time delay, EventQueue::Callback fn) {
-    return schedule_at(now_ + delay, std::move(fn));
+  /// Schedules `fn` after `delay` (finite and >= 0).
+  template <typename F>
+  EventId schedule_in(Time delay, F&& fn) {
+    return schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
   /// Schedules `fn` at the current time (after already-pending events at
   /// this instant, preserving FIFO order).
-  EventId post(EventQueue::Callback fn) {
-    return queue_.schedule(now_, std::move(fn));
+  template <typename F>
+  EventId post(F&& fn) {
+    return queue_.schedule(now_, std::forward<F>(fn));
   }
 
   bool cancel(EventId id) { return queue_.cancel(id); }
@@ -63,15 +68,16 @@ class Simulator {
   /// Runs one event. Returns false if the queue was empty.
   bool step() {
     if (queue_.empty()) return false;
-    // The profiler span covers the whole dispatch — pop (heap sift +
-    // tombstone skips) plus the callback — which is exactly the unit the
-    // events/sec gate and the kernel-overhaul ROADMAP item measure. One
-    // branch when the profiler is disarmed; see obs/profiler.h.
+    // The profiler span covers the whole dispatch — the heap sift and
+    // tombstone skips plus the callback, which runs in its queue slot —
+    // which is exactly the unit the events/sec gate and the kernel-overhaul
+    // ROADMAP item measure. One branch when the profiler is disarmed; see
+    // obs/profiler.h.
     obs::ProfSpan span(obs::ProfCat::kDispatch);
-    auto [at, fn] = queue_.pop();
-    now_ = at;
-    ++processed_;
-    fn();
+    queue_.dispatch([this](Time at) {
+      now_ = at;
+      ++processed_;
+    });
     return true;
   }
 

@@ -259,8 +259,8 @@ TEST(EventQueue, IntrospectionAccessorsTrackLifecycle) {
   EXPECT_TRUE(q.cancel(b));
   EXPECT_EQ(q.live(), 2u);
   EXPECT_EQ(q.tombstones(), 1u);
-  q.pop();  // t=1.0
-  q.pop();  // t=3.0, lazily skipping the tombstoned t=2.0 entry
+  q.dispatch();  // t=1.0
+  q.dispatch();  // t=3.0, lazily skipping the tombstoned t=2.0 entry
   EXPECT_EQ(q.cancelled_skips(), 1u);
   EXPECT_EQ(q.tombstones(), 0u);
   EXPECT_TRUE(q.empty());
@@ -273,10 +273,10 @@ TEST(EventQueue, CancelStaysExactAcrossSlotReuse) {
   sim::EventQueue q;
   const std::size_t n = (1u << 20) + 2;
   const sim::EventId first = q.schedule(0.0, [] {});
-  q.pop();
+  q.dispatch();
   for (std::size_t i = 1; i < n; ++i) {
     q.schedule(static_cast<double>(i), [] {});
-    q.pop();
+    q.dispatch();
   }
   EXPECT_FALSE(q.cancel(first));
   EXPECT_EQ(q.live(), 0u);

@@ -2,11 +2,16 @@
 // clock semantics, statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
-#include <memory>
 #include <cstdint>
+#include <iterator>
+#include <limits>
+#include <memory>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,6 +19,7 @@
 #include "core/primitives.h"
 #include "core/virtual_network.h"
 #include "obs/export.h"
+#include "obs/profiler.h"
 #include "obs/sinks.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
@@ -113,7 +119,7 @@ TEST(EventQueue, FifoTieBreaking) {
         order.push_back(static_cast<int>(i) + 1);
       });
     }
-    while (!q.empty()) q.pop().second();
+    while (!q.empty()) q.dispatch();
     EXPECT_EQ(order, want);
   }
 }
@@ -126,7 +132,7 @@ TEST(EventQueue, CancelSkipsEvent) {
   q.schedule(3.0, [&] { ++fired; });
   EXPECT_TRUE(q.cancel(b));
   EXPECT_EQ(q.live(), 2u);
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) q.dispatch();
   EXPECT_EQ(fired, 2);
 }
 
@@ -163,11 +169,9 @@ TEST(EventQueue, OversizedCallableRunsOnceAndIsDestroyedOnce) {
     q.schedule(1.0, Big(&runs, &destroyed));
     q.schedule(2.0, [] {});
     EXPECT_EQ(destroyed, 0);
-    auto [at, fn] = q.pop();
-    EXPECT_EQ(at, 1.0);
-    fn();
+    EXPECT_EQ(q.dispatch(), 1.0);
     EXPECT_EQ(runs, 1);
-    EXPECT_EQ(destroyed, 0);  // still held by `fn`
+    EXPECT_EQ(destroyed, 1);  // destroyed in its slot once it has run
   }
   EXPECT_EQ(runs, 1);
   EXPECT_EQ(destroyed, 1);
@@ -180,7 +184,7 @@ TEST(EventQueue, CancelledCaptureIsReleasedWhenItsTombstoneIsSkipped) {
   q.schedule(2.0, [] {});
   EXPECT_EQ(token.use_count(), 2);
   EXPECT_TRUE(q.cancel(id));
-  q.pop();  // skips the cancelled 1.0 event, pops the 2.0 one
+  q.dispatch();  // skips the cancelled 1.0 event, runs the 2.0 one
   EXPECT_EQ(q.cancelled_skips(), 1u);
   EXPECT_EQ(token.use_count(), 1);
 }
@@ -197,6 +201,197 @@ TEST(EventQueue, DestroyingANonEmptyQueueReleasesEveryCapture) {
     EXPECT_EQ(token.use_count(), 4);
   }
   EXPECT_EQ(token.use_count(), 1);
+}
+
+// The kernel's contract, checked against a reference: the entries pending
+// at each dispatch, kept sorted by (time, insertion order). Times compare as
+// doubles, so -0.0 ties with 0.0.
+struct Pending {
+  Time at;
+  std::uint64_t seq;
+  bool operator<(const Pending& o) const {
+    return at < o.at || (at == o.at && seq < o.seq);
+  }
+};
+
+TEST(EventQueue, DispatchOrderMatchesAReferenceSort) {
+  // Seeded random mixes of schedules (ties, 0 and -0.0, times before the
+  // last dispatch), posts at the last dispatched time, cancels of live,
+  // fired, cancelled and never-issued ids, and dispatches.
+  constexpr Time kTimes[] = {0.0, -0.0, 0.5, 1.0, 1.0, 2.5, 4.0};
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng rng(seed);
+    EventQueue q;
+    std::set<Pending> reference;
+    std::vector<EventId> ids;  // by insertion order
+    std::vector<Time> times;
+    std::vector<std::uint64_t> fired;
+    std::uint64_t dispatched = 0;
+    Time now = 0.0;
+    const auto schedule = [&](Time at) {
+      const std::uint64_t seq = ids.size();
+      ids.push_back(q.schedule(at, [&fired, seq] { fired.push_back(seq); }));
+      times.push_back(at);
+      reference.insert({at, seq});
+    };
+    const auto dispatch_one = [&] {
+      const Pending want = *reference.begin();
+      reference.erase(reference.begin());
+      ASSERT_FALSE(q.empty());
+      now = q.dispatch();
+      ++dispatched;
+      EXPECT_EQ(now, want.at);
+      ASSERT_EQ(fired.size(), dispatched);
+      EXPECT_EQ(fired.back(), want.seq);
+    };
+    for (int op = 0; op < 3000; ++op) {
+      const std::uint64_t r = rng.below(100);
+      const Time time = kTimes[rng.below(std::size(kTimes))];
+      if (r < 15) {
+        schedule(time);  // absolute: may lie before `now`
+      } else if (r < 40) {
+        schedule(now + time);
+      } else if (r < 55) {
+        schedule(now);  // a post
+      } else if (r < 68 && !ids.empty()) {
+        const std::uint64_t seq = rng.below(ids.size());
+        const bool live = reference.erase({times[seq], seq}) == 1;
+        EXPECT_EQ(q.cancel(ids[seq]), live);
+      } else if (r < 72) {
+        // Never issued: 0, a slot past every chunk, and a generation that
+        // no slot reaches before 2^31 reuses.
+        EXPECT_FALSE(q.cancel(0));
+        EXPECT_FALSE(q.cancel((EventId{1} << 32) | 0xFFFFFFu));
+        EXPECT_FALSE(q.cancel((EventId{0xFFFFFFFFu} << 32) | rng.below(64)));
+      } else if (!reference.empty()) {
+        dispatch_one();
+      }
+      ASSERT_EQ(q.live(), reference.size());
+    }
+    while (!reference.empty()) dispatch_one();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(fired.size(), dispatched);
+  }
+}
+
+TEST(EventQueue, DeepFloodThroughLaneAndHeapMatchesAReferenceSort) {
+  // A setup-sized flood queued at once: most times never decrease (the
+  // lane), every seventh lies earlier (the heap), times tie in runs of 64,
+  // and every eleventh entry is cancelled.
+  constexpr std::uint64_t kFlood = 120'000;
+  Rng rng(3);
+  EventQueue q;
+  std::vector<Pending> want;
+  std::vector<std::uint64_t> fired;
+  fired.reserve(kFlood);
+  std::uint64_t cancelled = 0;
+  for (std::uint64_t i = 0; i < kFlood; ++i) {
+    const auto tail = static_cast<double>(i / 64);
+    const Time at = i % 7 == 6 ? std::floor(rng.uniform(0.0, tail + 1)) : tail;
+    const EventId id = q.schedule(at, [&fired, i] { fired.push_back(i); });
+    if (i % 11 == 10) {
+      ASSERT_TRUE(q.cancel(id));
+      ++cancelled;
+    } else {
+      want.push_back({at, i});
+    }
+  }
+  EXPECT_EQ(q.peak_size(), kFlood);
+  std::sort(want.begin(), want.end());
+  while (!q.empty()) q.dispatch();
+  ASSERT_EQ(fired.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    ASSERT_EQ(fired[k], want[k].seq) << "dispatch " << k;
+  }
+  EXPECT_EQ(q.cancelled_skips() + q.tombstones(), cancelled);
+}
+
+TEST(Simulator, CallbackAddingASlotChunkAndCancellingItselfKeepsOrder) {
+  // The first chunk is nearly full when the callback runs, so the events it
+  // schedules add slot chunks while it runs in its own slot. Its id has
+  // fired, so cancelling it returns false, and its in-place captures
+  // survive the growth.
+  struct Context {
+    Simulator sim;
+    EventId self = 0;
+    bool cancelled = true;
+    bool captures_intact = false;
+    std::vector<int> order;
+  } ctx;
+  for (int i = 0; i < 500; ++i) ctx.sim.schedule_in(3.0, [] {});
+  const auto token = std::make_shared<int>(0);
+  ctx.self = ctx.sim.schedule_in(1.0, [c = &ctx, token] {
+    for (int i = 0; i < 600; ++i) {
+      c->sim.schedule_in(1.0 + i % 3, [c, i] { c->order.push_back(i); });
+    }
+    c->cancelled = c->sim.cancel(c->self);
+    c->captures_intact = token.use_count() == 2;
+  });
+  ctx.sim.run();
+
+  std::vector<int> want;
+  for (int t = 0; t < 3; ++t) {
+    for (int i = t; i < 600; i += 3) want.push_back(i);
+  }
+  EXPECT_FALSE(ctx.cancelled);
+  EXPECT_TRUE(ctx.captures_intact);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(ctx.order, want);
+  EXPECT_EQ(ctx.sim.events_processed(), 1101u);
+}
+
+TEST(Simulator, ThrowingCallbackReleasesItsSlot) {
+  Simulator sim;
+  const auto token = std::make_shared<int>(0);
+  const EventId id =
+      sim.schedule_in(1.0, [token] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(sim.step(), std::runtime_error);
+  EXPECT_EQ(token.use_count(), 1);  // its closure is destroyed
+  EXPECT_FALSE(sim.cancel(id));
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.queue().tombstones(), 0u);
+  bool ran = false;
+  sim.post([&ran] { ran = true; });
+  sim.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(sim.now(), 1.0);
+}
+
+TEST(Simulator, NonFiniteTimeIsRejected) {
+  // NaN compares false with every time, so the past-time check alone would
+  // let it through to run before earlier events and set now() to NaN.
+  Simulator sim;
+  bool fired = false;
+  sim.schedule_in(1.0, [&fired] { fired = true; });
+  const Time nan = std::numeric_limits<Time>::quiet_NaN();
+  const Time inf = std::numeric_limits<Time>::infinity();
+  for (const Time t : {nan, inf, -inf}) {
+    EXPECT_THROW(sim.schedule_at(t, [] {}), std::invalid_argument);
+    EXPECT_THROW(sim.schedule_in(t, [] {}), std::invalid_argument);
+  }
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(sim.now(), 1.0);
+  // run_until() moves the clock to its bound; post() then refuses it.
+  sim.run_until(inf);
+  EXPECT_THROW(sim.post([] {}), std::invalid_argument);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, SecondBurstOfPostsAllocatesNothing) {
+  // The FIFO lane keeps its blocks when it drains and reuses them, so a
+  // burst into a drained simulator needs no new storage.
+  for (const int burst : {64, 1000}) {
+    Simulator sim;
+    for (int i = 0; i < burst; ++i) sim.post([] {});
+    sim.run();
+    const std::uint64_t before = obs::global_alloc_stats().count;
+    for (int i = 0; i < burst; ++i) sim.post([] {});
+    EXPECT_EQ(obs::global_alloc_stats().count - before, 0u) << burst;
+    sim.run();
+    EXPECT_EQ(sim.events_processed(), 2u * burst);
+  }
 }
 
 TEST(Simulator, CallbackGrowingTheSlotStorageCompletes) {
@@ -243,7 +438,7 @@ TEST(Simulator, ClockAdvancesMonotonically) {
 TEST(Simulator, CallbackCancellingItsOwnIdIsANoOp) {
   // deadline_gather's close() cancels its deadline timer from inside that
   // timer's callback. The id has fired, so cancel() returns false and leaves
-  // the follow-up event, which already reuses the timer's slot, alone.
+  // the follow-up event alone.
   Simulator sim;
   EventId self = 0;
   bool cancelled = true;

@@ -140,9 +140,8 @@ TEST(AggregationProgram, SecondRoundRunsCleanly) {
 TEST(AggregationProgram, SecondStartRoundAllocatesNoState) {
   // Per-node state is sized once, by the constructor; a new round resets it
   // in place. What start_round() may allocate is the kernel's share of its
-  // one post per node, measured first with as many empty posts. The
-  // kernel's FIFO lane allocates in blocks, so where the lane starts within
-  // a block can move its count by one.
+  // one post per node, measured first with as many empty posts, plus the
+  // one temporary vector of the grid's coordinates it iterates.
   sim::Simulator sim(8);
   core::VirtualNetwork vnet(sim, core::GridTopology(8),
                             core::uniform_cost_model());
