@@ -9,16 +9,7 @@ std::vector<GridCoord> GridTopology::route(const GridCoord& a,
   }
   std::vector<GridCoord> path;
   path.reserve(manhattan(a, b) + 1);
-  GridCoord cur = a;
-  path.push_back(cur);
-  while (cur.col != b.col) {
-    cur.col += cur.col < b.col ? 1 : -1;
-    path.push_back(cur);
-  }
-  while (cur.row != b.row) {
-    cur.row += cur.row < b.row ? 1 : -1;
-    path.push_back(cur);
-  }
+  walk_route(a, b, [&path](const GridCoord& c) { path.push_back(c); });
   return path;
 }
 

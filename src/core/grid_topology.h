@@ -115,6 +115,22 @@ class GridTopology {
   /// inclusive of both endpoints. Length is manhattan(a,b)+1.
   std::vector<GridCoord> route(const GridCoord& a, const GridCoord& b) const;
 
+  /// Calls `visit(c)` for each coordinate of route(a, b), in path order,
+  /// without building the path. Does not check that `a` and `b` lie on the
+  /// grid.
+  template <typename Visit>
+  static void walk_route(GridCoord a, const GridCoord& b, Visit&& visit) {
+    visit(a);
+    while (a.col != b.col) {
+      a.col += a.col < b.col ? 1 : -1;
+      visit(a);
+    }
+    while (a.row != b.row) {
+      a.row += a.row < b.row ? 1 : -1;
+      visit(a);
+    }
+  }
+
   /// All coordinates in row-major order.
   std::vector<GridCoord> all_coords() const;
 

@@ -2,20 +2,19 @@
 
 namespace wsn::core {
 
-void VirtualNetwork::deliver(const GridCoord& from, const GridCoord& to,
+void VirtualNetwork::deliver(std::size_t from, std::size_t to,
                              std::any payload, double size_units,
                              std::uint64_t flow) {
-  const std::size_t idx = grid_.index_of(to);
-  if (down_[idx]) {
+  if (down_[to]) {
     // The destination process crashed while the message was in flight; the
     // radio work already happened (energy stays charged), only the handler
     // is suppressed. The "drop" event keeps the flow explicable offline.
     counters_.add(Counter::kRxDead);
     if (obs::tracer().enabled(obs::Category::kVirtual)) {
       obs::tracer().emit(
-          {sim_.now(), static_cast<std::int64_t>(idx), obs::Category::kVirtual,
+          {sim_.now(), static_cast<std::int64_t>(to), obs::Category::kVirtual,
            'i', "drop", flow,
-           {{"from", static_cast<std::uint64_t>(grid_.index_of(from))},
+           {{"from", static_cast<std::uint64_t>(from)},
             {"why", std::string("dead")}}});
     }
     return;
@@ -23,13 +22,14 @@ void VirtualNetwork::deliver(const GridCoord& from, const GridCoord& to,
   counters_.add(Counter::kDelivered);
   if (obs::tracer().enabled(obs::Category::kVirtual)) {
     obs::tracer().emit(
-        {sim_.now(), static_cast<std::int64_t>(idx), obs::Category::kVirtual,
+        {sim_.now(), static_cast<std::int64_t>(to), obs::Category::kVirtual,
          'i', "deliver", flow,
-         {{"src", static_cast<std::uint64_t>(grid_.index_of(from))},
+         {{"src", static_cast<std::uint64_t>(from)},
           {"size", size_units}}});
   }
-  if (receivers_[idx]) {
-    receivers_[idx](VirtualMessage{from, size_units, std::move(payload)});
+  if (receivers_[to]) {
+    receivers_[to](
+        VirtualMessage{grid_.coord_of(from), size_units, std::move(payload)});
   } else {
     counters_.add(Counter::kNoReceiver);
   }
@@ -66,8 +66,8 @@ void VirtualNetwork::forward_serialized(
   sim_.schedule_at(depart, [this, path, hop, payload, size_units, flow]() {
     const std::size_t next = hop + 1;
     if (next + 1 == path->size()) {
-      deliver(path->front(), path->back(), std::move(*payload), size_units,
-              flow);
+      deliver(grid_.index_of(path->front()), grid_.index_of(path->back()),
+              std::move(*payload), size_units, flow);
     } else {
       forward_serialized(path, next, payload, size_units, flow);
     }
@@ -110,24 +110,24 @@ void VirtualNetwork::send(const GridCoord& from, const GridCoord& to,
     return;
   }
 
-  // Energy: every hop has one transmitter and one receiver. Endpoints pay
-  // one side each; every intermediate relay pays both. Congestion does not
-  // change energy, only timing.
-  const auto path = grid_.route(from, to);
-  ledger_.charge(static_cast<net::NodeId>(grid_.index_of(from)),
-                 net::EnergyUse::kTx, cost_.tx_energy(size_units));
-  for (std::size_t i = 1; i + 1 < path.size(); ++i) {
-    const auto idx = static_cast<net::NodeId>(grid_.index_of(path[i]));
-    ledger_.charge(idx, net::EnergyUse::kRx, cost_.rx_energy(size_units));
-    ledger_.charge(idx, net::EnergyUse::kTx, cost_.tx_energy(size_units));
+  if (!grid_.contains(from) || !grid_.contains(to)) {
+    throw std::invalid_argument("VirtualNetwork::send: endpoint off grid");
   }
-  ledger_.charge(static_cast<net::NodeId>(grid_.index_of(to)),
-                 net::EnergyUse::kRx, cost_.rx_energy(size_units));
+  // Energy: every hop has one transmitter and one receiver. Endpoints pay
+  // one side each; every intermediate relay pays both, in path order.
+  // Congestion does not change energy, only timing.
+  const double tx = cost_.tx_energy(size_units);
+  const double rx = cost_.rx_energy(size_units);
+  GridTopology::walk_route(from, to, [&](const GridCoord& c) {
+    const auto idx = static_cast<net::NodeId>(grid_.index_of(c));
+    if (c != from) ledger_.charge(idx, net::EnergyUse::kRx, rx);
+    if (c != to) ledger_.charge(idx, net::EnergyUse::kTx, tx);
+  });
 
   if (congestion_ == Congestion::kNodeSerialized) {
-    forward_serialized(std::make_shared<std::vector<GridCoord>>(path), 0,
-                       std::make_shared<std::any>(std::move(payload)),
-                       size_units, flow);
+    forward_serialized(
+        std::make_shared<std::vector<GridCoord>>(grid_.route(from, to)), 0,
+        std::make_shared<std::any>(std::move(payload)), size_units, flow);
     return;
   }
 
@@ -138,25 +138,33 @@ void VirtualNetwork::send(const GridCoord& from, const GridCoord& to,
     // modes without scheduling per-hop events the cost model doesn't need.
     const sim::Time now = sim_.now();
     const sim::Time hop_latency = cost_.hop_latency(size_units);
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    std::size_t i = 0;
+    std::size_t here = grid_.index_of(from);
+    GridTopology::walk_route(from, to, [&](const GridCoord& c) {
+      if (c == from) return;
+      const std::size_t next = grid_.index_of(c);
       tr.emit({now + static_cast<double>(i) * hop_latency,
-               static_cast<std::int64_t>(grid_.index_of(path[i])),
-               obs::Category::kVirtual, 'i', "hop", flow,
+               static_cast<std::int64_t>(here), obs::Category::kVirtual, 'i',
+               "hop", flow,
                {{"hop", static_cast<std::uint64_t>(i)},
-                {"next", static_cast<std::uint64_t>(grid_.index_of(path[i + 1]))},
+                {"next", static_cast<std::uint64_t>(next)},
                 {"depart", now + static_cast<double>(i + 1) * hop_latency},
                 {"wait", 0.0},
                 {"size", size_units}}});
-    }
+      here = next;
+      ++i;
+    });
   }
 
+  // Cell indices rather than coordinates keep the closure within
+  // sim::Callback's in-place buffer.
+  const auto src = static_cast<std::uint32_t>(grid_.index_of(from));
+  const auto dst = static_cast<std::uint32_t>(grid_.index_of(to));
   const sim::Time latency = cost_.path_latency(hops, size_units);
-  sim_.schedule_in(
-      latency,
-      [this, from, to, payload = std::move(payload), size_units,
-       flow]() mutable {
-        deliver(from, to, std::move(payload), size_units, flow);
-      });
+  sim_.schedule_in(latency, [this, src, dst, payload = std::move(payload),
+                             size_units, flow]() mutable {
+    deliver(src, dst, std::move(payload), size_units, flow);
+  });
 }
 
 }  // namespace wsn::core

@@ -138,7 +138,9 @@ class VirtualNetwork final : public MessageFabric {
   void forward_serialized(std::shared_ptr<std::vector<GridCoord>> path,
                           std::size_t hop, std::shared_ptr<std::any> payload,
                           double size_units, std::uint64_t flow);
-  void deliver(const GridCoord& from, const GridCoord& to, std::any payload,
+  /// Hands `payload` to the receiver at cell index `to`; `from` is the
+  /// sender's cell index.
+  void deliver(std::size_t from, std::size_t to, std::any payload,
                double size_units, std::uint64_t flow);
 
   sim::Simulator& sim_;

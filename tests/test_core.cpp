@@ -2,11 +2,14 @@
 // hierarchical groups, virtual network, collective primitives.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/cost_model.h"
 #include "core/grid_topology.h"
 #include "core/groups.h"
 #include "core/primitives.h"
 #include "core/virtual_network.h"
+#include "obs/profiler.h"
 
 namespace wsn::core {
 namespace {
@@ -208,6 +211,26 @@ TEST_F(VirtualNetworkTest, EnergyChargedAlongRoute) {
   // Total = path_energy(3 hops, 2 units) = 3 * (2+2).
   EXPECT_DOUBLE_EQ(vnet_.ledger().total(), 12.0);
   EXPECT_EQ(vnet_.total_hops(), 3u);
+}
+
+TEST_F(VirtualNetworkTest, OneHopSendsAllocateAlmostNothing) {
+  // Relay energy is charged by walking the route, not by building it, and
+  // the delivery closure fits sim::Callback's buffer, so a send of a
+  // payload std::any holds in place allocates nothing once the kernel is
+  // warm; the bound leaves room for the kernel's first slot chunk and lane
+  // block.
+  int got = 0;
+  vnet_.set_receiver({0, 1}, [&got](const VirtualMessage&) { ++got; });
+  const std::uint64_t before = obs::global_alloc_stats().count;
+  for (int i = 0; i < 100; ++i) vnet_.send({0, 0}, {0, 1}, i, 1.0);
+  sim_.run();
+  EXPECT_LT(obs::global_alloc_stats().count - before, 10u);
+  EXPECT_EQ(got, 100);
+}
+
+TEST_F(VirtualNetworkTest, OffGridEndpointThrows) {
+  EXPECT_THROW(vnet_.send({0, 0}, {0, 4}, 0, 1.0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(vnet_.ledger().total(), 0.0);
 }
 
 TEST_F(VirtualNetworkTest, SelfSendIsFreeAndImmediate) {
