@@ -2,10 +2,13 @@
 // machine-readable --json emitter.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <initializer_list>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "obs/json.h"
 #include "obs/scoped_timer.h"
@@ -49,9 +52,11 @@ class JsonWriter {
 
   bool enabled() const { return out_ != nullptr; }
 
+  /// One row field's value.
+  using Field = std::variant<std::int64_t, std::uint64_t, double, std::string>;
+
   void row(const std::string& bench,
-           std::initializer_list<std::pair<const char*, obs::AttrValue>>
-               fields) {
+           std::initializer_list<std::pair<const char*, Field>> fields) {
     if (out_ == nullptr) return;
     std::string line = "{\"bench\":";
     obs::json_append_string(line, bench);
@@ -59,7 +64,20 @@ class JsonWriter {
       line += ',';
       obs::json_append_string(line, key);
       line += ':';
-      obs::json_append_value(line, value);
+      std::visit(
+          [&line](const auto& v) {
+            using T = std::decay_t<decltype(v)>;
+            if constexpr (std::is_same_v<T, std::int64_t>) {
+              obs::json_append_int(line, v);
+            } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+              obs::json_append_uint(line, v);
+            } else if constexpr (std::is_same_v<T, double>) {
+              obs::json_append_double(line, v);
+            } else {
+              obs::json_append_string(line, v);
+            }
+          },
+          value);
     }
     line += "}\n";
     std::fwrite(line.data(), 1, line.size(), out_);

@@ -14,7 +14,7 @@ namespace {
 
 /// Emits the 'B' span event of a collective and returns its flow id, or 0
 /// when the collective category is disabled.
-std::uint64_t collective_begin(MessageFabric& fabric, const char* what,
+std::uint64_t collective_begin(MessageFabric& fabric, obs::EventName what,
                                const GridCoord& leader, std::size_t members) {
   auto& tr = obs::tracer();
   if (!tr.enabled(obs::Category::kCollective)) return 0;
@@ -27,7 +27,7 @@ std::uint64_t collective_begin(MessageFabric& fabric, const char* what,
 }
 
 /// Emits the matching 'E' span event at completion.
-void collective_end(MessageFabric& fabric, const char* what,
+void collective_end(MessageFabric& fabric, obs::EventName what,
                     const GridCoord& leader, std::uint64_t flow,
                     const CollectiveResult& result) {
   auto& tr = obs::tracer();
@@ -401,7 +401,7 @@ PartialResult make_partial(MessageFabric& fabric,
 
 /// Emits the 'E' span of a deadline collective, annotated with how partial
 /// the close was.
-void collective_end_partial(MessageFabric& fabric, const char* what,
+void collective_end_partial(MessageFabric& fabric, obs::EventName what,
                             const GridCoord& leader, std::uint64_t flow,
                             const PartialResult& result) {
   auto& tr = obs::tracer();
@@ -425,7 +425,7 @@ void collective_end_partial(MessageFabric& fabric, const char* what,
 void deadline_gather(
     MessageFabric& fabric, std::span<const GridCoord> members,
     const GridCoord& leader, std::span<const double> values,
-    double message_units, sim::Time deadline, const char* what,
+    double message_units, sim::Time deadline, obs::EventName what,
     std::function<void(std::shared_ptr<DeadlineState>, bool)> then) {
   if (members.size() != values.size()) {
     throw std::invalid_argument(

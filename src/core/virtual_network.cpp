@@ -15,7 +15,7 @@ void VirtualNetwork::deliver(std::size_t from, std::size_t to,
           {sim_.now(), static_cast<std::int64_t>(to), obs::Category::kVirtual,
            'i', "drop", flow,
            {{"from", static_cast<std::uint64_t>(from)},
-            {"why", std::string("dead")}}});
+            {"why", obs::AttrCode("dead")}}});
     }
     return;
   }
@@ -90,7 +90,8 @@ void VirtualNetwork::send(const GridCoord& from, const GridCoord& to,
   if (tr.enabled(obs::Category::kVirtual)) {
     flow = tr.next_flow();
     tr.emit({sim_.now(), static_cast<std::int64_t>(grid_.index_of(from)),
-             obs::Category::kVirtual, 'i', hops == 0 ? "self_send" : "send",
+             obs::Category::kVirtual, 'i',
+             hops == 0 ? obs::EventName("self_send") : obs::EventName("send"),
              flow,
              {{"dst", static_cast<std::uint64_t>(grid_.index_of(to))},
               {"hops", static_cast<std::uint64_t>(hops)},

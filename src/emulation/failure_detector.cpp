@@ -219,12 +219,12 @@ double FailureDetector::residual(net::NodeId i) const {
   return overlay_.link().ledger().remaining(i);
 }
 
-void FailureDetector::trace_fd(const char* name, net::NodeId node,
-                               std::vector<obs::Attr> attrs) {
+void FailureDetector::trace_fd(obs::EventName name, net::NodeId node,
+                               const obs::AttrList& attrs) {
   auto& tr = obs::tracer();
   if (!tr.enabled(obs::Category::kReliability)) return;
   tr.emit({sim().now(), static_cast<std::int64_t>(node),
-           obs::Category::kReliability, 'i', name, 0, std::move(attrs)});
+           obs::Category::kReliability, 'i', name, 0, attrs});
 }
 
 void FailureDetector::start() {
@@ -700,7 +700,7 @@ void FailureDetector::audit(net::NodeId leader) {
                  {{"node", static_cast<std::uint64_t>(r)},
                   {"row", static_cast<std::int64_t>(cell.row)},
                   {"col", static_cast<std::int64_t>(cell.col)},
-                  {"why", std::string("foreign")}});
+                  {"why", obs::AttrCode("foreign")}});
       }
       // The auditor repairs its own listing too: receivers reinstate
       // themselves when the digest crosses them, but the flood's origin
@@ -712,7 +712,7 @@ void FailureDetector::audit(net::NodeId leader) {
                  {{"node", static_cast<std::uint64_t>(leader)},
                   {"row", static_cast<std::int64_t>(cell.row)},
                   {"col", static_cast<std::int64_t>(cell.col)},
-                  {"why", std::string("reinstate")}});
+                  {"why", obs::AttrCode("reinstate")}});
       }
       m.roster_digest = membership_->digest(cell);
       m.roster_size =
@@ -1093,7 +1093,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
                    {{"node", static_cast<std::uint64_t>(at)},
                     {"row", static_cast<std::int64_t>(msg.cell.row)},
                     {"col", static_cast<std::int64_t>(msg.cell.col)},
-                    {"why", std::string("reinstate")}});
+                    {"why", obs::AttrCode("reinstate")}});
         }
       }
       if (msg.epoch > epoch_[at]) {
@@ -1263,7 +1263,7 @@ bool FailureDetector::inject_corruption(net::NodeId node,
   const core::GridCoord cell = cell_view(node);
   counters_.add(Counter::kCorrupt);
   trace_fd("fd.corrupt", node,
-           {{"target", std::string(sim::to_string(target))},
+           {{"target", sim::trace_code(target)},
             {"row", static_cast<std::int64_t>(cell.row)},
             {"col", static_cast<std::int64_t>(cell.col)},
             {"bound", stabilization_bound()}});

@@ -328,8 +328,8 @@ class FailureDetector {
   void adopt_bind(net::NodeId proxy, const core::GridCoord& cell);
   double score(net::NodeId i) const;
   double residual(net::NodeId i) const;
-  void trace_fd(const char* name, net::NodeId node,
-                std::vector<obs::Attr> attrs);
+  void trace_fd(obs::EventName name, net::NodeId node,
+                const obs::AttrList& attrs);
 
   OverlayNetwork& overlay_;
   FailureDetectorConfig cfg_;

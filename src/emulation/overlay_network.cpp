@@ -242,7 +242,8 @@ void OverlayNetwork::send(const core::GridCoord& from, const core::GridCoord& to
   }
   if (tr.enabled(obs::Category::kOverlay)) {
     tr.emit({simulator().now(), static_cast<std::int64_t>(origin),
-             obs::Category::kOverlay, 'i', from == to ? "self_send" : "send",
+             obs::Category::kOverlay, 'i',
+             from == to ? obs::EventName("self_send") : obs::EventName("send"),
              flow,
              {{"src", static_cast<std::uint64_t>(grid_.index_of(from))},
               {"dst", static_cast<std::uint64_t>(grid_.index_of(to))},
@@ -424,7 +425,7 @@ void OverlayNetwork::forward(net::NodeId at, const OverlayPacket& pkt,
             {simulator().now(), static_cast<std::int64_t>(at),
              obs::Category::kOverlay, 'i', "drop", pkt.flow,
              {{"dst", static_cast<std::uint64_t>(grid_.index_of(pkt.dst))},
-              {"why", std::string("no_route")}}});
+              {"why", obs::AttrCode("no_route")}}});
       }
     }
     return;

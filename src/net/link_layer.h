@@ -158,12 +158,12 @@ class LinkLayer {
   /// transmissions that never produce a "deliver" (lost in the air, or the
   /// receiver was dead on arrival).
   void trace_drop(NodeId from, NodeId to, std::uint64_t flow,
-                  const char* why) {
+                  obs::AttrCode why) {
     if (obs::tracer().enabled(obs::Category::kLink)) {
       obs::tracer().emit({sim_.now(), static_cast<std::int64_t>(to),
                           obs::Category::kLink, 'i', "drop", flow,
                           {{"from", static_cast<std::uint64_t>(from)},
-                           {"why", std::string(why)}}});
+                           {"why", why}}});
     }
   }
 

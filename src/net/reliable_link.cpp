@@ -31,7 +31,7 @@ ReliableChannel::ReliableChannel(LinkLayer& link, ReliableConfig cfg)
   }
 }
 
-void ReliableChannel::trace_rel(const char* name, NodeId src, NodeId dst,
+void ReliableChannel::trace_rel(obs::EventName name, NodeId src, NodeId dst,
                                 std::uint64_t seq, std::uint64_t flow,
                                 NodeId node, std::uint32_t attempts) {
   auto& tr = obs::tracer();

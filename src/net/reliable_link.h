@@ -134,7 +134,7 @@ class ReliableChannel {
   void handle(NodeId at, const Packet& raw);
   void transmit(NodeId src, NodeId dst, Pending& p);  // a copy + its timeout
   void on_timeout(NodeId src, NodeId dst, std::uint64_t seq);
-  void trace_rel(const char* name, NodeId src, NodeId dst, std::uint64_t seq,
+  void trace_rel(obs::EventName name, NodeId src, NodeId dst, std::uint64_t seq,
                  std::uint64_t flow, NodeId node, std::uint32_t attempts);
 
   LinkLayer& link_;

@@ -25,10 +25,10 @@
 namespace wsn::obs::analyze {
 
 /// The one numeric attribute reader every analyzer shares: the value of the
-/// first attr named `key`, integer kinds widened to double; `fallback` when
-/// the attr is absent or holds a string. Inline because the streaming
+/// first attr keyed `key`, integer kinds widened to double; `fallback` when
+/// the attr is absent or holds a code. Inline because the streaming
 /// checker calls it on every event.
-inline double attr_num(const TraceEvent& ev, const char* key,
+inline double attr_num(const TraceEvent& ev, AttrKey key,
                        double fallback = 0.0) {
   for (const Attr& a : ev.attrs) {
     if (a.key != key) continue;

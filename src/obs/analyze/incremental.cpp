@@ -1,8 +1,8 @@
 #include "obs/analyze/incremental.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <string_view>
 #include <utility>
 
 namespace wsn::obs::analyze {
@@ -26,7 +26,7 @@ enum NameClass : unsigned {
 };
 
 struct ClassedName {
-  std::string_view name;
+  EventName name;
   unsigned classes;
 };
 
@@ -46,17 +46,16 @@ constexpr ClassedName kNameClasses[] = {
     {"fd.adopt_bind", kMembershipChurn | kStrikeChurn},
     {"fd.member_heal", kMembershipChurn | kStrikeChurn},
     {"fd.roster_heal", kMembershipChurn | kStrikeChurn},
-    {"fd.roster_conflict", kMembershipChurn | kStrikeChurn},
     {"fd.adopt_accept", kMembershipChurn},
     {"fd.stranded", kMembershipChurn},
 };
 
-unsigned classes_of(const std::string& name) {
-  for (const ClassedName& c : kNameClasses) {
-    if (name == c.name) return c.classes;
-  }
-  return 0;
-}
+/// kNameClasses indexed by name id, so classifying an event is one load.
+constexpr auto kClassesOf = [] {
+  std::array<unsigned, EventName::kCount> by_id{};
+  for (const ClassedName& c : kNameClasses) by_id[c.name.id()] |= c.classes;
+  return by_id;
+}();
 
 bool close_rel(double a, double b, double rel) {
   const double scale = std::max(std::abs(a), std::abs(b));
@@ -66,6 +65,8 @@ bool close_rel(double a, double b, double rel) {
 std::string flow_tag(const Flow& f) {
   return "flow " + std::to_string(f.id);
 }
+
+std::string name_of(EventName name) { return std::string(name.str()); }
 
 /// Appends every structural violation of one retired flow to `issues`.
 void append_flow_issues(const Flow& f, std::vector<std::string>& issues) {
@@ -126,8 +127,9 @@ void fold_event(Flow& f, const TraceEvent& ev) {
         f.send_time = ev.time;
         f.self_send = ev.name == "self_send";
         f.size = attr_num(ev, "size", 1.0);
-        f.expected_hops = static_cast<std::uint64_t>(attr_num(
-            ev, ev.category == Category::kOverlay ? "vhops" : "hops"));
+        f.expected_hops = static_cast<std::uint64_t>(
+            attr_num(ev, ev.category == Category::kOverlay ? AttrKey("vhops")
+                                                           : AttrKey("hops")));
         f.dst_index = static_cast<std::int64_t>(attr_num(ev, "dst", -1.0));
       } else if (ev.name == "deliver") {
         f.delivered = true;
@@ -220,6 +222,15 @@ void FlowCollector::finish() {
 StreamingChecker::StreamingChecker()
     : flows_([this](Flow& f) { retire(f); }) {}
 
+std::size_t StreamingChecker::LaneHash::operator()(const Lane& lane) const {
+  std::uint64_t h = 0;
+  for (const std::uint64_t word : {lane.src, lane.dst, lane.seq_high}) {
+    h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
+  }
+  return static_cast<std::size_t>(h);
+}
+
 void StreamingChecker::retire(Flow& f) {
   ++report_.flows_checked;
   append_flow_issues(f, report_.issues);
@@ -260,7 +271,8 @@ void StreamingChecker::feed_collective(const TraceEvent& ev) {
     if (!fresh) {
       // A reused id buries the earlier span unclosed.
       report_.issues.push_back("collective " + std::to_string(ev.flow) +
-                               " (" + it->second.name + "): never completed");
+                               " (" + name_of(it->second.name) +
+                               "): never completed");
     }
     it->second = {ev.name, ev.time};
   } else if (ev.phase == 'E') {
@@ -274,33 +286,45 @@ void StreamingChecker::feed_collective(const TraceEvent& ev) {
     }
     if (ev.time < it->second.begin) {
       report_.issues.push_back("collective " + std::to_string(ev.flow) +
-                               " (" + it->second.name +
+                               " (" + name_of(it->second.name) +
                                "): ends before it begins");
     }
     open_collectives_.erase(it);
   }
 }
 
+std::uint64_t StreamingChecker::exchange_key(const TraceEvent& ev) {
+  const auto seq = static_cast<std::uint64_t>(attr_num(ev, "seq"));
+  const Lane lane{static_cast<std::uint64_t>(attr_num(ev, "src")),
+                  static_cast<std::uint64_t>(attr_num(ev, "dst")), seq >> 32};
+  const std::uint64_t id =
+      lanes_.try_emplace(lane, lanes_.size()).first->second;
+  return id << 32 | (seq & 0xffffffffu);
+}
+
 void StreamingChecker::feed_reliability(const TraceEvent& ev) {
-  auto rel_key = [](const TraceEvent& e) {
-    return std::to_string(static_cast<std::uint64_t>(attr_num(e, "src"))) +
-           ">" +
-           std::to_string(static_cast<std::uint64_t>(attr_num(e, "dst"))) +
-           "#" + std::to_string(static_cast<std::uint64_t>(attr_num(e, "seq")));
+  const auto cell_epoch = [&ev] {
+    return CellEpoch{{static_cast<std::int64_t>(attr_num(ev, "row", -1.0)),
+                      static_cast<std::int64_t>(attr_num(ev, "col", -1.0))},
+                     static_cast<std::uint64_t>(attr_num(ev, "epoch"))};
   };
-  auto cell_epoch = [](const TraceEvent& e) {
-    const auto row = static_cast<std::int64_t>(attr_num(e, "row", -1.0));
-    const auto col = static_cast<std::int64_t>(attr_num(e, "col", -1.0));
-    const auto epoch = static_cast<std::uint64_t>(attr_num(e, "epoch"));
-    return std::to_string(row) + "," + std::to_string(col) + "@" +
-           std::to_string(epoch);
+  // Issue text only: "src>dst#seq" and "fd.claim row,col@epoch".
+  const auto exchange_tag = [&ev] {
+    const auto word = [&ev](AttrKey key) {
+      return std::to_string(static_cast<std::uint64_t>(attr_num(ev, key)));
+    };
+    return word("src") + ">" + word("dst") + "#" + word("seq");
+  };
+  const auto claim_tag = [](const CellEpoch& k) {
+    return "fd.claim " + std::to_string(k.cell.row) + "," +
+           std::to_string(k.cell.col) + "@" + std::to_string(k.epoch);
   };
 
   // Self-stabilization bookkeeping: disturbances extend the quiescence
   // deadline; churn candidates must be buffered — only the deadline known
   // at finish() separates legitimate reaction from failure to re-converge.
   // fd.corrupt itself is folded in the main chain below.
-  const unsigned classes = classes_of(ev.name);
+  const unsigned classes = kClassesOf[ev.name.id()];
   if ((classes & kDisturbance) != 0) {
     stab_disturb_ = std::max(stab_disturb_, ev.time);
   }
@@ -321,14 +345,15 @@ void StreamingChecker::feed_reliability(const TraceEvent& ev) {
   membership_.feed(ev, classes);
 
   if (ev.name == "rel.send") {
-    sent_[rel_key(ev)] = ev.time;
-    sent_queue_.emplace_back(rel_key(ev), ev.time);
+    const std::uint64_t key = exchange_key(ev);
+    sent_[key] = ev.time;
+    sent_queue_.emplace_back(key, ev.time);
   } else if (ev.name == "rel.retransmit" || ev.name == "rel.give_up" ||
              ev.name == "rel.ack" || ev.name == "rel.dup") {
-    const std::string key = rel_key(ev);
+    const std::uint64_t key = exchange_key(ev);
     const auto it = sent_.find(key);
     if (it == sent_.end()) {
-      report_.issues.push_back(std::string(ev.name) + " " + key +
+      report_.issues.push_back(name_of(ev.name) + " " + exchange_tag() +
                                ": no matching rel.send");
     } else {
       // Keep the exchange alive while the ARQ is still talking about it.
@@ -341,30 +366,25 @@ void StreamingChecker::feed_reliability(const TraceEvent& ev) {
   } else if (ev.name == "fault.recover" && ev.node >= 0) {
     crashed_.erase(ev.node);
   } else if (ev.name == "fd.elect" || ev.name == "fd.handoff") {
-    elections_.insert(cell_epoch(ev));
+    elections_.insert(cell_epoch());
   } else if (ev.name == "fd.claim") {
-    const std::string key = cell_epoch(ev);
+    const CellEpoch key = cell_epoch();
     if (!claimed_.insert(key).second) {
-      report_.issues.push_back("fd.claim " + key +
+      report_.issues.push_back(claim_tag(key) +
                                ": duplicate claim for this cell and epoch "
                                "(split-brain)");
     }
     if (elections_.find(key) == elections_.end()) {
-      report_.issues.push_back("fd.claim " + key +
+      report_.issues.push_back(claim_tag(key) +
                                ": no preceding fd.elect for this epoch");
     }
-    const auto row = static_cast<std::int64_t>(attr_num(ev, "row", -1.0));
-    const auto col = static_cast<std::int64_t>(attr_num(ev, "col", -1.0));
-    const std::string cell =
-        std::to_string(row) + "," + std::to_string(col);
-    const auto epoch = static_cast<std::uint64_t>(attr_num(ev, "epoch"));
-    const auto it = last_claim_epoch_.find(cell);
-    if (it != last_claim_epoch_.end() && epoch <= it->second) {
+    const auto it = last_claim_epoch_.find(key.cell);
+    if (it != last_claim_epoch_.end() && key.epoch <= it->second) {
       report_.issues.push_back(
-          "fd.claim " + key + ": epoch not above the cell's last claim (" +
+          claim_tag(key) + ": epoch not above the cell's last claim (" +
           std::to_string(it->second) + ")");
     }
-    last_claim_epoch_[cell] = epoch;
+    last_claim_epoch_[key.cell] = key.epoch;
   } else if (ev.name == "fd.corrupt") {
     const double bound = attr_num(ev, "bound");
     strikes_.push_back({ev.time, bound, ev.time});
@@ -461,8 +481,8 @@ void StreamingChecker::MembershipLedger::resolve(
   const double deadline = last_disturbance + bound;
   for (const ChurnEvent& c : churn) {
     if (c.time <= deadline) continue;
-    issues.push_back(c.name + " at t=" + std::to_string(c.time) + " (node " +
-                     std::to_string(c.node) +
+    issues.push_back(name_of(c.name) + " at t=" + std::to_string(c.time) +
+                     " (node " + std::to_string(c.node) +
                      "): membership churn after the reconciliation deadline "
                      "t=" + std::to_string(deadline));
   }
@@ -523,7 +543,7 @@ CheckReport StreamingChecker::finish(const JsonValue* metrics_snapshot) {
   });
   for (const auto& [id, oc] : open) {
     report_.issues.push_back("collective " + std::to_string(id) + " (" +
-                             oc->name + "): never completed");
+                             name_of(oc->name) + "): never completed");
   }
 
   // Self-stabilization: with the final quiescence deadline known, re-filter
@@ -537,7 +557,7 @@ CheckReport StreamingChecker::finish(const JsonValue* metrics_snapshot) {
     for (const ChurnEvent& ce : stab_churn_) {
       if (ce.time <= deadline) continue;
       report_.issues.push_back(
-          ce.name + " at t=" + std::to_string(ce.time) + " (node " +
+          name_of(ce.name) + " at t=" + std::to_string(ce.time) + " (node " +
           std::to_string(ce.node) +
           "): leadership churn after the stabilization deadline t=" +
           std::to_string(deadline));

@@ -16,9 +16,12 @@
 // retired before the end of the stream.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -91,7 +94,7 @@ class StreamingChecker {
   /// the quiescence deadline and legitimize churn that looked late when it
   /// streamed past.
   struct ChurnEvent {
-    std::string name;
+    EventName name;
     std::int64_t node = 0;
     double time = 0.0;
   };
@@ -131,6 +134,29 @@ class StreamingChecker {
     void resolve(std::vector<std::string>& issues) const;
   };
 
+  /// The directed pair an ARQ frame crosses, and the high half of its seq.
+  struct Lane {
+    std::uint64_t src = 0;
+    std::uint64_t dst = 0;
+    std::uint64_t seq_high = 0;
+    bool operator==(const Lane&) const = default;
+  };
+  struct LaneHash {
+    std::size_t operator()(const Lane& lane) const;
+  };
+  /// A virtual node's cell.
+  struct Cell {
+    std::int64_t row = -1;
+    std::int64_t col = -1;
+    auto operator<=>(const Cell&) const = default;
+  };
+  /// A cell's leadership at one epoch.
+  struct CellEpoch {
+    Cell cell;
+    std::uint64_t epoch = 0;
+    auto operator<=>(const CellEpoch&) const = default;
+  };
+
   /// An fd.corrupt strike, timed against the churn it provokes.
   struct Strike {
     double at = 0.0;
@@ -143,6 +169,10 @@ class StreamingChecker {
   void feed_reliability(const TraceEvent& ev);
   void feed_depletion_link(const TraceEvent& ev);
   void expire_rel_state(double watermark);
+  /// The integer key of `ev`'s ARQ exchange (src, dst, seq): the id of its
+  /// lane above the low half of its seq. Lanes are numbered in first-seen
+  /// order.
+  std::uint64_t exchange_key(const TraceEvent& ev);
 
   CheckReport report_;
   FlowCollector flows_;
@@ -152,24 +182,27 @@ class StreamingChecker {
   // that ever began so an 'E' without any 'B' is an orphan (collective ids
   // are handed out per operation, not per event, so this stays small).
   struct OpenCollective {
-    std::string name;
+    EventName name;
     double begin = 0.0;
   };
   std::unordered_map<std::uint64_t, OpenCollective> open_collectives_;
   std::unordered_set<std::uint64_t> began_;
 
-  // Reliability (ARQ pairing + crash windows). `sent_` maps the
-  // (src,dst,seq) key to its last-touch time and is expired lazily through
-  // `sent_queue_` so per-hop ARQ traffic doesn't accumulate forever.
-  std::unordered_map<std::string, double> sent_;
-  std::deque<std::pair<std::string, double>> sent_queue_;
+  // Reliability (ARQ pairing + crash windows). `sent_` maps each exchange
+  // to its last-touch time and is expired lazily through `sent_queue_` so
+  // per-hop ARQ traffic doesn't accumulate forever. Their keys are 8-byte
+  // integers; `lanes_` numbers the lanes the keys name, so it is bounded by
+  // the directed pairs of the topology.
+  std::unordered_map<Lane, std::uint64_t, LaneHash> lanes_;
+  std::unordered_map<std::uint64_t, double> sent_;
+  std::deque<std::pair<std::uint64_t, double>> sent_queue_;
   std::unordered_set<std::int64_t> crashed_;
   std::uint64_t give_ups_ = 0;
 
   // Failure detection (bounded by cells x epochs actually contested).
-  std::unordered_set<std::string> elections_;
-  std::unordered_set<std::string> claimed_;
-  std::unordered_map<std::string, std::uint64_t> last_claim_epoch_;
+  std::set<CellEpoch> elections_;
+  std::set<CellEpoch> claimed_;
+  std::map<Cell, std::uint64_t> last_claim_epoch_;
 
   // Depletion (bounded by node count).
   std::unordered_map<std::int64_t, double> depleted_at_;

@@ -1,6 +1,7 @@
 #include "obs/export.h"
 
 #include <algorithm>
+#include <optional>
 #include <ostream>
 
 #include "obs/analyze/json_reader.h"
@@ -19,7 +20,7 @@ void append_jsonl(const TraceEvent& ev, std::string& out) {
   out += ",\"ph\":";
   json_append_string(out, std::string_view(&ev.phase, 1));
   out += ",\"name\":";
-  json_append_string(out, ev.name);
+  json_append_string(out, ev.name.str());
   out += ",\"flow\":";
   json_append_uint(out, ev.flow);
   out += ",\"args\":{";
@@ -27,7 +28,7 @@ void append_jsonl(const TraceEvent& ev, std::string& out) {
   for (const Attr& a : ev.attrs) {
     if (!first) out += ',';
     first = false;
-    json_append_string(out, a.key);
+    json_append_string(out, a.key.str());
     out += ':';
     json_append_value(out, a.value);
   }
@@ -53,6 +54,15 @@ AttrValue attr_of(const JsonNumber& n) {
   return std::visit([](auto v) { return AttrValue(v); }, n);
 }
 
+/// The vocabulary word spelt `text`; `what` names the vocabulary in the
+/// error.
+template <typename W>
+W word(const JsonLexer& lex, const std::string& text, const char* what) {
+  if (const std::optional<W> w = W::from(text)) return *w;
+  throw VocabularyError(lex.line(), std::string("unknown ") + what + ": " +
+                                        text);
+}
+
 /// "node" and "flow": an integer of either sign, reinterpreted as the
 /// field's type.
 std::int64_t int_field(JsonLexer& lex) {
@@ -75,7 +85,8 @@ double double_field(JsonLexer& lex) {
 
 // The grammar of exactly the objects append_jsonl writes, decoded straight
 // off the shared lexer: flat string/number members plus one "args" object
-// of string/number attrs. Kept beside the writer so the two cannot drift.
+// of string/number attrs, every name, key and string value a word of its
+// vocabulary. Kept beside the writer so the two cannot drift.
 TraceEvent parse_jsonl_line(std::string_view line, std::size_t lineno) {
   JsonLexer lex(line, lineno);
   TraceEvent ev;
@@ -100,21 +111,29 @@ TraceEvent parse_jsonl_line(std::string_view line, std::size_t lineno) {
         if (value.size() != 1) lex.fail("phase must be one char");
         ev.phase = value[0];
       } else if (key == "name") {
-        lex.read_string(ev.name);
+        lex.read_string(value);
+        ev.name = word<EventName>(lex, value, "event name");
       } else if (key == "flow") {
         ev.flow = static_cast<std::uint64_t>(int_field(lex));
       } else if (key == "args") {
         lex.expect('{');
         if (!lex.consume('}')) {
           do {
-            Attr& a = ev.attrs.emplace_back();
-            lex.read_string(a.key);
+            if (ev.attrs.size() == AttrList::kCapacity) {
+              lex.fail("more than " + std::to_string(AttrList::kCapacity) +
+                       " attributes");
+            }
+            Attr a;
+            lex.read_string(value);
+            a.key = word<AttrKey>(lex, value, "attribute key");
             lex.expect(':');
             if (lex.peek() == '"') {
-              lex.read_string(a.value.emplace<std::string>());
+              lex.read_string(value);
+              a.value = word<AttrCode>(lex, value, "attribute value");
             } else {
               a.value = attr_of(lex.read_number());
             }
+            ev.attrs.push_back(a);
           } while (lex.consume(','));
           lex.expect('}');
         }
@@ -162,7 +181,7 @@ void write_chrome_trace(const std::vector<TraceEvent>& events,
     if (!first) line += ",\n";
     first = false;
     line += "{\"name\":";
-    json_append_string(line, ev.name);
+    json_append_string(line, ev.name.str());
     line += ",\"cat\":";
     json_append_string(line, category_name(ev.category));
     line += ",\"ph\":";
@@ -183,7 +202,7 @@ void write_chrome_trace(const std::vector<TraceEvent>& events,
     for (const Attr& a : ev.attrs) {
       if (!first_attr) line += ',';
       first_attr = false;
-      json_append_string(line, a.key);
+      json_append_string(line, a.key.str());
       line += ':';
       json_append_value(line, a.value);
     }

@@ -6,7 +6,8 @@
 //     (integer vs double attribute kinds survive the round trip), which is
 //     what lets TraceReader and offline tools reconstruct message
 //     provenance from a file. It decodes on the shared JSON lexer
-//     (obs/analyze/json_reader.h), so its errors name their line.
+//     (obs/analyze/json_reader.h), so its errors name their line, and it
+//     rejects a name, key or string value outside the vocabulary.
 //   * Chrome trace_event JSON — loadable in about://tracing or
 //     https://ui.perfetto.dev. Simulation time is mapped 1 cost-model unit
 //     = 1 ms (ts is microseconds), nodes become "threads" so per-node
@@ -19,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/analyze/json_reader.h"
 #include "obs/trace.h"
 
 namespace wsn::obs {
@@ -34,8 +36,18 @@ void append_jsonl(const TraceEvent& ev, std::string& out);
 /// Writes one JSON object per line (append_jsonl through a reused buffer).
 void write_jsonl(const std::vector<TraceEvent>& events, std::ostream& out);
 
+/// A JSONL line that names an event, attribute key or string value outside
+/// its vocabulary (obs/trace.h). A capture cut short cannot produce one, so
+/// TraceReader never takes it for a truncated tail.
+class VocabularyError : public analyze::JsonError {
+ public:
+  using JsonError::JsonError;
+};
+
 /// Parses one JSONL line, line `lineno` of its file, into an event. Throws
-/// analyze::JsonError ("json: line <lineno>: ...") on malformed input.
+/// analyze::JsonError ("json: line <lineno>: ...") on malformed input, and
+/// VocabularyError ("json: line <lineno>: unknown event name: ...") on a
+/// word outside the vocabulary.
 TraceEvent parse_jsonl_line(std::string_view line, std::size_t lineno = 1);
 
 /// Writes a Chrome trace_event file ({"traceEvents":[...]}).

@@ -84,7 +84,7 @@ inline void json_append_value(std::string& out, const AttrValue& v) {
   } else if (const auto* d = std::get_if<double>(&v)) {
     json_append_double(out, *d);
   } else {
-    json_append_string(out, std::get<std::string>(v));
+    json_append_string(out, std::get<AttrCode>(v).str());
   }
 }
 

@@ -125,6 +125,8 @@ bool TraceReader::next_jsonl(TraceEvent& ev) {
       if (line_.empty()) continue;
       try {
         ev = parse_jsonl_line(line_, lineno_);
+      } catch (const VocabularyError& e) {
+        throw std::runtime_error(path + ": " + e.what());
       } catch (const std::runtime_error& e) {
         if (in_.peek() == std::ifstream::traits_type::eof()) {
           // A bad final line is an unflushed tail, not a malformed trace:

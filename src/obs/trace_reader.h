@@ -11,7 +11,9 @@
 // truncated tail (crash, unflushed buffer) is reported as a structured
 // finding via findings() after iteration, not an exception; exceptions are
 // reserved for structural errors (missing path, bad magic, unsupported
-// version, malformed JSONL in the middle of a file).
+// version, malformed JSONL in the middle of a file, and a JSONL word outside
+// the trace vocabulary anywhere). In wtr a word outside the vocabulary
+// makes a corrupt segment.
 #pragma once
 
 #include <cstdint>

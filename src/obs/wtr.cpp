@@ -1,8 +1,10 @@
 #include "obs/wtr.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <stdexcept>
+#include <string_view>
 
 namespace wsn::obs::wtr {
 
@@ -59,14 +61,16 @@ struct Cursor {
     return v;
   }
 
-  std::string bytes(std::size_t n) {
-    if (pos + n > buf.size()) throw std::runtime_error("record payload overrun");
-    std::string s = buf.substr(pos, n);
-    pos += n;
+  std::string_view bytes(std::uint64_t n) {
+    if (n > buf.size() - pos) {
+      throw std::runtime_error("record payload overrun");
+    }
+    const std::string_view s(buf.data() + pos, static_cast<std::size_t>(n));
+    pos += static_cast<std::size_t>(n);
     return s;
   }
 
-  std::string rest() { return bytes(buf.size() - pos); }
+  std::string_view rest() { return bytes(buf.size() - pos); }
   bool at_end() const { return pos == buf.size(); }
 };
 
@@ -91,17 +95,25 @@ void SegmentEncoder::begin_segment(std::string& out,
   append_varint(out, segment_index);
 }
 
-std::uint64_t SegmentEncoder::intern(const std::string& s, std::string& out) {
-  const auto it = table_.find(s);
-  if (it != table_.end()) return it->second;
+template <typename Twin, typename W, typename Ids, typename TwinIds>
+std::uint64_t SegmentEncoder::wire_id(W word, Ids& ids, TwinIds& twin_ids,
+                                      std::string& out) {
+  std::uint64_t& slot = ids[word.id()];
+  if (slot != 0) return slot - 1;
+  const std::optional<Twin> twin = Twin::from(word.str());
+  if (twin.has_value() && twin_ids[twin->id()] != 0) {
+    slot = twin_ids[twin->id()];
+    return slot - 1;
+  }
   const std::uint64_t id = next_id_++;
-  table_.emplace(s, id);
-  // Stage in a dedicated buffer: append_event calls intern() while an event
+  slot = id + 1;
+  if (twin.has_value()) twin_ids[twin->id()] = slot;
+  // Stage in a dedicated buffer: append_event interns while an event
   // record is half-built in payload_.
   intern_scratch_.clear();
   intern_scratch_ += static_cast<char>(kTagIntern);
   append_varint(intern_scratch_, id);
-  intern_scratch_ += s;
+  intern_scratch_ += word.str();
   append_varint(out, intern_scratch_.size());
   out += intern_scratch_;
   return id;
@@ -109,7 +121,8 @@ std::uint64_t SegmentEncoder::intern(const std::string& s, std::string& out) {
 
 void SegmentEncoder::append_event(const TraceEvent& ev, std::string& out) {
   // Intern records must precede the event record that references them.
-  const std::uint64_t name_id = intern(ev.name, out);
+  const std::uint64_t name_id =
+      wire_id<AttrKey>(ev.name, name_ids_, key_ids_, out);
   // Attr key ids are at most a handful per event; resolve them up front into
   // a small stack array so the event payload is built in one pass.
   payload_.clear();
@@ -122,8 +135,10 @@ void SegmentEncoder::append_event(const TraceEvent& ev, std::string& out) {
   append_varint(payload_, ev.flow);
   append_varint(payload_, ev.attrs.size());
   for (const Attr& a : ev.attrs) {
-    // intern() appends to `out`, never to payload_, so staging stays intact.
-    append_varint(payload_, intern(a.key, out));
+    // Interning appends to `out`, never to payload_, so staging stays
+    // intact.
+    append_varint(payload_,
+                  wire_id<EventName>(a.key, key_ids_, name_ids_, out));
     if (const auto* i = std::get_if<std::int64_t>(&a.value)) {
       payload_ += static_cast<char>(kAttrInt);
       append_varint(payload_, zigzag(*i));
@@ -134,7 +149,7 @@ void SegmentEncoder::append_event(const TraceEvent& ev, std::string& out) {
       payload_ += static_cast<char>(kAttrDouble);
       append_f64le(payload_, *d);
     } else {
-      const std::string& s = std::get<std::string>(a.value);
+      const std::string_view s = std::get<AttrCode>(a.value).str();
       payload_ += static_cast<char>(kAttrString);
       append_varint(payload_, s.size());
       payload_ += s;
@@ -249,10 +264,19 @@ bool SegmentReader::read_record() {
     corrupt("implausible record length " + std::to_string(len));
     return false;
   }
-  payload_.resize(static_cast<std::size_t>(len));
-  if (!read_exact(payload_.data(), payload_.size())) {
-    truncated("unexpected end of file inside a record");
-    return false;
+  // Read in bounded chunks: a corrupt length prefix may claim far more
+  // bytes than the file holds, and the buffer only grows with what is read.
+  constexpr std::size_t kChunk = 1 << 16;
+  payload_.clear();
+  while (payload_.size() < len) {
+    const std::size_t at = payload_.size();
+    const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
+        len - at, kChunk));
+    payload_.resize(at + n);
+    if (!read_exact(payload_.data() + at, n)) {
+      truncated("unexpected end of file inside a record");
+      return false;
+    }
   }
   const auto tag = static_cast<std::uint8_t>(payload_[0]);
   if (tag != kTagFooter) {
@@ -276,7 +300,9 @@ bool SegmentReader::next(TraceEvent& ev) {
           corrupt("intern id " + std::to_string(id) + " out of order");
           return false;
         }
-        table_.push_back(c.rest());
+        const std::string_view text = c.rest();
+        table_.push_back(
+            {std::string(text), EventName::from(text), AttrKey::from(text)});
         continue;
       }
       if (tag == kTagEvent) {
@@ -294,9 +320,19 @@ bool SegmentReader::next(TraceEvent& ev) {
           corrupt("name id " + std::to_string(name_id) + " not interned");
           return false;
         }
-        ev.name = table_[static_cast<std::size_t>(name_id)];
+        const Interned& name = table_[static_cast<std::size_t>(name_id)];
+        if (!name.name.has_value()) {
+          corrupt("unknown event name: " + name.text);
+          return false;
+        }
+        ev.name = *name.name;
         ev.flow = c.varint();
         const std::uint64_t nattrs = c.varint();
+        if (nattrs > AttrList::kCapacity) {
+          corrupt(std::to_string(nattrs) + " attributes, more than " +
+                  std::to_string(AttrList::kCapacity));
+          return false;
+        }
         ev.attrs.clear();
         for (std::uint64_t i = 0; i < nattrs; ++i) {
           const std::uint64_t key_id = c.varint();
@@ -304,22 +340,32 @@ bool SegmentReader::next(TraceEvent& ev) {
             corrupt("attr key id " + std::to_string(key_id) + " not interned");
             return false;
           }
+          const Interned& key = table_[static_cast<std::size_t>(key_id)];
+          if (!key.key.has_value()) {
+            corrupt("unknown attribute key: " + key.text);
+            return false;
+          }
           Attr a;
-          a.key = table_[static_cast<std::size_t>(key_id)];
+          a.key = *key.key;
           switch (c.u8()) {
             case kAttrInt: a.value = unzigzag(c.varint()); break;
             case kAttrUint: a.value = c.varint(); break;
             case kAttrDouble: a.value = c.f64(); break;
             case kAttrString: {
-              const std::uint64_t n = c.varint();
-              a.value = c.bytes(static_cast<std::size_t>(n));
+              const std::string_view text = c.bytes(c.varint());
+              const std::optional<AttrCode> code = AttrCode::from(text);
+              if (!code.has_value()) {
+                corrupt("unknown attribute value: " + std::string(text));
+                return false;
+              }
+              a.value = *code;
               break;
             }
             default:
               corrupt("bad attr kind");
               return false;
           }
-          ev.attrs.push_back(std::move(a));
+          ev.attrs.push_back(a);
         }
         if (!c.at_end()) {
           corrupt("trailing bytes in event record");

@@ -12,7 +12,8 @@
 //   payload := tag byte, then per tag:
 //     kTagIntern (1): varint string_id | raw bytes (the string)
 //                     ids are assigned densely in first-use order and an
-//                     intern record always precedes the first use
+//                     intern record always precedes the first use; an
+//                     event name and an attr key spelt alike share one id
 //     kTagEvent  (2): f64le time | zigzag-varint node | u8 category
 //                   | u8 phase | varint name_id | varint flow
 //                   | varint attr_count
@@ -22,6 +23,9 @@
 //     kTagFooter (3): varint event_count | u32le crc32 of every byte of the
 //                     segment before this record's length prefix
 //
+// Names, keys and kind-3 strings are words of the trace vocabulary
+// (obs/trace.h); the reader reports any other word as corruption.
+//
 // Doubles travel as their raw 8 bytes, so wtr -> JSONL conversion is
 // byte-identical to a direct JSONL export of the same events (the JSONL
 // writer's %.17g round-trips exactly). Every segment carries its own
@@ -30,10 +34,11 @@
 // of the last segment, and the footer makes that truncation detectable.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/trace.h"
@@ -95,9 +100,9 @@ class Crc32 {
 };
 
 /// Encodes events of one segment into a caller-owned append buffer. The
-/// intern table lives here; reset() starts a fresh self-contained segment.
-/// All appends reuse internal scratch, so the steady-state encode path does
-/// not allocate.
+/// intern table lives here, indexed by vocabulary id; reset() starts a
+/// fresh self-contained segment. All appends reuse internal scratch, so the
+/// steady-state encode path does not allocate.
 class SegmentEncoder {
  public:
   /// Appends the segment header (not length-prefixed).
@@ -112,14 +117,23 @@ class SegmentEncoder {
                             std::uint32_t crc);
 
   void reset() {
-    table_.clear();
+    name_ids_.fill(0);
+    key_ids_.fill(0);
     next_id_ = 0;
   }
 
  private:
-  std::uint64_t intern(const std::string& s, std::string& out);
+  /// The wire id of `word`, whose vocabulary's ids are `ids` (`twin_ids`
+  /// the other's), appending its intern record to `out` on first use. A
+  /// name and a key spelt alike share one id.
+  template <typename Twin, typename W, typename Ids, typename TwinIds>
+  std::uint64_t wire_id(W word, Ids& ids, TwinIds& twin_ids,
+                        std::string& out);
 
-  std::unordered_map<std::string, std::uint64_t> table_;
+  // Wire id + 1 of each name and key interned in this segment, 0 before
+  // its first use.
+  std::array<std::uint64_t, EventName::kCount> name_ids_{};
+  std::array<std::uint64_t, AttrKey::kCount> key_ids_{};
   std::uint64_t next_id_ = 0;
   std::string payload_;  // record staging buffer, reused across events
   std::string intern_scratch_;  // intern-record staging; separate from
@@ -164,11 +178,18 @@ class SegmentReader {
   void truncated(const std::string& why);
   void corrupt(const std::string& why);
 
+  /// One intern record: its bytes and the words they spell.
+  struct Interned {
+    std::string text;
+    std::optional<EventName> name;
+    std::optional<AttrKey> key;
+  };
+
   std::string path_;
   std::FILE* file_ = nullptr;
   Crc32 crc_;
   std::string payload_;
-  std::vector<std::string> table_;
+  std::vector<Interned> table_;
   SegmentEnd end_ = SegmentEnd::kClean;
   std::string finding_;
   bool done_ = false;

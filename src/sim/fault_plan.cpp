@@ -128,12 +128,11 @@ const char* kind_name(FaultKind kind) {
   return "unknown";
 }
 
-void trace_fault(Simulator& sim, const char* name, std::int64_t node,
-                 std::vector<obs::Attr> attrs) {
+void trace_fault(Simulator& sim, obs::EventName name, std::int64_t node,
+                 const obs::AttrList& attrs) {
   auto& tr = obs::tracer();
   if (!tr.enabled(obs::Category::kReliability)) return;
-  tr.emit({sim.now(), node, obs::Category::kReliability, 'i', name, 0,
-           std::move(attrs)});
+  tr.emit({sim.now(), node, obs::Category::kReliability, 'i', name, 0, attrs});
 }
 
 }  // namespace
@@ -363,7 +362,7 @@ bool FaultInjector::is_node_down(net::NodeId node) const {
 }
 
 void FaultInjector::apply_down(net::NodeId node, bool down,
-                               const char* trace_name) {
+                               obs::EventName trace_name) {
   if (link_ != nullptr) {
     link_->set_down(node, down);
   } else {
@@ -390,8 +389,9 @@ void FaultInjector::fire(const FaultEvent& ev) {
         }
       }
       apply_down(target, ev.kind == FaultKind::kCrash,
-                 ev.kind == FaultKind::kCrash ? "fault.crash"
-                                              : "fault.recover");
+                 ev.kind == FaultKind::kCrash
+                     ? obs::EventName("fault.crash")
+                     : obs::EventName("fault.recover"));
       return;
     }
     case FaultKind::kSetBudget: {
@@ -448,7 +448,7 @@ void FaultInjector::fire(const FaultEvent& ev) {
       }
       counters_.add(Counter::kCorrupt);
       trace_fault(sim_, "fault.corrupt", static_cast<std::int64_t>(target),
-                  {{"target", std::string(to_string(ev.target))}});
+                  {{"target", trace_code(ev.target)}});
       corruption_applier_(target, ev.target);
       return;
     }

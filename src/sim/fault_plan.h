@@ -63,6 +63,7 @@
 #include "core/grid_topology.h"
 #include "net/deployment.h"
 #include "obs/metrics_registry.h"
+#include "obs/trace.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
 
@@ -96,10 +97,10 @@ enum class CorruptionTarget : std::uint8_t {
   kMembership,  // cell belief defected / leader member roster scrambled
 };
 
-/// Stable name used in plan JSON and trace attributes
-/// ("epoch" / "leader" / "routes" / "leases" / "membership"). Inline so
-/// protocol layers (emulation::FailureDetector) can name targets without
-/// linking the fault library.
+/// Stable name used in plan JSON ("epoch" / "leader" / "routes" / "leases"
+/// / "membership"); trace attributes carry the same word as trace_code().
+/// Both inline so protocol layers (emulation::FailureDetector) can name
+/// targets without linking the fault library.
 inline const char* to_string(CorruptionTarget target) {
   switch (target) {
     case CorruptionTarget::kEpoch:
@@ -114,6 +115,14 @@ inline const char* to_string(CorruptionTarget target) {
       return "membership";
   }
   return "unknown";
+}
+
+/// The same name as a trace attribute code (the `target` of fault.corrupt
+/// and fd.corrupt).
+inline obs::AttrCode trace_code(CorruptionTarget target) {
+  static constexpr obs::AttrCode kCodes[] = {"epoch", "leader", "routes",
+                                             "leases", "membership"};
+  return kCodes[static_cast<std::size_t>(target)];
 }
 
 /// Parses a corruption-target name; returns false on an unknown name.
@@ -248,7 +257,7 @@ class FaultInjector {
 
   void check_target(const FaultEvent& ev, std::size_t index) const;
   void fire(const FaultEvent& ev);
-  void apply_down(net::NodeId node, bool down, const char* trace_name);
+  void apply_down(net::NodeId node, bool down, obs::EventName trace_name);
   bool is_node_down(net::NodeId node) const;
 
   Simulator& sim_;

@@ -7,6 +7,7 @@
 // energy quantities the paper's cost model defines.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
@@ -93,7 +94,13 @@ class Simulator {
   }
 
   /// Runs events with timestamp <= `until`, then sets the clock to `until`.
+  /// An infinite `until` runs to quiescence like run() and leaves the clock
+  /// at the last event, so the simulator can still schedule; a NaN `until`
+  /// throws std::invalid_argument.
   void run_until(Time until, std::uint64_t max_events = kDefaultEventBudget) {
+    if (std::isnan(until)) {
+      throw std::invalid_argument("Simulator: run_until(NaN)");
+    }
     std::uint64_t n = 0;
     while (!queue_.empty() && queue_.next_time() <= until) {
       step();
@@ -101,7 +108,7 @@ class Simulator {
         throw std::runtime_error("Simulator: event budget exceeded");
       }
     }
-    if (until > now_) now_ = until;
+    if (until > now_ && std::isfinite(until)) now_ = until;
   }
 
   /// Registers the kernel telemetry gauges — queue depth, tombstones,

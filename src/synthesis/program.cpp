@@ -47,8 +47,9 @@ void AggregationProgram::start_round() {
   std::fill(merges_done_.begin(), merges_done_.end(), 0);
   std::fill(contributed_.begin(), contributed_.end(), false);
   std::fill(level_sent_.begin(), level_sent_.end(), false);
-  for (const core::GridCoord& c : fabric_.grid().all_coords()) {
-    fabric_.simulator().post([this, c]() { on_start(c); });
+  const core::GridTopology& grid = fabric_.grid();
+  for (std::size_t i = 0; i < grid.node_count(); ++i) {
+    fabric_.simulator().post([this, c = grid.coord_of(i)]() { on_start(c); });
   }
 }
 

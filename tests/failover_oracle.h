@@ -104,11 +104,11 @@ class FailoverBinder {
     if (obs::tracer().enabled(obs::Category::kProtocol)) {
       obs::tracer().emit({link.simulator().now(),
                           static_cast<std::int64_t>(winner),
-                          obs::Category::kProtocol, 'i', "binding.failover", 0,
+                          obs::Category::kProtocol, 'i', "binding.elected", 0,
                           {{"row", static_cast<std::int64_t>(cell.row)},
                            {"col", static_cast<std::int64_t>(cell.col)},
                            {"old", static_cast<std::uint64_t>(node)},
-                           {"new", static_cast<std::uint64_t>(winner)}}});
+                           {"winner", static_cast<std::uint64_t>(winner)}}});
     }
   }
 

@@ -523,7 +523,7 @@ obs::TraceEvent depletion_event(double t, std::int64_t node, double budget,
 
 /// An uncorrelated (flow 0) link frame: the flow checks ignore it, the
 /// depletion and crash-window checks do not.
-obs::TraceEvent link_event(double t, std::int64_t node, const char* name) {
+obs::TraceEvent link_event(double t, std::int64_t node, obs::EventName name) {
   return {t, node, obs::Category::kLink, 'i', name, 0, {}};
 }
 

@@ -1,16 +1,20 @@
-// Seeded mutation fuzzing of every JSON input the tree reads: fault plans
-// (the five canned campaigns), JSONL traces and metrics snapshots. Each
-// mutant must either parse or fail with a std::runtime_error that names a
-// line ("fault plan line L", "json: line L") — never another exception, a
-// crash or a sanitizer report — and what parses must round-trip through
-// its writer. No fuzzing library: a
-// fixed-seed generator drives byte flips, inserts drawn from a JSON
-// alphabet, deletions, duplicated spans and truncation, so every run
-// checks the same mutants.
+// Seeded mutation fuzzing of every untrusted input the tree reads: fault
+// plans (the five canned campaigns), JSONL traces and metrics snapshots,
+// and wtr trace segments. Each JSON mutant must either parse or fail with a
+// std::runtime_error that names a line ("fault plan line L", "json: line
+// L"), and what parses must round-trip through its writer. Each wtr mutant
+// must read to a clean end, end with a truncated or corrupt finding, or
+// throw a std::runtime_error that names its file. Never another exception,
+// a crash, a hang or a sanitizer report. No fuzzing library: a fixed-seed
+// generator drives byte flips, inserts drawn from a JSON alphabet (JSON
+// only), deletions, duplicated spans and truncation, so every run checks
+// the same mutants.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <random>
 #include <string>
 #include <string_view>
@@ -25,6 +29,8 @@
 #include "obs/metrics_registry.h"
 #include "obs/sinks.h"
 #include "obs/trace.h"
+#include "obs/trace_reader.h"
+#include "obs/wtr.h"
 #include "sim/fault_plan.h"
 #include "sim/simulator.h"
 #include "tests/trace_helpers.h"
@@ -47,10 +53,12 @@ class Mutator {
  public:
   explicit Mutator(std::uint64_t seed) : rng_(seed) {}
 
-  /// One to three mutations of `s`.
-  std::string mutate(std::string s) {
+  /// One to three mutations of `s`; `binary` leaves out the JSON inserts.
+  std::string mutate(std::string s, bool binary = false) {
     for (std::size_t ops = 1 + pick(3); ops > 0; --ops) {
-      switch (pick(5)) {
+      std::size_t op = pick(binary ? 4 : 5);
+      if (binary && op >= 1) ++op;  // skip the insert
+      switch (op) {
         case 0:  // flip one bit
           if (!s.empty()) s[pick(s.size())] ^= static_cast<char>(1 << pick(8));
           break;
@@ -171,6 +179,67 @@ std::string snapshot_seed() {
   return registry.to_json();
 }
 
+/// A seeded capture as one wtr segment: every cell of a 4x4 virtual
+/// network sends to the origin under contention, then nasty_events() adds
+/// a coded value and the numeric extremes.
+std::string wtr_seed() {
+  obs::RingBufferSink sink(1 << 12);
+  sim::Simulator sim(1);
+  core::VirtualNetwork vnet(sim, core::GridTopology(4),
+                            core::uniform_cost_model(),
+                            core::LeaderPlacement::kNorthWest,
+                            core::Congestion::kNodeSerialized);
+  {
+    obs::ScopedTrace trace(sink);
+    for (const auto& c : vnet.grid().all_coords()) {
+      vnet.send(c, {0, 0}, std::monostate{}, 1.0);
+    }
+    sim.run();
+  }
+  std::vector<obs::TraceEvent> events = sink.events();
+  for (obs::TraceEvent& ev : testing_helpers::nasty_events()) {
+    events.push_back(ev);
+  }
+  obs::wtr::SegmentEncoder encoder;
+  std::string out;
+  encoder.begin_segment(out, 0);
+  for (const obs::TraceEvent& ev : events) encoder.append_event(ev, out);
+  obs::wtr::Crc32 crc;
+  crc.update(out);
+  obs::wtr::SegmentEncoder::append_footer(out, events.size(), crc.value());
+  return out;
+}
+
+/// How a wtr read ended.
+enum class WtrEnd { kClean, kFinding, kThrew };
+
+/// Reads `bytes` as the one segment of the capture directory `dir`; checks
+/// that any finding or error names the segment. `last` receives the last
+/// finding or error text.
+WtrEnd fuzz_wtr(const std::string& bytes, const std::string& dir,
+                std::string& last) {
+  const std::string path = dir + "/trace.wtr.000";
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  try {
+    obs::TraceReader reader(dir);
+    obs::TraceEvent ev;
+    while (reader.next(ev)) {
+    }
+    if (reader.findings().empty()) return WtrEnd::kClean;
+    for (const std::string& f : reader.findings()) {
+      EXPECT_TRUE(f.rfind(path + ": truncated after ", 0) == 0 ||
+                  f.rfind(path + ": corrupt after ", 0) == 0)
+          << f;
+      last = f;
+    }
+    return WtrEnd::kFinding;
+  } catch (const std::runtime_error& e) {
+    last = e.what();
+    EXPECT_NE(last.find(path), std::string::npos) << last;
+    return WtrEnd::kThrew;
+  }
+}
+
 TEST(JsonFuzz, CampaignPlansParseOrNameALine) {
   Mutator mutator(kSeed);
   for (const char* name : {"loss_burst", "region_outage", "depletion",
@@ -211,6 +280,42 @@ TEST(JsonFuzz, MetricsSnapshotsParseOrNameALine) {
     parsed += fuzz_snapshot(mutator.mutate(seed)) ? 1 : 0;
   }
   EXPECT_GT(parsed, 0u);
+}
+
+TEST(JsonFuzz, WtrSegmentsReadCleanlyOrReportTheirEnd) {
+  const std::string dir =
+      testing::TempDir() + "JsonFuzz.WtrSegmentsReadCleanlyOrReportTheirEnd";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string seed = wtr_seed();
+  std::string last;
+  ASSERT_EQ(fuzz_wtr(seed, dir, last), WtrEnd::kClean) << last;
+
+  Mutator mutator(kSeed + 3);
+  std::size_t findings = 0;
+  for (std::size_t i = 0; i < kMutantsPerSeed; ++i) {
+    if (fuzz_wtr(mutator.mutate(seed, true), dir, last) == WtrEnd::kFinding) {
+      ++findings;
+    }
+  }
+  EXPECT_GT(findings, 0u);
+
+  // One letter of an interned name, an interned key and an inline coded
+  // value, changed to a word outside the vocabulary: the reader reaches
+  // the word before the footer's CRC and reports it.
+  for (const auto& [word, reason] :
+       {std::pair<std::string, std::string>{"deliver", "unknown event name"},
+        {"size", "unknown attribute key"},
+        {"no_route", "unknown attribute value"}}) {
+    std::string mutant = seed;
+    const std::size_t at = mutant.find(word);
+    ASSERT_NE(at, std::string::npos) << word;
+    mutant[at + 1] = 'X';
+    ASSERT_EQ(fuzz_wtr(mutant, dir, last), WtrEnd::kFinding) << word;
+    EXPECT_NE(last.find(": corrupt after "), std::string::npos) << last;
+    EXPECT_NE(last.find(reason), std::string::npos) << last;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -11,7 +11,9 @@
 #include <cstdint>
 #include <map>
 #include <sstream>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/virtual_network.h"
@@ -30,17 +32,16 @@ namespace {
 
 using namespace wsn;
 
-const obs::AttrValue* find_attr(const obs::TraceEvent& ev,
-                                const std::string& key) {
+const obs::AttrValue* find_attr(const obs::TraceEvent& ev, obs::AttrKey key) {
   for (const auto& a : ev.attrs) {
     if (a.key == key) return &a.value;
   }
   return nullptr;
 }
 
-double attr_num(const obs::TraceEvent& ev, const std::string& key) {
+double attr_num(const obs::TraceEvent& ev, obs::AttrKey key) {
   const obs::AttrValue* v = find_attr(ev, key);
-  if (v == nullptr) ADD_FAILURE() << "missing attr " << key;
+  if (v == nullptr) ADD_FAILURE() << "missing attr " << key.str();
   if (v == nullptr) return 0.0;
   if (const auto* d = std::get_if<double>(v)) return *d;
   if (const auto* u = std::get_if<std::uint64_t>(v)) {
@@ -49,14 +50,14 @@ double attr_num(const obs::TraceEvent& ev, const std::string& key) {
   if (const auto* i = std::get_if<std::int64_t>(v)) {
     return static_cast<double>(*i);
   }
-  ADD_FAILURE() << "attr " << key << " is not numeric";
+  ADD_FAILURE() << "attr " << key.str() << " is not numeric";
   return 0.0;
 }
 
 TEST(RingBufferSink, KeepsMostRecentAcrossWraparound) {
   obs::RingBufferSink sink(4);
   for (int i = 0; i < 10; ++i) {
-    sink.accept({static_cast<double>(i), i, obs::Category::kApp, 'i', "e",
+    sink.accept({static_cast<double>(i), i, obs::Category::kApp, 'i', "hop",
                  static_cast<std::uint64_t>(i),
                  {}});
   }
@@ -75,7 +76,7 @@ TEST(RingBufferSink, KeepsMostRecentAcrossWraparound) {
 
 TEST(RingBufferSink, ZeroCapacityDropsEverything) {
   obs::RingBufferSink sink(0);
-  sink.accept({0.0, 0, obs::Category::kApp, 'i', "e", 0, {}});
+  sink.accept({0.0, 0, obs::Category::kApp, 'i', "hop", 0, {}});
   EXPECT_EQ(sink.size(), 0u);
   EXPECT_EQ(sink.dropped(), 1u);
 }
@@ -105,10 +106,31 @@ TEST(Tracer, ScopedTraceRestoresPreviousState) {
       EXPECT_FALSE(obs::tracer().enabled(obs::Category::kApp));
     }
     EXPECT_TRUE(obs::tracer().enabled(obs::Category::kApp));
-    obs::tracer().emit({1.0, 2, obs::Category::kApp, 'i', "after", 0, {}});
+    obs::tracer().emit({1.0, 2, obs::Category::kApp, 'i', "send", 0, {}});
   }
   EXPECT_FALSE(obs::tracer().enabled(obs::Category::kApp));
   EXPECT_EQ(outer.size(), 1u);
+}
+
+TEST(Trace, BuildingAndEmittingAnEventAllocatesNothing) {
+  // The name, the keys and the coded value are one-byte ids and the
+  // attributes sit in the event, so building and emitting one with as many
+  // attributes as any emission site uses costs no heap allocation.
+  obs::NullSink sink;
+  obs::ScopedTrace guard(sink, obs::kAllCategories);
+  const std::uint64_t before = obs::global_alloc_stats().count;
+  for (int i = 0; i < 100; ++i) {
+    obs::tracer().emit({static_cast<double>(i), i, obs::Category::kReliability,
+                        'i', "fd.corrupt", 0,
+                        {{"target", obs::AttrCode("routes")},
+                         {"row", std::int64_t{3}},
+                         {"col", std::int64_t{-1}},
+                         {"epoch", std::uint64_t{7}},
+                         {"leader", static_cast<std::uint64_t>(i)},
+                         {"bound", 42.5}}});
+  }
+  EXPECT_EQ(obs::global_alloc_stats().count - before, 0u);
+  EXPECT_EQ(sink.accepted(), 100u);
 }
 
 TEST(JsonlExport, RoundTripsLosslessly) {
@@ -116,14 +138,15 @@ TEST(JsonlExport, RoundTripsLosslessly) {
   // are int64; non-negative integers are uint64. Events that follow it
   // (as every emitter in the tree does) survive the round trip bit-exact.
   std::vector<obs::TraceEvent> events;
-  events.push_back({0.5, -1, obs::Category::kProtocol, 'B', "span", 7,
-                    {{"neg", static_cast<std::int64_t>(-42)},
-                     {"big", std::uint64_t{1} << 63},
-                     {"frac", 0.1},
-                     {"whole", 3.0},
-                     {"tiny", -2.5e-7},
-                     {"text", std::string("q\"uo\\te\n\x01end")}}});
-  events.push_back({12.25, 9, obs::Category::kCollective, 'E', "span", 7, {}});
+  events.push_back({0.5, -1, obs::Category::kProtocol, 'B', "reduce", 7,
+                    {{"row", static_cast<std::int64_t>(-42)},
+                     {"seq", std::uint64_t{1} << 63},
+                     {"depart", 0.1},
+                     {"wait", 3.0},
+                     {"value", -2.5e-7},
+                     {"why", obs::AttrCode("no_route")}}});
+  events.push_back({12.25, 9, obs::Category::kCollective, 'E', "reduce", 7,
+                    {}});
 
   std::ostringstream out;
   obs::write_jsonl(events, out);
@@ -153,23 +176,23 @@ TEST(JsonlExport, ParseFailuresAreCleanRuntimeErrors) {
   // number — never std::bad_variant_access or a silent skip.
   const char* bad_lines[] = {
       // string where a number is required
-      "{\"t\":\"x\",\"node\":0,\"cat\":\"vnet\",\"ph\":\"i\",\"name\":\"a\","
+      "{\"t\":\"x\",\"node\":0,\"cat\":\"vnet\",\"ph\":\"i\",\"name\":\"send\","
       "\"flow\":0,\"args\":{}}",
       // truncated mid-object
       "{\"t\":1.0,\"node\":0,\"cat\":\"vnet\",\"ph\":\"i\",\"na",
       // not an object at all
       "[1,2,3]",
       // unknown category
-      "{\"t\":1.0,\"node\":0,\"cat\":\"warp\",\"ph\":\"i\",\"name\":\"a\","
+      "{\"t\":1.0,\"node\":0,\"cat\":\"warp\",\"ph\":\"i\",\"name\":\"send\","
       "\"flow\":0,\"args\":{}}",
       // unknown top-level key
-      "{\"t\":1.0,\"node\":0,\"cat\":\"vnet\",\"ph\":\"i\",\"name\":\"a\","
+      "{\"t\":1.0,\"node\":0,\"cat\":\"vnet\",\"ph\":\"i\",\"name\":\"send\","
       "\"flow\":0,\"extra\":1,\"args\":{}}",
       // multi-char phase
-      "{\"t\":1.0,\"node\":0,\"cat\":\"vnet\",\"ph\":\"BE\",\"name\":\"a\","
+      "{\"t\":1.0,\"node\":0,\"cat\":\"vnet\",\"ph\":\"BE\",\"name\":\"send\","
       "\"flow\":0,\"args\":{}}",
       // trailing garbage after a complete object
-      "{\"t\":1.0,\"node\":0,\"cat\":\"vnet\",\"ph\":\"i\",\"name\":\"a\","
+      "{\"t\":1.0,\"node\":0,\"cat\":\"vnet\",\"ph\":\"i\",\"name\":\"send\","
       "\"flow\":0,\"args\":{}} trailing",
   };
   for (const char* line : bad_lines) {
@@ -180,7 +203,7 @@ TEST(JsonlExport, ParseFailuresAreCleanRuntimeErrors) {
 TEST(JsonlExport, ParseErrorsCarryLineNumbers) {
   try {
     testing_helpers::parse_jsonl_text(
-        "{\"t\":1.0,\"node\":0,\"cat\":\"vnet\",\"ph\":\"i\",\"name\":\"a\","
+        "{\"t\":1.0,\"node\":0,\"cat\":\"vnet\",\"ph\":\"i\",\"name\":\"send\","
         "\"flow\":0,\"args\":{}}\n"
         "{broken\n");
     FAIL() << "expected std::runtime_error";
@@ -195,13 +218,37 @@ TEST(JsonlExport, ParseRejectsMalformedNumbersNamingTheLine) {
   for (const std::string node : {"-", "1-2", "--5", "1.2.3", "01"}) {
     const std::string line =
         "{\"t\":1.0,\"node\":" + node +
-        ",\"cat\":\"vnet\",\"ph\":\"i\",\"name\":\"a\",\"flow\":0,\"args\":{}}";
+        ",\"cat\":\"vnet\",\"ph\":\"i\",\"name\":\"send\",\"flow\":0,"
+        "\"args\":{}}";
     try {
       obs::parse_jsonl_line(line, 7);
       ADD_FAILURE() << line << " parsed";
     } catch (const std::runtime_error& e) {
       EXPECT_EQ(std::string(e.what()).rfind("json: line 7: ", 0), 0u)
           << e.what();
+    }
+  }
+}
+
+TEST(JsonlExport, UnknownVocabularyNamesTheLine) {
+  // A well-formed line with a name, key or string value outside the
+  // vocabulary is refused as a VocabularyError that names its line.
+  const std::string head =
+      "{\"t\":1.0,\"node\":0,\"cat\":\"vnet\",\"ph\":\"i\",";
+  const std::pair<std::string, std::string> cases[] = {
+      {head + "\"name\":\"teleport\",\"flow\":0,\"args\":{}}",
+       "unknown event name: teleport"},
+      {head + "\"name\":\"send\",\"flow\":0,\"args\":{\"warp\":1}}",
+       "unknown attribute key: warp"},
+      {head + "\"name\":\"drop\",\"flow\":0,\"args\":{\"why\":\"bored\"}}",
+       "unknown attribute value: bored"},
+  };
+  for (const auto& [line, reason] : cases) {
+    try {
+      obs::parse_jsonl_line(line, 4);
+      ADD_FAILURE() << line << " parsed";
+    } catch (const obs::VocabularyError& e) {
+      EXPECT_EQ(std::string(e.what()), "json: line 4: " + reason);
     }
   }
 }

@@ -341,7 +341,7 @@ TEST(CheckCapture, FlagsDroppedEventsAndPassesCleanCaptures) {
 TEST(InspectCheck, SurfacesCaptureDropsViaMetrics) {
   obs::RingBufferSink sink(1);
   obs::TraceEvent ev;
-  ev.name = "x";
+  ev.name = "send";
   sink.accept(ev);
   sink.accept(ev);
   obs::MetricsRegistry registry;

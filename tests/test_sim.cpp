@@ -373,10 +373,30 @@ TEST(Simulator, NonFiniteTimeIsRejected) {
   sim.run();
   EXPECT_TRUE(fired);
   EXPECT_EQ(sim.now(), 1.0);
-  // run_until() moves the clock to its bound; post() then refuses it.
+  // An infinite bound leaves the clock at the last event; NaN is refused.
   sim.run_until(inf);
-  EXPECT_THROW(sim.post([] {}), std::invalid_argument);
+  EXPECT_EQ(sim.now(), 1.0);
+  EXPECT_THROW(sim.run_until(nan), std::invalid_argument);
+}
+
+TEST(Simulator, RunUntilInfinityKeepsTheClockUsable) {
+  // run_until(inf) means "run to the end": every event runs, as in run(),
+  // and the clock stays on the last one, so posts and timers still work.
+  Simulator sim;
+  std::vector<Time> fired;
+  sim.schedule_in(2.0, [&] { fired.push_back(sim.now()); });
+  sim.schedule_in(5.0, [&] { fired.push_back(sim.now()); });
+  sim.run_until(std::numeric_limits<Time>::infinity());
+  EXPECT_EQ(fired, (std::vector<Time>{2.0, 5.0}));
+  EXPECT_EQ(sim.now(), 5.0);
   EXPECT_EQ(sim.pending(), 0u);
+  sim.post([&] { fired.push_back(sim.now()); });
+  sim.schedule_in(1.0, [&] { fired.push_back(sim.now()); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<Time>{2.0, 5.0, 5.0, 6.0}));
+  // A finite bound still moves the clock to it.
+  sim.run_until(10.0);
+  EXPECT_EQ(sim.now(), 10.0);
 }
 
 TEST(Simulator, SecondBurstOfPostsAllocatesNothing) {

@@ -21,6 +21,7 @@
 #include "obs/analyze/incremental.h"
 #include "obs/export.h"
 #include "obs/metrics_registry.h"
+#include "obs/profiler.h"
 #include "obs/sinks.h"
 #include "obs/stream_sink.h"
 #include "obs/trace_reader.h"
@@ -139,7 +140,7 @@ TEST(Wtr, PreservesNegativeZeroBits) {
   ScopedDir dir(unique_path("wtr"));
   obs::TraceEvent ev;
   ev.time = -0.0;
-  ev.name = "tick";
+  ev.name = "hop";
   write_capture(dir.path, {ev}, obs::TraceFormat::kWtr);
   obs::TraceReader reader(dir.path);
   const auto back = read_all(reader);
@@ -205,6 +206,30 @@ TEST(Wtr, CorruptedByteTripsTheCrc) {
   obs::TraceReader reader(dir.path);
   read_all(reader);
   ASSERT_FALSE(reader.findings().empty());
+}
+
+TEST(Wtr, RecordLengthPastTheFileEndAllocatesNoBufferForIt) {
+  // A 20-byte segment whose one record claims 2^28 - 1 bytes: a truncation,
+  // read without sizing a buffer for the bytes that are not there.
+  ScopedDir dir(unique_path("wtr"));
+  fs::create_directories(dir.path);
+  std::string bytes(obs::wtr::kMagic, sizeof obs::wtr::kMagic);
+  bytes += std::string("\x01\x00\x00\x00", 4);  // version 1, reserved
+  obs::wtr::append_varint(bytes, 0);             // segment index
+  obs::wtr::append_varint(bytes, (1u << 28) - 1);
+  bytes += "\x02 an event record, cut";
+  std::ofstream(dir.path + "/trace.wtr.000", std::ios::binary) << bytes;
+
+  const std::uint64_t before = obs::global_alloc_stats().bytes;
+  obs::TraceReader reader(dir.path);
+  EXPECT_TRUE(read_all(reader).empty());
+  EXPECT_LT(obs::global_alloc_stats().bytes - before, 1u << 20);
+  ASSERT_EQ(reader.findings().size(), 1u);
+  EXPECT_NE(reader.findings()[0].find(
+                "truncated after 0 event(s): unexpected end of file inside "
+                "a record"),
+            std::string::npos)
+      << reader.findings()[0];
 }
 
 TEST(Wtr, EmptyCaptureReadsCleanly) {
@@ -479,7 +504,7 @@ TEST(Incremental, StreamingMembershipMatchesBatchFindings) {
 }
 
 TEST(Incremental, ArqExchangeLivesForTheRetireLag) {
-  auto rel = [](double t, const char* name) {
+  auto rel = [](double t, obs::EventName name) {
     return obs::TraceEvent{t,
                            3,
                            obs::Category::kReliability,
@@ -602,6 +627,27 @@ TEST_F(TracePipelineCli, LoadErrorsCarryLineNumbers) {
   std::ofstream(path, std::ios::binary) << text;
   EXPECT_EQ(run({"flows", path}), 2);
   EXPECT_NE(err_.str().find("line 2:"), std::string::npos) << err_.str();
+  fs::remove(path);
+}
+
+TEST_F(TracePipelineCli, ForeignFinalLineIsAnErrorNotATruncation) {
+  // A word outside the vocabulary cannot come from a capture cut short, so
+  // even on the last line it fails the read with its line number.
+  const std::string path = unique_path("foreign.jsonl");
+  std::string first;
+  obs::append_jsonl(flow_events(1)[0], first);
+  const std::string head =
+      "{\"t\":2.0,\"node\":0,\"cat\":\"vnet\",\"ph\":\"i\",";
+  for (const std::string& second :
+       {head + "\"name\":\"teleport\",\"flow\":0,\"args\":{}}",
+        head + "\"name\":\"send\",\"flow\":0,\"args\":{\"warp\":1}}",
+        head + "\"name\":\"drop\",\"flow\":0,\"args\":{\"why\":\"bored\"}}"}) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << first << '\n' << second << '\n';
+    EXPECT_EQ(run({"check", path}), 2) << out_.str();
+    EXPECT_NE(err_.str().find("line 2: unknown"), std::string::npos)
+        << err_.str();
+  }
   fs::remove(path);
 }
 

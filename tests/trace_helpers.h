@@ -76,21 +76,21 @@ inline std::vector<obs::TraceEvent> parse_jsonl_text(std::string_view text) {
 }
 
 /// Events whose JSONL needs every escape and extreme number the writer
-/// produces: quotes, backslashes, control bytes, int64/uint64 limits,
-/// denormals and negative zero.
+/// produces: phases that are a quote, a control byte and a backslash,
+/// int64/uint64 limits, denormals and negative zero, plus a coded value.
 inline std::vector<obs::TraceEvent> nasty_events() {
   using I = std::numeric_limits<std::int64_t>;
   std::vector<obs::TraceEvent> events;
-  obs::TraceEvent a{0.0, -1, obs::Category::kApp, 'B', "phase \"one\"\n", 0,
-                    {{"min", std::int64_t{I::min()}},
-                     {"max", std::int64_t{I::max()}},
-                     {"umax", std::numeric_limits<std::uint64_t>::max()},
-                     {"tiny", 5e-324},
-                     {"text", std::string("tab\t\\backslash\x01")}}};
-  obs::TraceEvent b{-0.0, I::min(), obs::Category::kReliability, 'E',
-                    "", std::uint64_t{1} << 63,
-                    {{"neg_zero", -0.0}, {"third", 1.0 / 3.0}}};
-  obs::TraceEvent c{1e300, 42, obs::Category::kLink, 'i', "deliver", 7, {}};
+  obs::TraceEvent a{0.0, -1, obs::Category::kApp, '"', "reduce", 0,
+                    {{"row", std::int64_t{I::min()}},
+                     {"col", std::int64_t{I::max()}},
+                     {"seq", std::numeric_limits<std::uint64_t>::max()},
+                     {"wait", 5e-324},
+                     {"why", obs::AttrCode("no_route")}}};
+  obs::TraceEvent b{-0.0, I::min(), obs::Category::kReliability, '\x01',
+                    "barrier", std::uint64_t{1} << 63,
+                    {{"depart", -0.0}, {"value", 1.0 / 3.0}}};
+  obs::TraceEvent c{1e300, 42, obs::Category::kLink, '\\', "deliver", 7, {}};
   events.push_back(std::move(a));
   events.push_back(std::move(b));
   events.push_back(std::move(c));
