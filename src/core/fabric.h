@@ -37,7 +37,8 @@ struct VirtualMessage {
 /// physical layers.
 class MessageFabric {
  public:
-  using Handler = std::function<void(const VirtualMessage&)>;
+  /// Owns the message it is handed: a forwarder moves it on.
+  using Handler = std::function<void(VirtualMessage&&)>;
 
   virtual ~MessageFabric() = default;
 

@@ -35,11 +35,11 @@ void VirtualNetwork::deliver(std::size_t from, std::size_t to,
   }
 }
 
-void VirtualNetwork::forward_serialized(
-    std::shared_ptr<std::vector<GridCoord>> path, std::size_t hop,
-    std::shared_ptr<std::any> payload, double size_units, std::uint64_t flow) {
+void VirtualNetwork::forward_serialized(std::vector<GridCoord> path,
+                                        std::size_t hop, std::any payload,
+                                        double size_units, std::uint64_t flow) {
   // The packet sits at path[hop] and must cross to path[hop+1].
-  const GridCoord& here = (*path)[hop];
+  const GridCoord& here = path[hop];
   const std::size_t here_idx = grid_.index_of(here);
   const sim::Time now = sim_.now();
   const sim::Time depart =
@@ -56,20 +56,22 @@ void VirtualNetwork::forward_serialized(
         {now, static_cast<std::int64_t>(here_idx), obs::Category::kVirtual,
          'i', "hop", flow,
          {{"hop", static_cast<std::uint64_t>(hop)},
-          {"next",
-           static_cast<std::uint64_t>(grid_.index_of((*path)[hop + 1]))},
+          {"next", static_cast<std::uint64_t>(grid_.index_of(path[hop + 1]))},
           {"depart", depart},
           {"wait", depart - now - cost_.hop_latency(size_units)},
           {"size", size_units}}});
   }
 
-  sim_.schedule_at(depart, [this, path, hop, payload, size_units, flow]() {
+  sim_.schedule_at(depart, [this, path = std::move(path), hop,
+                            payload = std::move(payload), size_units,
+                            flow]() mutable {
     const std::size_t next = hop + 1;
-    if (next + 1 == path->size()) {
-      deliver(grid_.index_of(path->front()), grid_.index_of(path->back()),
-              std::move(*payload), size_units, flow);
+    if (next + 1 == path.size()) {
+      deliver(grid_.index_of(path.front()), grid_.index_of(path.back()),
+              std::move(payload), size_units, flow);
     } else {
-      forward_serialized(path, next, payload, size_units, flow);
+      forward_serialized(std::move(path), next, std::move(payload),
+                         size_units, flow);
     }
   });
 }
@@ -126,9 +128,8 @@ void VirtualNetwork::send(const GridCoord& from, const GridCoord& to,
   });
 
   if (congestion_ == Congestion::kNodeSerialized) {
-    forward_serialized(
-        std::make_shared<std::vector<GridCoord>>(grid_.route(from, to)), 0,
-        std::make_shared<std::any>(std::move(payload)), size_units, flow);
+    forward_serialized(grid_.route(from, to), 0, std::move(payload),
+                       size_units, flow);
     return;
   }
 

@@ -11,7 +11,6 @@
 
 #include <any>
 #include <cstdint>
-#include <memory>
 #include <functional>
 #include <string_view>
 #include <vector>
@@ -135,9 +134,9 @@ class VirtualNetwork final : public MessageFabric {
   /// the relay's transmitter, then occupies it for one hop latency.
   /// `flow` is the trace correlation id of the originating send (0 when
   /// tracing is disabled).
-  void forward_serialized(std::shared_ptr<std::vector<GridCoord>> path,
-                          std::size_t hop, std::shared_ptr<std::any> payload,
-                          double size_units, std::uint64_t flow);
+  void forward_serialized(std::vector<GridCoord> path, std::size_t hop,
+                          std::any payload, double size_units,
+                          std::uint64_t flow);
   /// Hands `payload` to the receiver at cell index `to`; `from` is the
   /// sender's cell index.
   void deliver(std::size_t from, std::size_t to, std::any payload,

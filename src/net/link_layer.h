@@ -40,7 +40,8 @@ struct Packet {
 /// borrows the simulator.
 class LinkLayer {
  public:
-  using Receiver = std::function<void(const Packet&)>;
+  /// Owns the packet it is handed: a forwarder moves it on.
+  using Receiver = std::function<void(Packet&&)>;
 
   LinkLayer(sim::Simulator& sim, const NetworkGraph& graph, RadioModel radio,
             CpuModel cpu, EnergyLedger& ledger)

@@ -25,8 +25,8 @@ AggregationProgram::AggregationProgram(core::MessageFabric& fabric,
   contributed_.assign(slots, false);
   level_sent_.assign(slots, false);
   for (const core::GridCoord& c : fabric_.grid().all_coords()) {
-    fabric_.set_receiver(c, [this, c](const core::VirtualMessage& msg) {
-      on_receive(c, msg);
+    fabric_.set_receiver(c, [this, c](core::VirtualMessage&& msg) {
+      on_receive(c, std::move(msg));
     });
   }
 }
@@ -101,18 +101,16 @@ void AggregationProgram::transmit_level(const core::GridCoord& c,
 
   ++stats_.messages_sent;
   const double units = hooks_.payload_units(payload);
-  MGraph msg{c, std::make_shared<std::any>(std::move(payload)), target_level};
-  fabric_.send(c, leader, std::move(msg), units);
+  fabric_.send(c, leader, MGraph{c, std::move(payload), target_level}, units);
 }
 
 void AggregationProgram::on_receive(const core::GridCoord& c,
-                                    const core::VirtualMessage& vmsg) {
+                                    core::VirtualMessage&& vmsg) {
   obs::ProfSpan span(obs::ProfCat::kApp);
-  const auto& msg = std::any_cast<const MGraph&>(vmsg.payload);
+  auto& msg = std::any_cast<MGraph&>(vmsg.payload);
   const std::uint32_t level = msg.mrec_level;
-  // merge(mGraph, mySubGraph[mrecLevel]); msgsReceived[mrecLevel]++. Every
-  // message is delivered once, so its payload is handed over, not copied.
-  hooks_.merge(my_sub_graph_[slot(c, level)], std::move(*msg.msub_graph));
+  // merge(mGraph, mySubGraph[mrecLevel]); msgsReceived[mrecLevel]++.
+  hooks_.merge(my_sub_graph_[slot(c, level)], std::move(msg.msub_graph));
   ++msgs_received_[slot(c, level)];
   ++stats_.remote_merges;
   const sim::Time lat = fabric_.compute(c, hooks_.merge_ops);

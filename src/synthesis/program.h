@@ -37,7 +37,6 @@
 #pragma once
 
 #include <any>
-#include <memory>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -118,12 +117,12 @@ class AggregationProgram {
   /// One message of the mGraph alphabet.
   struct MGraph {
     core::GridCoord sender_coord;
-    std::shared_ptr<std::any> msub_graph;
+    std::any msub_graph;
     std::uint32_t mrec_level;
   };
 
   void on_start(const core::GridCoord& c);
-  void on_receive(const core::GridCoord& c, const core::VirtualMessage& msg);
+  void on_receive(const core::GridCoord& c, core::VirtualMessage&& msg);
   /// Seals the data a node assembled at `level` and moves it one level up
   /// (self-merge, network send, or exfiltration at maxrecLevel).
   void transmit_level(const core::GridCoord& c, std::uint32_t level);

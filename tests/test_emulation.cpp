@@ -2,7 +2,9 @@
 // leader binding, overlay routing.
 #include <gtest/gtest.h>
 
+#include <any>
 #include <memory>
+#include <vector>
 
 #include "emulation/cell_mapper.h"
 #include "emulation/emulation_protocol.h"
@@ -10,6 +12,7 @@
 #include "emulation/overlay_network.h"
 #include "emulation/physical_stack.h"
 #include "net/deployment.h"
+#include "obs/profiler.h"
 #include "sim/simulator.h"
 
 namespace wsn::emulation {
@@ -303,6 +306,43 @@ TEST_F(OverlayTest, ComputeChargesBoundNode) {
   const double before = stack_.ledger->spent(bound);
   overlay_->compute({2, 2}, 3.0);
   EXPECT_DOUBLE_EQ(stack_.ledger->spent(bound) - before, 3.0);
+}
+
+TEST(OverlayArq, SendAllocatesTheSameAtEveryRouteLength) {
+  // A send boxes its overlay packet once, and every hop moves that box on:
+  // the int payload sits in std::any's in-place buffer, and a warm ARQ hop
+  // allocates nothing. So a send's allocations do not grow with its route.
+  PhysicalStack stack(8, 256, 1.2, 3);
+  stack.enable_arq();
+  OverlayNetwork& overlay = *stack.overlay;
+  const core::GridCoord from{0, 0};
+  const core::GridCoord targets[] = {{0, 1}, {1, 2}, {3, 4}, {7, 7}};
+  int sum = 0;
+  for (const core::GridCoord& to : targets) {
+    overlay.set_receiver(to, [&sum](const core::VirtualMessage& m) {
+      sum += std::any_cast<int>(m.payload);
+    });
+  }
+  std::vector<std::uint64_t> hops;
+  std::vector<std::uint64_t> allocs;
+  for (const core::GridCoord& to : targets) {
+    overlay.send(from, to, 1, 1.0);  // warm-up: the route's ARQ records
+    stack.sim.run();
+    const std::uint64_t hops_before = overlay.physical_hops();
+    const std::uint64_t allocs_before = obs::global_alloc_stats().count;
+    overlay.send(from, to, 1, 1.0);
+    stack.sim.run();
+    allocs.push_back(obs::global_alloc_stats().count - allocs_before);
+    hops.push_back(overlay.physical_hops() - hops_before);
+  }
+  EXPECT_EQ(sum, 8);
+  EXPECT_EQ(overlay.failed_sends(), 0u);
+  EXPECT_EQ(stack.arq->counters().get("arq.retransmit"), 0u);
+  for (std::size_t i = 1; i < hops.size(); ++i) {
+    EXPECT_GT(hops[i], hops[i - 1]);
+    EXPECT_EQ(allocs[i], allocs[0]) << hops[i] << " physical hops";
+  }
+  EXPECT_LE(allocs[0], 1u) << hops[0] << " physical hops";
 }
 
 }  // namespace
