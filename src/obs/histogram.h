@@ -61,23 +61,27 @@ class Histogram {
     return (hi_ - lo_) / static_cast<double>(counts_.size());
   }
 
-  /// Estimated p-quantile, p in [0, 1]. Underflow mass sits at lo, overflow
-  /// mass at hi; within a bucket the mass is assumed uniform.
+  /// Estimated p-quantile, p in [0, 1], clamped into [min(), max()].
+  /// Underflow mass sits at lo, overflow mass at hi; within a bucket the
+  /// mass is assumed uniform, which alone could place the estimate past the
+  /// largest sample or below the smallest.
   double percentile(double p) const {
     if (count_ == 0) return 0.0;
     p = std::clamp(p, 0.0, 1.0);
     const double rank = p * static_cast<double>(count_);
     double seen = static_cast<double>(underflow_);
     if (rank <= seen) return min();  // all underflow mass sits below lo
+    double estimate = hi_;
     for (std::size_t i = 0; i < counts_.size(); ++i) {
       const double in_bucket = static_cast<double>(counts_[i]);
       if (rank <= seen + in_bucket) {
         const double frac = in_bucket == 0 ? 0.0 : (rank - seen) / in_bucket;
-        return lo_ + (static_cast<double>(i) + frac) * bucket_width();
+        estimate = lo_ + (static_cast<double>(i) + frac) * bucket_width();
+        break;
       }
       seen += in_bucket;
     }
-    return hi_;
+    return std::min(std::max(estimate, min_), max_);
   }
 
   double p50() const { return percentile(0.50); }
