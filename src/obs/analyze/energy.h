@@ -16,8 +16,13 @@
 // leader spend grows with level while follower spend stays flat.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <optional>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "obs/trace.h"
@@ -40,6 +45,41 @@ inline double attr_num(const TraceEvent& ev, AttrKey key,
       return static_cast<double>(*i);
     }
     return fallback;
+  }
+  return fallback;
+}
+
+/// `v` as a T (std::int64_t or std::uint64_t): a stored integer as is and
+/// an integral double converted, when T holds them; nothing for any other
+/// value (a code, a fraction, NaN, an integer out of T's range).
+template <typename T>
+std::optional<T> int_value(const AttrValue& v) {
+  if (const auto* u = std::get_if<std::uint64_t>(&v)) {
+    if (std::in_range<T>(*u)) return static_cast<T>(*u);
+  } else if (const auto* i = std::get_if<std::int64_t>(&v)) {
+    if (std::in_range<T>(*i)) return static_cast<T>(*i);
+  } else if (const auto* d = std::get_if<double>(&v)) {
+    // T's range is [min, 2^digits); both bounds are exact doubles, and NaN
+    // fails every comparison.
+    constexpr double lo = static_cast<double>(std::numeric_limits<T>::min());
+    constexpr double hi = 2.0 * static_cast<double>(
+                                    std::uint64_t{1}
+                                    << (std::numeric_limits<T>::digits - 1));
+    if (*d >= lo && *d < hi && *d == std::trunc(*d)) {
+      return static_cast<T>(*d);
+    }
+  }
+  return std::nullopt;
+}
+
+/// The one integer attribute reader: the first attr keyed `key` as a T
+/// (see int_value), `fallback` when the attr is absent. Ids go through it,
+/// never through a cast of attr_num, so a foreign value reads as nothing
+/// instead of as undefined behaviour.
+template <typename T>
+std::optional<T> attr_int(const TraceEvent& ev, AttrKey key, T fallback = 0) {
+  for (const Attr& a : ev.attrs) {
+    if (a.key == key) return int_value<T>(a.value);
   }
   return fallback;
 }

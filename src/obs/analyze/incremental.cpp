@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdio>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 namespace wsn::obs::analyze {
 
@@ -57,6 +60,55 @@ constexpr auto kClassesOf = [] {
   return by_id;
 }();
 
+/// How the checker reads each attribute it keys state by. Cells, hop
+/// targets and an accepted orphan are signed, since -1 reads as "none";
+/// ARQ endpoints, seqs, epochs and hop counts are unsigned.
+enum IdKind : unsigned char { kNotId, kSignedId, kUnsignedId };
+
+struct KeyKind {
+  AttrKey key;
+  IdKind kind;
+};
+
+constexpr KeyKind kIdKeys[] = {
+    {"src", kUnsignedId},   {"dst", kUnsignedId},   {"seq", kUnsignedId},
+    {"epoch", kUnsignedId}, {"hops", kUnsignedId},  {"vhops", kUnsignedId},
+    {"node", kSignedId},    {"next", kSignedId},    {"to", kSignedId},
+    {"row", kSignedId},     {"col", kSignedId},     {"from_row", kSignedId},
+    {"from_col", kSignedId},
+};
+
+/// kIdKeys indexed by key id.
+constexpr auto kIdKindOf = [] {
+  std::array<IdKind, AttrKey::kCount> by_id{};
+  for (const KeyKind& k : kIdKeys) by_id[k.key.id()] = k.kind;
+  return by_id;
+}();
+
+/// Whether `a` is no id, or an id holding an integer of its kind.
+bool id_ok(const Attr& a) {
+  switch (kIdKindOf[a.key.id()]) {
+    case kSignedId:
+      return int_value<std::int64_t>(a.value).has_value();
+    case kUnsignedId:
+      return int_value<std::uint64_t>(a.value).has_value();
+    case kNotId:
+      break;
+  }
+  return true;
+}
+
+/// Ids of events StreamingChecker::feed has vetted with id_ok: an absent
+/// unsigned id reads as 0 and an absent signed one as -1. The flow fold
+/// also serves FlowCollector's other users, which vet nothing; there a
+/// foreign value reads as the same default.
+std::uint64_t unsigned_id(const TraceEvent& ev, AttrKey key) {
+  return attr_int<std::uint64_t>(ev, key).value_or(0);
+}
+std::int64_t signed_id(const TraceEvent& ev, AttrKey key) {
+  return attr_int<std::int64_t>(ev, key, -1).value_or(-1);
+}
+
 bool close_rel(double a, double b, double rel) {
   const double scale = std::max(std::abs(a), std::abs(b));
   return std::abs(a - b) <= rel * std::max(scale, 1.0);
@@ -67,6 +119,23 @@ std::string flow_tag(const Flow& f) {
 }
 
 std::string name_of(EventName name) { return std::string(name.str()); }
+
+/// `v` as a finding prints it.
+std::string value_text(const AttrValue& v) {
+  return std::visit(
+      [](auto x) -> std::string {
+        if constexpr (std::is_same_v<decltype(x), AttrCode>) {
+          return std::string(x.str());
+        } else if constexpr (std::is_same_v<decltype(x), double>) {
+          char buf[32];
+          std::snprintf(buf, sizeof buf, "%.17g", x);
+          return buf;
+        } else {
+          return std::to_string(x);
+        }
+      },
+      v);
+}
 
 /// Appends every structural violation of one retired flow to `issues`.
 void append_flow_issues(const Flow& f, std::vector<std::string>& issues) {
@@ -127,10 +196,10 @@ void fold_event(Flow& f, const TraceEvent& ev) {
         f.send_time = ev.time;
         f.self_send = ev.name == "self_send";
         f.size = attr_num(ev, "size", 1.0);
-        f.expected_hops = static_cast<std::uint64_t>(
-            attr_num(ev, ev.category == Category::kOverlay ? AttrKey("vhops")
-                                                           : AttrKey("hops")));
-        f.dst_index = static_cast<std::int64_t>(attr_num(ev, "dst", -1.0));
+        f.expected_hops = unsigned_id(
+            ev, ev.category == Category::kOverlay ? AttrKey("vhops")
+                                                  : AttrKey("hops"));
+        f.dst_index = signed_id(ev, "dst");
       } else if (ev.name == "deliver") {
         f.delivered = true;
         f.dst_node = ev.node;
@@ -140,10 +209,8 @@ void fold_event(Flow& f, const TraceEvent& ev) {
           f.layer = Category::kOverlay;  // deliver seen before its send
         }
       } else if (ev.name == "hop") {
-        f.hops.push_back({ev.node,
-                          static_cast<std::int64_t>(attr_num(ev, "next", -1.0)),
-                          ev.time, attr_num(ev, "depart"),
-                          attr_num(ev, "wait")});
+        f.hops.push_back({ev.node, signed_id(ev, "next"), ev.time,
+                          attr_num(ev, "depart"), attr_num(ev, "wait")});
       } else if (ev.name == "drop") {
         f.dropped = true;
       }
@@ -152,9 +219,8 @@ void fold_event(Flow& f, const TraceEvent& ev) {
       // Physical transmissions serving an overlay send become its hops.
       if (ev.name == "unicast") {
         ++f.link_tx;
-        f.hops.push_back({ev.node,
-                          static_cast<std::int64_t>(attr_num(ev, "to", -1.0)),
-                          ev.time, attr_num(ev, "arrive", ev.time), 0.0});
+        f.hops.push_back({ev.node, signed_id(ev, "to"), ev.time,
+                          attr_num(ev, "arrive", ev.time), 0.0});
       } else if (ev.name == "broadcast") {
         ++f.link_tx;
         f.hops.push_back({ev.node, -1, ev.time,
@@ -242,6 +308,17 @@ void StreamingChecker::retire(Flow& f) {
 
 void StreamingChecker::feed(const TraceEvent& ev) {
   ++report_.events_seen;
+  // State is keyed by ids, so an event whose id is no integer of its kind
+  // is reported and leaves no state behind.
+  for (const Attr& a : ev.attrs) {
+    if (id_ok(a)) continue;
+    report_.issues.push_back(name_of(ev.name) + " at t=" +
+                             std::to_string(ev.time) + " (node " +
+                             std::to_string(ev.node) + "): " +
+                             std::string(a.key.str()) + "=" +
+                             value_text(a.value) + " is not an integer id");
+    return;
+  }
   accumulate_energy(energy_, ev);
   flows_.feed(ev);
   switch (ev.category) {
@@ -294,9 +371,8 @@ void StreamingChecker::feed_collective(const TraceEvent& ev) {
 }
 
 std::uint64_t StreamingChecker::exchange_key(const TraceEvent& ev) {
-  const auto seq = static_cast<std::uint64_t>(attr_num(ev, "seq"));
-  const Lane lane{static_cast<std::uint64_t>(attr_num(ev, "src")),
-                  static_cast<std::uint64_t>(attr_num(ev, "dst")), seq >> 32};
+  const std::uint64_t seq = unsigned_id(ev, "seq");
+  const Lane lane{unsigned_id(ev, "src"), unsigned_id(ev, "dst"), seq >> 32};
   const std::uint64_t id =
       lanes_.try_emplace(lane, lanes_.size()).first->second;
   return id << 32 | (seq & 0xffffffffu);
@@ -304,14 +380,13 @@ std::uint64_t StreamingChecker::exchange_key(const TraceEvent& ev) {
 
 void StreamingChecker::feed_reliability(const TraceEvent& ev) {
   const auto cell_epoch = [&ev] {
-    return CellEpoch{{static_cast<std::int64_t>(attr_num(ev, "row", -1.0)),
-                      static_cast<std::int64_t>(attr_num(ev, "col", -1.0))},
-                     static_cast<std::uint64_t>(attr_num(ev, "epoch"))};
+    return CellEpoch{{signed_id(ev, "row"), signed_id(ev, "col")},
+                     unsigned_id(ev, "epoch")};
   };
   // Issue text only: "src>dst#seq" and "fd.claim row,col@epoch".
   const auto exchange_tag = [&ev] {
     const auto word = [&ev](AttrKey key) {
-      return std::to_string(static_cast<std::uint64_t>(attr_num(ev, key)));
+      return std::to_string(unsigned_id(ev, key));
     };
     return word("src") + ">" + word("dst") + "#" + word("seq");
   };
@@ -456,21 +531,14 @@ void StreamingChecker::MembershipLedger::feed(const TraceEvent& ev,
     // roster repair it provokes are legitimate within one more bound.
     bound = std::max(bound, attr_num(ev, "bound"));
     last_disturbance = std::max(last_disturbance, ev.time);
-    adoptions.push_back(
-        {ev.node, static_cast<std::int64_t>(attr_num(ev, "row", -1.0)),
-         static_cast<std::int64_t>(attr_num(ev, "col", -1.0)),
-         static_cast<std::int64_t>(attr_num(ev, "from_row", -1.0)),
-         static_cast<std::int64_t>(attr_num(ev, "from_col", -1.0)),
-         attr_num(ev, "last") != 0.0, ev.time});
+    adoptions.push_back({ev.node, signed_id(ev, "row"), signed_id(ev, "col"),
+                         signed_id(ev, "from_row"), signed_id(ev, "from_col"),
+                         attr_num(ev, "last") != 0.0, ev.time});
   } else if (ev.name == "fd.adopt_accept") {
-    accepts.push_back(
-        {static_cast<std::int64_t>(attr_num(ev, "node", -1.0)),
-         static_cast<std::int64_t>(attr_num(ev, "row", -1.0)),
-         static_cast<std::int64_t>(attr_num(ev, "col", -1.0)), ev.time});
+    accepts.push_back({signed_id(ev, "node"), signed_id(ev, "row"),
+                       signed_id(ev, "col"), ev.time});
   } else if (ev.name == "fd.adopt_bind") {
-    binds.push_back({static_cast<std::int64_t>(attr_num(ev, "row", -1.0)),
-                     static_cast<std::int64_t>(attr_num(ev, "col", -1.0)),
-                     ev.time});
+    binds.push_back({signed_id(ev, "row"), signed_id(ev, "col"), ev.time});
   }
 }
 
