@@ -53,8 +53,10 @@ double num_field(const JsonValue& obj, const char* key, double fallback,
 
 void append_number(std::string& out, double v) {
   char buf[32];
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 1e15) {
+  // The range test comes first: casting a double outside long long's
+  // range is undefined.
+  if (std::abs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
     std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
   } else {
     std::snprintf(buf, sizeof buf, "%.17g", v);
