@@ -758,7 +758,7 @@ void FailureDetector::uplease_send(std::size_t cell_idx) {
     handle(actor, m);
     return;
   }
-  route_control(actor, m, /*first_hop=*/true);
+  route_control(actor, m, m.dst_cell);
 }
 
 void FailureDetector::uplease(std::size_t cell_idx) {
@@ -827,10 +827,10 @@ void FailureDetector::flood(net::NodeId from, const FdMsg& msg) {
 }
 
 void FailureDetector::route_control(net::NodeId at, const FdMsg& msg,
-                                    bool first_hop, net::NodeId from) {
-  (void)first_hop;
+                                    const core::GridCoord& target,
+                                    net::NodeId from) {
   FdMsg m = msg;  // route_next_hop updates the frame's detour state
-  const net::NodeId nh = overlay_.route_next_hop(at, m.dst_cell, from, &m.route);
+  const net::NodeId nh = overlay_.route_next_hop(at, target, from, &m.route);
   if (nh == net::kNoNode) {
     counters_.add(Counter::kUnroutable);
     return;
@@ -897,7 +897,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
         arm_child_watchdog(child);
         return;
       }
-      route_control(at, msg, /*first_hop=*/false, from);
+      route_control(at, msg, msg.dst_cell, from);
       return;
     }
     case FdMsg::kBeat: {
@@ -1173,13 +1173,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
         return;
       }
       // Not the adopter leader yet: climb toward it.
-      FdMsg m = msg;
-      const net::NodeId nh = overlay_.route_next_hop(at, m.cell, from, &m.route);
-      if (nh == net::kNoNode) {
-        counters_.add(Counter::kUnroutable);
-        return;
-      }
-      overlay_.send_control(at, nh, m, kBeatSizeUnits);
+      route_control(at, msg, msg.cell, from);
       return;
     }
   }

@@ -306,7 +306,10 @@ class FailureDetector {
   void uplease_send(std::size_t cell_idx);
   void arm_child_watchdog(std::size_t cell_idx);
   void flood(net::NodeId from, const FdMsg& msg);
-  void route_control(net::NodeId at, const FdMsg& msg, bool first_hop,
+  /// Sends `msg` one hop from `at` toward the leader serving `target`,
+  /// or counts it unroutable; `from` is the node it arrived from.
+  void route_control(net::NodeId at, const FdMsg& msg,
+                     const core::GridCoord& target,
                      net::NodeId from = net::kNoNode);
   /// Node's cell for protocol purposes: the live belief in membership mode,
   /// the geometric cell otherwise.
