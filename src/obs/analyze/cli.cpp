@@ -113,11 +113,11 @@ int cmd_flows(const Args& args, std::ostream& out) {
     if (shown >= limit) return;
     ++shown;
     t.row({Table::num(f.id), layer_name(f.layer), Table::num(f.src_node),
-           Table::num(f.dst_node), Table::num(f.hops.size()),
+           Table::num(f.dst_node), Table::num(f.hops),
            Table::num(f.send_time, 3),
            f.delivered ? Table::num(f.deliver_time, 3) : "-",
            f.delivered ? Table::num(f.latency(), 3) : "-",
-           Table::num(f.total_wait(), 3), Table::num(f.total_transmit(), 3)});
+           Table::num(f.wait, 3), Table::num(f.transmit, 3)});
   });
   TraceEvent ev;
   while (reader.next(ev)) collector.feed(ev);
@@ -158,7 +158,7 @@ int cmd_critical_path(const Args& args, std::ostream& out) {
     t.row({Table::num(f.id), layer_name(f.layer), Table::num(f.src_node),
            Table::num(f.dst_node), Table::num(f.send_time, 3),
            Table::num(f.deliver_time, 3), Table::num(link.gap_before, 3),
-           Table::num(f.total_wait(), 3), Table::num(f.total_transmit(), 3)});
+           Table::num(f.wait, 3), Table::num(f.transmit, 3)});
   }
   out << t.str();
   out << "critical path: " << report.chain.size() << " messages, "
@@ -171,11 +171,22 @@ int cmd_critical_path(const Args& args, std::ostream& out) {
   return kOk;
 }
 
+/// `layer`'s nodes, the biggest spender first.
+std::vector<std::pair<std::int64_t, RadioEnergy>> by_spend(
+    const LayerEnergy& layer) {
+  std::vector<std::pair<std::int64_t, RadioEnergy>> nodes(layer.nodes.begin(),
+                                                          layer.nodes.end());
+  std::sort(nodes.begin(), nodes.end(), [](const auto& a, const auto& b) {
+    return a.second.total() > b.second.total();
+  });
+  return nodes;
+}
+
 int cmd_energy_map(const Args& args, std::ostream& out) {
   if (args.positional.size() != 1) {
     throw std::runtime_error("energy-map: expected exactly one trace file");
   }
-  // Incremental accumulation: memory is one NodeEnergy slot per node, flat
+  // Incremental accumulation: memory is one entry per charged node, flat
   // in the trace length.
   EnergyMap map;
   {
@@ -201,16 +212,11 @@ int cmd_energy_map(const Args& args, std::ostream& out) {
         << Table::num(layer.rx, 3) << ", total "
         << Table::num(layer.total(), 3) << " across " << layer.nodes.size()
         << " nodes\n";
-    // Top spenders.
-    std::vector<std::size_t> idx(layer.nodes.size());
-    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-    std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-      return layer.nodes[a].total() > layer.nodes[b].total();
-    });
+    const auto ranked = by_spend(layer);
     Table t({"node", "tx", "rx", "total"});
-    for (std::size_t i = 0; i < idx.size() && i < top; ++i) {
-      const NodeEnergy& n = layer.nodes[idx[i]];
-      t.row({Table::num(idx[i]), Table::num(n.tx, 3), Table::num(n.rx, 3),
+    for (std::size_t i = 0; i < ranked.size() && i < top; ++i) {
+      const auto& [node, n] = ranked[i];
+      t.row({Table::num(node), Table::num(n.tx, 3), Table::num(n.rx, 3),
              Table::num(n.total(), 3)});
     }
     out << t.str();
@@ -246,19 +252,15 @@ int cmd_energy_map(const Args& args, std::ostream& out) {
       out << "residual: no link-layer events in trace\n";
       return kOk;
     }
-    std::vector<std::size_t> idx(map.link.nodes.size());
-    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-    std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-      return map.link.nodes[a].total() > map.link.nodes[b].total();
-    });
+    const auto ranked = by_spend(map.link);
     std::size_t depleted = 0;
-    for (const NodeEnergy& n : map.link.nodes) {
+    for (const auto& [node, n] : ranked) {
       if (n.total() >= budget) ++depleted;
     }
     Table t({"node", "spent", "residual"});
-    for (std::size_t i = 0; i < idx.size() && i < top; ++i) {
-      const NodeEnergy& n = map.link.nodes[idx[i]];
-      t.row({Table::num(idx[i]), Table::num(n.total(), 3),
+    for (std::size_t i = 0; i < ranked.size() && i < top; ++i) {
+      const auto& [node, n] = ranked[i];
+      t.row({Table::num(node), Table::num(n.total(), 3),
              Table::num(std::max(budget - n.total(), 0.0), 3)});
     }
     out << "residual vs budget " << Table::num(budget, 3) << ": " << depleted

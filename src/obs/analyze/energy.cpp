@@ -1,101 +1,100 @@
 #include "obs/analyze/energy.h"
 
-#include <cmath>
-
-#include "core/groups.h"
-#include "core/grid_topology.h"
+#include <algorithm>
+#include <bit>
 
 namespace wsn::obs::analyze {
 
-NodeEnergy& LayerEnergy::at(std::int64_t node) {
-  const std::size_t slot = node < 0 ? 0 : static_cast<std::size_t>(node);
-  if (slot >= nodes.size()) nodes.resize(slot + 1);
-  return nodes[slot];
+namespace {
+
+/// floor(sqrt(n)), exact for every 64-bit n.
+std::uint64_t isqrt(std::uint64_t n) {
+  auto r = static_cast<std::uint64_t>(std::sqrt(static_cast<double>(n)));
+  while (r * r > n) --r;
+  while ((r + 1) * (r + 1) <= n) ++r;
+  return r;
 }
 
-void accumulate_energy(EnergyMap& map, const TraceEvent& ev) {
+}  // namespace
+
+std::optional<RadioEnergy> radio_charge(const TraceEvent& ev) {
   const double e = attr_num(ev, "size", 1.0);
   switch (ev.category) {
     case Category::kVirtual:
-      if (ev.name == "send") {
-        map.vnet.at(ev.node).tx += e;
-        map.vnet.tx += e;
-      } else if (ev.name == "hop") {
-        // Hop 0 is the sender (already charged at the send); every later
-        // hop is a relay paying both sides of the crossing. Hop events are
-        // emitted in both congestion modes at send time, so the chain
-        // misses no relay.
-        if (attr_num(ev, "hop") >= 1.0) {
-          NodeEnergy& n = map.vnet.at(ev.node);
-          n.rx += e;
-          n.tx += e;
-          map.vnet.rx += e;
-          map.vnet.tx += e;
-        }
-      } else if (ev.name == "deliver") {
-        map.vnet.at(ev.node).rx += e;
-        map.vnet.rx += e;
+      if (ev.name == "send") return RadioEnergy{e, 0.0};
+      // Hop 0 is the sender (already charged at the send); every later hop
+      // is a relay paying both sides of the crossing. Hop events are
+      // emitted in both congestion modes at send time, so the chain misses
+      // no relay.
+      if (ev.name == "hop" && attr_num(ev, "hop") >= 1.0) {
+        return RadioEnergy{e, e};
       }
+      if (ev.name == "deliver") return RadioEnergy{0.0, e};
       break;
     case Category::kLink:
       if (ev.name == "broadcast" || ev.name == "unicast") {
-        map.link.at(ev.node).tx += e;
-        map.link.tx += e;
-      } else if (ev.name == "deliver") {
-        map.link.at(ev.node).rx += e;
-        map.link.rx += e;
+        return RadioEnergy{e, 0.0};
       }
+      if (ev.name == "deliver") return RadioEnergy{0.0, e};
       break;
     default:
       break;  // overlay sends ride on link transmissions; no double count
+  }
+  return std::nullopt;
+}
+
+void LayerEnergy::charge(std::int64_t node, const RadioEnergy& e) {
+  nodes[std::max<std::int64_t>(node, 0)] += e;
+  tx += e.tx;
+  rx += e.rx;
+}
+
+void accumulate_energy(EnergyMap& map, const TraceEvent& ev) {
+  if (const std::optional<RadioEnergy> e = radio_charge(ev)) {
+    (ev.category == Category::kLink ? map.link : map.vnet).charge(ev.node, *e);
   }
 }
 
 HotspotReport hotspot_report(const LayerEnergy& vnet, std::size_t side) {
   HotspotReport report;
-  const std::size_t count = vnet.nodes.size();
-  if (count == 0) return report;
+  if (vnet.nodes.empty()) return report;
 
   if (side == 0) {
-    side = 1;
-    while (side * side < count) ++side;
+    // Ids are never negative here (LayerEnergy::charge folds them into 0).
+    side = isqrt(static_cast<std::uint64_t>(vnet.nodes.rbegin()->first)) + 1;
   }
   report.side = side;
+  const std::size_t cells = side * side;
 
+  // A power-of-two grid has levels 1..log2(side). The level-l leaders are
+  // the nodes whose row and column are both multiples of 2^l, so a node at
+  // (row, col) leads every level up to the trailing zeros of row | col.
+  const int levels = std::has_single_bit(side) ? std::countr_zero(side) : 0;
+  std::vector<double> leader_sum(static_cast<std::size_t>(levels) + 1, 0.0);
   double sum = 0.0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const double e = vnet.nodes[i].total();
+  for (const auto& [node, energy] : vnet.nodes) {
+    const double e = energy.total();
     sum += e;
     if (e > report.hottest_energy) {
       report.hottest_energy = e;
-      report.hottest_node = static_cast<std::int64_t>(i);
+      report.hottest_node = node;
     }
+    const auto idx = static_cast<std::size_t>(node);
+    if (idx >= cells) continue;
+    const int top = std::min(std::countr_zero(idx / side | idx % side), levels);
+    for (int level = 1; level <= top; ++level) leader_sum[level] += e;
   }
-  report.mean_energy = sum / static_cast<double>(side * side);
+  report.mean_energy = sum / static_cast<double>(cells);
 
-  if (!core::GridTopology::is_power_of_two(side)) return report;
-
-  const core::GridTopology grid(side);
-  const core::GroupHierarchy groups(grid);
-  auto energy_of = [&](const core::GridCoord& c) {
-    const std::size_t idx = grid.index_of(c);
-    return idx < count ? vnet.nodes[idx].total() : 0.0;
-  };
-  for (std::uint32_t level = 1; level <= groups.max_level(); ++level) {
+  for (int level = 1; level <= levels; ++level) {
     LevelEnergy le;
-    le.level = level;
-    double leader_sum = 0.0;
-    for (const core::GridCoord& c : groups.leaders(level)) {
-      leader_sum += energy_of(c);
-      ++le.leader_count;
-    }
-    const std::size_t follower_count = grid.node_count() - le.leader_count;
-    le.leader_mean = le.leader_count > 0
-                         ? leader_sum / static_cast<double>(le.leader_count)
-                         : 0.0;
+    le.level = static_cast<std::uint32_t>(level);
+    le.leader_count = (side >> level) * (side >> level);
+    const std::size_t follower_count = cells - le.leader_count;
+    le.leader_mean = leader_sum[level] / static_cast<double>(le.leader_count);
     le.follower_mean =
         follower_count > 0
-            ? (sum - leader_sum) / static_cast<double>(follower_count)
+            ? (sum - leader_sum[level]) / static_cast<double>(follower_count)
             : 0.0;
     report.levels.push_back(le);
   }

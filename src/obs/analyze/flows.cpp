@@ -2,18 +2,6 @@
 
 namespace wsn::obs::analyze {
 
-double Flow::total_wait() const {
-  double w = 0.0;
-  for (const Hop& h : hops) w += h.wait;
-  return w;
-}
-
-double Flow::total_transmit() const {
-  double t = 0.0;
-  for (const Hop& h : hops) t += h.transmit();
-  return t;
-}
-
 CriticalPathReport critical_path(const std::vector<Flow>& flows) {
   std::vector<const Flow*> pool;
   pool.reserve(flows.size());
@@ -59,9 +47,8 @@ CriticalPathReport critical_path(const std::vector<Flow>& flows) {
   report.end_time = report.chain.back().flow->deliver_time;
   for (const ChainLink& link : report.chain) {
     const Flow& f = *link.flow;
-    report.message_wait += f.total_wait();
-    report.message_transmit +=
-        f.hops.empty() ? f.latency() : f.total_transmit();
+    report.message_wait += f.wait;
+    report.message_transmit += f.hops == 0 ? f.latency() : f.transmit;
     report.node_gaps += link.gap_before;
   }
   return report;

@@ -4,43 +4,32 @@
 // per-relay hop records, and the delivery of one logical message — on the
 // virtual layer, or an overlay send with the physical link transmissions
 // beneath it. FlowCollector (incremental.h) folds that event soup back
-// into these records as the events stream past; the critical-path walk
-// then answers the question the telemetry was built for: *which chain of
-// messages, and which hop of which message, made this operation slow* —
-// split into queueing vs. transmission time.
+// into these records as the events stream past, keeping of the per-relay
+// hops only their count and sums; the critical-path walk then answers the
+// question the telemetry was built for: *which chain of messages made this
+// operation slow* — split into queueing vs. transmission time.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "obs/trace.h"
 
 namespace wsn::obs::analyze {
 
-/// One relay crossing inside a flow. On the virtual layer `wait` is the
-/// recorded queueing delay behind the relay's transmitter and
-/// transmit() the pure store-and-forward hop latency; on the physical link
-/// layer the trace does not split queueing from airtime, so the whole
-/// span lands in transmit() and `wait` stays 0.
-struct Hop {
-  std::int64_t node = -1;   // relay that transmitted
-  std::int64_t next = -1;   // intended receiver (-1: local broadcast)
-  double start = 0.0;       // packet reached the relay / tx was requested
-  double depart = 0.0;      // transmission completed (arrival at `next`)
-  double wait = 0.0;        // queueing delay behind the transmitter
-
-  double transmit() const { return depart - start - wait; }
-
-  bool operator==(const Hop&) const = default;
-};
-
-/// One logical message reassembled from its events.
+/// One logical message reassembled from its events. Its relay crossings
+/// are folded into running sums in trace order, so a flow is a fixed-size
+/// value however many hops it takes. On the virtual layer a hop's `wait` is
+/// the recorded queueing delay behind the relay's transmitter and the rest
+/// of its span the pure store-and-forward hop latency; on the physical link
+/// layer the trace does not split queueing from airtime, so the whole span
+/// counts as transmit and its wait is 0.
 struct Flow {
   std::uint64_t id = 0;
   Category layer = Category::kVirtual;  // kVirtual or kOverlay
   std::int64_t src_node = -1;           // emitting node of the send event
   std::int64_t dst_node = -1;           // node of the deliver event
-  std::int64_t dst_index = -1;          // "dst" attr of the send (grid index)
   double send_time = 0.0;
   double deliver_time = 0.0;
   bool has_send = false;
@@ -51,8 +40,6 @@ struct Flow {
   bool gave_up = false;
   /// A layer recorded an explicit drop for this flow (loss, dead endpoint).
   bool dropped = false;
-  /// ARQ retransmissions performed for hops of this flow.
-  std::uint32_t retransmits = 0;
   double size = 1.0;
   std::uint64_t expected_hops = 0;  // "hops" (virtual) / "vhops" (overlay)
   /// Physical-layer transmissions / deliveries correlated to this flow
@@ -60,11 +47,17 @@ struct Flow {
   /// without a whole-trace side table).
   std::uint32_t link_tx = 0;
   std::uint32_t link_rx = 0;
-  std::vector<Hop> hops;
+  /// Relay crossings traced, and their sums: queueing delay, store-and-
+  /// forward time (span minus wait) and whole span (departure minus start).
+  std::uint64_t hops = 0;
+  double wait = 0.0;
+  double transmit = 0.0;
+  double span = 0.0;
+  /// The relay of the first acausal hop (one whose wait, transmit or span
+  /// is negative), if any.
+  std::optional<std::int64_t> acausal_relay;
 
   double latency() const { return delivered ? deliver_time - send_time : 0.0; }
-  double total_wait() const;
-  double total_transmit() const;
 
   bool operator==(const Flow&) const = default;
 };

@@ -60,9 +60,9 @@ constexpr auto kClassesOf = [] {
   return by_id;
 }();
 
-/// How the checker reads each attribute it keys state by. Cells, hop
-/// targets and an accepted orphan are signed, since -1 reads as "none";
-/// ARQ endpoints, seqs, epochs and hop counts are unsigned.
+/// How the checker reads each attribute it keys state by. Cells and an
+/// accepted orphan are signed, since -1 reads as "none"; ARQ endpoints,
+/// seqs, epochs and hop counts are unsigned.
 enum IdKind : unsigned char { kNotId, kSignedId, kUnsignedId };
 
 struct KeyKind {
@@ -73,9 +73,8 @@ struct KeyKind {
 constexpr KeyKind kIdKeys[] = {
     {"src", kUnsignedId},   {"dst", kUnsignedId},   {"seq", kUnsignedId},
     {"epoch", kUnsignedId}, {"hops", kUnsignedId},  {"vhops", kUnsignedId},
-    {"node", kSignedId},    {"next", kSignedId},    {"to", kSignedId},
-    {"row", kSignedId},     {"col", kSignedId},     {"from_row", kSignedId},
-    {"from_col", kSignedId},
+    {"node", kSignedId},    {"row", kSignedId},     {"col", kSignedId},
+    {"from_row", kSignedId}, {"from_col", kSignedId},
 };
 
 /// kIdKeys indexed by key id.
@@ -100,8 +99,8 @@ bool id_ok(const Attr& a) {
 
 /// Ids of events StreamingChecker::feed has vetted with id_ok: an absent
 /// unsigned id reads as 0 and an absent signed one as -1. The flow fold
-/// also serves FlowCollector's other users, which vet nothing; there a
-/// foreign value reads as the same default.
+/// reads one id, a send's announced hop count, which only the checker
+/// compares; FlowCollector's other users print nothing that rests on it.
 std::uint64_t unsigned_id(const TraceEvent& ev, AttrKey key) {
   return attr_int<std::uint64_t>(ev, key).value_or(0);
 }
@@ -158,29 +157,38 @@ void append_flow_issues(const Flow& f, std::vector<std::string>& issues) {
   if (f.delivered && f.deliver_time < f.send_time) {
     issues.push_back(flow_tag(f) + ": delivered before sent");
   }
-  for (const Hop& h : f.hops) {
-    if (h.wait < 0.0 || h.transmit() < 0.0 || h.depart < h.start) {
-      issues.push_back(flow_tag(f) + ": acausal hop at node " +
-                       std::to_string(h.node));
-      break;
-    }
+  if (f.acausal_relay) {
+    issues.push_back(flow_tag(f) + ": acausal hop at node " +
+                     std::to_string(*f.acausal_relay));
   }
   if (f.layer == Category::kVirtual && !f.self_send) {
-    if (f.hops.size() != f.expected_hops) {
+    if (f.hops != f.expected_hops) {
       issues.push_back(flow_tag(f) + ": announced " +
                        std::to_string(f.expected_hops) + " hops, traced " +
-                       std::to_string(f.hops.size()));
+                       std::to_string(f.hops));
     } else if (f.delivered) {
       // Exact decomposition: end-to-end latency == sum of hop spans, in
       // both congestion modes (serialized hops chain depart -> start).
-      double span_sum = 0.0;
-      for (const Hop& h : f.hops) span_sum += h.depart - h.start;
-      if (!close_rel(f.latency(), span_sum, 1e-9)) {
+      if (!close_rel(f.latency(), f.span, 1e-9)) {
         issues.push_back(flow_tag(f) +
                          ": latency does not decompose into hops");
       }
     }
   }
+}
+
+/// Folds one relay crossing, from `start` to `depart` with `wait` of it
+/// spent queueing, into `f`'s sums.
+void add_hop(Flow& f, std::int64_t relay, double start, double depart,
+             double wait) {
+  const double transmit = depart - start - wait;
+  if (!f.acausal_relay && (wait < 0.0 || transmit < 0.0 || depart < start)) {
+    f.acausal_relay = relay;
+  }
+  ++f.hops;
+  f.wait += wait;
+  f.transmit += transmit;
+  f.span += depart - start;
 }
 
 /// The event-into-flow fold — the one place that knows how raw events map
@@ -199,7 +207,6 @@ void fold_event(Flow& f, const TraceEvent& ev) {
         f.expected_hops = unsigned_id(
             ev, ev.category == Category::kOverlay ? AttrKey("vhops")
                                                   : AttrKey("hops"));
-        f.dst_index = signed_id(ev, "dst");
       } else if (ev.name == "deliver") {
         f.delivered = true;
         f.dst_node = ev.node;
@@ -209,22 +216,17 @@ void fold_event(Flow& f, const TraceEvent& ev) {
           f.layer = Category::kOverlay;  // deliver seen before its send
         }
       } else if (ev.name == "hop") {
-        f.hops.push_back({ev.node, signed_id(ev, "next"), ev.time,
-                          attr_num(ev, "depart"), attr_num(ev, "wait")});
+        add_hop(f, ev.node, ev.time, attr_num(ev, "depart"),
+                attr_num(ev, "wait"));
       } else if (ev.name == "drop") {
         f.dropped = true;
       }
       break;
     case Category::kLink:
       // Physical transmissions serving an overlay send become its hops.
-      if (ev.name == "unicast") {
+      if (ev.name == "unicast" || ev.name == "broadcast") {
         ++f.link_tx;
-        f.hops.push_back({ev.node, signed_id(ev, "to"), ev.time,
-                          attr_num(ev, "arrive", ev.time), 0.0});
-      } else if (ev.name == "broadcast") {
-        ++f.link_tx;
-        f.hops.push_back({ev.node, -1, ev.time,
-                          attr_num(ev, "arrive", ev.time), 0.0});
+        add_hop(f, ev.node, ev.time, attr_num(ev, "arrive", ev.time), 0.0);
       } else if (ev.name == "deliver") {
         // The hop was recorded at its unicast; only count the receive so
         // rx/tx pairing can be checked per flow.
@@ -234,11 +236,7 @@ void fold_event(Flow& f, const TraceEvent& ev) {
       }
       break;
     case Category::kReliability:
-      if (ev.name == "rel.give_up") {
-        f.gave_up = true;
-      } else if (ev.name == "rel.retransmit") {
-        ++f.retransmits;
-      }
+      if (ev.name == "rel.give_up") f.gave_up = true;
       break;
     default:
       break;  // protocol/bench/app events carry no flow structure
@@ -319,7 +317,9 @@ void StreamingChecker::feed(const TraceEvent& ev) {
                              value_text(a.value) + " is not an integer id");
     return;
   }
-  accumulate_energy(energy_, ev);
+  if (const std::optional<RadioEnergy> e = radio_charge(ev)) {
+    (ev.category == Category::kLink ? link_energy_ : vnet_energy_) += *e;
+  }
   flows_.feed(ev);
   switch (ev.category) {
     case Category::kCollective:
@@ -637,9 +637,9 @@ CheckReport StreamingChecker::finish(const JsonValue* metrics_snapshot) {
   membership_.resolve(report_.issues);
 
   if (metrics_snapshot != nullptr) {
-    // Energy conservation: the incrementally accumulated map against the
-    // ledger snapshot.
-    auto compare = [&](const char* section, const LayerEnergy& layer) {
+    // Energy conservation: the incrementally accumulated totals against
+    // the ledger snapshot.
+    auto compare = [&](const char* section, const RadioEnergy& layer) {
       const JsonValue* sec = metrics_snapshot->find(section);
       if (sec == nullptr) return;
       for (const char* field : {"tx", "rx"}) {
@@ -656,8 +656,8 @@ CheckReport StreamingChecker::finish(const JsonValue* metrics_snapshot) {
         }
       }
     };
-    compare("vnet.energy", energy_.vnet);
-    compare("link.energy", energy_.link);
+    compare("vnet.energy", vnet_energy_);
+    compare("link.energy", link_energy_);
 
     if (const JsonValue* sec = metrics_snapshot->find("arq.counters")) {
       const JsonValue* v = sec->find("arq.give_up");

@@ -78,16 +78,14 @@ class FlowCollector {
 /// in order, then finish() — with the run's metrics snapshot, if captured,
 /// for the energy-conservation / ARQ-counter / capture-health checks —
 /// to obtain the combined CheckReport. Peak memory is bounded by live
-/// flows + nodes + collectives + fault activity, never by trace length.
+/// flows + nodes + collectives + fault activity, never by trace length nor
+/// by the largest id a trace names.
 class StreamingChecker {
  public:
   StreamingChecker();
 
   void feed(const TraceEvent& ev);
   CheckReport finish(const JsonValue* metrics_snapshot = nullptr);
-
-  /// Trace-derived energy accumulated so far (finalized after finish()).
-  const EnergyMap& energy() const { return energy_; }
 
  private:
   /// A churn event buffered until finish(): a later disturbance can extend
@@ -176,7 +174,9 @@ class StreamingChecker {
 
   CheckReport report_;
   FlowCollector flows_;
-  EnergyMap energy_;
+  // Trace-derived radio energy per layer, for the ledger comparison.
+  RadioEnergy vnet_energy_;
+  RadioEnergy link_energy_;
 
   // Collectives. Open spans are keyed by id; `began_` remembers every id
   // that ever began so an 'E' without any 'B' is an orphan (collective ids

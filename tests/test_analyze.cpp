@@ -31,6 +31,7 @@
 #include "obs/export.h"
 #include "obs/histogram.h"
 #include "obs/metrics_registry.h"
+#include "obs/profiler.h"
 #include "obs/sinks.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
@@ -245,11 +246,11 @@ TEST(FlowReconstruction, RecoversPathAndLatencyContentionFree) {
     EXPECT_EQ(f.dst_node, 0);
     const auto src = grid.coord_of(static_cast<std::size_t>(f.src_node));
     EXPECT_EQ(f.expected_hops, manhattan(src, {0, 0}));
-    EXPECT_EQ(f.hops.size(), f.expected_hops);
+    EXPECT_EQ(f.hops, f.expected_hops);
     // Unit cost model, no contention: latency == hops, zero queueing.
     EXPECT_DOUBLE_EQ(f.latency(), static_cast<double>(f.expected_hops));
-    EXPECT_DOUBLE_EQ(f.total_wait(), 0.0);
-    EXPECT_DOUBLE_EQ(f.total_transmit(), f.latency());
+    EXPECT_DOUBLE_EQ(f.wait, 0.0);
+    EXPECT_DOUBLE_EQ(f.transmit, f.latency());
   }
 }
 
@@ -262,11 +263,37 @@ TEST(FlowReconstruction, CapturesQueueingUnderSerialization) {
     if (f.self_send) continue;
     EXPECT_TRUE(f.delivered);
     // Exact decomposition even under queueing: latency = wait + transmit.
-    EXPECT_NEAR(f.latency(), f.total_wait() + f.total_transmit(), 1e-9);
-    total_wait += f.total_wait();
+    EXPECT_NEAR(f.latency(), f.wait + f.transmit, 1e-9);
+    total_wait += f.wait;
   }
   // 64 transmitters funneling into one corner must queue somewhere.
   EXPECT_GT(total_wait, 0.0);
+}
+
+TEST(FlowReconstruction, AThousandHopFlowAllocatesNothingPastItsSend) {
+  // A flow keeps the count and sums of its hops, not the hops: once its
+  // record exists, no hop or delivery allocates.
+  Flow retired;
+  FlowCollector collector([&retired](Flow& f) { retired = f; });
+  collector.feed({0.0, 0, obs::Category::kVirtual, 'i', "send", 1,
+                  {{"hops", std::uint64_t{1000}}}});
+  const std::uint64_t before = obs::global_alloc_stats().count;
+  for (std::int64_t h = 0; h < 1000; ++h) {
+    const double t = static_cast<double>(h);
+    collector.feed({t, h, obs::Category::kVirtual, 'i', "hop", 1,
+                    {{"hop", static_cast<std::uint64_t>(h)},
+                     {"depart", t + 1.0},
+                     {"wait", 0.25}}});
+  }
+  collector.feed({1000.0, 1000, obs::Category::kVirtual, 'i', "deliver", 1,
+                  {}});
+  EXPECT_EQ(obs::global_alloc_stats().count - before, 0u);
+  collector.finish();
+  EXPECT_EQ(retired.hops, 1000u);
+  EXPECT_DOUBLE_EQ(retired.wait, 250.0);
+  EXPECT_DOUBLE_EQ(retired.transmit, 750.0);
+  EXPECT_DOUBLE_EQ(retired.span, 1000.0);
+  EXPECT_FALSE(retired.acausal_relay.has_value());
 }
 
 TEST(FlowReconstruction, CollectiveSpansPairUp) {
@@ -365,11 +392,11 @@ TEST(EnergyAttribution, MatchesLedgerExactlyPerNode) {
   EXPECT_NEAR(map.vnet.rx, ledger.total(net::EnergyUse::kRx), 1e-9);
   ASSERT_EQ(map.vnet.nodes.size(), 64u);
   for (std::size_t i = 0; i < 64; ++i) {
-    EXPECT_NEAR(map.vnet.nodes[i].tx,
+    EXPECT_NEAR(map.vnet.nodes.at(i).tx,
                 ledger.spent(static_cast<net::NodeId>(i), net::EnergyUse::kTx),
                 1e-9)
         << "node " << i;
-    EXPECT_NEAR(map.vnet.nodes[i].rx,
+    EXPECT_NEAR(map.vnet.nodes.at(i).rx,
                 ledger.spent(static_cast<net::NodeId>(i), net::EnergyUse::kRx),
                 1e-9)
         << "node " << i;
@@ -426,8 +453,81 @@ TEST(EnergyAttribution, HotspotReportQuantifiesLeaderImbalance) {
   EXPECT_GE(hs.hotspot_factor(), 1.0);
 }
 
+TEST(EnergyAttribution, LevelMeansFoldOverChargedNodes) {
+  // Node i of a 4x4 grid spends i. Level-1 leaders are 0, 2, 8 and 10;
+  // the level-2 leader is 0. Node 6 is never charged.
+  EnergyMap map;
+  for (std::int64_t i = 0; i < 16; ++i) {
+    if (i == 6) continue;
+    map.vnet.charge(i, {static_cast<double>(i), 0.0});
+  }
+  EXPECT_EQ(map.vnet.nodes.size(), 15u);
+  const HotspotReport hs = hotspot_report(map.vnet);
+  EXPECT_EQ(hs.side, 4u);
+  EXPECT_EQ(hs.hottest_node, 15);
+  EXPECT_DOUBLE_EQ(hs.mean_energy, 114.0 / 16.0);
+  ASSERT_EQ(hs.levels.size(), 2u);
+  EXPECT_EQ(hs.levels[0].leader_count, 4u);
+  EXPECT_DOUBLE_EQ(hs.levels[0].leader_mean, 20.0 / 4.0);
+  EXPECT_DOUBLE_EQ(hs.levels[0].follower_mean, 94.0 / 12.0);
+  EXPECT_EQ(hs.levels[1].leader_count, 1u);
+  EXPECT_DOUBLE_EQ(hs.levels[1].leader_mean, 0.0);
+  EXPECT_DOUBLE_EQ(hs.levels[1].follower_mean, 114.0 / 15.0);
+
+  // Node 16 needs a side of 5: no power of two, so no hierarchy.
+  map.vnet.charge(16, {1.0, 0.0});
+  EXPECT_EQ(hotspot_report(map.vnet).side, 5u);
+  EXPECT_TRUE(hotspot_report(map.vnet).levels.empty());
+}
+
+TEST(EnergyAttribution, FarNodeIdsHoldOneEntryEach) {
+  // One delivery each, at ids far beyond any grid: the map keeps one entry
+  // and the hotspot fold computes its grid instead of walking it.
+  struct Case {
+    obs::Category layer;
+    std::int64_t node;
+    std::size_t side;
+    std::size_t levels;
+  };
+  const Case cases[] = {
+      {obs::Category::kLink, 20'000'000, 4473, 0},
+      {obs::Category::kVirtual, (std::int64_t{1} << 40) - 1,
+       std::size_t{1} << 20, 20},
+      {obs::Category::kVirtual, std::numeric_limits<std::int64_t>::max() - 1,
+       3'037'000'500, 0},
+  };
+  for (const Case& c : cases) {
+    const std::uint64_t before = obs::global_alloc_stats().bytes;
+    EnergyMap map;
+    accumulate_energy(map, {0.0, c.node, c.layer, 'i', "deliver", 0, {}});
+    const LayerEnergy& layer =
+        c.layer == obs::Category::kLink ? map.link : map.vnet;
+    ASSERT_EQ(layer.nodes.size(), 1u) << c.node;
+    EXPECT_EQ(layer.nodes.begin()->first, c.node);
+    EXPECT_DOUBLE_EQ(layer.rx, 1.0);
+    const HotspotReport hs = hotspot_report(layer);
+    EXPECT_EQ(hs.side, c.side) << c.node;
+    EXPECT_EQ(hs.levels.size(), c.levels) << c.node;
+    EXPECT_EQ(hs.hottest_node, c.node);
+    EXPECT_LT(obs::global_alloc_stats().bytes - before, 1u << 20) << c.node;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Invariant checker
+
+TEST(Checker, FarNodeIdAllocatesUnderAMegabyte) {
+  // The checker compares per-layer energy totals, so a node id costs
+  // nothing by its size.
+  StreamingChecker checker;
+  const std::uint64_t before = obs::global_alloc_stats().bytes;
+  checker.feed({1.0, 20'000'000, obs::Category::kLink, 'i', "deliver", 0,
+                {{"size", 1.0}}});
+  const CheckReport report = checker.finish();
+  EXPECT_LT(obs::global_alloc_stats().bytes - before, 1u << 20);
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(report.events_seen, 1u);
+}
 
 TEST(Checker, IdsReadOnlyAsIntegersTheirTypeHolds) {
   const auto ev = [](obs::AttrValue v) {
@@ -779,6 +879,19 @@ TEST_F(InspectCli, EnergyMap) {
   EXPECT_NE(out_.str().find("virtual layer"), std::string::npos);
   EXPECT_NE(out_.str().find("hotspot"), std::string::npos);
   EXPECT_NE(out_.str().find("imbalance"), std::string::npos);
+}
+
+TEST_F(InspectCli, EnergyMapOfAFarVirtualNode) {
+  const std::string path = write_file(
+      "far.jsonl",
+      R"({"t":1.0,"node":1099511627775,"cat":"vnet","ph":"i",)"
+      R"("name":"deliver","flow":0,"args":{"size":1.0}})"
+      "\n");
+  ASSERT_EQ(run({"energy-map", path}), 0) << err_.str();
+  EXPECT_NE(out_.str().find("across 1 nodes"), std::string::npos)
+      << out_.str();
+  EXPECT_NE(out_.str().find("hotspot: node 1099511627775"), std::string::npos)
+      << out_.str();
 }
 
 TEST_F(InspectCli, HistogramSummaries) {
