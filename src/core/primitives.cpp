@@ -18,7 +18,7 @@ std::uint64_t collective_begin(MessageFabric& fabric, obs::EventName what,
                                const GridCoord& leader, std::size_t members) {
   auto& tr = obs::tracer();
   if (!tr.enabled(obs::Category::kCollective)) return 0;
-  const std::uint64_t flow = tr.next_flow();
+  const std::uint64_t flow = fabric.simulator().next_flow();
   tr.emit({fabric.simulator().now(),
            static_cast<std::int64_t>(fabric.grid().index_of(leader)),
            obs::Category::kCollective, 'B', what, flow,

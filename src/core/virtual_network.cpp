@@ -90,7 +90,7 @@ void VirtualNetwork::send(const GridCoord& from, const GridCoord& to,
   auto& tr = obs::tracer();
   std::uint64_t flow = 0;
   if (tr.enabled(obs::Category::kVirtual)) {
-    flow = tr.next_flow();
+    flow = sim_.next_flow();
     tr.emit({sim_.now(), static_cast<std::int64_t>(grid_.index_of(from)),
              obs::Category::kVirtual, 'i',
              hops == 0 ? obs::EventName("self_send") : obs::EventName("send"),

@@ -240,7 +240,7 @@ void OverlayNetwork::send(const core::GridCoord& from, const core::GridCoord& to
   // own events or the physical hops serving this send.
   if (tr.enabled(obs::Category::kOverlay) ||
       tr.enabled(obs::Category::kLink)) {
-    flow = tr.next_flow();
+    flow = simulator().next_flow();
   }
   if (tr.enabled(obs::Category::kOverlay)) {
     tr.emit({simulator().now(), static_cast<std::int64_t>(origin),

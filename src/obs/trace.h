@@ -221,10 +221,11 @@ class AttrList {
 /// One structured trace event: a fixed-size value that allocates nothing.
 ///
 /// `flow` correlates the events of one logical message across layers: a
-/// VirtualNetwork or OverlayNetwork send allocates a flow id and every
-/// relay/delivery event of that message — including the physical LinkLayer
-/// hops beneath an overlay send — carries it, so the full path and
-/// per-hop queueing delay of a message can be reconstructed from a trace.
+/// VirtualNetwork or OverlayNetwork send takes a flow id from its
+/// simulator (sim::Simulator::next_flow) and every relay/delivery event of
+/// that message — including the physical LinkLayer hops beneath an overlay
+/// send — carries it, so the full path and per-hop queueing delay of a
+/// message can be reconstructed from a trace.
 struct TraceEvent {
   double time = 0.0;           // simulation time (cost-model units)
   std::int64_t node = -1;      // node id / grid index; -1 = not node-bound
@@ -270,19 +271,9 @@ class Tracer {
   std::uint32_t mask() const { return mask_; }
   void enable(Category c) { mask_ |= 1u << static_cast<unsigned>(c); }
 
-  /// Allocates a fresh correlation id (monotonic, never 0).
-  std::uint64_t next_flow() { return ++flow_; }
-
-  /// Rewinds the flow counter. Only for determinism harnesses that compare
-  /// two captures byte-for-byte within one process; flows allocated after a
-  /// reset collide with earlier ones, so never mix resets with a live sink
-  /// that spans the reset.
-  void reset_flows(std::uint64_t value = 0) { flow_ = value; }
-
  private:
   TraceSink* sink_ = nullptr;
   std::uint32_t mask_ = 0;
-  std::uint64_t flow_ = 0;
 };
 
 /// The process-global tracer all emission sites consult.

@@ -467,7 +467,6 @@ ChaosCampaignResult ChaosSoak::run(std::size_t index,
       oracle = std::make_unique<OracleSink>(campaign_dir);
       obs::tracer().set_sink(oracle.get());
     }
-    obs::tracer().reset_flows(0);
     stack = std::make_unique<emulation::PhysicalStack>(
         cfg_.grid_side, cfg_.node_count, kRange, res.seed + 1000003 * retry,
         cfg_.topology);

@@ -59,6 +59,10 @@ class Simulator {
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// A fresh trace correlation id for one logical message or collective:
+  /// 1, 2, ... in this simulator, never 0.
+  std::uint64_t next_flow() { return ++flow_; }
+
   std::size_t pending() const { return queue_.live(); }
   std::uint64_t events_processed() const { return processed_; }
 
@@ -146,6 +150,7 @@ class Simulator {
   Rng rng_;
   Time now_ = 0;
   std::uint64_t processed_ = 0;
+  std::uint64_t flow_ = 0;
 };
 
 }  // namespace wsn::sim

@@ -199,10 +199,8 @@ std::string run_handoff_race(core::PartialResult* out) {
   detector.start();
   stack.sim.run_until(stack.sim.now() + 10.0);
 
-  // Capture only the race (setup and detector spin-up already ran), with
-  // the flow counter rewound so two runs are byte-comparable.
+  // Capture only the race (setup and detector spin-up already ran).
   obs::ScopedTrace capture(sink, obs::kAllCategories);
-  obs::tracer().reset_flows();
 
   const GridCoord victim{3, 3};  // farthest from the collector: in flight
                                  // the longest

@@ -914,10 +914,8 @@ std::string run_campaign_capture(std::uint64_t seed) {
   injector.set_leader_lookup(
       [&](const GridCoord& c) { return stack.overlay->bound_node(c); });
 
-  // Capture only the campaign (setup already ran); rewind the process-wide
-  // flow counter so two captures are comparable byte-for-byte.
+  // Capture only the campaign (setup already ran).
   obs::ScopedTrace scope(sink);
-  obs::tracer().reset_flows();
   injector.arm(sim::FaultPlan::from_json(R"({"events": [
     {"at": 0.0, "kind": "loss_burst", "loss": 0.1, "duration": 200.0},
     {"at": 1.0, "kind": "crash", "cell": {"row": 1, "col": 1}}

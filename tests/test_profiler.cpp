@@ -54,7 +54,6 @@ std::string campaign_trace_jsonl() {
   stack.enable_arq();
   {
     obs::ScopedTrace trace(sink);
-    obs::tracer().reset_flows();
     for (const core::GridCoord& c : core::GridTopology(4).all_coords()) {
       if (c.row == 0 && c.col == 0) continue;
       stack.overlay->send(c, {0, 0}, int{1}, 1.0);

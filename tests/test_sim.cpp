@@ -414,6 +414,32 @@ TEST(Simulator, SecondBurstOfPostsAllocatesNothing) {
   }
 }
 
+TEST(Simulator, EachSimulatorHandsOutItsOwnFlowIds) {
+  Simulator a(1);
+  Simulator b(2);
+  EXPECT_EQ(a.next_flow(), 1u);
+  EXPECT_EQ(a.next_flow(), 2u);
+  EXPECT_EQ(b.next_flow(), 1u);
+  EXPECT_EQ(a.next_flow(), 3u);
+  EXPECT_EQ(b.next_flow(), 2u);
+
+  // A traced send takes its id from the simulator it runs on, so a second
+  // simulator's first send is flow 1 again.
+  obs::RingBufferSink sink(16);
+  obs::ScopedTrace scope(sink);
+  for (std::uint64_t seed : {3u, 4u}) {
+    Simulator sim(seed);
+    core::VirtualNetwork vnet(sim, core::GridTopology(2), core::CostModel{});
+    vnet.send({0, 0}, {0, 1}, 0, 1.0);
+    vnet.send({0, 0}, {1, 1}, 0, 1.0);
+  }
+  std::vector<std::uint64_t> send_flows;
+  for (const obs::TraceEvent& ev : sink.events()) {
+    if (ev.name == "send") send_flows.push_back(ev.flow);
+  }
+  EXPECT_EQ(send_flows, (std::vector<std::uint64_t>{1, 2, 1, 2}));
+}
+
 TEST(Simulator, CallbackGrowingTheSlotStorageCompletes) {
   // One dispatch schedules thousands of events, so the slot storage grows
   // under the running callback; its own captures must stay intact, and the
@@ -563,7 +589,6 @@ TEST(FaultCampaignDeterminism, SameSeedAndPlanReplayIdentically) {
     Simulator sim(seed);
     core::VirtualNetwork vnet(sim, core::GridTopology(4), core::CostModel{});
     obs::ScopedTrace scope(sink);
-    obs::tracer().reset_flows();
     FaultInjector injector(sim, vnet);
     injector.arm(FaultPlan::from_json(R"({"events": [
       {"at": 2.0, "kind": "crash", "node": 5},
