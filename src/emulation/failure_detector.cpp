@@ -23,7 +23,6 @@ struct FailureDetector::FdMsg {
   std::uint64_t epoch = 0;
   std::uint64_t seq = 0;              // beats: per-leader sequence
   net::NodeId leader = net::kNoNode;  // beat/claim/sync/uplease: the leader
-  net::NodeId old_leader = net::kNoNode;  // claim: the deposed leader
   double score = 0.0;                     // elect: best key's score so far
   net::NodeId origin = net::kNoNode;      // elect: best key's node id
                                           // join: the orphan
@@ -33,7 +32,6 @@ struct FailureDetector::FdMsg {
   core::GridCoord src_cell{-1, -1};   // sender's cell belief; join: the
                                       // cell the orphan abandoned
   std::uint64_t roster_digest = 0;    // audit: digest of the leader's roster
-  std::uint32_t roster_size = 0;      // audit: entries behind the digest
   bool last = false;  // join: orphan's evidence it was the cell's last
                       // reachable member (a full lease of total silence)
   OverlayNetwork::RouteState route{};  // hop-routed frames: detour state
@@ -394,8 +392,7 @@ void FailureDetector::on_watchdog(net::NodeId i) {
     // Own radio is dead (a node always knows that much). Keep a reboot
     // probe scheduled so the node re-engages after a recovery.
     was_down_[i] = true;
-    lease_expiry_[i] = sim().now() + cfg_.lease_duration;
-    arm_watchdog(i);
+    renew_lease(i);
     return;
   }
   if (was_down_[i]) {
@@ -419,8 +416,7 @@ void FailureDetector::on_watchdog(net::NodeId i) {
     hello.origin = i;
     hello.src_cell = cell_view(i);
     flood(i, hello);
-    lease_expiry_[i] = sim().now() + cfg_.lease_duration;
-    arm_watchdog(i);
+    renew_lease(i);
     return;
   }
   // Membership self-check before acting on the lease: a corruption-defected
@@ -434,16 +430,14 @@ void FailureDetector::on_watchdog(net::NodeId i) {
   if (elect_close_armed_[i]) {
     // An election this node joined is still open; give it time instead of
     // escalating the epoch mid-election.
-    lease_expiry_[i] = sim().now() + cfg_.lease_duration;
-    arm_watchdog(i);
+    renew_lease(i);
     return;
   }
   counters_.add(Counter::kLeaseExpire);
   trace_fd("fd.lease_expire", i,
            {{"leader", static_cast<std::uint64_t>(believed_leader_[i])}});
   start_election(i);
-  lease_expiry_[i] = sim().now() + cfg_.lease_duration;
-  arm_watchdog(i);
+  renew_lease(i);
 }
 
 void FailureDetector::start_election(net::NodeId i) {
@@ -470,19 +464,22 @@ void FailureDetector::start_election(net::NodeId i) {
   m.origin = i;
   m.residual = elect_best_residual_[i];
   flood(i, m);
-  if (!elect_close_armed_[i]) {
-    elect_close_armed_[i] = true;
-    // Score-proportional stagger: the best key closes (and claims) first,
-    // so by the time worse keys close they have heard the claim.
-    const double s = std::max(elect_best_score_[i], 0.0);
-    const double stagger = cfg_.election_timeout * 0.25 * (s / (1.0 + s));
-    const std::uint64_t gen = run_gen_;
-    sim().schedule_in(cfg_.election_timeout + stagger, [this, i, target, gen] {
-      if (gen != run_gen_ || !running_) return;
-      elect_close_armed_[i] = false;
-      close_election(i, target);
-    });
-  }
+  arm_election_close(i, target);
+}
+
+void FailureDetector::arm_election_close(net::NodeId i, std::uint64_t target) {
+  if (elect_close_armed_[i]) return;
+  elect_close_armed_[i] = true;
+  // Score-proportional stagger: the best key closes (and claims) first, so
+  // by the time worse keys close they have heard the claim.
+  const double s = std::max(elect_best_score_[i], 0.0);
+  const double stagger = cfg_.election_timeout * 0.25 * (s / (1.0 + s));
+  const std::uint64_t gen = run_gen_;
+  sim().schedule_in(cfg_.election_timeout + stagger, [this, i, target, gen] {
+    if (gen != run_gen_ || !running_) return;
+    elect_close_armed_[i] = false;
+    close_election(i, target);
+  });
 }
 
 void FailureDetector::close_election(net::NodeId i, std::uint64_t target) {
@@ -548,7 +545,6 @@ void FailureDetector::win_election(net::NodeId w, std::uint64_t epoch) {
   m.cell = cell;
   m.epoch = epoch;
   m.leader = w;
-  m.old_leader = old;
   flood(w, m);
   beat_seq_[w] = 0;
   const std::uint64_t gen = run_gen_;
@@ -715,8 +711,6 @@ void FailureDetector::audit(net::NodeId leader) {
                   {"why", obs::AttrCode("reinstate")}});
       }
       m.roster_digest = membership_->digest(cell);
-      m.roster_size =
-          static_cast<std::uint32_t>(membership_->roster(cell).size());
     }
     flood(leader, m);
     // The auditor scrubs its own tables; members scrub theirs on receipt.
@@ -824,6 +818,16 @@ void FailureDetector::flood(net::NodeId from, const FdMsg& msg) {
     // its delivery is the proof of life that clears the suspicion.
     overlay_.send_control(from, v, msg, kBeatSizeUnits);
   }
+}
+
+void FailureDetector::resync(net::NodeId at, const core::GridCoord& cell) {
+  counters_.add(Counter::kSync);
+  FdMsg sync;
+  sync.kind = FdMsg::kSync;
+  sync.cell = cell;
+  sync.epoch = epoch_[at];
+  sync.leader = at;
+  flood(at, sync);
 }
 
 void FailureDetector::route_control(net::NodeId at, const FdMsg& msg,
@@ -954,13 +958,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
         if (believed_leader_[at] == at && !link().is_down(at)) {
           // A deposed leader came back and is beating its old epoch: the
           // current leader answers with the current binding.
-          counters_.add(Counter::kSync);
-          FdMsg sync;
-          sync.kind = FdMsg::kSync;
-          sync.cell = msg.cell;
-          sync.epoch = epoch_[at];
-          sync.leader = at;
-          flood(at, sync);
+          resync(at, msg.cell);
         }
       }
       return;
@@ -971,13 +969,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
         counters_.add(Counter::kStaleElect);
         if (believed_leader_[at] == at) {
           // Electorate is out of date (e.g. missed the claim): re-announce.
-          counters_.add(Counter::kSync);
-          FdMsg sync;
-          sync.kind = FdMsg::kSync;
-          sync.cell = msg.cell;
-          sync.epoch = epoch_[at];
-          sync.leader = at;
-          flood(at, sync);
+          resync(at, msg.cell);
         }
         return;
       }
@@ -1014,20 +1006,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
                   {"col", static_cast<std::int64_t>(msg.cell.col)},
                   {"epoch", msg.epoch}});
         progressed = true;
-        if (candidate && !elect_close_armed_[at]) {
-          elect_close_armed_[at] = true;
-          const double s = std::max(elect_best_score_[at], 0.0);
-          const double stagger =
-              cfg_.election_timeout * 0.25 * (s / (1.0 + s));
-          const std::uint64_t gen = run_gen_;
-          const std::uint64_t target = msg.epoch;
-          sim().schedule_in(cfg_.election_timeout + stagger,
-                            [this, at, target, gen] {
-                              if (gen != run_gen_ || !running_) return;
-                              elect_close_armed_[at] = false;
-                              close_election(at, target);
-                            });
-        }
+        if (candidate) arm_election_close(at, msg.epoch);
       }
       if (elect_epoch_[at] == msg.epoch &&
           key_less(msg.residual, msg.score, msg.origin,
@@ -1105,13 +1084,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
       if (msg.epoch < epoch_[at]) {
         counters_.add(Counter::kAuditStale);
         if (believed_leader_[at] == at && !link().is_down(at)) {
-          counters_.add(Counter::kSync);
-          FdMsg sync;
-          sync.kind = FdMsg::kSync;
-          sync.cell = msg.cell;
-          sync.epoch = epoch_[at];
-          sync.leader = at;
-          flood(at, sync);
+          resync(at, msg.cell);
         }
         return;
       }

@@ -296,6 +296,9 @@ class FailureDetector {
   void arm_watchdog(net::NodeId i);
   void on_watchdog(net::NodeId i);
   void start_election(net::NodeId i);
+  /// Schedules `i`'s close of the election at `target`, unless one is
+  /// already armed.
+  void arm_election_close(net::NodeId i, std::uint64_t target);
   void close_election(net::NodeId i, std::uint64_t target);
   void win_election(net::NodeId w, std::uint64_t epoch);
   void maybe_handoff(net::NodeId leader);
@@ -306,6 +309,9 @@ class FailureDetector {
   void uplease_send(std::size_t cell_idx);
   void arm_child_watchdog(std::size_t cell_idx);
   void flood(net::NodeId from, const FdMsg& msg);
+  /// Leader `at` re-floods its binding (a kSync at its epoch) through
+  /// `cell`, whose members spoke from an out-of-date view.
+  void resync(net::NodeId at, const core::GridCoord& cell);
   /// Sends `msg` one hop from `at` toward the leader serving `target`,
   /// or counts it unroutable; `from` is the node it arrived from.
   void route_control(net::NodeId at, const FdMsg& msg,

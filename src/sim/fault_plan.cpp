@@ -374,22 +374,23 @@ void FaultInjector::apply_down(net::NodeId node, bool down,
   trace_fault(sim_, trace_name, static_cast<std::int64_t>(node), {});
 }
 
+net::NodeId FaultInjector::resolve_target(const FaultEvent& ev) {
+  if (ev.node != net::kNoNode) return ev.node;
+  if (!leader_lookup_) {
+    throw std::runtime_error(
+        "FaultInjector: cell-targeted event without a leader lookup");
+  }
+  const net::NodeId leader = leader_lookup_(ev.cell);
+  if (leader == net::kNoNode) counters_.add(Counter::kUnresolved);
+  return leader;
+}
+
 void FaultInjector::fire(const FaultEvent& ev) {
   switch (ev.kind) {
     case FaultKind::kCrash:
     case FaultKind::kRecover: {
-      net::NodeId target = ev.node;
-      if (target == net::kNoNode) {
-        if (!leader_lookup_) {
-          throw std::runtime_error(
-              "FaultInjector: cell-targeted event without a leader lookup");
-        }
-        target = leader_lookup_(ev.cell);
-        if (target == net::kNoNode) {
-          counters_.add(Counter::kUnresolved);
-          return;  // cell has no bound leader right now; nothing to crash
-        }
-      }
+      const net::NodeId target = resolve_target(ev);
+      if (target == net::kNoNode) return;  // nothing to crash
       apply_down(target, ev.kind == FaultKind::kCrash,
                  ev.kind == FaultKind::kCrash
                      ? obs::EventName("fault.crash")
@@ -397,18 +398,8 @@ void FaultInjector::fire(const FaultEvent& ev) {
       return;
     }
     case FaultKind::kSetBudget: {
-      net::NodeId target = ev.node;
-      if (target == net::kNoNode) {
-        if (!leader_lookup_) {
-          throw std::runtime_error(
-              "FaultInjector: cell-targeted event without a leader lookup");
-        }
-        target = leader_lookup_(ev.cell);
-        if (target == net::kNoNode) {
-          counters_.add(Counter::kUnresolved);
-          return;  // cell has no bound leader right now; nothing to budget
-        }
-      }
+      const net::NodeId target = resolve_target(ev);
+      if (target == net::kNoNode) return;  // nothing to budget
       net::EnergyLedger& ledger =
           link_ != nullptr ? link_->ledger() : vnet_->ledger();
       // "headroom" resolves against the target's spend at this very tick:
@@ -425,18 +416,8 @@ void FaultInjector::fire(const FaultEvent& ev) {
       return;
     }
     case FaultKind::kStateCorruption: {
-      net::NodeId target = ev.node;
-      if (target == net::kNoNode) {
-        if (!leader_lookup_) {
-          throw std::runtime_error(
-              "FaultInjector: cell-targeted event without a leader lookup");
-        }
-        target = leader_lookup_(ev.cell);
-        if (target == net::kNoNode) {
-          counters_.add(Counter::kUnresolved);
-          return;  // cell has no bound leader right now; nothing to corrupt
-        }
-      }
+      const net::NodeId target = resolve_target(ev);
+      if (target == net::kNoNode) return;  // nothing to corrupt
       // Corruption scrambles *soft* state on a live node; a down node has
       // no live state to scramble, and its rejoin path resynchronizes from
       // the network anyway.

@@ -257,6 +257,9 @@ class FaultInjector {
 
   void check_target(const FaultEvent& ev, std::size_t index) const;
   void fire(const FaultEvent& ev);
+  /// The node `ev` targets: its node, or its cell's bound leader right now.
+  /// kNoNode, counted unresolved, when the cell has no bound leader.
+  net::NodeId resolve_target(const FaultEvent& ev);
   void apply_down(net::NodeId node, bool down, obs::EventName trace_name);
   bool is_node_down(net::NodeId node) const;
 
