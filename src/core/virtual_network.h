@@ -80,11 +80,6 @@ class VirtualNetwork final : public MessageFabric {
     down_[grid_.index_of(c)] = down;
   }
   bool is_down(const GridCoord& c) const { return down_[grid_.index_of(c)]; }
-  std::size_t down_count() const {
-    std::size_t n = 0;
-    for (bool d : down_) n += d ? 1 : 0;
-    return n;
-  }
 
   /// Sends `payload` from `from` to `to`. Charges the sender tx energy, each
   /// dimension-order relay rx+tx, and the destination rx; delivery occurs

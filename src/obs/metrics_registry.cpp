@@ -44,16 +44,6 @@ const Histogram& MetricsRegistry::histogram(const std::string& name) const {
   throw std::out_of_range("MetricsRegistry: unknown histogram " + name);
 }
 
-Histogram MetricsRegistry::histogram_snapshot(const std::string& name) const {
-  for (const HistogramEntry& e : histograms_) {
-    if (e.name == name) return *e.histogram;
-  }
-  for (const HistogramFnEntry& e : histogram_fns_) {
-    if (e.name == name) return e.fn();
-  }
-  throw std::out_of_range("MetricsRegistry: unknown histogram " + name);
-}
-
 namespace {
 
 void append_ledger_json(std::string& out, const net::EnergyReport& s) {

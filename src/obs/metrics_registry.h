@@ -50,12 +50,8 @@ class MetricsRegistry {
   void add_histogram(std::string name, std::function<Histogram()> fn);
 
   /// Polls the named borrowed histogram now. Throws std::out_of_range if
-  /// unknown; polled (function-backed) histograms use histogram_snapshot.
+  /// unknown.
   const Histogram& histogram(const std::string& name) const;
-
-  /// Materializes the named histogram (borrowed or function-backed) now.
-  /// Throws std::out_of_range if unknown.
-  Histogram histogram_snapshot(const std::string& name) const;
 
   /// Polls the named ledger now. Throws std::out_of_range if unknown.
   net::EnergyReport ledger_snapshot(const std::string& name) const;

@@ -82,17 +82,6 @@ const char* prof_cat_name(ProfCat c) {
   return "phase";
 }
 
-bool prof_cat_from_name(const std::string& name, ProfCat& out) {
-  for (std::size_t i = 0; i < kProfCatCount; ++i) {
-    const auto c = static_cast<ProfCat>(i);
-    if (name == prof_cat_name(c)) {
-      out = c;
-      return true;
-    }
-  }
-  return false;
-}
-
 SimProfiler& profiler() {
   static SimProfiler instance;
   return instance;

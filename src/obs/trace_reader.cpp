@@ -62,11 +62,6 @@ bool TraceReader::next(TraceEvent& ev) {
   return wtr_ ? next_wtr(ev) : next_jsonl(ev);
 }
 
-bool TraceReader::open_wtr(const std::string& path) {
-  seg_ = std::make_unique<wtr::SegmentReader>(path);
-  return true;
-}
-
 void TraceReader::finish_segment() {
   SegmentSummary s;
   s.path = seg_->path();
@@ -93,7 +88,7 @@ bool TraceReader::next_wtr(TraceEvent& ev) {
   while (true) {
     if (seg_ == nullptr) {
       if (path_index_ >= paths_.size()) return false;
-      open_wtr(paths_[path_index_++]);
+      seg_ = std::make_unique<wtr::SegmentReader>(paths_[path_index_++]);
     }
     if (seg_->next(ev)) {
       ++events_read_;

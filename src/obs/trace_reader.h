@@ -56,7 +56,6 @@ class TraceReader {
  private:
   bool next_wtr(TraceEvent& ev);
   bool next_jsonl(TraceEvent& ev);
-  bool open_wtr(const std::string& path);   // false: truncated-at-birth
   void open_jsonl(const std::string& path);
   void finish_segment();
 

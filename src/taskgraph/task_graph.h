@@ -56,7 +56,6 @@ class TaskGraph {
   Task& task(TaskId id) { return tasks_.at(id); }
 
   TaskId root() const { return root_; }
-  bool has_root() const { return root_ != kNoTask; }
 
   /// All leaf (sense) tasks, in id order.
   std::vector<TaskId> leaves() const;
