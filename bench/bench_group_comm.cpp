@@ -63,11 +63,12 @@ int main(int argc, char** argv) {
   const auto members = groups.members({0, 0}, 3);
   std::vector<double> values(members.size(), 1.0);
   double latency = 0;
-  core::group_reduce(vnet, members, groups.leader_of({0, 0}, 3), values,
-                     core::ReduceOp::kSum, 1.0,
-                     [&](const core::CollectiveResult& r) {
-                       latency = r.finished;
-                     });
+  core::group_reduce_deadline(vnet, members, groups.leader_of({0, 0}, 3),
+                              values, core::ReduceOp::kSum, 1.0,
+                              core::kNoDeadline,
+                              [&](const core::PartialResult& r) {
+                                latency = r.finished;
+                              });
   sim.run();
   std::printf(
       "Executable check (level-3 sum over an 8x8 block): finished at t=%.1f,\n"

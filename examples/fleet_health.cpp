@@ -49,15 +49,17 @@ int main() {
 
   double fleet_min = 0;
   double fleet_sum = 0;
-  core::group_reduce(vnet, members, {0, 0}, residual, core::ReduceOp::kMin,
-                     1.0, [&](const core::CollectiveResult& r) {
-                       fleet_min = r.value;
-                     });
+  core::group_reduce_deadline(vnet, members, {0, 0}, residual,
+                              core::ReduceOp::kMin, 1.0, core::kNoDeadline,
+                              [&](const core::PartialResult& r) {
+                                fleet_min = r.value;
+                              });
   sim.run();
-  core::group_reduce(vnet, members, {0, 0}, residual, core::ReduceOp::kSum,
-                     1.0, [&](const core::CollectiveResult& r) {
-                       fleet_sum = r.value;
-                     });
+  core::group_reduce_deadline(vnet, members, {0, 0}, residual,
+                              core::ReduceOp::kSum, 1.0, core::kNoDeadline,
+                              [&](const core::PartialResult& r) {
+                                fleet_sum = r.value;
+                              });
   sim.run();
   std::printf("fleet audit (collectives at the root leader):\n");
   std::printf("  mean residual : %.1f / %.0f\n",
@@ -65,10 +67,11 @@ int main() {
   std::printf("  worst residual: %.1f\n", fleet_min);
 
   std::vector<double> sorted;
-  core::group_sort(vnet, members, {0, 0}, residual, 1.0,
-                   [&](std::vector<double> v, core::CollectiveResult) {
-                     sorted = std::move(v);
-                   });
+  core::group_sort_deadline(vnet, members, {0, 0}, residual, 1.0,
+                            core::kNoDeadline,
+                            [&](std::vector<double> v, core::PartialResult) {
+                              sorted = std::move(v);
+                            });
   sim.run();
   std::printf("  decile cut    : %.1f (10%% of nodes are below this)\n\n",
               sorted[sorted.size() / 10]);

@@ -82,8 +82,8 @@ RegionStore run_and_store(core::MessageFabric& fabric, const FeatureGrid& grid,
   return store;
 }
 
-core::CollectiveResult count_regions_query(core::MessageFabric& fabric,
-                                           const RegionStore& store) {
+core::PartialResult count_regions_query(core::MessageFabric& fabric,
+                                        const RegionStore& store) {
   // Storage nodes: every node holding a nonzero count.
   std::vector<core::GridCoord> members;
   std::vector<double> values;
@@ -96,7 +96,7 @@ core::CollectiveResult count_regions_query(core::MessageFabric& fabric,
   const core::GridCoord root_leader =
       fabric.groups().leader_of({0, 0}, fabric.groups().max_level());
 
-  core::CollectiveResult result;
+  core::PartialResult result;
   bool done = false;
   if (members.empty()) {
     // No regions anywhere: the answer is 0, known at the root for free.
@@ -104,12 +104,12 @@ core::CollectiveResult count_regions_query(core::MessageFabric& fabric,
     result.finished = fabric.simulator().now();
     return result;
   }
-  core::group_reduce(fabric, members, root_leader, values,
-                     core::ReduceOp::kSum, 1.0,
-                     [&](const core::CollectiveResult& r) {
-                       result = r;
-                       done = true;
-                     });
+  core::group_reduce_deadline(fabric, members, root_leader, values,
+                              core::ReduceOp::kSum, 1.0, core::kNoDeadline,
+                              [&](const core::PartialResult& r) {
+                                result = r;
+                                done = true;
+                              });
   fabric.simulator().run();
   if (!done) {
     throw std::runtime_error("count_regions_query: did not complete");

@@ -47,7 +47,7 @@ RegionStore run_and_store(core::MessageFabric& fabric, const FeatureGrid& grid,
 /// scalar unit per node; nodes storing nothing contribute zero locally and
 /// are excluded from the message pattern). Runs the simulator to
 /// completion.
-core::CollectiveResult count_regions_query(core::MessageFabric& fabric,
-                                           const RegionStore& store);
+core::PartialResult count_regions_query(core::MessageFabric& fabric,
+                                        const RegionStore& store);
 
 }  // namespace wsn::app

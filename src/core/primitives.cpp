@@ -82,57 +82,6 @@ std::vector<GridCoord> PartialResult::missing() const {
   return out;
 }
 
-void group_reduce(MessageFabric& fabric, std::span<const GridCoord> members,
-                  const GridCoord& leader, std::span<const double> values,
-                  ReduceOp op, double message_units,
-                  std::function<void(const CollectiveResult&)> done) {
-  if (members.size() != values.size()) {
-    throw std::invalid_argument("group_reduce: members/values size mismatch");
-  }
-  auto state = std::make_shared<ReduceState>();
-  state->acc = identity_of(op);
-  const std::uint64_t flow =
-      collective_begin(fabric, "reduce", leader, members.size());
-
-  // The leader's own value folds in locally, for free.
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    if (members[i] == leader) {
-      state->acc = fold(op, state->acc, values[i]);
-    } else {
-      ++state->outstanding;
-    }
-  }
-
-  auto finish = [&fabric, state, leader, flow, done = std::move(done)]() {
-    const CollectiveResult result{state->acc, fabric.simulator().now(),
-                                  state->messages};
-    collective_end(fabric, "reduce", leader, flow, result);
-    done(result);
-  };
-
-  if (state->outstanding == 0) {
-    fabric.simulator().post(finish);
-    return;
-  }
-
-  fabric.set_receiver(leader, [&fabric, leader, op, state,
-                             finish](const VirtualMessage& msg) {
-    // One op to fold each arriving value (uniform cost model).
-    const sim::Time fold_lat = fabric.compute(leader, 1.0);
-    state->acc = fold(op, state->acc, std::any_cast<double>(msg.payload));
-    ++state->messages;
-    if (--state->outstanding == 0) {
-      fabric.simulator().schedule_in(fold_lat, finish);
-    }
-  });
-
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    if (members[i] != leader) {
-      fabric.send(members[i], leader, values[i], message_units);
-    }
-  }
-}
-
 void group_broadcast(MessageFabric& fabric, const GridCoord& leader,
                      std::span<const GridCoord> members, double value,
                      double message_units,
@@ -216,150 +165,12 @@ void group_barrier(MessageFabric& fabric, std::span<const GridCoord> members,
   }
 }
 
-namespace {
-
-struct GatherState {
-  std::vector<double> gathered;
-  std::size_t outstanding = 0;
-  std::uint32_t messages = 0;
-};
-
-// Gathers values[i] from members[i] at the leader, then invokes `then` with
-// the values in member order.
-void gather_at_leader(MessageFabric& fabric, std::span<const GridCoord> members,
-                      const GridCoord& leader, std::span<const double> values,
-                      double message_units,
-                      std::function<void(std::shared_ptr<GatherState>)> then) {
-  if (members.size() != values.size()) {
-    throw std::invalid_argument("gather: members/values size mismatch");
-  }
-  auto state = std::make_shared<GatherState>();
-  state->gathered.assign(values.begin(), values.end());
-
-  // Tag each remote value with its member index so arrival order is
-  // irrelevant.
-  struct Tagged {
-    std::size_t index;
-    double value;
-  };
-
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    if (!(members[i] == leader)) ++state->outstanding;
-  }
-
-  if (state->outstanding == 0) {
-    fabric.simulator().post([state, then = std::move(then)]() { then(state); });
-    return;
-  }
-
-  fabric.set_receiver(leader, [state, then](const VirtualMessage& msg) {
-    const auto tagged = std::any_cast<Tagged>(msg.payload);
-    state->gathered[tagged.index] = tagged.value;
-    ++state->messages;
-    if (--state->outstanding == 0) then(state);
-  });
-
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    if (members[i] == leader) continue;
-    fabric.send(members[i], leader, Tagged{i, values[i]}, message_units);
-  }
-}
-
-}  // namespace
-
-void group_sort(MessageFabric& fabric, std::span<const GridCoord> members,
-                const GridCoord& leader, std::span<const double> values,
-                double message_units,
-                std::function<void(std::vector<double>, CollectiveResult)> done) {
-  const std::uint64_t flow =
-      collective_begin(fabric, "sort", leader, members.size());
-  gather_at_leader(
-      fabric, members, leader, values, message_units,
-      [&fabric, leader, flow,
-       done = std::move(done)](std::shared_ptr<GatherState> st) {
-        const auto n = static_cast<double>(st->gathered.size());
-        const double ops = n <= 1 ? 1.0 : n * std::log2(n);
-        const sim::Time lat = fabric.compute(leader, ops);
-        fabric.simulator().schedule_in(lat, [&fabric, leader, flow, st,
-                                             done]() {
-          std::vector<double> sorted = st->gathered;
-          std::ranges::sort(sorted);
-          const CollectiveResult result{
-              static_cast<double>(st->gathered.size()),
-              fabric.simulator().now(), st->messages};
-          collective_end(fabric, "sort", leader, flow, result);
-          done(std::move(sorted), result);
-        });
-      });
-}
-
-void group_rank(MessageFabric& fabric, std::span<const GridCoord> members,
-                const GridCoord& leader, std::span<const double> values,
-                double message_units,
-                std::function<void(std::vector<std::uint32_t>, CollectiveResult)>
-                    done) {
-  // Copy members: the span may not outlive the async completion.
-  auto member_list =
-      std::make_shared<std::vector<GridCoord>>(members.begin(), members.end());
-  const std::uint64_t flow =
-      collective_begin(fabric, "rank", leader, members.size());
-
-  gather_at_leader(
-      fabric, members, leader, values, message_units,
-      [&fabric, leader, member_list, flow,
-       done = std::move(done)](std::shared_ptr<GatherState> st) {
-        const auto n = static_cast<double>(st->gathered.size());
-        const double ops = n <= 1 ? 1.0 : n * std::log2(n);
-        const sim::Time lat = fabric.compute(leader, ops);
-        fabric.simulator().schedule_in(lat, [&fabric, leader, member_list,
-                                             flow, st, done]() {
-          // Stable rank by (value, member order).
-          std::vector<std::size_t> order(st->gathered.size());
-          std::iota(order.begin(), order.end(), 0);
-          std::ranges::stable_sort(order, [&](std::size_t a, std::size_t b) {
-            return st->gathered[a] < st->gathered[b];
-          });
-          auto ranks =
-              std::make_shared<std::vector<std::uint32_t>>(order.size(), 0);
-          for (std::size_t pos = 0; pos < order.size(); ++pos) {
-            (*ranks)[order[pos]] = static_cast<std::uint32_t>(pos);
-          }
-
-          auto outstanding = std::make_shared<std::size_t>(0);
-          for (const GridCoord& m : *member_list) {
-            if (!(m == leader)) ++*outstanding;
-          }
-          auto finish = [&fabric, leader, flow, ranks, st, done]() {
-            const CollectiveResult result{static_cast<double>(ranks->size()),
-                                          fabric.simulator().now(),
-                                          st->messages};
-            collective_end(fabric, "rank", leader, flow, result);
-            done(*ranks, result);
-          };
-          if (*outstanding == 0) {
-            fabric.simulator().post(finish);
-            return;
-          }
-          for (std::size_t i = 0; i < member_list->size(); ++i) {
-            const GridCoord& m = (*member_list)[i];
-            if (m == leader) continue;
-            fabric.set_receiver(m, [st, outstanding,
-                                  finish](const VirtualMessage&) {
-              ++st->messages;
-              if (--*outstanding == 0) finish();
-            });
-            fabric.send(leader, m, static_cast<double>((*ranks)[i]), 1.0);
-          }
-        });
-      });
-}
-
-// ---- Deadline-bounded variants ------------------------------------------
+// ---- Gathering collectives -----------------------------------------------
 
 namespace {
 
-/// Shared state of a deadline-bounded gather. Contribution i corresponds to
-/// expected[i]; the leader's own value counts as arrived immediately.
+/// Shared state of a gather. Contribution i corresponds to expected[i]; the
+/// leader's own value counts as arrived immediately.
 struct DeadlineState {
   std::vector<GridCoord> expected;
   std::vector<double> values;
@@ -372,11 +183,11 @@ struct DeadlineState {
   std::uint64_t flow = 0;
 };
 
-/// Payload of a deadline-variant contribution: tagging with the member
-/// index both makes arrival order irrelevant and lets the leader attribute
-/// each arrival to a contributor. `epoch` is the sender's binding epoch at
-/// send time; the leader rejects contributions older than the fabric's
-/// current epoch for that member (a deposed leader's in-flight value).
+/// Payload of a contribution: tagging with the member index both makes
+/// arrival order irrelevant and lets the leader attribute each arrival to a
+/// contributor. `epoch` is the sender's binding epoch at send time; the
+/// leader rejects contributions older than the fabric's current epoch for
+/// that member (a deposed leader's in-flight value).
 struct DeadlineTagged {
   std::size_t index;
   double value;
@@ -399,7 +210,7 @@ PartialResult make_partial(MessageFabric& fabric,
   return r;
 }
 
-/// Emits the 'E' span of a deadline collective, annotated with how partial
+/// Emits the 'E' span of a gathering collective, annotated with how partial
 /// the close was.
 void collective_end_partial(MessageFabric& fabric, obs::EventName what,
                             const GridCoord& leader, std::uint64_t flow,
@@ -418,10 +229,11 @@ void collective_end_partial(MessageFabric& fabric, obs::EventName what,
              static_cast<std::uint64_t>(result.complete() ? 0 : 1)}}});
 }
 
-/// The engine under all three deadline collectives: tagged gather at the
+/// The engine under every reduce, sort and rank: tagged gather at the
 /// leader, closed by whichever fires first — the last contribution or the
-/// deadline timer. `then(state, deadline_hit)` runs exactly once; late
-/// contributions afterwards only produce a kCollective "late" trace event.
+/// deadline timer (none for kNoDeadline). `then(state, deadline_hit)` runs
+/// exactly once; late contributions afterwards only produce a kCollective
+/// "late" trace event.
 void deadline_gather(
     MessageFabric& fabric, std::span<const GridCoord> members,
     const GridCoord& leader, std::span<const double> values,
@@ -501,8 +313,10 @@ void deadline_gather(
     });
   }
 
-  st->timer = fabric.simulator().schedule_in(deadline,
-                                             [close]() { (*close)(true); });
+  if (deadline != kNoDeadline) {
+    st->timer = fabric.simulator().schedule_in(deadline,
+                                               [close]() { (*close)(true); });
+  }
 
   if (st->outstanding == 0) {
     fabric.simulator().post([close]() { (*close)(false); });

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -22,21 +23,21 @@
 
 namespace wsn::core {
 
-/// Reduction operators for group_reduce.
+/// Reduction operators for group_reduce_deadline.
 enum class ReduceOp : std::uint8_t { kSum, kMax, kMin, kCount };
 
-/// Result of a collective operation.
+/// Result of a broadcast or barrier.
 struct CollectiveResult {
-  double value = 0.0;       // reduction result (or element count for sort)
+  double value = 0.0;       // the broadcast value (0 for a barrier)
   sim::Time finished = 0;   // simulation time at completion
   std::uint32_t messages = 0;
 };
 
-/// Result of a deadline-bounded collective: instead of hanging on a crashed
-/// or unreachable member, the leader closes the round at the deadline with
-/// whatever contributions arrived. `contributors` ⊆ `expected` always; the
-/// leader itself contributes locally and is always present (when it is a
-/// member).
+/// Result of a gathering collective (reduce, sort, rank): instead of hanging
+/// on a crashed or unreachable member, the leader closes the round at the
+/// deadline with whatever contributions arrived. `contributors` ⊆
+/// `expected` always; the leader itself contributes locally and is always
+/// present (when it is a member).
 struct PartialResult {
   double value = 0.0;                // folded over contributors only
   std::vector<GridCoord> contributors;  // members whose value arrived
@@ -56,27 +57,12 @@ struct PartialResult {
   std::vector<GridCoord> missing() const;
 };
 
-/// Applies `op` over one value per member, combining at `leader`.
-/// `values[i]` belongs to `members[i]`. `done` fires when the leader has
-/// received and folded every remote value.
-void group_reduce(MessageFabric& fabric, std::span<const GridCoord> members,
-                  const GridCoord& leader, std::span<const double> values,
-                  ReduceOp op, double message_units,
-                  std::function<void(const CollectiveResult&)> done);
-
 /// Leader-to-group broadcast of a scalar along per-member shortest paths.
 /// `done` fires when the last member has received the value.
 void group_broadcast(MessageFabric& fabric, const GridCoord& leader,
                      std::span<const GridCoord> members, double value,
                      double message_units,
                      std::function<void(const CollectiveResult&)> done);
-
-/// Gathers one value per member at the leader and sorts them there
-/// (|g| log |g| compute ops). `done` receives the sorted values.
-void group_sort(MessageFabric& fabric, std::span<const GridCoord> members,
-                const GridCoord& leader, std::span<const double> values,
-                double message_units,
-                std::function<void(std::vector<double>, CollectiveResult)> done);
 
 /// Barrier synchronization over a group (the UW-API facility Section 6
 /// relates to: "even barrier synchronization is supported for the sensor
@@ -87,27 +73,24 @@ void group_barrier(MessageFabric& fabric, std::span<const GridCoord> members,
                    const GridCoord& leader, double message_units,
                    std::function<void(const CollectiveResult&)> done);
 
-/// Computes the rank (0-based, by ascending value, ties by member order) of
-/// each member's value: gather at leader, sort, scatter ranks back.
-/// `done` receives rank[i] for members[i], firing when the last member has
-/// learned its rank.
-void group_rank(MessageFabric& fabric, std::span<const GridCoord> members,
-                const GridCoord& leader, std::span<const double> values,
-                double message_units,
-                std::function<void(std::vector<std::uint32_t>, CollectiveResult)>
-                    done);
-
-// ---- Deadline-bounded (gracefully degrading) variants -------------------
+// ---- Gathering collectives: reduce, sort, rank ----------------------------
 //
-// Identical protocols, except the leader arms a timer `deadline` time units
-// after the start: if not every contribution has arrived by then, the round
-// closes with the partial fold and `done` fires with PartialResult instead
-// of hanging forever on a lossy or fault-injected fabric. Contributions
-// arriving after the close are ignored (traced as kCollective "late"
-// events). With a generous deadline and a healthy fabric the result is
-// complete() and value-identical to the plain variant.
+// One engine serves all three: every member sends its value, tagged with
+// its index and binding epoch, to the leader, which folds it in for one op.
+// The round closes on the last contribution or on a timer `deadline` time
+// units after the start, whichever comes first, and `done` receives a
+// PartialResult instead of hanging forever on a lossy or fault-injected
+// fabric. Duplicate contributions and a deposed leader's stale-epoch value
+// are dropped; contributions arriving after the close are ignored (traced
+// as kCollective "late" events). A deadline of kNoDeadline arms no timer, so
+// the round closes on its last contribution.
 
-/// Deadline-bounded group_reduce (sum/max/min/count via `op`).
+/// The deadline that arms no timer: the round waits for every member.
+inline constexpr sim::Time kNoDeadline =
+    std::numeric_limits<sim::Time>::infinity();
+
+/// Folds `op` (sum/max/min/count) over the contributors' values in member
+/// order; `values[i]` belongs to `members[i]`.
 void group_reduce_deadline(MessageFabric& fabric,
                            std::span<const GridCoord> members,
                            const GridCoord& leader,
@@ -115,19 +98,20 @@ void group_reduce_deadline(MessageFabric& fabric,
                            double message_units, sim::Time deadline,
                            std::function<void(const PartialResult&)> done);
 
-/// Deadline-bounded group_sort: `done` receives the sorted values of the
-/// contributors only (result.value = contributor count).
+/// Sorts at the leader (|g| log |g| compute ops): `done` receives the
+/// sorted values of the contributors only (result.value = contributor count).
 void group_sort_deadline(
     MessageFabric& fabric, std::span<const GridCoord> members,
     const GridCoord& leader, std::span<const double> values,
     double message_units, sim::Time deadline,
     std::function<void(std::vector<double>, PartialResult)> done);
 
-/// Deadline-bounded group_rank: ranks are computed among contributors only
-/// and `ranks[i]` aligns with `result.contributors[i]`. The leader scatters
-/// each contributor its rank fire-and-forget (a degraded round must not
-/// block on members that may be gone); `done` fires after the leader's
-/// sort/compute, not after scatter delivery.
+/// Ranks (0-based, by ascending value, ties by member order) are computed
+/// among contributors only and `ranks[i]` aligns with
+/// `result.contributors[i]`. The leader scatters each contributor its rank
+/// fire-and-forget (a degraded round must not block on members that may be
+/// gone); `done` fires after the leader's sort/compute, not after scatter
+/// delivery.
 void group_rank_deadline(
     MessageFabric& fabric, std::span<const GridCoord> members,
     const GridCoord& leader, std::span<const double> values,

@@ -45,7 +45,7 @@ enum class Category : std::uint8_t {
   kLink = 1,        // LinkLayer transmissions and receptions
   kOverlay = 2,     // OverlayNetwork (Section 5 runtime) provenance
   kProtocol = 3,    // topology emulation + leader binding rounds
-  kCollective = 4,  // group_reduce / broadcast / barrier / sort / rank
+  kCollective = 4,  // reduce / sort / rank / broadcast / barrier
   kBench = 5,       // bench harness phases
   kApp = 6,         // application-level events
   kReliability = 7, // ARQ retransmits/acks/give-ups and fault injections

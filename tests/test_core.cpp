@@ -268,11 +268,11 @@ TEST(Primitives, GroupReduceSum) {
   const std::vector<double> values{1.0, 2.0, 3.0, 4.0};
   double result = -1;
   std::uint32_t messages = 0;
-  group_reduce(vnet, members, {0, 0}, values, ReduceOp::kSum, 1.0,
-               [&](const CollectiveResult& r) {
-                 result = r.value;
-                 messages = r.messages;
-               });
+  group_reduce_deadline(vnet, members, {0, 0}, values, ReduceOp::kSum, 1.0,
+                        kNoDeadline, [&](const PartialResult& r) {
+                          result = r.value;
+                          messages = r.messages;
+                        });
   sim.run();
   EXPECT_DOUBLE_EQ(result, 10.0);
   EXPECT_EQ(messages, 3u);  // leader's own value is local
@@ -287,14 +287,17 @@ TEST(Primitives, GroupReduceMaxMinCount) {
   double max_v = 0;
   double min_v = 0;
   double count_v = 0;
-  group_reduce(vnet, members, {2, 2}, values, ReduceOp::kMax, 1.0,
-               [&](const CollectiveResult& r) { max_v = r.value; });
+  group_reduce_deadline(vnet, members, {2, 2}, values, ReduceOp::kMax, 1.0,
+                        kNoDeadline,
+                        [&](const PartialResult& r) { max_v = r.value; });
   sim.run();
-  group_reduce(vnet, members, {2, 2}, values, ReduceOp::kMin, 1.0,
-               [&](const CollectiveResult& r) { min_v = r.value; });
+  group_reduce_deadline(vnet, members, {2, 2}, values, ReduceOp::kMin, 1.0,
+                        kNoDeadline,
+                        [&](const PartialResult& r) { min_v = r.value; });
   sim.run();
-  group_reduce(vnet, members, {2, 2}, values, ReduceOp::kCount, 1.0,
-               [&](const CollectiveResult& r) { count_v = r.value; });
+  group_reduce_deadline(vnet, members, {2, 2}, values, ReduceOp::kCount, 1.0,
+                        kNoDeadline,
+                        [&](const PartialResult& r) { count_v = r.value; });
   sim.run();
   EXPECT_DOUBLE_EQ(max_v, 9.0);
   EXPECT_DOUBLE_EQ(min_v, -2.0);
@@ -325,8 +328,10 @@ TEST(Primitives, GroupSortReturnsSortedValues) {
   const auto members = groups.members({0, 0}, 1);
   const std::vector<double> values{3.0, 1.0, 4.0, 1.5};
   std::vector<double> sorted;
-  group_sort(vnet, members, {0, 0}, values, 1.0,
-             [&](std::vector<double> v, CollectiveResult) { sorted = std::move(v); });
+  group_sort_deadline(vnet, members, {0, 0}, values, 1.0, kNoDeadline,
+                      [&](std::vector<double> v, PartialResult) {
+                        sorted = std::move(v);
+                      });
   sim.run();
   EXPECT_EQ(sorted, (std::vector<double>{1.0, 1.5, 3.0, 4.0}));
 }
@@ -338,13 +343,50 @@ TEST(Primitives, GroupRankAssignsDenseRanks) {
   const auto members = groups.members({0, 0}, 1);
   const std::vector<double> values{3.0, 1.0, 4.0, 1.0};
   std::vector<std::uint32_t> ranks;
-  group_rank(vnet, members, {0, 0}, values, 1.0,
-             [&](std::vector<std::uint32_t> r, CollectiveResult) {
-               ranks = std::move(r);
-             });
+  group_rank_deadline(vnet, members, {0, 0}, values, 1.0, kNoDeadline,
+                      [&](std::vector<std::uint32_t> r, PartialResult) {
+                        ranks = std::move(r);
+                      });
   sim.run();
   // Values 3,1,4,1 -> ranks 2,0,3,1 (ties by member order).
   EXPECT_EQ(ranks, (std::vector<std::uint32_t>{2, 0, 3, 1}));
+}
+
+TEST(Primitives, NoDeadlineArmsNoTimer) {
+  // kNoDeadline closes each round on its last contribution: no timer is
+  // armed and cancelled, so every event a round scheduled fired and none is
+  // left pending.
+  sim::Simulator sim(10);
+  VirtualNetwork vnet(sim, GridTopology(4), uniform_cost_model());
+  GroupHierarchy groups(GridTopology(4));
+  const auto members = groups.members({0, 0}, 2);  // whole grid
+  const std::vector<double> values(members.size(), 2.0);
+  std::vector<PartialResult> results;
+  group_reduce_deadline(
+      vnet, members, {0, 0}, values, ReduceOp::kSum, 1.0, kNoDeadline,
+      [&](const PartialResult& r) { results.push_back(r); });
+  sim.run();
+  group_sort_deadline(vnet, members, {0, 0}, values, 1.0, kNoDeadline,
+                      [&](std::vector<double>, PartialResult r) {
+                        results.push_back(std::move(r));
+                      });
+  sim.run();
+  group_rank_deadline(vnet, members, {0, 0}, values, 1.0, kNoDeadline,
+                      [&](std::vector<std::uint32_t>, PartialResult r) {
+                        results.push_back(std::move(r));
+                      });
+  sim.run();
+  ASSERT_EQ(results.size(), 3u);
+  for (const PartialResult& r : results) {
+    EXPECT_TRUE(r.complete());
+    EXPECT_FALSE(r.deadline_hit);
+  }
+  EXPECT_DOUBLE_EQ(results[0].value, 32.0);
+  // The farthest member is 6 hops out; its value folds in for one op.
+  EXPECT_DOUBLE_EQ(results[0].finished, 7.0);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.queue().total_scheduled(), sim.events_processed());
+  EXPECT_EQ(sim.queue().cancelled_skips(), 0u);
 }
 
 TEST(Primitives, GroupBarrierReleasesEveryone) {
@@ -385,8 +427,9 @@ TEST(Primitives, ReduceSizeMismatchThrows) {
   VirtualNetwork vnet(sim, GridTopology(2), uniform_cost_model());
   const std::vector<GridCoord> members{{0, 0}, {0, 1}};
   const std::vector<double> values{1.0};
-  EXPECT_THROW(group_reduce(vnet, members, {0, 0}, values, ReduceOp::kSum, 1.0,
-                            [](const CollectiveResult&) {}),
+  EXPECT_THROW(group_reduce_deadline(vnet, members, {0, 0}, values,
+                                     ReduceOp::kSum, 1.0, kNoDeadline,
+                                     [](const PartialResult&) {}),
                std::invalid_argument);
 }
 

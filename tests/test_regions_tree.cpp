@@ -64,8 +64,9 @@ TEST(Regions, CollectiveOverRegion) {
   const auto members = region.members(vnet.grid());
   std::vector<double> values(members.size(), 2.0);
   double sum = 0;
-  core::group_reduce(vnet, members, {4, 4}, values, core::ReduceOp::kSum, 1.0,
-                     [&](const core::CollectiveResult& r) { sum = r.value; });
+  core::group_reduce_deadline(
+      vnet, members, {4, 4}, values, core::ReduceOp::kSum, 1.0,
+      core::kNoDeadline, [&](const core::PartialResult& r) { sum = r.value; });
   sim.run();
   EXPECT_DOUBLE_EQ(sum, 2.0 * static_cast<double>(members.size()));
 }
