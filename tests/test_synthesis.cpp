@@ -6,7 +6,6 @@
 #include "core/virtual_network.h"
 #include "obs/profiler.h"
 #include "synthesis/program.h"
-#include "synthesis/spec.h"
 #include "synthesis/synthesizer.h"
 #include "taskgraph/mapping.h"
 
@@ -226,32 +225,6 @@ TEST(Synthesizer, ReportsConstraintViolations) {
   const SynthesisReport report = synthesize(tree, mapping, groups);
   EXPECT_TRUE(report.coverage_ok);
   EXPECT_FALSE(report.spatial_correlation_ok);
-}
-
-TEST(ProgramSpec, Figure4StructureAndRender) {
-  const ProgramSpec spec = figure4_spec(16);
-  EXPECT_EQ(spec.max_rec_level, 4u);
-  EXPECT_EQ(spec.expected_messages, 3u);
-  ASSERT_EQ(spec.clauses.size(), 4u);
-  EXPECT_EQ(spec.clauses[0].condition, "start = true");
-  EXPECT_EQ(spec.clauses[1].condition, "received mGraph");
-  EXPECT_EQ(spec.clauses[2].condition, "transmit = true");
-  EXPECT_EQ(spec.clauses[3].condition, "msgsReceived[recLevel] = 3");
-  const std::string text = spec.render();
-  EXPECT_NE(text.find("mGraph = {senderCoord, msubGraph, mrecLevel}"),
-            std::string::npos);
-  EXPECT_NE(text.find("send message to Leader(recLevel+1)"),
-            std::string::npos);
-  EXPECT_NE(text.find("maxrecLevel(= 4)"), std::string::npos);
-}
-
-TEST(ProgramSpec, RejectsNonPowerOfTwo) {
-  EXPECT_THROW(figure4_spec(6), std::invalid_argument);
-}
-
-TEST(ProgramSpec, ParameterizesWithGridSize) {
-  EXPECT_EQ(figure4_spec(2).max_rec_level, 1u);
-  EXPECT_EQ(figure4_spec(64).max_rec_level, 6u);
 }
 
 }  // namespace
