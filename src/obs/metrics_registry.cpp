@@ -22,11 +22,6 @@ void MetricsRegistry::add_gauge(std::string name, std::function<double()> fn) {
   gauges_.push_back({std::move(name), std::move(fn)});
 }
 
-void MetricsRegistry::add_summary(std::string name,
-                                  std::function<sim::Summary()> fn) {
-  summaries_.push_back({std::move(name), std::move(fn)});
-}
-
 void MetricsRegistry::add_histogram(std::string name,
                                     const Histogram* histogram) {
   histograms_.push_back({std::move(name), histogram});
@@ -160,22 +155,6 @@ std::string MetricsRegistry::to_json() const {
     json_append_string(out, e.name);
     out += ':';
     json_append_double(out, e.fn());
-  }
-  for (const SummaryEntry& e : summaries_) {
-    sep();
-    json_append_string(out, e.name);
-    const sim::Summary s = e.fn();
-    out += ":{\"count\":";
-    out += std::to_string(s.count());
-    out += ",\"mean\":";
-    json_append_double(out, s.mean());
-    out += ",\"stddev\":";
-    json_append_double(out, s.stddev());
-    out += ",\"min\":";
-    json_append_double(out, s.min());
-    out += ",\"max\":";
-    json_append_double(out, s.max());
-    out += '}';
   }
   for (const HistogramEntry& e : histograms_) {
     sep();

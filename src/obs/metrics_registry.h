@@ -35,10 +35,6 @@ class MetricsRegistry {
   /// Registers a live scalar, polled at snapshot time.
   void add_gauge(std::string name, std::function<double()> fn);
 
-  /// Registers a streaming summary, polled at snapshot time; exported as
-  /// {count, mean, stddev, min, max}.
-  void add_summary(std::string name, std::function<sim::Summary()> fn);
-
   /// Registers a fixed-bucket histogram, exported as
   /// {count, lo, hi, min, max, mean, p50, p95, p99, underflow, overflow,
   ///  buckets:[...]}. Borrowed like every other instrument.
@@ -73,14 +69,12 @@ class MetricsRegistry {
   struct CounterEntry { std::string name; const sim::CounterSet* counters; };
   struct LedgerEntry { std::string name; const net::EnergyLedger* ledger; };
   struct GaugeEntry { std::string name; std::function<double()> fn; };
-  struct SummaryEntry { std::string name; std::function<sim::Summary()> fn; };
   struct HistogramEntry { std::string name; const Histogram* histogram; };
   struct HistogramFnEntry { std::string name; std::function<Histogram()> fn; };
 
   std::vector<CounterEntry> counters_;
   std::vector<LedgerEntry> ledgers_;
   std::vector<GaugeEntry> gauges_;
-  std::vector<SummaryEntry> summaries_;
   std::vector<HistogramEntry> histograms_;
   std::vector<HistogramFnEntry> histogram_fns_;
 };

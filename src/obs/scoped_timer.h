@@ -7,8 +7,6 @@
 #pragma once
 
 #include <chrono>
-#include <functional>
-#include <utility>
 
 namespace wsn::obs {
 
@@ -20,19 +18,13 @@ class ScopedTimer {
   explicit ScopedTimer(double* out_ms)
       : out_(out_ms), start_(Clock::now()) {}
 
-  /// On destruction, invokes `on_done(elapsed_ms)`.
-  explicit ScopedTimer(std::function<void(double)> on_done)
-      : on_done_(std::move(on_done)), start_(Clock::now()) {}
-
   double elapsed_ms() const {
     return std::chrono::duration<double, std::milli>(Clock::now() - start_)
         .count();
   }
 
   ~ScopedTimer() {
-    const double ms = elapsed_ms();
-    if (out_ != nullptr) *out_ = ms;
-    if (on_done_) on_done_(ms);
+    if (out_ != nullptr) *out_ = elapsed_ms();
   }
 
   ScopedTimer(const ScopedTimer&) = delete;
@@ -40,7 +32,6 @@ class ScopedTimer {
 
  private:
   double* out_ = nullptr;
-  std::function<void(double)> on_done_;
   Clock::time_point start_;
 };
 

@@ -458,16 +458,12 @@ TEST(MetricsRegistry, JsonSnapshotIsCompleteAndStable) {
   obs::MetricsRegistry registry;
   vnet.register_metrics(registry);
   registry.add_gauge("custom.answer", [] { return 42.0; });
-  registry.add_summary("custom.dist", [&vnet] {
-    return vnet.ledger().distribution();
-  });
 
   const std::string json = registry.to_json();
   EXPECT_NE(json.find("\"vnet.counters\""), std::string::npos);
   EXPECT_NE(json.find("\"vnet.send\":1"), std::string::npos);
   EXPECT_NE(json.find("\"vnet.energy\""), std::string::npos);
   EXPECT_NE(json.find("\"custom.answer\":42.0"), std::string::npos);
-  EXPECT_NE(json.find("\"custom.dist\""), std::string::npos);
   // Polling twice with unchanged state is byte-identical.
   EXPECT_EQ(registry.to_json(), json);
   std::ostringstream out;
@@ -546,12 +542,6 @@ TEST(ScopedTimer, MeasuresNonNegativeWallClock) {
     for (int i = 0; i < 1000; ++i) sink_v = sink_v + static_cast<double>(i);
   }
   EXPECT_GE(ms, 0.0);
-
-  double via_callback = -1.0;
-  {
-    obs::ScopedTimer timer([&](double v) { via_callback = v; });
-  }
-  EXPECT_GE(via_callback, 0.0);
 }
 
 }  // namespace
