@@ -37,6 +37,8 @@
 // StreamingChecker (incremental.h) is the one implementation of all of it.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,5 +66,12 @@ struct CheckReport {
 /// vacuously when the snapshot has no "trace.dropped" gauge (no ring sink
 /// was registered).
 CheckReport check_capture(const JsonValue& metrics_snapshot);
+
+/// The snapshot value `v` of `key` read as a count: a non-negative integer
+/// below 2^64. A snapshot is untrusted input, so any other value appends a
+/// finding that names `key` and the value to `issues` and yields nullopt.
+std::optional<std::uint64_t> snapshot_count(const JsonValue& v,
+                                            const std::string& key,
+                                            std::vector<std::string>& issues);
 
 }  // namespace wsn::obs::analyze

@@ -1,7 +1,10 @@
 #include "obs/analyze/cli.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -68,6 +71,24 @@ struct Args {
     }
     return nullptr;
   }
+
+  /// The count flag `name`, or `fallback` when it is absent: decimal digits
+  /// only (no sign, no trailing characters) and at most `max`.
+  std::uint64_t count(const std::string& name, std::uint64_t fallback,
+                      std::uint64_t max =
+                          std::numeric_limits<std::uint64_t>::max()) const {
+    const std::string* v = flag(name);
+    if (v == nullptr) return fallback;
+    std::uint64_t n = 0;
+    const char* end = v->data() + v->size();
+    const auto [stop, ec] = std::from_chars(v->data(), end, n);
+    if (ec != std::errc() || stop != end || n > max) {
+      throw std::runtime_error(name + " " + *v +
+                               " is not a count from 0 to " +
+                               std::to_string(max));
+    }
+    return n;
+  }
 };
 
 Args scan_args(const std::vector<std::string>& argv, std::size_t start,
@@ -98,10 +119,8 @@ int cmd_flows(const Args& args, std::ostream& out) {
   if (args.positional.size() != 1) {
     throw std::runtime_error("flows: expected exactly one trace file");
   }
-  std::size_t limit = static_cast<std::size_t>(-1);
-  if (const std::string* v = args.flag("--limit")) {
-    limit = static_cast<std::size_t>(std::stoull(*v));
-  }
+  const std::uint64_t limit =
+      args.count("--limit", std::numeric_limits<std::uint64_t>::max());
   // Single streaming pass: flows retire in creation order, so the first
   // `limit` retired flows are the first `limit` flows of the capture. Peak
   // memory is live flows + the shown rows.
@@ -195,14 +214,10 @@ int cmd_energy_map(const Args& args, std::ostream& out) {
     while (reader.next(ev)) accumulate_energy(map, ev);
     print_warnings(reader.findings(), out);
   }
-  std::size_t side = 0;
-  if (const std::string* v = args.flag("--side")) {
-    side = static_cast<std::size_t>(std::stoull(*v));
-  }
-  std::size_t top = 5;
-  if (const std::string* v = args.flag("--top")) {
-    top = static_cast<std::size_t>(std::stoull(*v));
-  }
+  // A side of 2^32 or more would overflow the side * side cell count.
+  const std::uint64_t side =
+      args.count("--side", 0, std::numeric_limits<std::uint32_t>::max());
+  const std::uint64_t top = args.count("--top", 5);
 
   for (const auto& [label, layer] :
        {std::pair<const char*, const LayerEnergy&>{"virtual", map.vnet},
@@ -274,10 +289,7 @@ int cmd_histogram(const Args& args, std::ostream& out) {
   if (args.positional.size() != 1) {
     throw std::runtime_error("histogram: expected exactly one trace file");
   }
-  std::size_t buckets = 32;
-  if (const std::string* v = args.flag("--buckets")) {
-    buckets = static_cast<std::size_t>(std::stoull(*v));
-  }
+  const std::uint64_t buckets = args.count("--buckets", 32);
   const std::string& path = args.positional[0];
 
   // Two streaming passes instead of one materialized flow list: pass 1
@@ -417,9 +429,7 @@ int cmd_convert(const Args& args, std::ostream& out) {
     StreamSinkConfig config;
     config.directory = *out_path;
     config.format = TraceFormat::kWtr;
-    if (const std::string* v = args.flag("--segment-bytes")) {
-      config.segment_bytes = std::stoull(*v);
-    }
+    config.segment_bytes = args.count("--segment-bytes", config.segment_bytes);
     StreamingFileSink sink(config);
     TraceEvent ev;
     while (reader.next(ev)) sink.accept(ev);
@@ -525,10 +535,7 @@ int cmd_perf(const Args& args, std::ostream& out) {
   if (args.positional.size() != 1) {
     throw std::runtime_error("perf: expected exactly one perf JSON file");
   }
-  std::size_t top = 10;
-  if (const std::string* v = args.flag("--top")) {
-    top = static_cast<std::size_t>(std::stoull(*v));
-  }
+  const std::uint64_t top = args.count("--top", 10);
   const JsonValue doc = parse_json(read_file(args.positional[0]));
   const JsonValue* prof = doc.find("prof");
   if (prof == nullptr || !prof->is_object()) {

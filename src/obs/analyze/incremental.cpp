@@ -662,10 +662,11 @@ CheckReport StreamingChecker::finish(const JsonValue* metrics_snapshot) {
     if (const JsonValue* sec = metrics_snapshot->find("arq.counters")) {
       const JsonValue* v = sec->find("arq.give_up");
       const auto counted =
-          static_cast<std::uint64_t>(v != nullptr ? v->number() : 0.0);
-      if (counted != give_ups_) {
+          v != nullptr ? snapshot_count(*v, "arq.give_up", report_.issues)
+                       : std::optional<std::uint64_t>(0);
+      if (counted && *counted != give_ups_) {
         report_.issues.push_back(
-            "arq.give_up counter " + std::to_string(counted) + " != " +
+            "arq.give_up counter " + std::to_string(*counted) + " != " +
             std::to_string(give_ups_) + " rel.give_up trace events");
       }
     }
