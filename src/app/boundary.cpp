@@ -45,7 +45,7 @@ void canonicalize(BlockSummary& s, const std::vector<RegionInfo>& stats,
     s.open.push_back(stats[raw - 1]);
     relabel[raw - 1] = static_cast<BoundaryLabel>(s.open.size());
   });
-  auto remap = [&relabel](std::vector<BoundaryLabel>& edge) {
+  auto remap = [&relabel](BlockSummary::Edge& edge) {
     for (BoundaryLabel& l : edge) {
       if (l != 0) l = relabel[l - 1];
     }
@@ -93,7 +93,9 @@ BlockSummary BlockSummary::leaf(const core::GridCoord& c, bool feature) {
   s.width = 1;
   s.height = 1;
   const BoundaryLabel l = feature ? 1 : 0;
-  s.north = s.south = s.west = s.east = {l};
+  for (BlockSummary::Edge* edge : {&s.north, &s.south, &s.west, &s.east}) {
+    edge->push_back(l);
+  }
   if (feature) {
     GridBounds b;
     b.expand(c);
@@ -248,8 +250,8 @@ BlockSummary merge(BlockSummary&& a, BlockSummary&& b, MergeScratch& scratch) {
   const std::size_t raw_count = first.open.size() + second.open.size();
   detail::DisjointSets& sets = scratch.sets;
   sets.reset(raw_count);
-  auto unite_seam = [&](const std::vector<BoundaryLabel>& edge_first,
-                        const std::vector<BoundaryLabel>& edge_second) {
+  using Edge = BlockSummary::Edge;
+  auto unite_seam = [&](const Edge& edge_first, const Edge& edge_second) {
     for (std::size_t i = 0; i < edge_first.size(); ++i) {
       const BoundaryLabel la = edge_first[i];
       const BoundaryLabel lb = edge_second[i];
@@ -260,18 +262,16 @@ BlockSummary merge(BlockSummary&& a, BlockSummary&& b, MergeScratch& scratch) {
   };
   // Appends second's `tail` to first's `edge`, shifting it into the raw
   // space.
-  auto append = [offset](std::vector<BoundaryLabel>& edge,
-                         const std::vector<BoundaryLabel>& tail) {
+  auto append = [offset](Edge& edge, const Edge& tail) {
     const std::size_t from = edge.size();
-    edge.insert(edge.end(), tail.begin(), tail.end());
+    edge.append(tail);
     for (std::size_t i = from; i < edge.size(); ++i) {
       if (edge[i] != 0) edge[i] += offset;
     }
   };
   // Replaces first's `edge` with second's, shifted into the raw space.
-  auto take = [offset](std::vector<BoundaryLabel>& edge,
-                       std::vector<BoundaryLabel>& theirs) {
-    edge.swap(theirs);
+  auto take = [offset](Edge& edge, Edge& theirs) {
+    edge = std::move(theirs);
     for (BoundaryLabel& l : edge) {
       if (l != 0) l += offset;
     }
@@ -292,7 +292,7 @@ BlockSummary merge(BlockSummary&& a, BlockSummary&& b, MergeScratch& scratch) {
   }
 
   // Resolve every perimeter label to its union-find root (in raw space).
-  auto resolve = [&sets](std::vector<BoundaryLabel>& edge) {
+  auto resolve = [&sets](Edge& edge) {
     for (BoundaryLabel& l : edge) {
       if (l != 0) l = sets.find(l - 1) + 1;
     }
@@ -305,7 +305,7 @@ BlockSummary merge(BlockSummary&& a, BlockSummary&& b, MergeScratch& scratch) {
   // Accumulate statistics per root.
   std::vector<RegionInfo>& stats = scratch.stats;
   stats.assign(raw_count, RegionInfo{});
-  auto fold = [&](const std::vector<RegionInfo>& open,
+  auto fold = [&](const BlockSummary::OpenRegions& open,
                   BoundaryLabel label_offset) {
     for (std::size_t i = 0; i < open.size(); ++i) {
       RegionInfo& acc =
@@ -347,18 +347,24 @@ std::vector<RegionInfo> finalize(const BlockSummary& root) {
 }
 
 std::uint32_t QuadAccumulator::add(BlockSummary piece) {
-  pieces_.push_back(std::move(piece));
+  if (received_ == pieces_.size()) {
+    throw std::logic_error("QuadAccumulator: more than four pieces");
+  }
+  pieces_[held_++] = std::move(piece);
   ++received_;
   std::uint32_t merges = 0;
   bool progressed = true;
   while (progressed) {
     progressed = false;
-    for (std::size_t i = 0; i < pieces_.size() && !progressed; ++i) {
-      for (std::size_t j = i + 1; j < pieces_.size() && !progressed; ++j) {
+    for (std::size_t i = 0; i < held_ && !progressed; ++i) {
+      for (std::size_t j = i + 1; j < held_ && !progressed; ++j) {
         if (pieces_[i].mergeable_with(pieces_[j])) {
           pieces_[i] = merge(std::move(pieces_[i]), std::move(pieces_[j]),
                              *scratch_);
-          pieces_.erase(pieces_.begin() + static_cast<std::ptrdiff_t>(j));
+          std::move(pieces_.begin() + static_cast<std::ptrdiff_t>(j + 1),
+                    pieces_.begin() + static_cast<std::ptrdiff_t>(held_),
+                    pieces_.begin() + static_cast<std::ptrdiff_t>(j));
+          --held_;
           ++merges;
           progressed = true;
         }
@@ -369,17 +375,16 @@ std::uint32_t QuadAccumulator::add(BlockSummary piece) {
 }
 
 bool QuadAccumulator::complete() const {
-  return received_ == 4 && pieces_.size() == 1;
+  return received_ == 4 && held_ == 1;
 }
 
 BlockSummary QuadAccumulator::take() {
   if (!complete()) {
     throw std::logic_error("QuadAccumulator: take() before complete");
   }
-  BlockSummary out = std::move(pieces_.front());
-  pieces_.clear();
+  held_ = 0;
   received_ = 0;
-  return out;
+  return std::move(pieces_[0]);
 }
 
 }  // namespace wsn::app

@@ -35,7 +35,7 @@ std::uint64_t get_varint(std::span<const std::uint8_t> bytes,
 namespace {
 
 void put_edge(std::vector<std::uint8_t>& out,
-              const std::vector<BoundaryLabel>& edge) {
+              std::span<const BoundaryLabel> edge) {
   // Run-length encoding: (label, run) pairs. Boundary labels are small and
   // runs of background/one region dominate real fields.
   std::size_t i = 0;
@@ -59,16 +59,16 @@ std::uint32_t get_extent(std::span<const std::uint8_t> bytes,
   return static_cast<std::uint32_t>(v);
 }
 
-/// Reads one edge, which must hold `expected` labels (the extent's width or
-/// height). The length is checked before anything is reserved for it.
-std::vector<BoundaryLabel> get_edge(std::span<const std::uint8_t> bytes,
-                                    std::size_t& pos, std::uint32_t expected) {
+/// Reads one edge of `expected` labels (the extent's width or height) into
+/// the empty `edge`. The length is checked before anything is reserved for
+/// it.
+void get_edge(std::span<const std::uint8_t> bytes, std::size_t& pos,
+              std::uint32_t expected, BlockSummary::Edge& edge) {
   const std::uint64_t len = get_varint(bytes, pos);
   if (len != expected) {
     throw std::runtime_error(
         "decode_summary: edge length does not match the extent");
   }
-  std::vector<BoundaryLabel> edge;
   edge.reserve(len);
   while (edge.size() < len) {
     const auto label = static_cast<BoundaryLabel>(get_varint(bytes, pos));
@@ -76,9 +76,8 @@ std::vector<BoundaryLabel> get_edge(std::span<const std::uint8_t> bytes,
     if (run == 0 || edge.size() + run > len) {
       throw std::runtime_error("decode_summary: bad run length");
     }
-    edge.insert(edge.end(), run, label);
+    edge.resize(edge.size() + run, label);
   }
-  return edge;
 }
 
 void put_bounds(std::vector<std::uint8_t>& out, const GridBounds& b) {
@@ -137,10 +136,10 @@ BlockSummary decode_summary(std::span<const std::uint8_t> bytes) {
   s.col0 = static_cast<std::int32_t>(unzigzag(get_varint(bytes, pos)));
   s.width = detail::get_extent(bytes, pos);
   s.height = detail::get_extent(bytes, pos);
-  s.north = detail::get_edge(bytes, pos, s.width);
-  s.south = detail::get_edge(bytes, pos, s.width);
-  s.west = detail::get_edge(bytes, pos, s.height);
-  s.east = detail::get_edge(bytes, pos, s.height);
+  detail::get_edge(bytes, pos, s.width, s.north);
+  detail::get_edge(bytes, pos, s.width, s.south);
+  detail::get_edge(bytes, pos, s.height, s.west);
+  detail::get_edge(bytes, pos, s.height, s.east);
   const std::uint64_t open_count = get_varint(bytes, pos);
   for (std::uint64_t i = 0; i < open_count; ++i) {
     // Open regions are stored in label order, 1..k.

@@ -285,11 +285,15 @@ int cmd_energy_map(const Args& args, std::ostream& out) {
   return kOk;
 }
 
+/// Ceiling on `histogram --buckets`: each histogram allocates its buckets
+/// up front, so the flag alone must not be able to size that allocation.
+constexpr std::uint64_t kMaxBuckets = 65536;
+
 int cmd_histogram(const Args& args, std::ostream& out) {
   if (args.positional.size() != 1) {
     throw std::runtime_error("histogram: expected exactly one trace file");
   }
-  const std::uint64_t buckets = args.count("--buckets", 32);
+  const std::uint64_t buckets = args.count("--buckets", 32, kMaxBuckets);
   const std::string& path = args.positional[0];
 
   // Two streaming passes instead of one materialized flow list: pass 1

@@ -24,7 +24,8 @@ AggregationProgram::AggregationProgram(core::MessageFabric& fabric,
   merges_done_.assign(slots, 0);
   contributed_.assign(slots, false);
   level_sent_.assign(slots, false);
-  for (const core::GridCoord& c : fabric_.grid().all_coords()) {
+  for (std::size_t i = 0; i < nodes; ++i) {
+    const core::GridCoord c = fabric_.grid().coord_of(i);
     fabric_.set_receiver(c, [this, c](core::VirtualMessage&& msg) {
       on_receive(c, std::move(msg));
     });
@@ -33,8 +34,9 @@ AggregationProgram::AggregationProgram(core::MessageFabric& fabric,
 
 AggregationProgram::~AggregationProgram() {
   obs::ProfSpan span(obs::ProfCat::kApp);
-  for (const core::GridCoord& c : fabric_.grid().all_coords()) {
-    fabric_.set_receiver(c, nullptr);
+  const core::GridTopology& grid = fabric_.grid();
+  for (std::size_t i = 0; i < grid.node_count(); ++i) {
+    fabric_.set_receiver(grid.coord_of(i), nullptr);
   }
 }
 

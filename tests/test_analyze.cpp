@@ -979,12 +979,14 @@ TEST_F(InspectCli, UsageErrors) {
   EXPECT_EQ(run({"bench-compare", "--baseline", "only"}), 2);
   EXPECT_EQ(run({"help"}), 0);
   // Count flags take decimal digits only, and a --side whose square would
-  // overflow is refused; each error names the flag and its value.
+  // overflow or a bucket count past the ceiling is refused; each error names
+  // the flag and its value.
   const std::string trace = write_trace();
   for (const auto& [cmd, flag, value] :
        {std::tuple{"energy-map", "--side", "4294967296"},
         std::tuple{"energy-map", "--side", "-1"},
-        std::tuple{"flows", "--limit", "3x"}}) {
+        std::tuple{"flows", "--limit", "3x"},
+        std::tuple{"histogram", "--buckets", "1000000000"}}) {
     EXPECT_EQ(run({cmd, trace, flag, value}), 2) << cmd << " " << value;
     EXPECT_NE(err_.str().find(std::string(flag) + " " + value),
               std::string::npos)

@@ -8,6 +8,7 @@
 #include "app/dnc.h"
 #include "app/field.h"
 #include "app/labeling.h"
+#include "obs/profiler.h"
 
 namespace wsn::app {
 namespace {
@@ -135,6 +136,80 @@ TEST(BlockSummary, OfRectMatchesIncrementalMerge) {
   EXPECT_EQ(sorted_areas(finalize(merged)), sorted_areas(finalize(reference)));
 }
 
+/// The summary of the side x side block at (row0, col0), merged up from its
+/// leaves with `scratch`: west with east, then north with south.
+BlockSummary merge_up(const FeatureGrid& g, std::int32_t row0,
+                      std::int32_t col0, std::uint32_t side,
+                      MergeScratch& scratch) {
+  if (side == 1) return BlockSummary::leaf({row0, col0}, g.at(row0, col0));
+  const std::uint32_t half = side / 2;
+  const auto h = static_cast<std::int32_t>(half);
+  BlockSummary north = merge(merge_up(g, row0, col0, half, scratch),
+                             merge_up(g, row0, col0 + h, half, scratch),
+                             scratch);
+  BlockSummary south = merge(merge_up(g, row0 + h, col0, half, scratch),
+                             merge_up(g, row0 + h, col0 + h, half, scratch),
+                             scratch);
+  return merge(std::move(north), std::move(south), scratch);
+}
+
+void expect_equal_summaries(const BlockSummary& merged,
+                            const BlockSummary& reference) {
+  EXPECT_EQ(merged.north, reference.north);
+  EXPECT_EQ(merged.south, reference.south);
+  EXPECT_EQ(merged.west, reference.west);
+  EXPECT_EQ(merged.east, reference.east);
+  EXPECT_EQ(merged.open, reference.open);
+  EXPECT_EQ(sorted_areas(merged.closed), sorted_areas(reference.closed));
+}
+
+TEST(BlockSummary, BlocksUpTo4x4StayInPlace) {
+  // X . X .   The NW quadrant holds a diagonal pair: two open regions, the
+  // . X X .   in-place capacity. (1, 1) joins (0, 2) through the NE
+  // . . . .   quadrant, so the 4x4 block keeps two open regions and closes
+  // . . . .   none; its edges of 4 labels fit in place.
+  FeatureGrid g(4);
+  for (const auto& [r, c] : {std::pair{0, 0}, {0, 2}, {1, 1}, {1, 2}}) {
+    g.set({r, c}, true);
+  }
+  MergeScratch scratch;
+  auto block = [&] {
+    QuadAccumulator acc(scratch);
+    for (const auto& [r, c] : {std::pair{0, 0}, {0, 2}, {2, 0}, {2, 2}}) {
+      acc.add(merge_up(g, r, c, 2, scratch));
+    }
+    return acc.take();
+  };
+  block();  // grows the scratch
+  std::uint64_t before = obs::global_alloc_stats().count;
+  const BlockSummary leaf = BlockSummary::leaf({3, 5}, true);
+  EXPECT_EQ(obs::global_alloc_stats().count - before, 0u);
+  EXPECT_EQ(leaf.open_count(), 1u);
+
+  before = obs::global_alloc_stats().count;
+  const BlockSummary merged = block();
+  EXPECT_EQ(obs::global_alloc_stats().count - before, 0u);
+  EXPECT_EQ(merged.open_count(), BlockSummary::kOpenInPlace);
+  EXPECT_EQ(merged.closed_count(), 0u);
+  expect_equal_summaries(merged, BlockSummary::of_rect(g, 0, 0, 4, 4));
+}
+
+TEST(BlockSummary, MergesThatSpillMatchOfRect) {
+  // Past 4x4 the edges, and here the open regions too, outgrow their
+  // in-place capacity and move to the heap.
+  sim::Rng rng(5);
+  const FeatureGrid g = random_grid(16, 0.5, rng);
+  MergeScratch scratch;
+  for (const std::uint32_t side : {8u, 16u}) {
+    const BlockSummary reference = BlockSummary::of_rect(g, 0, 0, side, side);
+    EXPECT_GT(reference.north.size(), BlockSummary::kEdgeInPlace);
+    EXPECT_GT(reference.open_count(), BlockSummary::kOpenInPlace);
+    const BlockSummary merged = merge_up(g, 0, 0, side, scratch);
+    merged.validate();
+    expect_equal_summaries(merged, reference);
+  }
+}
+
 TEST(BlockSummary, SpiralRegionSurvivesManyMerges) {
   // A region that snakes across all four quadrants must stay one region.
   FeatureGrid g(8);
@@ -199,6 +274,15 @@ TEST(QuadAccumulator, TakeBeforeCompleteThrows) {
   QuadAccumulator acc(scratch);
   acc.add(BlockSummary::leaf({0, 0}, true));
   EXPECT_THROW(acc.take(), std::logic_error);
+}
+
+TEST(QuadAccumulator, FifthPieceThrows) {
+  MergeScratch scratch;
+  QuadAccumulator acc(scratch);
+  for (const auto& [r, c] : {std::pair{0, 0}, {0, 1}, {1, 0}, {1, 1}}) {
+    acc.add(BlockSummary::leaf({r, c}, true));
+  }
+  EXPECT_THROW(acc.add(BlockSummary::leaf({2, 0}, true)), std::logic_error);
 }
 
 TEST(SummarySizeModel, CountsBoundaryAndRegions) {
