@@ -2,15 +2,20 @@
 //
 // The ROADMAP's kernel-overhaul item (calendar queue, then PDES) needs a
 // number to beat. This bench produces it: raw dispatch throughput of the
-// kernel (a FIFO lane beside a 4-ary heap of 16-byte keys, callbacks run in
-// their slots) under four workloads —
+// kernel (16-byte keys in a rising FIFO lane, three FIFO lanes keyed by
+// delay and a 4-ary heap, callbacks run in their slots) under five
+// workloads —
 //
 //   * churn:      steady-state at a fixed queue depth; every dispatched
-//                 event schedules one successor, so the heap stays at depth
+//                 event schedules one successor, so the queue stays at depth
 //                 D while the sift cost is exercised at several D.
 //   * cancel:     schedule/cancel mix; half the scheduled events are
 //                 cancelled before firing, exercising tombstones and the
 //                 lazy-skip path in dispatch().
+//   * run_mix:    the soak run phase's schedule shape: a delivery stream at
+//                 delay 0.25 and one jittered retransmit timer per send,
+//                 which the delivery cancels 98% of the time; the
+//                 deliveries stay out of the heap only through a delay lane.
 //   * quickstart: the full simulation stack (PhysicalStack + overlay
 //                 traffic), so the synthetic rows stay anchored to what a
 //                 real workload sees per event.
@@ -19,11 +24,12 @@
 //                 through the Figure 4 program, with their heap
 //                 allocations and the program's own (`app`) host time.
 //
-// Deterministic fields (depth, ops, events, cancelled, skips, final queue
-// state, queries, allocs) are gated tightly by BENCH_BASELINE.json in the
-// observability CI job. Host-time fields end in "_ns" / "_per_sec" and are gated only by
-// the perf-smoke job, one-sided at a generous tolerance (see
-// obs/analyze/bench_compare.h).
+// Deterministic fields (depth, ops, events, cancelled, skips, heap pops,
+// final queue state, queries, allocs) are gated tightly by
+// BENCH_BASELINE.json in the observability CI job; `heap_pops` there gates
+// the share of entries that leave through a lane. Host-time fields end in
+// "_ns" / "_per_sec" and are gated only by the perf-smoke job, one-sided at
+// a generous tolerance (see obs/analyze/bench_compare.h).
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -109,6 +115,7 @@ void churn_row(analysis::Table& table, bench::JsonWriter& json,
             {"final_depth", static_cast<std::uint64_t>(sim.pending())},
             {"peak_depth",
              static_cast<std::uint64_t>(sim.queue().peak_size())},
+            {"heap_pops", sim.queue().heap_pops()},
             {"events_per_sec", stats.events_per_sec()},
             {"mean_event_ns", stats.mean_ns()},
             {"p50_ns", stats.per_event.p50()},
@@ -150,6 +157,57 @@ void cancel_row(analysis::Table& table, bench::JsonWriter& json,
             {"skips", sim.queue().cancelled_skips()},
             {"tombstones",
              static_cast<std::uint64_t>(sim.queue().tombstones())},
+            {"heap_pops", sim.queue().heap_pops()},
+            {"events_per_sec", stats.events_per_sec()},
+            {"mean_event_ns", stats.mean_ns()},
+            {"p50_ns", stats.per_event.p50()},
+            {"p90_ns", stats.per_event.p90()},
+            {"p99_ns", stats.per_event.p99()}});
+}
+
+/// The soak run phase's schedule shape at a fixed number of senders. Each
+/// send queues its delivery 0.25 ahead and arms a retransmit timer at
+/// 1.5 * (1 + U(0, 0.25)); the delivery cancels the timer and sends again
+/// 98% of the time, and a timer that fires sends again. A far timer holds
+/// the rising lane's tail, so the deliveries keep out of the heap only
+/// through the lane of their delay.
+void run_mix_row(analysis::Table& table, bench::JsonWriter& json,
+                 std::size_t senders, std::uint64_t ops) {
+  sim::Simulator sim(13);
+  struct Sender {
+    sim::Simulator& sim;
+    sim::EventId timer = 0;
+    void send() {
+      sim.schedule_in(0.25, [this] { deliver(); });
+      timer = sim.schedule_in(1.5 * (1.0 + sim.rng().uniform(0.0, 0.25)),
+                              [this] { send(); });
+    }
+    void deliver() {
+      if (!sim.rng().chance(0.98)) return;  // lost: the timer resends
+      sim.cancel(timer);
+      send();
+    }
+  };
+  std::vector<Sender> all;
+  all.reserve(senders);  // the callbacks hold each sender's address
+  for (std::size_t i = 0; i < senders; ++i) {
+    Sender& s = all.emplace_back(Sender{sim});
+    sim.schedule_in(sim.rng().uniform(0.0, 0.25), [&s] { s.send(); });
+  }
+  const RunStats stats = timed_steps(sim, ops);
+  table.row({"run_mix", analysis::Table::num(senders),
+             analysis::Table::num(stats.events),
+             analysis::Table::num(sim.queue().heap_pops()),
+             analysis::Table::num(stats.events_per_sec(), 0),
+             analysis::Table::num(stats.mean_ns(), 0),
+             analysis::Table::num(stats.per_event.p99(), 0)});
+  json.row("kernel",
+           {{"workload", std::string("run_mix")},
+            {"depth", static_cast<std::uint64_t>(senders)},
+            {"events", stats.events},
+            {"final_depth", static_cast<std::uint64_t>(sim.pending())},
+            {"skips", sim.queue().cancelled_skips()},
+            {"heap_pops", sim.queue().heap_pops()},
             {"events_per_sec", stats.events_per_sec()},
             {"mean_event_ns", stats.mean_ns()},
             {"p50_ns", stats.per_event.p50()},
@@ -167,6 +225,7 @@ void quickstart_row(analysis::Table& table, bench::JsonWriter& json) {
   constexpr int kRounds = 3;
   emulation::PhysicalStack stack(kSide, kNodes, kRange, 1);
   const std::uint64_t setup_events = stack.sim.events_processed();
+  const std::uint64_t setup_heap_pops = stack.sim.queue().heap_pops();
 
   obs::SimProfiler& prof = obs::profiler();
   prof.arm();
@@ -192,6 +251,7 @@ void quickstart_row(analysis::Table& table, bench::JsonWriter& json) {
            {{"workload", std::string("quickstart")},
             {"events", events},
             {"dispatch_count", dispatch.count},
+            {"heap_pops", stack.sim.queue().heap_pops() - setup_heap_pops},
             {"events_per_sec", prof.events_per_sec()},
             {"mean_event_ns",
              events > 0 ? host_ns / static_cast<double>(events) : 0.0},
@@ -216,6 +276,7 @@ void topographic_row(analysis::Table& table, bench::JsonWriter& json) {
         app::threshold_sample(app::value_noise_field(kSeed + k), kSide, 0.5));
   }
   const std::uint64_t setup_events = stack.sim.events_processed();
+  const std::uint64_t setup_heap_pops = stack.sim.queue().heap_pops();
 
   obs::SimProfiler& prof = obs::profiler();
   prof.arm();
@@ -239,6 +300,7 @@ void topographic_row(analysis::Table& table, bench::JsonWriter& json) {
             {"queries", kQueries},
             {"events", events},
             {"allocs", allocs},
+            {"heap_pops", stack.sim.queue().heap_pops() - setup_heap_pops},
             {"events_per_sec", prof.events_per_sec()},
             {"mean_query_ns", host_ns / static_cast<double>(kQueries)},
             {"app_self_ns",
@@ -252,8 +314,8 @@ int main(int argc, char** argv) {
   bench::print_header(
       "kernel", "EventQueue dispatch throughput",
       "events/sec of the event-queue kernel under churn, cancellation, "
-      "a full-stack workload and the topographic query; the baseline the "
-      "kernel overhaul must beat");
+      "the soak run phase's schedule mix, a full-stack workload and the "
+      "topographic query; the baseline the kernel overhaul must beat");
 
   analysis::Table table({"workload", "depth", "events", "aux", "events/sec",
                          "mean ns", "p99 ns"});
@@ -262,6 +324,7 @@ int main(int argc, char** argv) {
     churn_row(table, json, depth, kOps);
   }
   cancel_row(table, json, 4096, kOps);
+  run_mix_row(table, json, 512, kOps);
   quickstart_row(table, json);
   topographic_row(table, json);
   std::printf("%s\n", table.str().c_str());

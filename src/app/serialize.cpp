@@ -60,8 +60,8 @@ std::uint32_t get_extent(std::span<const std::uint8_t> bytes,
 }
 
 /// Reads one edge of `expected` labels (the extent's width or height) into
-/// the empty `edge`. The length is checked before anything is reserved for
-/// it.
+/// the empty `edge`. The edge grows only by the runs it has read, so an
+/// extent that the bytes claim but do not hold allocates nothing.
 void get_edge(std::span<const std::uint8_t> bytes, std::size_t& pos,
               std::uint32_t expected, BlockSummary::Edge& edge) {
   const std::uint64_t len = get_varint(bytes, pos);
@@ -69,7 +69,6 @@ void get_edge(std::span<const std::uint8_t> bytes, std::size_t& pos,
     throw std::runtime_error(
         "decode_summary: edge length does not match the extent");
   }
-  edge.reserve(len);
   while (edge.size() < len) {
     const auto label = static_cast<BoundaryLabel>(get_varint(bytes, pos));
     const std::uint64_t run = get_varint(bytes, pos);

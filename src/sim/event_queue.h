@@ -106,17 +106,40 @@ class Callback {
 /// 128-bit compare therefore orders two entries by (time, insertion order),
 /// and a key is never equal to another.
 ///
-/// Keys sit in one of two sorted structures: the lane, a FIFO whose keys
-/// only increase, or a 4-ary min-heap. A key greater than the lane's tail
-/// (a flood's deliveries: nearly every event of stack setup) enters and
-/// leaves the lane in O(1) instead of by two heap sifts; dispatch takes the
-/// smaller front, exactly the order one heap would give. The heap keeps its
-/// children four to a group and pads past its last entry with all-ones
-/// keys, so a sift picks the least of four children without data-dependent
-/// branches. (With the lane removed, stack setup ran ~50% slower;
-/// EXPERIMENTS.md E22.) The lane keeps its keys in fixed 255-key blocks that
-/// it recycles through a free list, so it never relocates a key and, once it
-/// has grown to its working depth, never allocates.
+/// Keys sit in sorted structures: four FIFO lanes, whose keys only increase,
+/// and a 4-ary min-heap. A key goes to the first that keeps it sorted:
+///   - the rising lane, if it is empty or the key is above its tail. That
+///     is nearly every event of stack setup, whose floods queue deliveries
+///     in time order.
+///   - the lane of its delay d = at - now (now: the clock, as dispatch() and
+///     advance() set it), if the key is above that lane's tail. Three delay
+///     lanes each hold one delay. Under the paper's uniform cost model
+///     every frame of one size has the same latency, so a stream of sends
+///     at one delay queues keys now + d that rise with the clock, and each
+///     joins its lane's tail. A key whose delay has no lane claims a free
+///     one for that delay, and a lane is free again once it drains.
+///   - the heap otherwise: jittered timers below the rising lane's tail,
+///     delays that find every lane claimed, and keys that round below their
+///     lane's tail.
+/// A lane push or pop is O(1) instead of two heap sifts. Dispatch takes the
+/// least key of the lanes' fronts and the heap's top, exactly the order one
+/// heap would give, and the least lane front is kept cached, so choosing
+/// costs one compare. Routing by delay runs only for a key the rising lane
+/// refuses, so setup's floods pay nothing for it.
+/// Measured traffic (stackbench; EXPERIMENTS.md E22, "Lanes keyed by
+/// delay"): of the `soak` run phase's schedules, 65% are deliveries at
+/// delay 0.25 and 33% are ARQ timers at 1.5-1.875, each at a delay of its
+/// own; of `query`'s, 44% sit at delay 1, 24% at 0.25 and 9% are posts,
+/// and 24% are timers. The lanes serve 65% of either run phase's pops,
+/// where the rising lane alone served 0% and 3%.
+///
+/// The heap keeps its children four to a group and pads past its last entry
+/// with all-ones keys, so a sift picks the least of four children without
+/// data-dependent branches. (With the rising lane removed, stack setup ran
+/// ~50% slower; EXPERIMENTS.md E22.) The lanes keep their keys in fixed
+/// 255-key blocks drawn from one pool and recycled through a free list, so
+/// a lane never relocates a key and, once the queue has grown to its working
+/// depth, never allocates.
 ///
 /// Each queued entry owns a slot holding its callback and a generation that
 /// is odd while the event is live. An EventId is (generation << 32) | slot,
@@ -161,13 +184,16 @@ class EventQueue {
     free_ = s.next_free;
     const std::uint32_t gen = ++s.gen;
     const Key key = make_key(at, scheduled_++, slot);
-    if (lane_size_ == 0 || key > lane_back_) {
-      lane_push(key);
+    Lane& rising = lanes_[0];
+    if (rising.head == nullptr) {
+      lane_start(0, key);
+    } else if (key > rising.back) {
+      lane_push(rising, key);
     } else {
-      heap_push(key);
+      route(key, at);
     }
     ++live_;
-    peak_size_ = std::max(peak_size_, lane_size_ + heap_size_);
+    peak_size_ = std::max(peak_size_, ++queued_);
     return (static_cast<EventId>(gen) << 32) | slot;
   }
 
@@ -184,6 +210,12 @@ class EventQueue {
     return true;
   }
 
+  /// Moves the time that schedule() measures delays from to `now`, as when
+  /// the simulator's clock moves past the last dispatched event. dispatch()
+  /// moves it to each event's time. It only picks a key's lane: any value
+  /// leaves the dispatch order as it is.
+  void advance(Time now) { now_ = now; }
+
   bool empty() const { return live_ == 0; }
 
   /// Live (scheduled, not yet fired or cancelled) events.
@@ -192,7 +224,7 @@ class EventQueue {
   /// Cancelled entries still queued, awaiting a lazy skip. Queue memory is
   /// live() + tombstones() entries; a high tombstone count means
   /// cancel-heavy traffic (ARQ timers) is bloating the kernel.
-  std::size_t tombstones() const { return lane_size_ + heap_size_ - live_; }
+  std::size_t tombstones() const { return queued_ - live_; }
 
   /// Events ever scheduled.
   std::uint64_t total_scheduled() const { return scheduled_; }
@@ -203,6 +235,16 @@ class EventQueue {
   /// Tombstoned entries lazily dropped while dispatching/peeking — the
   /// hidden per-dispatch overhead a calendar-queue rewrite must also beat.
   std::uint64_t cancelled_skips() const { return cancelled_skips_; }
+
+  /// Entries the heap served, tombstone skips included; every other entry
+  /// left through a lane.
+  std::uint64_t heap_pops() const { return heap_pops_; }
+
+  /// 4 KiB key blocks the lanes have allocated (live, or free for reuse).
+  std::size_t lane_blocks() const { return lane_blocks_.size(); }
+
+  /// 512-slot chunks allocated; slots are never freed back to the system.
+  std::size_t slot_chunks() const { return chunks_.size(); }
 
   /// Time of the next live event. Requires !empty().
   Time next_time() {
@@ -227,6 +269,7 @@ class EventQueue {
     ++s.gen;  // fired: its id no longer cancels anything
     const Release done{*this, slot};
     const Time at = time_of(top);
+    now_ = at;
     before_run(at);
     s.fn();
     return at;
@@ -240,7 +283,9 @@ class EventQueue {
   static constexpr int kSlotBits = 24;
   static constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << 40;
   static constexpr std::uint32_t kMaxSlots = std::uint32_t{1} << kSlotBits;
-  static constexpr Key kPad = ~Key{0};  // fills the heap past its last key
+  // Above every key (no finite time has these bits): fills the heap past
+  // its last key and stands for an empty lane's front.
+  static constexpr Key kPad = ~Key{0};
 
   static Key make_key(Time at, std::uint64_t seq, std::uint32_t slot) {
     // +0.0 folds -0.0 into +0.0. Flipping the sign bit of a non-negative
@@ -278,25 +323,24 @@ class EventQueue {
   };
 
   bool lane_first() const {
-    return lane_size_ > 0 &&
-           (heap_size_ == 0 || lane_head_->keys[lane_begin_] < heap_[0]);
+    return heap_size_ == 0 || lane_front_ < heap_[0];
   }
-  Key front() const {
-    return lane_first() ? lane_head_->keys[lane_begin_] : heap_[0];
-  }
+  Key front() const { return lane_first() ? lane_front_ : heap_[0]; }
   Key take_front() {
+    --queued_;
     if (lane_first()) {
-      const Key key = lane_head_->keys[lane_begin_];
+      const Key key = lane_front_;
       lane_pop();
       return key;
     }
     const Key key = heap_[0];
     heap_pop();
+    ++heap_pops_;
     return key;
   }
 
   void drop_cancelled() {
-    while (tombstones() > 0) {
+    while (queued_ > live_) {
       const std::uint32_t slot = slot_of(front());
       if (slot_at(slot).gen % 2 == 1) return;
       take_front();
@@ -306,34 +350,101 @@ class EventQueue {
     }
   }
 
-  // The lane: fixed blocks of keys chained head to tail. A block the front
-  // has left goes to a free list and is reused for the next tail block.
+  // A lane: fixed blocks of keys chained head to tail, none while it is
+  // empty. A block the front has left goes to the pool's free list and is
+  // reused for the next tail block of any lane.
   struct LaneBlock {
     static constexpr std::uint32_t kKeys = 255;  // 4 KiB with the link
     Key keys[kKeys];
     LaneBlock* next = nullptr;
   };
+  struct Lane {
+    LaneBlock* head = nullptr;
+    LaneBlock* tail = nullptr;
+    std::uint32_t begin = 0;  // the front's index in head
+    std::uint32_t end = 0;    // one past the back's index in tail
+    Key front = kPad;         // kPad while empty
+    Key back = 0;             // the last key pushed
+    Time delay = 0;           // the delay lanes' delay while claimed
+  };
+  // lanes_[0] is the rising lane; the rest are the delay lanes.
+  static constexpr std::uint32_t kLanes = 4;
 
-  void lane_push(Key key) {
-    if (lane_tail_ == nullptr) {
-      lane_head_ = lane_tail_ = lane_block();
-    } else if (lane_end_ == LaneBlock::kKeys) {
-      lane_tail_ = lane_tail_->next = lane_block();
-      lane_end_ = 0;
+  void lane_start(std::uint32_t i, Key key) {
+    Lane& lane = lanes_[i];
+    lane.head = lane.tail = lane_block();
+    lane.begin = lane.end = 0;
+    lane.front = key;
+    lane_push(lane, key);
+    if (key < lane_front_) {
+      lane_front_ = key;
+      least_ = i;
     }
-    lane_tail_->keys[lane_end_++] = key;
-    lane_back_ = key;
-    ++lane_size_;
   }
-  void lane_pop() {
-    ++lane_begin_;
-    if (--lane_size_ == 0) {
-      lane_begin_ = lane_end_ = 0;  // head == tail: start the block over
-    } else if (lane_begin_ == LaneBlock::kKeys) {
-      LaneBlock* done = std::exchange(lane_head_, lane_head_->next);
-      done->next = std::exchange(lane_free_, done);
-      lane_begin_ = 0;
+  void lane_push(Lane& lane, Key key) {
+    if (lane.end == LaneBlock::kKeys) {
+      lane.tail = lane.tail->next = lane_block();
+      lane.end = 0;
     }
+    lane.tail->keys[lane.end++] = key;
+    lane.back = key;
+  }
+  // Drops the least lane's front, then finds the least front again: by one
+  // read while no delay lane is claimed, as through most of setup.
+  void lane_pop() {
+    Lane& lane = lanes_[least_];
+    if (++lane.begin == lane.end && lane.head == lane.tail) {
+      lane.head->next = std::exchange(lane_free_, lane.head);
+      lane.head = lane.tail = nullptr;
+      lane.front = kPad;
+      if (least_ != 0) --claimed_;
+    } else {
+      if (lane.begin == LaneBlock::kKeys) {
+        LaneBlock* done = std::exchange(lane.head, lane.head->next);
+        done->next = std::exchange(lane_free_, done);
+        lane.begin = 0;
+      }
+      lane.front = lane.head->keys[lane.begin];
+    }
+    if (claimed_ == 0) {
+      least_ = 0;
+      lane_front_ = lanes_[0].front;
+      return;
+    }
+    std::uint32_t least = 0;
+    for (std::uint32_t i = 1; i < kLanes; ++i) {
+      if (lanes_[i].front < lanes_[least].front) least = i;
+    }
+    least_ = least;
+    lane_front_ = lanes_[least].front;
+  }
+  // A key the rising lane refused: to its delay's lane if above that lane's
+  // tail, else to a free lane it claims for its delay, else to the heap.
+  // Out of line, so schedule()'s inlined path, which nearly every setup
+  // event takes, stays short.
+  [[gnu::noinline]] void route(Key key, Time at) {
+    const Time delay = at - now_;
+    std::uint32_t unclaimed = 0;
+    for (std::uint32_t i = 1; i < kLanes; ++i) {
+      Lane& lane = lanes_[i];
+      if (lane.head == nullptr) {
+        if (unclaimed == 0) unclaimed = i;
+      } else if (lane.delay == delay) {
+        if (key > lane.back) {
+          lane_push(lane, key);
+        } else {
+          heap_push(key);
+        }
+        return;
+      }
+    }
+    if (unclaimed == 0) {
+      heap_push(key);
+      return;
+    }
+    lanes_[unclaimed].delay = delay;
+    ++claimed_;
+    lane_start(unclaimed, key);
   }
   LaneBlock* lane_block() {
     if (lane_free_ == nullptr) {
@@ -419,19 +530,20 @@ class EventQueue {
   std::vector<Key> heap_;
   std::size_t heap_size_ = 0;
 
+  Lane lanes_[kLanes];
+  Key lane_front_ = kPad;        // the least lane front
+  std::uint32_t least_ = 0;      // its lane
+  std::uint32_t claimed_ = 0;    // delay lanes holding keys
   std::vector<std::unique_ptr<LaneBlock>> lane_blocks_;  // owns every block
-  LaneBlock* lane_head_ = nullptr;
-  LaneBlock* lane_tail_ = nullptr;
   LaneBlock* lane_free_ = nullptr;
-  std::uint32_t lane_begin_ = 0;  // the front's index in lane_head_
-  std::uint32_t lane_end_ = 0;    // one past the back's index in lane_tail_
-  std::size_t lane_size_ = 0;
-  Key lane_back_ = 0;  // the last key pushed
 
+  Time now_ = 0;  // what schedule() measures a delay from
+  std::size_t queued_ = 0;  // keys in the lanes and the heap
   std::uint64_t scheduled_ = 0;
   std::size_t live_ = 0;
   std::size_t peak_size_ = 0;
   std::uint64_t cancelled_skips_ = 0;
+  std::uint64_t heap_pops_ = 0;
 };
 
 }  // namespace wsn::sim

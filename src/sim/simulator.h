@@ -112,12 +112,16 @@ class Simulator {
         throw std::runtime_error("Simulator: event budget exceeded");
       }
     }
-    if (until > now_ && std::isfinite(until)) now_ = until;
+    if (until > now_ && std::isfinite(until)) {
+      now_ = until;
+      queue_.advance(until);  // later delays are measured from here
+    }
   }
 
   /// Registers the kernel telemetry gauges — queue depth, tombstones,
   /// lifetime scheduled count, peak queue size, lazy-skip count, events
-  /// processed — under `prefix` in the unified registry.
+  /// processed, heap pops, and the lane blocks and slot chunks the queue
+  /// has grown to — under `prefix` in the unified registry.
   /// The obs::SimProfiler adds the host-time side (prof.events_per_sec);
   /// these gauges are pure simulated-kernel state and poll at snapshot
   /// time.
@@ -140,6 +144,15 @@ class Simulator {
     });
     registry.add_gauge(prefix + ".events_processed", [this] {
       return static_cast<double>(processed_);
+    });
+    registry.add_gauge(prefix + ".heap_pops", [this] {
+      return static_cast<double>(queue_.heap_pops());
+    });
+    registry.add_gauge(prefix + ".lane_blocks", [this] {
+      return static_cast<double>(queue_.lane_blocks());
+    });
+    registry.add_gauge(prefix + ".slot_chunks", [this] {
+      return static_cast<double>(queue_.slot_chunks());
     });
   }
 

@@ -110,6 +110,23 @@ TEST(Serialize, EdgeLengthBeyondExtentRejectedBeforeAllocating) {
   }
 }
 
+TEST(Serialize, ClaimedExtentAllocatesOnlyWhatIsRead) {
+  // 16 bytes: a header claiming a 2^24 x 2^24 block and a north edge of
+  // 2^24 labels, then one label and a run cut off mid-varint. The edge's
+  // length matches the extent, so only reading it can stop the decoder.
+  std::vector<std::uint8_t> bytes;
+  constexpr std::uint64_t kSide = std::uint64_t{1} << 24;
+  for (std::uint64_t v : {std::uint64_t{0}, std::uint64_t{0}, kSide, kSide,
+                          kSide, std::uint64_t{1}}) {
+    app::detail::put_varint(bytes, v);
+  }
+  bytes.push_back(0x80);  // a run with more bytes to come
+  ASSERT_EQ(bytes.size(), 16u);
+  const std::uint64_t before = obs::global_alloc_stats().bytes;
+  EXPECT_THROW(app::decode_summary(bytes), std::runtime_error);
+  EXPECT_LT(obs::global_alloc_stats().bytes - before, 1024u);
+}
+
 TEST(Serialize, CompressionGrowsSlowerThanArea) {
   // The paper's rationale for boundary summaries: their size tracks the
   // perimeter, not the area. Compare bytes for a solid block at doubling

@@ -218,7 +218,10 @@ TEST(EventQueue, DispatchOrderMatchesAReferenceSort) {
   // Seeded random mixes of schedules (ties, 0 and -0.0, times before the
   // last dispatch), posts at the last dispatched time, cancels of live,
   // fired, cancelled and never-issued ids, and dispatches.
-  constexpr Time kTimes[] = {0.0, -0.0, 0.5, 1.0, 1.0, 2.5, 4.0};
+  // The relative schedules use more distinct delays than there are lanes,
+  // so lanes are claimed, drained, released and contended within one seed.
+  constexpr Time kTimes[] = {0.0, -0.0, 0.25, 0.5, 1.0,
+                             1.0, 1.5,  2.5,  3.0, 4.0};
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     Rng rng(seed);
     EventQueue q;
@@ -271,6 +274,84 @@ TEST(EventQueue, DispatchOrderMatchesAReferenceSort) {
     while (!reference.empty()) dispatch_one();
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(fired.size(), dispatched);
+  }
+}
+
+TEST(EventQueue, RunPhaseMixMatchesAReferenceSort) {
+  // The run phase's schedule shape: a delivery stream at delay 0.25 whose
+  // every send arms a far, jittered timer, cancelled by its delivery about
+  // 98% of the time; posts; a second stream at delay 1; delays that round
+  // (now + d - now != d); and absolute times before the last dispatch. A
+  // far timer holds the rising lane's tail, so only delay lanes keep the
+  // streams out of the heap.
+  constexpr Time kRoundingDelays[] = {0.1, 0.3, 0.7};
+  constexpr std::uint64_t kNoTimer = ~std::uint64_t{0};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    EventQueue q;
+    std::set<Pending> reference;
+    std::vector<EventId> ids;  // by insertion order
+    std::vector<Time> times;
+    std::vector<std::uint64_t> timer_of;  // a delivery's timer
+    std::vector<std::uint64_t> fired;
+    std::uint64_t timers = 0;
+    std::uint64_t rounded = 0;
+    Time now = 0.0;
+    const auto schedule = [&](Time at) {
+      const std::uint64_t seq = ids.size();
+      ids.push_back(q.schedule(at, [&fired, seq] { fired.push_back(seq); }));
+      times.push_back(at);
+      timer_of.push_back(kNoTimer);
+      reference.insert({at, seq});
+      return seq;
+    };
+    const auto dispatch_one = [&] {
+      const Pending want = *reference.begin();
+      reference.erase(reference.begin());
+      ASSERT_FALSE(q.empty());
+      now = q.dispatch();
+      EXPECT_EQ(now, want.at);
+      ASSERT_FALSE(fired.empty());
+      ASSERT_EQ(fired.back(), want.seq);
+      const std::uint64_t timer = timer_of[want.seq];
+      if (timer != kNoTimer && rng.chance(0.98)) {
+        const bool live = reference.erase({times[timer], timer}) == 1;
+        EXPECT_EQ(q.cancel(ids[timer]), live);
+      }
+    };
+    // About 64 events in flight, as many senders would keep.
+    for (int op = 0; op < 20000; ++op) {
+      if (reference.size() >= 48 + rng.below(32)) {
+        dispatch_one();
+        continue;
+      }
+      const std::uint64_t r = rng.below(100);
+      if (r < 75) {
+        const std::uint64_t delivery = schedule(now + 0.25);
+        timer_of[delivery] =
+            schedule(now + 1.5 * (1.0 + rng.uniform(0.0, 0.25)));
+        ++timers;
+      } else if (r < 85) {
+        schedule(now + 1.0);
+      } else if (r < 92) {
+        schedule(now);  // a post
+      } else if (r < 96) {
+        const Time d = kRoundingDelays[rng.below(std::size(kRoundingDelays))];
+        rounded += (now + d) - now != d;
+        schedule(now + d);
+      } else {
+        schedule(rng.uniform(0.0, now));  // absolute: before `now`
+      }
+      ASSERT_EQ(q.live(), reference.size());
+    }
+    while (!reference.empty()) dispatch_one();
+    EXPECT_TRUE(q.empty());
+    EXPECT_GT(rounded, 0u);
+    // The timers go to the heap, and so do the keys no stream carries,
+    // which also take lanes the timers could have had. Every other key
+    // leaves through a lane; with the rising lane alone, nearly every key
+    // left through the heap.
+    EXPECT_LT(q.heap_pops(), timers + ids.size() / 5) << "seed " << seed;
   }
 }
 
@@ -400,8 +481,9 @@ TEST(Simulator, RunUntilInfinityKeepsTheClockUsable) {
 }
 
 TEST(Simulator, SecondBurstOfPostsAllocatesNothing) {
-  // The FIFO lane keeps its blocks when it drains and reuses them, so a
-  // burst into a drained simulator needs no new storage.
+  // A drained lane returns its blocks to the queue's pool, and the next
+  // lane reuses them, so a burst into a drained simulator needs no new
+  // storage.
   for (const int burst : {64, 1000}) {
     Simulator sim;
     for (int i = 0; i < burst; ++i) sim.post([] {});
