@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "net/reliable_link.h"
 #include "obs/profiler.h"
@@ -10,9 +11,9 @@
 
 namespace wsn::emulation {
 
-/// Wire format of every control frame. `cell` is the subject cell (the
-/// flood's own cell, or the child cell of an uplease); `dst_cell` is only
-/// used by hop-routed upleases.
+/// Body of every control frame. `cell` is the subject cell (the flood's own
+/// cell, or the child cell of an uplease); `dst_cell` is only used by
+/// hop-routed upleases.
 struct FailureDetector::FdMsg {
   enum Kind : std::uint8_t {
     kBeat, kElect, kClaim, kSync, kUpLease, kAudit, kJoin
@@ -35,6 +36,38 @@ struct FailureDetector::FdMsg {
   bool last = false;  // join: orphan's evidence it was the cell's last
                       // reachable member (a full lease of total silence)
   OverlayNetwork::RouteState route{};  // hop-routed frames: detour state
+};
+
+/// The one wire type of the control frames: a handle to an immutable FdMsg
+/// body shared by reference count. The handle is one pointer with a
+/// noexcept move, so std::any holds it in place and sending a frame
+/// allocates nothing. A flood boxes its body once and sends each neighbour
+/// a copy of the handle, and forwarding an unchanged beat, claim, sync or
+/// audit passes on the body that arrived; only a frame that changes per hop
+/// (an election's best key, a hop-routed uplease or join) gets a body of
+/// its own. The count is a plain integer, not an atomic: a frame never
+/// leaves the simulator that sent it, and each simulator runs on one
+/// thread.
+class FailureDetector::Frame {
+ public:
+  explicit Frame(const FdMsg& msg) : body_(new Body{msg, 1}) {}
+  Frame(const Frame& other) noexcept : body_(other.body_) { ++body_->refs; }
+  Frame(Frame&& other) noexcept
+      : body_(std::exchange(other.body_, nullptr)) {}
+  Frame& operator=(const Frame&) = delete;
+  Frame& operator=(Frame&&) = delete;
+  ~Frame() {
+    if (body_ != nullptr && --body_->refs == 0) delete body_;
+  }
+
+  const FdMsg& operator*() const { return body_->msg; }
+
+ private:
+  struct Body {
+    FdMsg msg;
+    std::uint32_t refs;
+  };
+  Body* body_;
 };
 
 namespace {
@@ -169,7 +202,7 @@ bool FailureDetector::try_adopt(net::NodeId i) {
   join.src_cell = here;
   join.origin = i;
   join.last = true;  // the silence criterion IS the evidence
-  overlay_.send_control(i, gateway, join, kBeatSizeUnits);
+  overlay_.send_control(i, gateway, Frame(join), kBeatSizeUnits);
   return true;
 }
 
@@ -415,7 +448,7 @@ void FailureDetector::on_watchdog(net::NodeId i) {
     hello.leader = believed_leader_[i];
     hello.origin = i;
     hello.src_cell = cell_view(i);
-    flood(i, hello);
+    flood(i, Frame(hello));
     renew_lease(i);
     return;
   }
@@ -463,7 +496,7 @@ void FailureDetector::start_election(net::NodeId i) {
   m.score = elect_best_score_[i];
   m.origin = i;
   m.residual = elect_best_residual_[i];
-  flood(i, m);
+  flood(i, Frame(m));
   arm_election_close(i, target);
 }
 
@@ -545,7 +578,7 @@ void FailureDetector::win_election(net::NodeId w, std::uint64_t epoch) {
   m.cell = cell;
   m.epoch = epoch;
   m.leader = w;
-  flood(w, m);
+  flood(w, Frame(m));
   beat_seq_[w] = 0;
   const std::uint64_t gen = run_gen_;
   sim().schedule_in(cfg_.heartbeat_period, [this, w, gen] {
@@ -603,7 +636,7 @@ void FailureDetector::start_handoff(net::NodeId i) {
   m.origin = elect_best_id_[i];
   m.residual = elect_best_residual_[i];
   m.handoff = true;
-  flood(i, m);
+  flood(i, Frame(m));
 }
 
 bool FailureDetector::request_handoff(const core::GridCoord& cell) {
@@ -648,7 +681,7 @@ void FailureDetector::beat(net::NodeId leader) {
     m.seq = beat_seq_[leader];
     m.leader = leader;
     m.src_cell = cell;  // beats carry the sender's cell belief
-    flood(leader, m);
+    flood(leader, Frame(m));
     maybe_handoff(leader);
   }
   const std::uint64_t gen = run_gen_;
@@ -712,7 +745,7 @@ void FailureDetector::audit(net::NodeId leader) {
       }
       m.roster_digest = membership_->digest(cell);
     }
-    flood(leader, m);
+    flood(leader, Frame(m));
     // The auditor scrubs its own tables; members scrub theirs on receipt.
     const std::size_t fixed = overlay_.repair_routes(leader);
     if (fixed > 0) {
@@ -749,7 +782,7 @@ void FailureDetector::uplease_send(std::size_t cell_idx) {
     // The proxy serving this (vacated) child cell IS the parent cell's
     // leader — or proxies the parent too: the lease renews locally, no
     // radio hop to itself.
-    handle(actor, m);
+    handle(actor, Frame(m));
     return;
   }
   route_control(actor, m, m.dst_cell);
@@ -806,7 +839,7 @@ void FailureDetector::arm_child_watchdog(std::size_t cell_idx) {
       });
 }
 
-void FailureDetector::flood(net::NodeId from, const FdMsg& msg) {
+void FailureDetector::flood(net::NodeId from, const Frame& frame) {
   for (net::NodeId v : cell_neighbors_[from]) {
     // Deliberately no is_suspected() filter, even for steady-state beats:
     // suspicion can be stale (ARQ give-ups for frames sent into a node's
@@ -816,7 +849,7 @@ void FailureDetector::flood(net::NodeId from, const FdMsg& msg) {
     // period costs a bounded ARQ retry budget and IS the failure detector's
     // job; a delivered beat renews the lease regardless of suspicion, and
     // its delivery is the proof of life that clears the suspicion.
-    overlay_.send_control(from, v, msg, kBeatSizeUnits);
+    overlay_.send_control(from, v, frame, kBeatSizeUnits);
   }
 }
 
@@ -827,7 +860,7 @@ void FailureDetector::resync(net::NodeId at, const core::GridCoord& cell) {
   sync.cell = cell;
   sync.epoch = epoch_[at];
   sync.leader = at;
-  flood(at, sync);
+  flood(at, Frame(sync));
 }
 
 void FailureDetector::route_control(net::NodeId at, const FdMsg& msg,
@@ -839,20 +872,20 @@ void FailureDetector::route_control(net::NodeId at, const FdMsg& msg,
     counters_.add(Counter::kUnroutable);
     return;
   }
-  overlay_.send_control(at, nh, m, kBeatSizeUnits);
+  overlay_.send_control(at, nh, Frame(m), kBeatSizeUnits);
 }
 
 void FailureDetector::on_control(net::NodeId at, const net::Packet& pkt) {
   obs::ProfSpan prof(obs::ProfCat::kDetector);
-  const auto* msg = std::any_cast<FdMsg>(&pkt.payload);
-  if (msg == nullptr) return;
+  const auto* frame = std::any_cast<Frame>(&pkt.payload);
+  if (frame == nullptr) return;
   // Proof of life: any control frame received from a suspected node clears
   // the suspicion (and restores routes through it).
   if (pkt.sender != net::kNoNode && overlay_.is_suspected(pkt.sender)) {
     counters_.add(Counter::kUnsuspect);
     overlay_.clear_suspected(pkt.sender);
   }
-  handle(at, *msg, pkt.sender);
+  handle(at, *frame, pkt.sender);
 }
 
 void FailureDetector::adopt(net::NodeId i, net::NodeId leader,
@@ -865,8 +898,9 @@ void FailureDetector::adopt(net::NodeId i, net::NodeId leader,
   if (leader != i) renew_lease(i);
 }
 
-void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
+void FailureDetector::handle(net::NodeId at, const Frame& frame,
                              net::NodeId from) {
+  const FdMsg& msg = *frame;
   if (membership_ != nullptr) {
     // Any control frame is an occasion for the local belief self-check
     // (heal BEFORE filtering: a healed belief changes which frames are
@@ -932,7 +966,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
         sync.epoch = epoch_[at];
         sync.leader = believed_leader_[at];
         sync.origin = at;
-        flood(at, sync);
+        flood(at, Frame(sync));
       }
       if (msg.epoch < seen_beat_epoch_[at] ||
           (msg.epoch == seen_beat_epoch_[at] &&
@@ -941,7 +975,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
       }
       seen_beat_epoch_[at] = msg.epoch;
       seen_beat_seq_[at] = msg.seq;
-      flood(at, msg);  // forward the fresh beat through the cell
+      flood(at, frame);  // forward the fresh beat through the cell
       if (msg.epoch > epoch_[at]) {
         adopt(at, msg.leader, msg.epoch);
       } else if (msg.epoch == epoch_[at]) {
@@ -1022,7 +1056,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
         fwd.score = elect_best_score_[at];
         fwd.origin = elect_best_id_[at];
         fwd.residual = elect_best_residual_[at];
-        flood(at, fwd);
+        flood(at, Frame(fwd));
       }
       return;
     }
@@ -1035,7 +1069,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
            msg.leader < believed_leader_[at]);
       if (!newer) return;
       adopt(at, msg.leader, msg.epoch);
-      flood(at, msg);
+      flood(at, frame);
       return;
     }
     case FdMsg::kAudit: {
@@ -1047,7 +1081,7 @@ void FailureDetector::handle(net::NodeId at, const FdMsg& msg,
       }
       seen_audit_epoch_[at] = msg.epoch;
       seen_audit_seq_[at] = msg.seq;
-      flood(at, msg);  // forward the audit through the cell
+      flood(at, frame);  // forward the audit through the cell
       // Route scrub rides the audit round: each member validates its own
       // table entries against local knowledge (no-op when uncorrupted).
       const std::size_t fixed = overlay_.repair_routes(at);

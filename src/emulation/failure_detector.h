@@ -259,7 +259,8 @@ class FailureDetector {
   }
 
  private:
-  struct FdMsg;  // wire format of all control frames (cpp-local layout use)
+  struct FdMsg;  // the body of a control frame (layout local to the cpp)
+  class Frame;   // the wire type: a shared handle to an immutable FdMsg
 
   enum class Counter : std::uint8_t {
     kAdopt, kAdoptAccept, kAdoptBind, kAudit, kAuditConflict, kAuditHeal,
@@ -289,7 +290,7 @@ class FailureDetector {
   const CellMapper& mapper() const { return overlay_.mapper(); }
 
   void on_control(net::NodeId at, const net::Packet& pkt);
-  void handle(net::NodeId at, const FdMsg& msg,
+  void handle(net::NodeId at, const Frame& frame,
               net::NodeId from = net::kNoNode);
   void adopt(net::NodeId i, net::NodeId leader, std::uint64_t epoch);
   void renew_lease(net::NodeId i);
@@ -308,7 +309,9 @@ class FailureDetector {
   void uplease(std::size_t cell_idx);
   void uplease_send(std::size_t cell_idx);
   void arm_child_watchdog(std::size_t cell_idx);
-  void flood(net::NodeId from, const FdMsg& msg);
+  /// Sends `frame` to each same-cell neighbour of `from`: one body, a
+  /// handle per neighbour.
+  void flood(net::NodeId from, const Frame& frame);
   /// Leader `at` re-floods its binding (a kSync at its epoch) through
   /// `cell`, whose members spoke from an out-of-date view.
   void resync(net::NodeId at, const core::GridCoord& cell);

@@ -18,6 +18,7 @@
 #include "emulation/leader_binding.h"
 #include "emulation/physical_stack.h"
 #include "net/reliable_link.h"
+#include "obs/profiler.h"
 #include "sim/fault_plan.h"
 #include "tests/failover_oracle.h"
 
@@ -566,6 +567,33 @@ TEST_F(MembershipTest, VacantCellReportedMissingBeforeAdoption) {
       << "adoption + proxy re-bind must restore full coverage; missing "
       << results.front().missing().size() << " cells";
   (void)t0;
+}
+
+TEST(FailureDetectorFrames, WarmDetectorAllocatesFarLessOftenThanItSends) {
+  // The soak's shape: eight nodes per cell, membership and audits on, over
+  // ARQ. A flood boxes its frame's body once and sends each neighbour a
+  // handle that std::any holds in place, and a forwarded beat or audit
+  // passes on the body that arrived, so a warm detector allocates per
+  // flood, not per frame sent.
+  emulation::PhysicalStack stack(kSide, 8 * kSide * kSide, kRange, kSeed);
+  ASSERT_TRUE(stack.healthy());
+  stack.enable_arq();
+  emulation::FailureDetectorConfig cfg;
+  cfg.audit_period = 15.0;
+  cfg.membership = true;
+  emulation::FailureDetector detector(*stack.overlay, cfg);
+  detector.start();
+  stack.sim.run_until(stack.sim.now() + 60.0);
+  const std::uint64_t sent = stack.arq->counters().get("arq.send");
+  const std::uint64_t before = obs::global_alloc_stats().count;
+  stack.sim.run_until(stack.sim.now() + 30.0);
+  const std::uint64_t allocs = obs::global_alloc_stats().count - before;
+  const std::uint64_t sends = stack.arq->counters().get("arq.send") - sent;
+  EXPECT_GT(sends, 1000u);
+  EXPECT_LT(allocs * 10, sends) << allocs << " allocations, " << sends
+                                << " sends";
+  detector.stop();
+  stack.sim.run();
 }
 
 // ---- Epoch-stale contributions rejected by deadline collectives ---------
