@@ -3,8 +3,8 @@
 // The ROADMAP's kernel-overhaul item (calendar queue, then PDES) needs a
 // number to beat. This bench produces it: raw dispatch throughput of the
 // kernel (16-byte keys in a rising FIFO lane, three FIFO lanes keyed by
-// delay and a 4-ary heap, callbacks run in their slots) under five
-// workloads —
+// delay, a timing wheel and a 4-ary heap, callbacks run in their slots)
+// under five workloads —
 //
 //   * churn:      steady-state at a fixed queue depth; every dispatched
 //                 event schedules one successor, so the queue stays at depth
@@ -15,7 +15,9 @@
 //   * run_mix:    the soak run phase's schedule shape: a delivery stream at
 //                 delay 0.25 and one jittered retransmit timer per send,
 //                 which the delivery cancels 98% of the time; the
-//                 deliveries stay out of the heap only through a delay lane.
+//                 deliveries leave through a delay lane, the timers through
+//                 the wheel, which drops the cancelled ones as a bucket
+//                 opens.
 //   * quickstart: the full simulation stack (PhysicalStack + overlay
 //                 traffic), so the synthetic rows stay anchored to what a
 //                 real workload sees per event.
@@ -26,8 +28,9 @@
 //
 // Deterministic fields (depth, ops, events, cancelled, skips, heap pops,
 // final queue state, queries, allocs) are gated tightly by
-// BENCH_BASELINE.json in the observability CI job; `heap_pops` there gates
-// the share of entries that leave through a lane. Host-time fields end in
+// BENCH_BASELINE.json in the observability CI job; `heap_pops` and
+// `wheel_pops` there gate the shares of entries that leave through the
+// heap and the wheel rather than a lane. Host-time fields end in
 // "_ns" / "_per_sec" and are gated only by the perf-smoke job, one-sided at
 // a generous tolerance (see obs/analyze/bench_compare.h).
 #include <chrono>
@@ -116,6 +119,7 @@ void churn_row(analysis::Table& table, bench::JsonWriter& json,
             {"peak_depth",
              static_cast<std::uint64_t>(sim.queue().peak_size())},
             {"heap_pops", sim.queue().heap_pops()},
+            {"wheel_pops", sim.queue().wheel_pops()},
             {"events_per_sec", stats.events_per_sec()},
             {"mean_event_ns", stats.mean_ns()},
             {"p50_ns", stats.per_event.p50()},
@@ -158,6 +162,7 @@ void cancel_row(analysis::Table& table, bench::JsonWriter& json,
             {"tombstones",
              static_cast<std::uint64_t>(sim.queue().tombstones())},
             {"heap_pops", sim.queue().heap_pops()},
+            {"wheel_pops", sim.queue().wheel_pops()},
             {"events_per_sec", stats.events_per_sec()},
             {"mean_event_ns", stats.mean_ns()},
             {"p50_ns", stats.per_event.p50()},
@@ -169,8 +174,8 @@ void cancel_row(analysis::Table& table, bench::JsonWriter& json,
 /// send queues its delivery 0.25 ahead and arms a retransmit timer at
 /// 1.5 * (1 + U(0, 0.25)); the delivery cancels the timer and sends again
 /// 98% of the time, and a timer that fires sends again. A far timer holds
-/// the rising lane's tail, so the deliveries keep out of the heap only
-/// through the lane of their delay.
+/// the rising lane's tail, so the deliveries leave through the lane of
+/// their delay and the timers through the wheel.
 void run_mix_row(analysis::Table& table, bench::JsonWriter& json,
                  std::size_t senders, std::uint64_t ops) {
   sim::Simulator sim(13);
@@ -208,6 +213,7 @@ void run_mix_row(analysis::Table& table, bench::JsonWriter& json,
             {"final_depth", static_cast<std::uint64_t>(sim.pending())},
             {"skips", sim.queue().cancelled_skips()},
             {"heap_pops", sim.queue().heap_pops()},
+            {"wheel_pops", sim.queue().wheel_pops()},
             {"events_per_sec", stats.events_per_sec()},
             {"mean_event_ns", stats.mean_ns()},
             {"p50_ns", stats.per_event.p50()},
@@ -226,6 +232,7 @@ void quickstart_row(analysis::Table& table, bench::JsonWriter& json) {
   emulation::PhysicalStack stack(kSide, kNodes, kRange, 1);
   const std::uint64_t setup_events = stack.sim.events_processed();
   const std::uint64_t setup_heap_pops = stack.sim.queue().heap_pops();
+  const std::uint64_t setup_wheel_pops = stack.sim.queue().wheel_pops();
 
   obs::SimProfiler& prof = obs::profiler();
   prof.arm();
@@ -252,6 +259,7 @@ void quickstart_row(analysis::Table& table, bench::JsonWriter& json) {
             {"events", events},
             {"dispatch_count", dispatch.count},
             {"heap_pops", stack.sim.queue().heap_pops() - setup_heap_pops},
+            {"wheel_pops", stack.sim.queue().wheel_pops() - setup_wheel_pops},
             {"events_per_sec", prof.events_per_sec()},
             {"mean_event_ns",
              events > 0 ? host_ns / static_cast<double>(events) : 0.0},
@@ -277,6 +285,7 @@ void topographic_row(analysis::Table& table, bench::JsonWriter& json) {
   }
   const std::uint64_t setup_events = stack.sim.events_processed();
   const std::uint64_t setup_heap_pops = stack.sim.queue().heap_pops();
+  const std::uint64_t setup_wheel_pops = stack.sim.queue().wheel_pops();
 
   obs::SimProfiler& prof = obs::profiler();
   prof.arm();
@@ -301,6 +310,7 @@ void topographic_row(analysis::Table& table, bench::JsonWriter& json) {
             {"events", events},
             {"allocs", allocs},
             {"heap_pops", stack.sim.queue().heap_pops() - setup_heap_pops},
+            {"wheel_pops", stack.sim.queue().wheel_pops() - setup_wheel_pops},
             {"events_per_sec", prof.events_per_sec()},
             {"mean_query_ns", host_ns / static_cast<double>(kQueries)},
             {"app_self_ns",
