@@ -30,7 +30,7 @@ class Simulator {
  public:
   explicit Simulator(std::uint64_t seed = 1) : rng_(seed) {}
 
-  Time now() const { return now_; }
+  Time now() const { return queue_.now(); }
   Rng& rng() { return rng_; }
 
   /// Schedules `fn` at absolute time `at` (finite and >= now()). The
@@ -38,7 +38,7 @@ class Simulator {
   /// std::invalid_argument for a time in the past, NaN or infinite.
   template <typename F>
   EventId schedule_at(Time at, F&& fn) {
-    if (at < now_) {
+    if (at < now()) {
       throw std::invalid_argument("Simulator: cannot schedule in the past");
     }
     return queue_.schedule(at, std::forward<F>(fn));
@@ -47,14 +47,14 @@ class Simulator {
   /// Schedules `fn` after `delay` (finite and >= 0).
   template <typename F>
   EventId schedule_in(Time delay, F&& fn) {
-    return schedule_at(now_ + delay, std::forward<F>(fn));
+    return schedule_at(now() + delay, std::forward<F>(fn));
   }
 
   /// Schedules `fn` at the current time (after already-pending events at
   /// this instant, preserving FIFO order).
   template <typename F>
   EventId post(F&& fn) {
-    return queue_.schedule(now_, std::forward<F>(fn));
+    return queue_.schedule(now(), std::forward<F>(fn));
   }
 
   bool cancel(EventId id) { return queue_.cancel(id); }
@@ -64,7 +64,7 @@ class Simulator {
   std::uint64_t next_flow() { return ++flow_; }
 
   std::size_t pending() const { return queue_.live(); }
-  std::uint64_t events_processed() const { return processed_; }
+  std::uint64_t events_processed() const { return queue_.dispatched(); }
 
   /// Read-only kernel introspection (depth, tombstones, peak, skip counts)
   /// for the telemetry gauges.
@@ -81,10 +81,7 @@ class Simulator {
     // finds nothing left to do. One branch when the profiler is disarmed;
     // see obs/profiler.h.
     obs::ProfSpan span(obs::ProfCat::kDispatch);
-    queue_.dispatch([this](Time at) {
-      now_ = at;
-      ++processed_;
-    });
+    queue_.dispatch();
     return true;
   }
 
@@ -114,10 +111,7 @@ class Simulator {
         throw std::runtime_error("Simulator: event budget exceeded");
       }
     }
-    if (until > now_ && std::isfinite(until)) {
-      now_ = until;
-      queue_.advance(until);  // later delays are measured from here
-    }
+    if (until > now() && std::isfinite(until)) queue_.advance(until);
   }
 
   /// Registers the kernel telemetry gauges — queue depth, tombstones,
@@ -145,7 +139,7 @@ class Simulator {
       return static_cast<double>(queue_.cancelled_skips());
     });
     registry.add_gauge(prefix + ".events_processed", [this] {
-      return static_cast<double>(processed_);
+      return static_cast<double>(queue_.dispatched());
     });
     registry.add_gauge(prefix + ".heap_pops", [this] {
       return static_cast<double>(queue_.heap_pops());
@@ -166,8 +160,6 @@ class Simulator {
  private:
   EventQueue queue_;
   Rng rng_;
-  Time now_ = 0;
-  std::uint64_t processed_ = 0;
   std::uint64_t flow_ = 0;
 };
 
