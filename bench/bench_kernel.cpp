@@ -2,13 +2,14 @@
 //
 // The ROADMAP's kernel-overhaul item (calendar queue, then PDES) needs a
 // number to beat. This bench produces it: raw dispatch throughput of the
-// kernel (16-byte keys in a rising FIFO lane, three FIFO lanes keyed by
-// delay, a timing wheel and a 4-ary heap, callbacks run in their slots)
-// under five workloads —
+// kernel (16-byte keys in four FIFO lanes keyed by delay, a timing wheel
+// and a standard-library heap, callbacks run in their slots) under five
+// workloads —
 //
 //   * churn:      steady-state at a fixed queue depth; every dispatched
-//                 event schedules one successor, so the queue stays at depth
-//                 D while the sift cost is exercised at several D.
+//                 event schedules one successor at a random delay, so the
+//                 queue stays at depth D and nearly every key parks in the
+//                 wheel; measured at several D.
 //   * cancel:     schedule/cancel mix; half the scheduled events are
 //                 cancelled before firing, exercising tombstones and the
 //                 lazy-skip path in dispatch().
@@ -173,9 +174,8 @@ void cancel_row(analysis::Table& table, bench::JsonWriter& json,
 /// The soak run phase's schedule shape at a fixed number of senders. Each
 /// send queues its delivery 0.25 ahead and arms a retransmit timer at
 /// 1.5 * (1 + U(0, 0.25)); the delivery cancels the timer and sends again
-/// 98% of the time, and a timer that fires sends again. A far timer holds
-/// the rising lane's tail, so the deliveries leave through the lane of
-/// their delay and the timers through the wheel.
+/// 98% of the time, and a timer that fires sends again. The deliveries
+/// leave through the lane of their delay and the timers through the wheel.
 void run_mix_row(analysis::Table& table, bench::JsonWriter& json,
                  std::size_t senders, std::uint64_t ops) {
   sim::Simulator sim(13);
