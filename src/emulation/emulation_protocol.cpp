@@ -215,20 +215,6 @@ EmulationResult run_protocol(net::LinkLayer& link, const CellMapper& mapper,
 
 }  // namespace
 
-std::size_t purge_entries_via(std::vector<RoutingTable>& tables,
-                              net::NodeId via) {
-  std::size_t cleared = 0;
-  for (RoutingTable& t : tables) {
-    for (core::Direction d : core::kAllDirections) {
-      if (t[d] == via) {
-        t[d] = net::kNoNode;
-        ++cleared;
-      }
-    }
-  }
-  return cleared;
-}
-
 RerouteStats reroute_entries_via(
     std::vector<RoutingTable>& tables, net::NodeId via,
     const net::LinkLayer& link, const CellMapper& mapper,

@@ -101,20 +101,15 @@ EmulationResult run_topology_repair(net::LinkLayer& link,
                                     std::vector<RoutingTable> previous,
                                     double jitter = 0.0);
 
-/// Removes every table entry whose next hop is `via` (a node suspected or
-/// known dead) from all tables. Unlike run_topology_repair this is a purely
-/// local O(n) purge — no chain verification, no protocol re-run — suitable
-/// for reacting to an ARQ give-up inside an event callback. Returns the
-/// number of entries cleared.
-std::size_t purge_entries_via(std::vector<RoutingTable>& tables,
-                              net::NodeId via);
-
-/// purge_entries_via plus a one-hop local repair: each cleared entry is
-/// re-pointed at another live neighbor lying directly in the target cell,
-/// when one exists (`excluded` filters additional suspects). Entries with
-/// no such neighbor stay kNoNode — deliberately no same-cell chaining, which
-/// could loop; full re-convergence remains run_topology_repair's job. Safe
-/// inside an event callback: local, message-free, deterministic.
+/// Clears every table entry whose next hop is `via` (a node suspected or
+/// known dead) and re-points it at another live neighbor lying directly in
+/// the entry's target cell, when one exists (`excluded` filters additional
+/// suspects). Entries with no such neighbor stay kNoNode — deliberately no
+/// same-cell chaining, which could loop; full re-convergence remains
+/// run_topology_repair's job. Unlike run_topology_repair this is a purely
+/// local O(n) pass — no chain verification, no protocol re-run — so it is
+/// safe inside an event callback, such as the reaction to an ARQ give-up:
+/// local, message-free, deterministic.
 struct RerouteStats {
   std::size_t rerouted = 0;    // entries repaired to an alternate gateway
   std::size_t unroutable = 0;  // entries cleared with no local alternative

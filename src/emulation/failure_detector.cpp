@@ -30,8 +30,7 @@ struct FailureDetector::FdMsg {
   double residual = 0.0;                  // elect: best key's residual energy
   bool handoff = false;                   // elect: solicited by the leader
   // Membership mode only (zero/defaulted otherwise):
-  core::GridCoord src_cell{-1, -1};   // sender's cell belief; join: the
-                                      // cell the orphan abandoned
+  core::GridCoord src_cell{-1, -1};   // join: the cell the orphan abandoned
   std::uint64_t roster_digest = 0;    // audit: digest of the leader's roster
   bool last = false;  // join: orphan's evidence it was the cell's last
                       // reachable member (a full lease of total silence)
@@ -446,8 +445,6 @@ void FailureDetector::on_watchdog(net::NodeId i) {
     hello.cell = cell_view(i);
     hello.epoch = epoch_[i];
     hello.leader = believed_leader_[i];
-    hello.origin = i;
-    hello.src_cell = cell_view(i);
     flood(i, Frame(hello));
     renew_lease(i);
     return;
@@ -680,7 +677,6 @@ void FailureDetector::beat(net::NodeId leader) {
     m.epoch = epoch_[leader];
     m.seq = beat_seq_[leader];
     m.leader = leader;
-    m.src_cell = cell;  // beats carry the sender's cell belief
     flood(leader, Frame(m));
     maybe_handoff(leader);
   }
@@ -711,7 +707,6 @@ void FailureDetector::audit(net::NodeId leader) {
     m.seq = audit_seq_[leader];
     m.leader = leader;
     m.score = score(leader);
-    m.origin = leader;
     m.residual = residual(leader);
     if (membership_ != nullptr) {
       // Leader-side roster scrub: drop entries whose belief moved away
@@ -719,7 +714,6 @@ void FailureDetector::audit(net::NodeId leader) {
       // flood carries the repaired roster's digest, so any member the
       // roster wrongly *misses* detects the disagreement and reinstates
       // itself on receipt — one audit round repairs either direction.
-      m.src_cell = cell;
       const std::vector<net::NodeId> roster = membership_->roster(cell);
       for (net::NodeId r : roster) {
         if (membership_->cell_of(r) == cell) continue;
@@ -775,7 +769,6 @@ void FailureDetector::uplease_send(std::size_t cell_idx) {
   m.dst_cell = parent;
   m.epoch = epoch_[actor];
   m.leader = actor;
-  m.src_cell = cell_view(actor);
   if (membership_ != nullptr &&
       (cell_view(actor) == parent || overlay_.bound_node(parent) == actor) &&
       believed_leader_[actor] == actor) {
@@ -965,7 +958,6 @@ void FailureDetector::handle(net::NodeId at, const Frame& frame,
         sync.cell = msg.cell;
         sync.epoch = epoch_[at];
         sync.leader = believed_leader_[at];
-        sync.origin = at;
         flood(at, Frame(sync));
       }
       if (msg.epoch < seen_beat_epoch_[at] ||
