@@ -2,12 +2,13 @@
 
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 namespace wsn::app {
 namespace {
 
 struct UpdateMsg {
-  std::shared_ptr<BlockSummary> piece;
+  BlockSummary piece;
   std::uint32_t level;
 };
 
@@ -23,9 +24,9 @@ IncrementalAggregator::IncrementalAggregator(core::MessageFabric& fabric,
   received_.assign(max_level_, std::vector<std::uint32_t>(n, 0));
 
   for (const core::GridCoord& c : fabric_.grid().all_coords()) {
-    fabric_.set_receiver(c, [this, c](const core::VirtualMessage& vmsg) {
-      const auto msg = std::any_cast<UpdateMsg>(vmsg.payload);
-      on_update(c, msg.level, *msg.piece);
+    fabric_.set_receiver(c, [this, c](core::VirtualMessage&& vmsg) {
+      auto& msg = std::any_cast<UpdateMsg&>(vmsg.payload);
+      on_update(c, msg.level, std::move(msg.piece));
     });
   }
 }
@@ -46,22 +47,22 @@ void IncrementalAggregator::deliver_update(const core::GridCoord& target,
   if (!via_network) {
     // Self-contribution: free local hand-off at the current instant.
     fabric_.simulator().post(
-        [this, target, level, piece = std::move(piece)]() {
-          on_update(target, level, piece);
+        [this, target, level, piece = std::move(piece)]() mutable {
+          on_update(target, level, std::move(piece));
         });
     return;
   }
   ++stats_.messages;
   const double units = config_.size_model.units(piece);
-  UpdateMsg msg{std::make_shared<BlockSummary>(std::move(piece)), level};
-  fabric_.send(from, target, std::move(msg), units);
+  fabric_.send(from, target, UpdateMsg{std::move(piece), level}, units);
 }
 
 void IncrementalAggregator::on_update(const core::GridCoord& self,
                                       std::uint32_t level,
-                                      const BlockSummary& piece) {
+                                      BlockSummary piece) {
   const std::size_t idx = fabric_.grid().index_of(self);
-  cache_[level - 1][idx].pieces[quadrant_of(piece, level)] = piece;
+  const std::size_t quadrant = quadrant_of(piece, level);
+  cache_[level - 1][idx].pieces[quadrant] = std::move(piece);
   ++received_[level - 1][idx];
   if (received_[level - 1][idx] >= expected_[level - 1][idx]) {
     try_reseal(self, level);

@@ -67,7 +67,7 @@ class IncrementalAggregator {
                       BlockSummary piece, bool via_network,
                       const core::GridCoord& from);
   void on_update(const core::GridCoord& self, std::uint32_t level,
-                 const BlockSummary& piece);
+                 BlockSummary piece);
   void try_reseal(const core::GridCoord& self, std::uint32_t level);
 
   core::MessageFabric& fabric_;
